@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gauge, graphs, spectral
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceLimitError
 
 DEFAULT_KRYLOV_CAP = 512
 # Image components smaller than this (relative to the image) count as inside
@@ -57,14 +57,31 @@ def crossing_amplitudes(m: gauge.Ccam, m_max: int, *, source: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Exact crossing amplitudes at rational flux
+# Exact caging at rational flux
 #
-# When every phase angle is a multiple of 2*pi/N the amplitude <t|H^k|s> is an
-# integer polynomial in the primitive N-th root of unity.  Repeated matrix
-# powers in floating point lose roughly ||H||^k * eps of absolute accuracy,
-# which swamps a 1e-10 zero test on deep trees, so destructive interference is
-# certified in exact integer arithmetic instead.
+# The verdict is the flat-value rule (``is_caged``).  As an independent check,
+# with every phase a multiple of 2*pi/N the amplitude <t|H^k|s> is an integer
+# polynomial in the primitive N-th root of unity, whose zeros are certified in
+# exact integer arithmetic: float powers lose about ||H||^k * eps, which swamps
+# any fixed zero threshold on deep trees, so float amplitudes are for display.
 # ---------------------------------------------------------------------------
+
+# Largest int64 state (|V| * N values) of a polynomial run: (2,)*9 needs 25 MB.
+POLY_STATE_LIMIT_BYTES = 64 * 2**20
+
+
+def is_caged(x: Sequence[int], z: int) -> bool:
+    """Whether the glued tree of ``x`` is uncrossable at flux 2*pi*z/M.
+
+    The level-wise rule: caged iff some level i has z*P_{i-1}/M non-integral
+    while z*P_i/M is an integer, where P_i = x_1...x_i, P_0 = 1 and M = P_d
+    (there the level's phase pairing, a factor of the root-to-root corner,
+    vanishes).  This reduces to z != 0 (mod M): z*P_d/M = z is an integer, so
+    if z/M is not, the first level where z*P_i/M is an integer qualifies; if
+    z/M is, every z*P_i/M is an integer and no level qualifies.
+    """
+    xs = graphs.check_growth_sequence(x)
+    return z % math.prod(xs) != 0
 
 
 def phase_exponents(m: gauge.Ccam, denominator: int, tol: float = 1e-8) -> np.ndarray:
@@ -89,13 +106,17 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
     The sparse product is run over Z[w]/(w^N - 1): multiplying by an edge
     phase rotates the coefficient array.  Rescaling the flux by an integer z
     turns A_k(zeta_N) into A_k(zeta_N^z), so one run covers every multiple of
-    the base flux at once.
+    the base flux at once.  Refuses when the state would exceed
+    ``POLY_STATE_LIMIT_BYTES``.
     """
     src = m.first_vertex if source is None else source
     tgt = m.last_vertex if target is None else target
     if src is None or tgt is None:
         raise InvalidParameterError("source and target roots are not marked")
     n = int(denominator)
+    if m.dimension * n * 8 > POLY_STATE_LIMIT_BYTES:
+        raise ResourceLimitError(f"polynomial state {m.dimension} x {n} int64 exceeds "
+                                 f"{POLY_STATE_LIMIT_BYTES >> 20} MiB")
     exps = phase_exponents(m, n)
     state = np.zeros((m.dimension, n), dtype=np.int64)
     state[src, 0] = 1
@@ -122,61 +143,55 @@ def evaluate_cyclotomic(coeffs: np.ndarray, z: int, denominator: int) -> np.ndar
     return np.asarray(coeffs, dtype=float) @ root
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):  # exact below 3.3e24
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _prime_factors(n: int) -> tuple[int, ...]:
+    return tuple(p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
 
 
-@lru_cache(maxsize=None)
-def _modular_roots(denominator: int, count: int = 3) -> tuple[tuple[int, int], ...]:
-    """(prime, primitive N-th root mod prime) pairs with prime = 1 mod N.
+@lru_cache(maxsize=64)
+def _cyclotomic_reduction(primes: tuple[int, ...]) -> np.ndarray:
+    """(r, phi(r)) matrix whose row e holds w^e mod Phi_r, r = prod(primes).
 
-    Primes sit near 2**20 so int64 matrix products of reduced values cannot
-    overflow; several independent primes make an accidental zero of a nonzero
-    value vanishingly unlikely (a true zero is zero in every such field).
+    Phi_r = prod over e | r of (1 - w^e)^mu(r/e) for r > 1, expanded as a
+    power series cut at its degree: multiplying by 1 - w^e is a shifted
+    difference, dividing by it a running sum along every residue mod e.  Every
+    step is a ring operation, so a wrapped intermediate still leaves the
+    exact (small) coefficients of Phi_r.
     """
-    n = denominator
-    factors = set()
-    r = n
-    f = 2
-    while f * f <= r:
-        while r % f == 0:
-            factors.add(f)
-            r //= f
-        f += 1
-    if r > 1:
-        factors.add(r)
-    found = []
-    k = (1 << 20) // n + 1
-    while len(found) < count:
-        p = k * n + 1
-        k += 1
-        if not _is_probable_prime(p):
-            continue
-        for g in range(2, 200):
-            rho = pow(g, (p - 1) // n, p)
-            if rho != 1 and all(pow(rho, n // q, p) != 1 for q in factors):
-                found.append((p, rho))
-                break
-    return tuple(found)
+    r, deg = math.prod(primes), math.prod(p - 1 for p in primes)
+    divisors = [(1, (-1) ** len(primes))]  # (e, mu(r/e))
+    for p in primes:
+        divisors += [(e * p, -mu) for (e, mu) in divisors]
+    poly = np.zeros(deg + 1, dtype=np.int64)
+    poly[0] = 1
+    for (e, mu) in divisors:
+        if e > deg:
+            continue  # 1 - w^e is 1 below degree e
+        if mu > 0:
+            poly[e:] = poly[e:] - poly[:-e]
+        else:
+            for j in range(e):
+                poly[j::e] = np.cumsum(poly[j::e])
+    out = np.zeros((r, deg), dtype=np.int64)
+    out[:deg] = np.eye(deg, dtype=np.int64)
+    for e in range(deg, r):  # w^e = w * w^(e-1), with w^deg = w^deg - Phi_r
+        out[e, 1:] = out[e - 1, :-1]
+        out[e] -= out[e - 1, -1] * poly[:-1]
+    out.flags.writeable = False  # shared through the cache
+    return out
+
+
+def _zero_at_order(mat: np.ndarray, d: int) -> np.ndarray:
+    """Per row of ``mat``: is the polynomial zero at a primitive d-th root?"""
+    primes = _prime_factors(d)
+    red = _cyclotomic_reduction(primes)
+    # Folding and reducing keep every value within a row's l1 norm times max|red|.
+    if np.abs(mat).sum(axis=1, dtype=float).max(initial=0.0) * np.abs(red).max() >= 2.0**62:
+        raise InvalidParameterError("cyclotomic reduction would overflow 64-bit integers")
+    folded = mat.reshape(len(mat), -1, d).sum(axis=1)  # w^d = 1 at a d-th root
+    # With r = prod(primes) and s = d/r, Phi_d(w) = Phi_r(w^s) and
+    # B(w) = sum_j w^j B_j(w^s), B_j = folded[s*a + j]: Phi_d | B iff Phi_r | each B_j.
+    parts = folded.reshape(len(mat), len(red), -1).transpose(0, 2, 1)
+    return ~(parts @ red).any(axis=(1, 2))
 
 
 def cyclotomic_zero_table(polys: np.ndarray, denominator: int,
@@ -185,28 +200,17 @@ def cyclotomic_zero_table(polys: np.ndarray, denominator: int,
 
     Returns a boolean array of shape (len(polys), len(zs)); entry (k, i) is
     True iff row k evaluates to exactly zero at the zs[i]-th power of the
-    primitive root.
+    primitive root.  zeta_N^z is a primitive d-th root, d = N/gcd(N, z), with
+    minimal polynomial Phi_d: the test is divisibility by Phi_d in integers.
     """
     n = int(denominator)
     mat = np.atleast_2d(np.asarray(polys, dtype=np.int64))
-    z_list = list(range(1, n + 1)) if zs is None else list(zs)
-    result = np.ones((mat.shape[0], len(z_list)), dtype=bool)
-    e = np.arange(n, dtype=np.int64)
-    for (p, rho) in _modular_roots(n):
-        rho_pows = np.ones(n, dtype=np.int64)
-        for i in range(1, n):
-            rho_pows[i] = rho_pows[i - 1] * rho % p
-        # power table: (z, e) -> rho^(z*e mod n) mod p; values < 2**21
-        ztab = np.array([rho_pows[(z * e) % n] for z in z_list], dtype=np.int64)
-        reduced = mat % p
-        sums = reduced @ ztab.T  # max n * 2**21 * 2**21 ~ 2**50, safe in int64
-        result &= (sums % p) == 0
+    orders = [n // math.gcd(n, z) for z in (range(1, n + 1) if zs is None else zs)]
+    zero = {d: _zero_at_order(mat, d) for d in set(orders)}
+    result = np.empty((len(mat), len(orders)), dtype=bool)
+    for i, d in enumerate(orders):
+        result[:, i] = zero[d]
     return result
-
-
-def cyclotomic_zero(coeffs: np.ndarray, z: int, denominator: int) -> bool:
-    """Exact test of A(zeta_N^z) == 0 for one integer coefficient array."""
-    return bool(cyclotomic_zero_table(np.atleast_2d(coeffs), denominator, [z])[0, 0])
 
 
 # ---------------------------------------------------------------------------

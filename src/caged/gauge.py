@@ -340,13 +340,14 @@ class FlatSet:
     denominator: int
     values: tuple[float, ...]
 
-    def contains(self, angle: float, tol: float = 1e-9) -> bool:
+    def index(self, angle: float, tol: float = 1e-9) -> int | None:
+        """The z in 1..M with angle = 2*pi*z/M (mod 2*pi) within ``tol``, else None."""
         step = TWO_PI / self.denominator
-        r = math.fmod(angle, TWO_PI)
-        if r <= 0.0:
-            r += TWO_PI
-        z = round(r / step)
-        return z >= 1 and abs(r - z * step) < tol
+        z = round(angle / step)
+        return (z - 1) % self.denominator + 1 if abs(angle - z * step) < tol else None
+
+    def contains(self, angle: float, tol: float = 1e-9) -> bool:
+        return self.index(angle, tol) is not None
 
     def midpoints(self) -> tuple[float, ...]:
         """Angles halfway between consecutive members."""

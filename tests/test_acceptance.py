@@ -9,8 +9,9 @@ every face is gauge-equivalent to zero flux, where glued trees are provably
 crossable and the chains disperse, so the corresponding sub-checks of
 criteria 5, 6, and 9 fail at exactly that one angle per sequence and nowhere
 else.  The failures are kept (not worked around) because the quantified
-statements are part of the contract; docs/decisions record the analysis, and
-TestFluxPeriodicityBoundary in test_gauge.py pins the endpoint behavior.
+statements are part of the contract; the README section "The full-turn member
+of the flat set" records the analysis, and TestFluxPeriodicityBoundary in
+test_gauge.py pins the endpoint behavior.
 """
 
 import math

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caged import caging, gauge, graphs
-from caged.errors import InvalidParameterError
+from caged.errors import InvalidParameterError, ResourceLimitError
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,6 +54,61 @@ class TestExactCrossing:
         m = gauge.canonical_ccam((2,), 1.0)
         with pytest.raises(InvalidParameterError):
             caging.phase_exponents(m, 8)
+
+    def test_nonzero_rows_at_each_root_order(self):
+        # 1 + w^12 vanishes at zeta_24^z iff (-1)^z = -1; Phi_12 = 1 - w^2 + w^4
+        # vanishes iff zeta_24^z has order 12, i.e. gcd(24, z) = 2.
+        polys = np.zeros((2, 24), dtype=np.int64)
+        polys[0, [0, 12]] = 1
+        polys[1, [0, 2, 4]] = (1, -1, 1)
+        table = caging.cyclotomic_zero_table(polys, 24)
+        assert [z for z in range(1, 25) if table[0, z - 1]] == list(range(1, 25, 2))
+        assert [z for z in range(1, 25) if table[1, z - 1]] == [2, 10, 14, 22]
+
+    def test_table_matches_float_values(self):
+        m = gauge.canonical_ccam((2, 3), TWO_PI / 6)
+        polys = caging.crossing_amplitude_polynomials(m, 8, 24)
+        table = caging.cyclotomic_zero_table(polys, 24)
+        for z in range(1, 25):
+            values = np.abs(caging.evaluate_cyclotomic(polys, z, 24))
+            assert (table[:, z - 1] == (values < 1e-9)).all()
+            assert values[~table[:, z - 1]].min(initial=1.0) > 1e-3
+
+    def test_reduction_overflow_refused(self):
+        with pytest.raises(InvalidParameterError):
+            caging.cyclotomic_zero_table(np.full((1, 8), 2**60, dtype=np.int64), 8)
+
+    def test_polynomial_state_limit(self):
+        # (2,)*12 would need about 1.5 GiB of state: refused before allocating.
+        m = gauge.canonical_ccam((2,) * 12, TWO_PI / 4096)
+        with pytest.raises(ResourceLimitError):
+            caging.crossing_amplitude_polynomials(m, 48, 4 * 4096)
+
+    def test_polynomial_state_limit_boundary(self):
+        def state_bytes(xs):
+            return graphs.tree_vertex_count(xs) * 4 * math.prod(xs) * 8
+        assert state_bytes((2,) * 9) <= caging.POLY_STATE_LIMIT_BYTES < state_bytes((2,) * 10)
+
+
+class TestIsCaged:
+    @pytest.mark.parametrize("xs", [(2,), (2, 3, 2), (1, 2), (2, 1, 3), (3, 1, 1, 2)])
+    def test_matches_certificate_beyond_one_period(self, xs):
+        m_prod = math.prod(xs)
+        n = 4 * m_prod
+        m = gauge.canonical_ccam(xs, TWO_PI / m_prod)
+        polys = caging.crossing_amplitude_polynomials(m, 4 * len(xs), n)
+        certified = caging.cyclotomic_zero_table(polys, n).all(axis=0)
+        assert [caging.is_caged(xs, z) for z in range(1, n + 1)] == list(certified)
+
+    def test_full_turn_crossable(self):
+        assert caging.is_caged((2, 3, 2, 2, 2, 2), 1)
+        assert not caging.is_caged((2, 3, 2, 2, 2, 2), 96)
+        assert not caging.is_caged((2, 3, 2, 2, 2, 2), 0)
+
+    @pytest.mark.parametrize("xs", [(), (2, 0), (2, 1), (-2, 2)])
+    def test_bad_sequence_rejected(self, xs):
+        with pytest.raises(InvalidParameterError):
+            caging.is_caged(xs, 1)
 
 
 class TestResolventRecurrence:

@@ -114,6 +114,29 @@ class TestCagingCommand:
                          "--assert-uncaged")
         assert code == 0
 
+    def test_deep_tree_caged_despite_roundoff(self, capsys):
+        # Float powers leave amplitudes near 1e-8 here; the verdict is exact.
+        code, out, err = run(capsys, "caging", "--x", "2,3,2,2,2,2", "--phi", "pi/48",
+                             "--assert-caged")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "k,amplitude" and len(lines) == 1 + 24
+
+    def test_verify_deep_tree_caged(self, capsys):
+        code, out, _ = run(capsys, "verify", "--x", "2,3,2,2,2,2", "--phi", "pi/48")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[-2] == "caging at flat value z = 1 of M = 96: caged"
+        assert lines[-1] == "OK"
+
+    def test_full_turn_is_crossable(self, capsys):
+        code, _, _ = run(capsys, "caging", "--x", "2,3,2,2,2,2", "--phi", "2pi",
+                         "--assert-uncaged")
+        assert code == 0
+        code, out, _ = run(capsys, "verify", "--x", "2,3,2,2,2,2", "--phi", "2pi")
+        assert code == 0
+        assert "z = 96 of M = 96: crossable" in out
+
 
 class TestClsCommand:
     def test_chain_report(self, tmp_path, capsys):

@@ -186,12 +186,21 @@ class TestFlatValues:
     def test_membership_tolerance(self):
         fv = gauge.flat_values((2, 3, 2))
         assert fv.contains(math.pi / 6 + 5e-10)
+        assert fv.index(math.pi / 6 + 5e-10) == 1
+        assert fv.index(math.pi / 6 - 5e-10) == 1
+        assert fv.index(-11 * math.pi / 6) == 1
         assert not fv.contains(math.pi / 6 + 1e-3)
         assert not fv.contains(math.pi / 12)
+        assert fv.index(math.pi / 12) is None
+
+    def test_full_turn_index(self):
+        fv = gauge.flat_values((2, 3, 2))
+        assert fv.index(0.0) == fv.index(TWO_PI) == fv.index(1e-12) == 12
 
     def test_midpoints_not_members(self):
         fv = gauge.flat_values((2, 2))
         assert all(not fv.contains(mid) for mid in fv.midpoints())
+        assert all(fv.index(mid) is None for mid in fv.midpoints())
 
 
 class TestDenseMatrix:
