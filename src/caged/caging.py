@@ -67,6 +67,8 @@ def crossing_amplitudes(m: gauge.Ccam, m_max: int, *, source: int | None = None,
 # ---------------------------------------------------------------------------
 
 # Largest int64 state (|V| * N values) of a polynomial run: (2,)*9 needs 25 MB.
+# A run holds about three such states: the doubled-row buffer (two), the next
+# power (one) and one chunk of gathered rows (at most a quarter).
 POLY_STATE_LIMIT_BYTES = 64 * 2**20
 
 
@@ -88,14 +90,16 @@ def phase_exponents(m: gauge.Ccam, denominator: int, tol: float = 1e-8) -> np.nd
     """Each edge phase as an integer multiple of 2*pi/denominator."""
     if denominator < 1:
         raise InvalidParameterError("denominator must be positive")
-    out = np.empty(len(m.entries), dtype=np.int64)
-    for i, (_u, _v, t) in enumerate(m.entries):
-        c = round(t * denominator / (2.0 * math.pi)) % denominator
-        if abs(gauge.reduce_angle(t - 2.0 * math.pi * c / denominator)) > tol:
-            raise InvalidParameterError(
-                f"phase {t} is not a multiple of 2*pi/{denominator}")
-        out[i] = c
-    return out
+    ts = np.fromiter((e[2] for e in m.entries), dtype=float, count=len(m.entries))
+    out = np.round(ts * denominator / (2.0 * math.pi)) % denominator
+    # Distance of each residual angle from the nearest whole turn, as
+    # |gauge.reduce_angle(...)| computes it; NaN never passes.
+    r = np.abs(np.fmod(ts - 2.0 * math.pi * out / denominator, 2.0 * math.pi))
+    bad = np.flatnonzero(~(np.minimum(r, 2.0 * math.pi - r) <= tol))
+    if bad.size:
+        raise InvalidParameterError(
+            f"phase {float(ts[bad[0]])} is not a multiple of 2*pi/{denominator}")
+    return out.astype(np.int64)
 
 
 def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, *,
@@ -108,30 +112,57 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
     turns A_k(zeta_N) into A_k(zeta_N^z), so one run covers every multiple of
     the base flux at once.  Refuses when the state would exceed
     ``POLY_STATE_LIMIT_BYTES``.
+
+    Each row's state is stored twice over, side by side, so the row rotated
+    by c is the contiguous length-N window at column N - c.  A table lists,
+    for every vertex, the source row and window of each incoming edge, padded
+    with an all-zero row; one power is then a gather and a sum per chunk of
+    rows, in the same exact int64 additions as an edge-by-edge update.
     """
     src = m.first_vertex if source is None else source
     tgt = m.last_vertex if target is None else target
     if src is None or tgt is None:
         raise InvalidParameterError("source and target roots are not marked")
+    dim = m.dimension
+    if not (0 <= src < dim and 0 <= tgt < dim):
+        raise InvalidParameterError(f"source {src} or target {tgt} out of range")
     n = int(denominator)
-    if m.dimension * n * 8 > POLY_STATE_LIMIT_BYTES:
-        raise ResourceLimitError(f"polynomial state {m.dimension} x {n} int64 exceeds "
+    if dim * n * 8 > POLY_STATE_LIMIT_BYTES:
+        raise ResourceLimitError(f"polynomial state {dim} x {n} int64 exceeds "
                                  f"{POLY_STATE_LIMIT_BYTES >> 20} MiB")
     exps = phase_exponents(m, n)
-    state = np.zeros((m.dimension, n), dtype=np.int64)
-    state[src, 0] = 1
+    us = np.fromiter((e[0] for e in m.entries), dtype=np.intp, count=len(m.entries))
+    vs = np.fromiter((e[1] for e in m.entries), dtype=np.intp, count=len(m.entries))
+    # Edge (u, v, c) adds state[v] rotated by c into row u, and state[u]
+    # rotated by -c into row v.
+    heads = np.concatenate([us, vs])
+    tails = np.concatenate([vs, us])
+    windows = np.concatenate([(n - exps) % n, exps])
+    order = np.argsort(heads, kind="stable")
+    heads, tails, windows = heads[order], tails[order], windows[order]
+    degree = np.bincount(heads, minlength=dim)
+    slot = np.arange(len(heads)) - np.repeat(np.cumsum(degree) - degree, degree)
+    width = max(int(degree.max(initial=0)), 1)
+    table = np.full((dim, width), dim, dtype=np.intp)  # row dim stays zero
+    table[heads, slot] = tails
+    offset = np.zeros((dim, width), dtype=np.intp)
+    offset[heads, slot] = windows
+
+    buf = np.zeros((dim + 1, 2 * n), dtype=np.int64)
+    buf[src, [0, n]] = 1
+    win = np.lib.stride_tricks.sliding_window_view(buf, n, axis=1)
+    state = np.empty((dim, n), dtype=np.int64)
+    step = max(1, dim // (4 * width))  # each gather holds at most a quarter state
     out = np.zeros((m_max, n), dtype=np.int64)
-    us = [e[0] for e in m.entries]
-    vs = [e[1] for e in m.entries]
     for k in range(m_max):
-        new = np.zeros_like(state)
-        for (u, v, c) in zip(us, vs, exps):
-            new[u] += np.roll(state[v], c)
-            new[v] += np.roll(state[u], -c)
-        state = new
-        if int(np.max(np.abs(state))) > 2**60:
+        for lo in range(0, dim, step):
+            rows = slice(lo, lo + step)
+            win[table[rows], offset[rows]].sum(axis=1, out=state[rows])
+        if int(max(state.max(), -state.min())) > 2**60:
             raise InvalidParameterError(
                 "coefficients overflow 64-bit integers; reduce the power count")
+        buf[:dim, :n] = state
+        buf[:dim, n:] = state
         out[k] = state[tgt]
     return out
 
@@ -512,10 +543,6 @@ class CagingReport:
     radius_ok: bool
     cap_exceeded: tuple[int, ...]
     records: tuple[SeedRecord, ...]
-
-    @property
-    def uncovered_dimension(self) -> int:
-        return self.dimension - self.span_rank
 
     def to_json(self) -> str:
         payload = {

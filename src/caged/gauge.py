@@ -217,7 +217,7 @@ def canonical_ccam(x: Sequence[int], phi: float, *, _allow_trailing_one: bool = 
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=graphs.LAYOUT_CACHE_SIZE)
 def _tree_graph(xs: tuple[int, ...]) -> graphs.Graph:
     lay = graphs.grow_layout(xs)
     perm = graphs.bfs_permutation(xs)

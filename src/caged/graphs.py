@@ -24,6 +24,10 @@ from .errors import InvalidParameterError
 
 Edge = tuple[int, int]
 
+# Entries in each per-sequence cache: more than the 440 sequences with
+# product <= 64, so a sweep over that family rebuilds nothing.
+LAYOUT_CACHE_SIZE = 512
+
 
 def check_growth_sequence(x: Sequence[int], *, allow_trailing_one: bool = False) -> tuple[int, ...]:
     """Validate and normalize a growth sequence.
@@ -90,10 +94,6 @@ class Graph:
             deg[v] += 1
         return tuple(deg)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        a, b = (u, v) if u < v else (v, u)
-        return (a, b) in set(self.edges)
-
     def distances_from(self, source: int) -> list[int]:
         """BFS distances; -1 for unreachable vertices."""
         dist = [-1] * self.num_vertices
@@ -150,7 +150,7 @@ def _shrub_layout(p: int) -> GrowthLayout:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def grow_layout(x: tuple[int, ...]) -> GrowthLayout:
     """Recursive layout of the tree grown by ``x``, in construction order.
 
@@ -198,7 +198,7 @@ def grow_layout(x: tuple[int, ...]) -> GrowthLayout:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def bfs_permutation(x: tuple[int, ...]) -> tuple[int, ...]:
     """perm[growth_id] = breadth-first id, exploring from the first root."""
     layout = grow_layout(x)

@@ -20,6 +20,7 @@ from . import gauge, graphs
 from .errors import InvalidParameterError, UnsupportedHypothesisError
 
 DEGENERACY_TOL = 1e-8
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # Sturm pivot floor per unit off2
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def _sturm_counts(diag: np.ndarray, off2: np.ndarray, xs: np.ndarray) -> np.ndar
     counts = np.zeros(len(xs), dtype=int)
     d = np.full(len(xs), 1.0)
     # pivot floor keeps off2/prev finite without disturbing counts
-    pivmin = math.sqrt(np.finfo(float).tiny) * max(1.0, float(off2.max(initial=0.0)))
+    pivmin = _SQRT_TINY * max(1.0, float(off2.max(initial=0.0)))
     for k in range(n):
         prev = np.where(np.abs(d) < pivmin, np.where(d < 0, -pivmin, pivmin), d)
         d = (diag[k] - xs) - (off2[k - 1] / prev if k > 0 else 0.0)

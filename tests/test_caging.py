@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,28 @@ from caged import caging, gauge, graphs
 from caged.errors import InvalidParameterError, ResourceLimitError
 
 TWO_PI = 2.0 * math.pi
+
+
+def reference_polynomials(m, m_max, n, source, target):
+    """The edge-by-edge rotation loop that the vectorized kernel replaces."""
+    exps = caging.phase_exponents(m, n)
+    state = np.zeros((m.dimension, n), dtype=np.int64)
+    state[source, 0] = 1
+    out = np.zeros((m_max, n), dtype=np.int64)
+    for k in range(m_max):
+        new = np.zeros_like(state)
+        for (u, v, _t), c in zip(m.entries, exps):
+            new[u] += np.roll(state[v], c)
+            new[v] += np.roll(state[u], -c)
+        state = new
+        out[k] = state[target]
+    return out
+
+
+def ccam_text(n, dim, edges):
+    """A ccam file whose edge (u, v, c) carries the phase 2*pi*c/n."""
+    return "\n".join([f"ccam {dim} 0"] + [f"e {u} {v} {TWO_PI * c / n!r}"
+                                          for (u, v, c) in edges]) + "\n"
 
 
 class TestCrossingAmplitudes:
@@ -54,6 +77,51 @@ class TestExactCrossing:
         m = gauge.canonical_ccam((2,), 1.0)
         with pytest.raises(InvalidParameterError):
             caging.phase_exponents(m, 8)
+        nan = gauge.parse_ccam("ccam 2 0\ne 0 1 nan\n")
+        with pytest.raises(InvalidParameterError, match="phase nan is not a multiple"):
+            caging.phase_exponents(nan, 8)
+
+    def test_kernel_matches_reference_on_random_trees(self):
+        rng = random.Random(7)
+        family = [xs for p in range(2, 13) for xs in graphs.ordered_factorizations(p)[1]]
+        for xs in rng.sample(family, 12):
+            m_prod = math.prod(xs)
+            for n in (4 * m_prod, 8 * m_prod, 12 * m_prod):
+                z = rng.randrange(1, n // 4)
+                m = gauge.canonical_ccam(xs, TWO_PI * 4 * z / n)
+                kmax = 4 * len(xs)
+                got = caging.crossing_amplitude_polynomials(m, kmax, n)
+                want = reference_polynomials(m, kmax, n, m.first_vertex, m.last_vertex)
+                assert got.dtype == np.int64 and np.array_equal(got, want), (xs, n, z)
+
+    @pytest.mark.parametrize("dim, edges, source, target", [
+        (5, [(0, 1, 1), (1, 2, 3), (2, 3, 0), (3, 4, 5), (0, 4, 2)], 0, 2),  # odd cycle
+        (4, [(0, 1, 1), (1, 2, 2), (0, 2, 6), (2, 3, 3)], 3, 0),  # triangle + pendant
+        (4, [(0, 1, 4), (1, 2, 1), (2, 0, 7)], 0, 3),  # isolated target
+        (4, [(0, 1, 4), (1, 2, 1), (2, 0, 7)], 3, 3),  # isolated source
+        (3, [], 0, 0),  # no edges
+    ])
+    def test_kernel_matches_reference_off_trees(self, dim, edges, source, target):
+        m = gauge.parse_ccam(ccam_text(8, dim, edges))
+        stored = sorted((u, v, c % 8) if u < v else (v, u, -c % 8) for (u, v, c) in edges)
+        assert [(u, v, int(c)) for (u, v, _t), c in
+                zip(m.entries, caging.phase_exponents(m, 8))] == stored
+        got = caging.crossing_amplitude_polynomials(m, 9, 8, source=source, target=target)
+        assert np.array_equal(got, reference_polynomials(m, 9, 8, source, target))
+
+    def test_vertex_out_of_range_refused(self):
+        m = gauge.canonical_ccam((2,), math.pi)
+        with pytest.raises(InvalidParameterError):
+            caging.crossing_amplitude_polynomials(m, 4, 8, source=-1)
+
+    def test_coefficient_overflow_refused(self):
+        # At zero flux and N = 1 the rhombus coefficients are walk counts:
+        # 2^(k-1) walks of length k end on each vertex of the source's parity
+        # class, so the state reaches 2^60 at k = 61 and passes it at k = 62.
+        m = gauge.canonical_ccam((2,), 0.0)
+        assert caging.crossing_amplitude_polynomials(m, 61, 1)[59, 0] == 2**59
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            caging.crossing_amplitude_polynomials(m, 62, 1)
 
     def test_nonzero_rows_at_each_root_order(self):
         # 1 + w^12 vanishes at zeta_24^z iff (-1)^z = -1; Phi_12 = 1 - w^2 + w^4
