@@ -90,7 +90,7 @@ def phase_exponents(m: gauge.Ccam, denominator: int, tol: float = 1e-8) -> np.nd
     """Each edge phase as an integer multiple of 2*pi/denominator."""
     if denominator < 1:
         raise InvalidParameterError("denominator must be positive")
-    ts = np.fromiter((e[2] for e in m.entries), dtype=float, count=len(m.entries))
+    ts = m.phases
     out = np.round(ts * denominator / (2.0 * math.pi)) % denominator
     # Distance of each residual angle from the nearest whole turn, as
     # |gauge.reduce_angle(...)| computes it; NaN never passes.
@@ -131,12 +131,10 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
         raise ResourceLimitError(f"polynomial state {dim} x {n} int64 exceeds "
                                  f"{POLY_STATE_LIMIT_BYTES >> 20} MiB")
     exps = phase_exponents(m, n)
-    us = np.fromiter((e[0] for e in m.entries), dtype=np.intp, count=len(m.entries))
-    vs = np.fromiter((e[1] for e in m.entries), dtype=np.intp, count=len(m.entries))
     # Edge (u, v, c) adds state[v] rotated by c into row u, and state[u]
     # rotated by -c into row v.
-    heads = np.concatenate([us, vs])
-    tails = np.concatenate([vs, us])
+    heads = np.concatenate([m.rows, m.cols])
+    tails = np.concatenate([m.cols, m.rows])
     windows = np.concatenate([(n - exps) % n, exps])
     order = np.argsort(heads, kind="stable")
     heads, tails, windows = heads[order], tails[order], windows[order]
@@ -419,7 +417,7 @@ def krylov_cls(m: gauge.Ccam, seed: int, *, cap: int = DEFAULT_KRYLOV_CAP,
     defect = float(np.max(np.sqrt(np.sum(np.abs(image - q @ small) ** 2, axis=0))))
     small = 0.5 * (small + small.conj().T)
     vals, vecs = np.linalg.eigh(small.astype(complex))  # small and well conditioned
-    dist = _distances(m, seed)
+    dist = m.distances(seed)
     raw = [(q @ vecs[:, idx].astype(np.clongdouble)).astype(complex)
            for idx in range(len(vals))]
     if spectral is None and polish and m.dimension <= gauge.dense_limit():
@@ -486,22 +484,6 @@ def _apply_columns(op: gauge.PhasedOperator, q: np.ndarray) -> np.ndarray:
     for j in range(q.shape[1]):
         out[:, j] = op.apply(q[:, j])
     return out
-
-
-def _distances(m: gauge.Ccam, source: int) -> list[int]:
-    nbrs = m.neighbors()
-    dist = [-1] * m.dimension
-    dist[source] = 0
-    queue = [source]
-    while queue:
-        nxt = []
-        for u in queue:
-            for (v, _w) in nbrs[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        queue = nxt
-    return [d if d >= 0 else m.dimension for d in dist]
 
 
 def local_caging_check(m: gauge.Ccam, vertex: int, tol: float = 1e-10) -> bool:

@@ -1,20 +1,22 @@
 """Unit-modulus phases on graphs: canonical gauge, fluxes, and flat values.
 
-A complex weighted adjacency matrix is stored as a list of directed phase
-angles: an entry (u, v, theta) with u < v means <u|H|v> = exp(i*theta) and
-<v|H|u> = exp(-i*theta), so Hermiticity is exact by construction.  The flux
-through a face is the winding sum of the phases around its boundary cycle;
-the canonical gauge threads the same flux through every face of a glued tree.
+A complex weighted adjacency matrix is stored as three edge arrays: edge k
+joins rows[k] < cols[k] with <rows[k]|H|cols[k]> = exp(i*phases[k]) and
+<cols[k]|H|rows[k]> = exp(-i*phases[k]), so Hermiticity is exact by
+construction.  The flux through a face is the winding sum of the phases
+around its boundary cycle; the canonical gauge threads the same flux through
+every face of a glued tree, each edge's phase a fixed factor times the flux.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,24 +48,18 @@ class PhaseVector:
     flux: float
 
 
-def level_angle_scale(x: Sequence[int], j: int, phi: float) -> float:
-    """The angle omega_j = (phi/4) * (x_j - 1) * prod_{l<j} x_l."""
-    prod = 1
-    for v in x[: j - 1]:
-        prod *= v
-    return 0.25 * phi * (x[j - 1] - 1) * prod
-
-
 def branch_angle(x: Sequence[int], j: int, branch: int, phi: float) -> float:
     """Phase angle of the ``branch``-th entry (1-based) at level j.
 
-    The x_j entries step uniformly from +omega_j down to -omega_j; a level
-    with x_j = 1 carries the single angle 0 (the omega -> 0 limit).
+    The x_j entries step uniformly from +omega_j down to -omega_j, where
+    omega_j = (phi/4) * (x_j - 1) * prod_{l<j} x_l; a level with x_j = 1
+    carries the single angle 0 (the omega -> 0 limit).
     """
     xj = x[j - 1]
     if xj == 1:
         return 0.0
-    return (1.0 - 2.0 * (branch - 1) / (xj - 1)) * level_angle_scale(x, j, phi)
+    omega = 0.25 * phi * (xj - 1) * math.prod(x[: j - 1])
+    return (1.0 - 2.0 * (branch - 1) / (xj - 1)) * omega
 
 
 def canonical_phase_vector(x: Sequence[int], j: int, phi: float) -> PhaseVector:
@@ -91,48 +87,97 @@ def phase_pairing(v: PhaseVector) -> complex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only array of ``values``; a writeable input is copied first."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Ccam:
-    """Hermitian unit-modulus weighted adjacency matrix with a nominal flux."""
+    """Hermitian unit-modulus weighted adjacency matrix with a nominal flux.
+
+    Edge k joins ``rows[k] < cols[k]`` with <rows[k]|H|cols[k]> =
+    exp(i*phases[k]).  The edges are unique and sorted by (row, col).  The
+    three arrays are read-only, because canonical trees share their index
+    arrays through a per-sequence cache; ``entries`` views them as
+    (u, v, theta) tuples.
+    """
 
     dimension: int
-    entries: tuple[tuple[int, int, float], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    phases: np.ndarray
     first_vertex: int | None = None
     last_vertex: int | None = None
     flux: float = 0.0
     graph: graphs.Graph | None = None
+    _keys: np.ndarray = field(init=False, repr=False)  # rows * dimension + cols
 
     def __post_init__(self):
-        for (u, v, _t) in self.entries:
-            if not (0 <= u < v < self.dimension):
-                raise InvalidParameterError(f"bad weighted edge ({u}, {v})")
+        rows, cols = _frozen(self.rows, np.int64), _frozen(self.cols, np.int64)
+        phases = _frozen(self.phases, float)
+        if rows.ndim != 1 or cols.shape != rows.shape or phases.shape != rows.shape:
+            raise InvalidParameterError(
+                f"edge arrays differ in shape: {rows.shape}, {cols.shape}, {phases.shape}")
+        bad = np.flatnonzero((rows < 0) | (rows >= cols) | (cols >= self.dimension))
+        if bad.size:
+            raise InvalidParameterError(f"bad weighted edge ({rows[bad[0]]}, {cols[bad[0]]})")
+        keys = rows * self.dimension + cols
+        bad = np.flatnonzero(keys[1:] <= keys[:-1]) + 1
+        if bad.size:
+            raise InvalidParameterError(
+                f"duplicate or unsorted weighted edge ({rows[bad[0]]}, {cols[bad[0]]})")
+        for name, value in (("rows", rows), ("cols", cols), ("phases", phases), ("_keys", keys)):
+            object.__setattr__(self, name, value)
 
-    def phase(self, u: int, v: int) -> float:
-        """Angle of <u|H|v>; raises for non-edges."""
-        key = (u, v) if u < v else (v, u)
-        theta = self._phase_map().get(key)
-        if theta is None:
-            raise InvalidParameterError(f"({u}, {v}) is not an edge")
-        return theta if u < v else -theta
+    @classmethod
+    def from_entries(cls, dimension: int, entries: Iterable[tuple[int, int, float]],
+                     **fields) -> Ccam:
+        """Build from (u, v, theta) tuples with u < v, in any order."""
+        table = np.array(list(entries), dtype=[("u", np.int64), ("v", np.int64), ("t", float)])
+        table.sort(order=("u", "v"))
+        return cls(dimension=dimension, rows=table["u"], cols=table["v"], phases=table["t"],
+                   **fields)
 
-    def _phase_map(self) -> dict[tuple[int, int], float]:
-        return {(u, v): t for (u, v, t) in self.entries}
+    @property
+    def entries(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.phases.tolist()))
 
-    def neighbors(self) -> tuple[tuple[tuple[int, complex], ...], ...]:
-        """Row view: neighbors()[u] lists (v, <u|H|v>) for every edge at u."""
-        out: list[list[tuple[int, complex]]] = [[] for _ in range(self.dimension)]
-        for (u, v, t) in self.entries:
-            w = cmath.exp(1j * t)
-            out[u].append((v, w))
-            out[v].append((u, w.conjugate()))
-        return tuple(tuple(row) for row in out)
+    def edge_slots(self, us, vs) -> np.ndarray:
+        """Index of the edge {u, v} for each pair of vertices; raises for a non-edge."""
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        want = lo * self.dimension + hi
+        slot = np.searchsorted(self._keys, want)
+        hit = (lo >= 0) & (lo < hi) & (hi < self.dimension) & (slot < len(self._keys))
+        hit[hit] = self._keys[slot[hit]] == want[hit]
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            raise InvalidParameterError(f"({us[miss[0]]}, {vs[miss[0]]}) is not an edge")
+        return slot
 
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.dimension
-        for (u, v, _t) in self.entries:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
+    def degrees(self) -> np.ndarray:
+        return np.bincount(np.concatenate([self.rows, self.cols]), minlength=self.dimension)
+
+    def distances(self, source: int) -> list[int]:
+        """Graph distance from ``source``, level by level; ``dimension`` if unreachable."""
+        heads = np.concatenate([self.rows, self.cols])
+        tails = np.concatenate([self.cols, self.rows])
+        dist = np.full(self.dimension, self.dimension, dtype=np.int64)
+        dist[source] = 0
+        frontier = dist == 0
+        level = 0
+        while frontier.any():
+            level += 1
+            reached = np.zeros(self.dimension, dtype=bool)
+            reached[tails[frontier[heads]]] = True
+            frontier = reached & (dist == self.dimension)
+            dist[frontier] = level
+        return dist.tolist()
 
 
 def dense_matrix(m: Ccam) -> np.ndarray:
@@ -143,15 +188,14 @@ def dense_matrix(m: Ccam) -> np.ndarray:
             f"dimension {m.dimension} exceeds dense limit {limit} "
             f"(override with {DENSE_LIMIT_ENV})")
     out = np.zeros((m.dimension, m.dimension), dtype=complex)
-    for (u, v, t) in m.entries:
-        w = cmath.exp(1j * t)
-        out[u, v] = w
-        out[v, u] = w.conjugate()
+    w = np.exp(1j * m.phases)
+    out[m.rows, m.cols] = w
+    out[m.cols, m.rows] = w.conj()
     return out
 
 
 def apply_ccam(m: Ccam, vec: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product H @ vec from the edge list."""
+    """Sparse matrix-vector product H @ vec from the edge arrays."""
     return PhasedOperator(m).apply(vec)
 
 
@@ -167,16 +211,13 @@ class PhasedOperator:
 
     def __init__(self, m: Ccam, extended: bool = False):
         self.dimension = m.dimension
-        us = np.fromiter((e[0] for e in m.entries), dtype=np.int64, count=len(m.entries))
-        vs = np.fromiter((e[1] for e in m.entries), dtype=np.int64, count=len(m.entries))
-        ts = np.fromiter((e[2] for e in m.entries), dtype=float, count=len(m.entries))
         if extended:
-            tl = ts.astype(np.longdouble)
+            tl = m.phases.astype(np.longdouble)
             w = np.cos(tl) + 1j * np.sin(tl)
         else:
-            w = np.exp(1j * ts)
-        self.rows = np.concatenate([us, vs])
-        self.cols = np.concatenate([vs, us])
+            w = np.exp(1j * m.phases)
+        self.rows = np.concatenate([m.rows, m.cols])
+        self.cols = np.concatenate([m.cols, m.rows])
         self.weights = np.concatenate([w, w.conj()])
         self.dtype = self.weights.dtype
 
@@ -192,6 +233,28 @@ class PhasedOperator:
         return out
 
 
+@lru_cache(maxsize=graphs.LAYOUT_CACHE_SIZE)
+def _canonical_template(xs: tuple[int, ...]):
+    """The flux-free part of ``canonical_ccam``: the tree, its sorted edges,
+    and per edge the factors of its phase f * (phi/4) * a * p, where a =
+    x_j - 1, p = x_1...x_{j-1} and f = +-(1 - 2(b-1)/(x_j-1)) for branch b,
+    negative when the edge runs to the lower label.  Multiplied in that
+    order they reproduce ``branch_angle`` bit for bit."""
+    lay = graphs.grow_layout(xs)
+    perm = np.array(graphs.bfs_permutation(xs))
+    u, v, level, branch = map(np.array, list(zip(*lay.tagged_edges))[:4])
+    pu, pv = perm[u], perm[v]
+    x = np.array(xs)[level - 1]
+    f = np.where(pu < pv, 1.0, -1.0) * (1.0 - 2.0 * (branch - 1) / np.maximum(x - 1, 1))
+    p = np.cumprod(np.array((1,) + xs[:-1]))[level - 1]
+    lo, hi = np.minimum(pu, pv), np.maximum(pu, pv)
+    order = np.argsort(lo * lay.num_vertices + hi)
+    arrays = (lo[order], hi[order], f[order], (x - 1.0)[order], p[order] * 1.0)
+    for arr in arrays:
+        arr.flags.writeable = False  # shared by every Ccam of this sequence
+    return (graphs.grow_tree(xs, _allow_trailing_one=True),) + arrays
+
+
 def canonical_ccam(x: Sequence[int], phi: float, *, _allow_trailing_one: bool = False) -> Ccam:
     """The glued tree grown by ``x`` in the canonical gauge at flux ``phi``.
 
@@ -199,53 +262,36 @@ def canonical_ccam(x: Sequence[int], phi: float, *, _allow_trailing_one: bool = 
     the canonical level phases, which winds exactly ``phi`` around every face.
     """
     xs = graphs.check_growth_sequence(x, allow_trailing_one=_allow_trailing_one)
-    lay = graphs.grow_layout(xs)
-    perm = graphs.bfs_permutation(xs)
-    entries = []
-    for (u, v, lev, br, _side) in lay.tagged_edges:
-        a = branch_angle(xs, lev, br, phi)
-        pu, pv = perm[u], perm[v]
-        entries.append((pu, pv, a) if pu < pv else (pv, pu, -a))
-    g = _tree_graph(xs)
-    return Ccam(
-        dimension=lay.num_vertices,
-        entries=tuple(sorted(entries)),
-        first_vertex=perm[lay.first],
-        last_vertex=perm[lay.last],
-        flux=phi,
-        graph=g,
-    )
-
-
-@lru_cache(maxsize=graphs.LAYOUT_CACHE_SIZE)
-def _tree_graph(xs: tuple[int, ...]) -> graphs.Graph:
-    lay = graphs.grow_layout(xs)
-    perm = graphs.bfs_permutation(xs)
-    edges = tuple(sorted(
-        (min(perm[u], perm[v]), max(perm[u], perm[v])) for (u, v, *_t) in lay.tagged_edges))
-    plaq = tuple(tuple(perm[v] for v in cyc) for cyc in lay.plaquettes)
-    return graphs.Graph(
-        num_vertices=lay.num_vertices, edges=edges, plaquettes=plaq,
-        first_vertex=perm[lay.first], last_vertex=perm[lay.last])
+    g, rows, cols, f, a, p = _canonical_template(xs)
+    return Ccam(dimension=g.num_vertices, rows=rows, cols=cols,
+                phases=f * (0.25 * phi * a * p), first_vertex=g.first_vertex,
+                last_vertex=g.last_vertex, flux=phi, graph=g)
 
 
 def chain_ccam(x: Sequence[int], cells: int, phi: float) -> Ccam:
-    """A root-to-root chain of ``cells`` canonically gauged glued trees."""
+    """A root-to-root chain of ``cells`` canonically gauged glued trees.
+
+    Cell c is the tree shifted by c times (tree size - 1); the shift keeps
+    every cell's edges after the previous cell's, so the tiling stays sorted.
+    """
     tree = canonical_ccam(x, phi)
     g = graphs.chain_graph(x, cells)
-    stride = tree.dimension - 1
-    entries = []
-    for c in range(cells):
-        off = c * stride
-        entries.extend((u + off, v + off, t) for (u, v, t) in tree.entries)
-    return Ccam(
-        dimension=g.num_vertices,
-        entries=tuple(sorted(entries)),
-        first_vertex=0,
-        last_vertex=g.num_vertices - 1,
-        flux=phi,
-        graph=g,
-    )
+    offsets = (tree.dimension - 1) * np.arange(cells)[:, None]
+    return Ccam(dimension=g.num_vertices, rows=(tree.rows + offsets).ravel(),
+                cols=(tree.cols + offsets).ravel(), phases=np.tile(tree.phases, cells),
+                first_vertex=0, last_vertex=g.num_vertices - 1, flux=phi, graph=g)
+
+
+def _face_steps(faces: Sequence[Sequence[int]]):
+    """Every step u -> v around closed vertex loops, as arrays (face,
+    position, u, v), in face order and along each face."""
+    lengths = np.array(list(map(len, faces)), dtype=np.int64)
+    us = np.array(list(itertools.chain.from_iterable(faces)), dtype=np.int64)
+    face = np.repeat(np.arange(len(lengths)), lengths)
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    pos = np.arange(len(us)) - start
+    nxt = np.where(pos == lengths[face] - 1, start, np.arange(len(us)) + 1)
+    return face, pos, us, us[nxt]
 
 
 def ccam_with_plaquette_fluxes(g: graphs.Graph, fluxes: Sequence[float], *,
@@ -258,24 +304,20 @@ def ccam_with_plaquette_fluxes(g: graphs.Graph, fluxes: Sequence[float], *,
     """
     if len(fluxes) != len(g.plaquettes):
         raise InvalidParameterError("one flux per plaquette is required")
-    index = {e: i for i, e in enumerate(g.edges)}
-    rows = np.zeros((len(g.plaquettes), len(g.edges)))
-    for r, cyc in enumerate(g.plaquettes):
-        for i in range(len(cyc)):
-            u, v = cyc[i], cyc[(i + 1) % len(cyc)]
-            if u < v:
-                rows[r, index[(u, v)]] += 1.0
-            else:
-                rows[r, index[(v, u)]] -= 1.0
-    theta, *_ = np.linalg.lstsq(rows, np.asarray(fluxes, dtype=float), rcond=None)
-    resid = rows @ theta - np.asarray(fluxes, dtype=float)
-    if len(fluxes) and np.max(np.abs(resid)) > 1e-9:
+    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    m = Ccam(dimension=g.num_vertices, rows=edges[:, 0], cols=edges[:, 1],
+             phases=np.zeros(len(edges)),
+             first_vertex=first if first is not None else g.first_vertex,
+             last_vertex=last if last is not None else g.last_vertex, flux=flux, graph=g)
+    face, _pos, us, vs = _face_steps(g.plaquettes)
+    incidence = np.zeros((len(g.plaquettes), len(edges)))
+    np.add.at(incidence, (face, m.edge_slots(us, vs)), np.where(us < vs, 1.0, -1.0))
+    want = np.asarray(fluxes, dtype=float)
+    theta, *_ = np.linalg.lstsq(incidence, want, rcond=None)
+    if len(fluxes) and np.max(np.abs(incidence @ theta - want)) > 1e-9:
         raise InvalidParameterError("face flux prescription is inconsistent")
-    entries = tuple((u, v, float(theta[index[(u, v)]])) for (u, v) in g.edges)
-    return Ccam(dimension=g.num_vertices, entries=entries,
-                first_vertex=first if first is not None else g.first_vertex,
-                last_vertex=last if last is not None else g.last_vertex,
-                flux=flux, graph=g)
+    return replace(m, phases=theta)
 
 
 def lotus_ccam(patch: graphs.Graph, phi: float) -> Ccam:
@@ -296,18 +338,32 @@ def reduce_angle(angle: float) -> float:
     return r
 
 
+def _face_fluxes(m: Ccam, faces: Sequence[Sequence[int]]) -> np.ndarray:
+    """Winding sum of phases around each closed vertex loop, reduced to (-pi, pi].
+
+    Each face sums its steps left to right, as ``reduce_angle(sum)`` would;
+    the zero padding of shorter faces leaves their sums unchanged.
+    """
+    face, pos, us, vs = _face_steps(faces)
+    steps = np.zeros((len(faces), int(pos.max(initial=-1)) + 1))
+    theta = m.phases[m.edge_slots(us, vs)]
+    steps[face, pos] = np.where(us < vs, theta, -theta)
+    total = np.zeros(len(faces))
+    for column in steps.T:
+        total += column
+    r = np.fmod(total, TWO_PI)
+    return np.where(r > math.pi, r - TWO_PI, np.where(r <= -math.pi, r + TWO_PI, r))
+
+
 def plaquette_flux(m: Ccam, loop: Sequence[int]) -> float:
     """Winding sum of phases around a closed vertex loop, reduced to (-pi, pi]."""
-    total = 0.0
-    for i in range(len(loop)):
-        total += m.phase(loop[i], loop[(i + 1) % len(loop)])
-    return reduce_angle(total)
+    return float(_face_fluxes(m, (loop,))[0])
 
 
 def all_plaquette_fluxes(m: Ccam) -> tuple[float, ...]:
     if m.graph is None or not m.graph.plaquettes:
         raise InvalidParameterError("matrix carries no face data")
-    return tuple(plaquette_flux(m, cyc) for cyc in m.graph.plaquettes)
+    return tuple(_face_fluxes(m, m.graph.plaquettes).tolist())
 
 
 def gauge_transform(m: Ccam, w: int, gamma: float) -> Ccam:
@@ -318,14 +374,8 @@ def gauge_transform(m: Ccam, w: int, gamma: float) -> Ccam:
     """
     if not (0 <= w < m.dimension):
         raise InvalidParameterError(f"vertex {w} out of range")
-    entries = []
-    for (u, v, t) in m.entries:
-        if v == w:
-            t = t + gamma
-        elif u == w:
-            t = t - gamma
-        entries.append((u, v, t))
-    return replace(m, entries=tuple(entries))
+    t = m.phases
+    return replace(m, phases=np.where(m.cols == w, t + gamma, np.where(m.rows == w, t - gamma, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +459,9 @@ def parse_ccam(text: str) -> Ccam:
             raise InvalidParameterError(f"unrecognized line {line!r}")
     if dim is None:
         raise InvalidParameterError("missing 'ccam <n> <flux>' header")
-    g = None
-    if faces:
-        g = graphs.Graph(
-            num_vertices=dim,
-            edges=tuple(sorted((u, v) for (u, v, _t) in entries)),
-            plaquettes=tuple(faces),
-            first_vertex=first,
-            last_vertex=last,
-        )
-    return Ccam(dimension=dim, entries=tuple(sorted(entries)), first_vertex=first,
-                last_vertex=last, flux=flux, graph=g)
+    m = Ccam.from_entries(dim, entries, first_vertex=first, last_vertex=last, flux=flux)
+    if not faces:
+        return m
+    g = graphs.Graph(num_vertices=dim, edges=tuple(zip(m.rows.tolist(), m.cols.tolist())),
+                     plaquettes=tuple(faces), first_vertex=first, last_vertex=last)
+    return replace(m, graph=g)

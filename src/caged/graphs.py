@@ -79,34 +79,12 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbor lists, recomputed on demand (graphs here are small)."""
-        nbrs: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for (u, v) in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(n)) for n in nbrs)
-
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.num_vertices
         for (u, v) in self.edges:
             deg[u] += 1
             deg[v] += 1
         return tuple(deg)
-
-    def distances_from(self, source: int) -> list[int]:
-        """BFS distances; -1 for unreachable vertices."""
-        dist = [-1] * self.num_vertices
-        dist[source] = 0
-        adj = self.adjacency()
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +206,12 @@ def shrub(p: int) -> Graph:
     """The p-shrub K_{2,p}: two degree-p roots joined through p middle vertices."""
     if p < 1:
         raise InvalidParameterError(f"shrub parameter must be >= 1, got {p}")
-    lay = _shrub_layout(p)
-    edges = tuple(sorted((min(u, v), max(u, v)) for (u, v, *_t) in lay.tagged_edges))
-    return Graph(
-        num_vertices=lay.num_vertices,
-        edges=edges,
-        plaquettes=lay.plaquettes,
-        first_vertex=lay.first,
-        last_vertex=lay.last,
-    )
+    return grow_tree((p,), _allow_trailing_one=True)
 
 
-def grow_tree(x: Sequence[int]) -> Graph:
+def grow_tree(x: Sequence[int], *, _allow_trailing_one: bool = False) -> Graph:
     """The glued tree grown by ``x``, breadth-first relabeled from the first root."""
-    xs = check_growth_sequence(x)
+    xs = check_growth_sequence(x, allow_trailing_one=_allow_trailing_one)
     lay = grow_layout(xs)
     perm = bfs_permutation(xs)
     edges = tuple(sorted(
@@ -670,17 +640,17 @@ def ordered_factorizations(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """
     if m < 1:
         raise InvalidParameterError(f"m must be >= 1, got {m}")
-    out: list[tuple[int, ...]] = []
+    # Each value's list is built once, first factor ascending, from the lists
+    # of its cofactors; the memo lives only for this call.
+    memo: dict[int, list[tuple[int, ...]]] = {1: [()]}
 
-    def rec(value: int, prefix: tuple[int, ...]):
-        if value == 1:
-            out.append(prefix)
-            return
-        for d in _divisors(value):
-            if d > 1:
-                rec(value // d, prefix + (d,))
+    def listing(value: int) -> list[tuple[int, ...]]:
+        if value not in memo:
+            memo[value] = [(d,) + rest for d in _divisors(value)[1:]
+                           for rest in listing(value // d)]
+        return memo[value]
 
-    rec(m, ())
+    out = listing(m)
     return len(out), tuple(out)
 
 

@@ -335,32 +335,23 @@ def distance_shell_reduction(x: Sequence[int], phi: float = 0.0) -> ShellReducti
     xs = graphs.check_growth_sequence(x)
     _require_all_at_least_two(xs, "shell reduction")
     d = len(xs)
-    g = graphs.grow_tree(xs)
-    dist = g.distances_from(g.first_vertex)
-    sizes = [0] * (2 * d + 1)
-    for dd in dist:
-        sizes[dd] += 1
+    m = gauge.canonical_ccam(xs, 0.0)
+    dist = np.array(m.distances(m.first_vertex))
+    sizes = np.bincount(dist, minlength=2 * d + 1)
     tri = fluxless_block(xs, d)
 
     # closure check: A acting on each normalized shell vector
-    adj = g.adjacency()
-    shells = [np.zeros(g.num_vertices) for _ in range(2 * d + 1)]
-    for v, dd in enumerate(dist):
-        shells[dd][v] = 1.0
-    for s in shells:
-        s /= np.linalg.norm(s)
+    shells = (dist == np.arange(2 * d + 1)[:, None]) / np.sqrt(sizes)[:, None]
+    op = gauge.PhasedOperator(m)
     resid = 0.0
     off = tri.offdiagonal
     for i, s in enumerate(shells):
-        image = np.zeros(g.num_vertices)
-        for v in range(g.num_vertices):
-            if s[v]:
-                for w in adj[v]:
-                    image[w] += s[v]
-        expect = np.zeros(g.num_vertices)
+        image = op.apply(s).real
+        expect = np.zeros(m.dimension)
         if i > 0:
             expect += off[i - 1] * shells[i - 1]
         if i < 2 * d:
             expect += off[i] * shells[i + 1]
         resid = max(resid, float(np.max(np.abs(image - expect))))
-    return ShellReduction(tridiag=tri, shell_sizes=tuple(sizes), closure_residual=resid)
+    return ShellReduction(tridiag=tri, shell_sizes=tuple(sizes.tolist()),
+                          closure_residual=resid)

@@ -48,7 +48,7 @@ class TestCrossingAmplitudes:
 
     def test_unmarked_roots_need_explicit_vertices(self):
         m = gauge.canonical_ccam((2,), math.pi)
-        bare = gauge.Ccam(dimension=m.dimension, entries=m.entries, flux=m.flux)
+        bare = gauge.Ccam.from_entries(m.dimension, m.entries, flux=m.flux)
         with pytest.raises(InvalidParameterError):
             caging.crossing_amplitudes(bare, 4)
         amps = caging.crossing_amplitudes(bare, 4, source=0, target=3)
@@ -256,7 +256,7 @@ class TestExchangeSymmetry:
 
     def test_trivial_matrix(self):
         ok, norm = caging.exchange_symmetry_check(
-            gauge.Ccam(dimension=1, entries=(), flux=0.0))
+            gauge.Ccam.from_entries(1, (), flux=0.0))
         assert ok and norm == 0.0
 
 
@@ -306,7 +306,7 @@ class TestLocalCaging:
         assert not caging.local_caging_check(m, graphs.lotus_hubs(patch)[0])
 
     def test_isolated_vertex_trivially_caged(self):
-        m = gauge.Ccam(dimension=1, entries=(), flux=0.0)
+        m = gauge.Ccam.from_entries(1, (), flux=0.0)
         assert caging.local_caging_check(m, 0)
 
 

@@ -181,6 +181,12 @@ class TestOtherCommands:
         assert code == 0
         assert set(out.splitlines()[1:]) == {"4", "2,2"}
 
+    def test_factorize_listing_order(self, capsys):
+        code, out, _ = run(capsys, "factorize", "--m", "12", "--list")
+        assert code == 0
+        assert out.splitlines() == [
+            "8", "2,2,3", "2,3,2", "2,6", "3,2,2", "3,4", "4,3", "6,2", "12"]
+
     def test_flat_values(self, capsys):
         code, out, _ = run(capsys, "flat-values", "--x", "2")
         assert code == 0

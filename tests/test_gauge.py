@@ -19,6 +19,35 @@ def spectrum_of(m):
     return np.linalg.eigvalsh(gauge.dense_matrix(m))
 
 
+def edge_arrays(entries):
+    rows, cols, phases = zip(*entries)
+    return np.array(rows), np.array(cols), np.array(phases)
+
+
+def reference_canonical_entries(xs, phi):
+    """The per-edge builder that the cached template replaces."""
+    lay = graphs.grow_layout(xs)
+    perm = graphs.bfs_permutation(xs)
+    entries = []
+    for (u, v, lev, br, _side) in lay.tagged_edges:
+        a = gauge.branch_angle(xs, lev, br, phi)
+        pu, pv = perm[u], perm[v]
+        entries.append((pu, pv, a) if pu < pv else (pv, pu, -a))
+    return sorted(entries)
+
+
+def reference_fluxes(m):
+    """Face fluxes from an edge -> phase dict, summed left to right per face."""
+    table = {(u, v): t for (u, v, t) in m.entries}
+    out = []
+    for cyc in m.graph.plaquettes:
+        total = 0.0
+        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+            total += table[(u, v)] if u < v else -table[(v, u)]
+        out.append(gauge.reduce_angle(total))
+    return tuple(out)
+
+
 class TestPhaseVectors:
     def test_two_branch_at_pi(self):
         v = gauge.canonical_phase_vector((2,), 1, math.pi)
@@ -104,6 +133,27 @@ class TestCanonicalCcam:
         assert m.first_vertex == 0
         assert m.last_vertex == m.dimension - 1
 
+    def test_matches_per_edge_builder(self):
+        family = [xs for p in range(2, 65) for xs in graphs.ordered_factorizations(p)[1]]
+        for xs in family + [(1, 2), (2, 1, 3)]:
+            for phi in (0.0, math.pi, -1.234, TWO_PI / 12, 5.5e-3):
+                m = gauge.canonical_ccam(xs, phi, _allow_trailing_one=True)
+                want = edge_arrays(reference_canonical_entries(xs, phi))
+                got = (m.rows, m.cols, m.phases)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), (xs, phi)
+                assert m.graph.edges == tuple(zip(m.rows.tolist(), m.cols.tolist()))
+
+    def test_template_arrays_are_read_only(self):
+        m = gauge.canonical_ccam((2, 3), 0.7)
+        before = (m.rows.copy(), m.cols.copy(), m.phases.copy())
+        for arr in (m.rows, m.cols, m.phases):
+            with pytest.raises(ValueError):
+                arr[0] = 5
+        again = gauge.canonical_ccam((2, 3), 0.7)
+        assert again.rows is m.rows  # shared through the per-sequence cache
+        assert all(np.array_equal(a, b) for a, b in zip((again.rows, again.cols, again.phases),
+                                                          before))
+
 
 class TestPlaquetteFlux:
     def test_reversed_loop_negates(self):
@@ -123,6 +173,13 @@ class TestPlaquetteFlux:
         m = gauge.canonical_ccam((2,), math.pi)
         f = gauge.plaquette_flux(m, m.graph.plaquettes[0])
         assert -math.pi < f <= math.pi
+
+    def test_all_fluxes_match_per_face_lookup(self):
+        patch = graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6, generations=2))
+        lotus = gauge.lotus_ccam(patch, 0.9)
+        tree = gauge.gauge_transform(gauge.canonical_ccam((2, 3), 0.8), 5, 0.77)
+        for m in (lotus, tree):
+            assert gauge.all_plaquette_fluxes(m) == reference_fluxes(m)
 
 
 class TestGaugeTransform:
@@ -150,9 +207,8 @@ class TestGaugeTransform:
         gauge face by face, hence also in spectrum."""
         phi = 1.3
         spread = gauge.canonical_ccam((2,), phi)
-        lumped = gauge.Ccam(
-            dimension=4,
-            entries=((0, 1, phi), (0, 2, 0.0), (1, 3, 0.0), (2, 3, 0.0)),
+        lumped = gauge.Ccam.from_entries(
+            4, ((0, 1, phi), (0, 2, 0.0), (1, 3, 0.0), (2, 3, 0.0)),
             first_vertex=0, last_vertex=3, flux=phi, graph=spread.graph)
         assert gauge.plaquette_flux(lumped, spread.graph.plaquettes[0]) == pytest.approx(
             gauge.plaquette_flux(spread, spread.graph.plaquettes[0]))
@@ -250,6 +306,17 @@ class TestDerivedCcams:
         got = [gauge.plaquette_flux(m, cyc) for cyc in g.plaquettes]
         assert got == pytest.approx(want)
 
+    @pytest.mark.parametrize("xs, cells", [((2, 3, 2), 4), ((2,), 6), ((2,) * 6, 3)])
+    def test_chain_matches_per_cell_loop(self, xs, cells):
+        for phi in (0.0, math.pi / 6, -1.234):
+            tree = gauge.canonical_ccam(xs, phi)
+            stride = tree.dimension - 1
+            want = sorted((u + c * stride, v + c * stride, t)
+                          for c in range(cells) for (u, v, t) in tree.entries)
+            m = gauge.chain_ccam(xs, cells, phi)
+            got = (m.rows, m.cols, m.phases)
+            assert all(np.array_equal(g, w) for g, w in zip(got, edge_arrays(want)))
+
 
 class TestFluxPeriodicityBoundary:
     """The 2*pi endpoint of the flat set is gauge-equivalent to zero flux."""
@@ -262,6 +329,36 @@ class TestFluxPeriodicityBoundary:
     def test_full_turn_is_crossable(self):
         m = gauge.dense_matrix(gauge.canonical_ccam((2,), TWO_PI))
         assert abs((m @ m)[3, 0]) == pytest.approx(2.0)
+
+
+class TestCcamArrays:
+    def test_distances_mark_unreachable_vertices(self):
+        m = gauge.Ccam.from_entries(5, [(0, 1, 0.3), (1, 2, 0.0), (3, 4, 1.0)])
+        assert m.distances(0) == [0, 1, 2, 5, 5]
+        assert m.distances(4) == [5, 5, 5, 1, 0]
+
+    def test_repeated_edge_refused(self):
+        with pytest.raises(InvalidParameterError, match="duplicate"):
+            gauge.parse_ccam("ccam 3 0\ne 0 1 0.5\ne 1 0 0.25\ne 1 2 0\n")
+
+    @pytest.mark.parametrize("rows, cols, phases", [
+        ([1], [1], [0.0]),  # u == v
+        ([2], [1], [0.0]),  # u > v
+        ([0], [3], [0.0]),  # vertex out of range
+        ([-1], [1], [0.0]),  # negative vertex
+        ([0, 1], [1], [0.0, 0.0]),  # lengths differ
+        ([0], [1], [0.0, 1.0]),
+        ([1, 0], [2, 1], [0.0, 0.0]),  # unsorted
+    ])
+    def test_bad_edge_arrays_refused(self, rows, cols, phases):
+        with pytest.raises(InvalidParameterError):
+            gauge.Ccam(dimension=3, rows=rows, cols=cols, phases=phases)
+
+    def test_from_entries_sorts_and_checks_orientation(self):
+        m = gauge.Ccam.from_entries(3, [(1, 2, 0.5), (0, 1, -0.25)])
+        assert m.entries == ((0, 1, -0.25), (1, 2, 0.5))
+        with pytest.raises(InvalidParameterError):
+            gauge.Ccam.from_entries(3, [(1, 0, 0.5)])
 
 
 class TestCcamFile:
