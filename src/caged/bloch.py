@@ -1,47 +1,72 @@
 """Momentum-space models for glued-tree chains and the {4,4} star lattice.
 
-The chain model keeps one copy of the tree per unit cell, identifying the
-last root of each cell with the first root of the next; the Bloch matrix is
-the tree matrix with the last root folded back onto the first through a
-momentum phase.  The momentum origin is chosen so that the single-rhombus
-chain reproduces the textbook closed form E(k) = +-sqrt(2)*sqrt(2 + cos k +
-cos(k - phi)) pointwise in k (the recursive gauge by itself parametrizes the
-same bands with k displaced by phi/2).
+A model is one unit cell's edge arrays: edge e joins ``rows[e]`` to
+``cols[e]`` with <rows|H(k, phi)|cols> = exp(i*(c[e]*phi + n[e].k)), where
+c is the phase per unit flux and n the integer winding into the neighbouring
+cell along each momentum direction; the Hermitian conjugate is added the
+same way, and repeated (row, col) pairs accumulate.  One broadcast and one
+scatter-add build the matrices of a whole momentum list at once.
+
+The chain keeps one copy of the tree per unit cell, identifying the last
+root of each cell with the first root of the next, so its cell is the
+canonically gauged tree (``gauge.canonical_ccam`` at unit flux, the gauge
+being linear in flux) with every edge at the last root folded onto the first
+root with winding -1.  The folded edges also carry c + 1/2: the momentum
+origin then sits at k - phi/2, where the single-rhombus chain reproduces the
+textbook closed form E(k) = +-sqrt(2)*sqrt(2 + cos k + cos(k - phi))
+pointwise in k.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import gauge, graphs
+from . import gauge
 from .errors import InvalidParameterError
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochModel:
-    """A momentum- and flux-parametric family of finite Hermitian matrices."""
+    """A momentum- and flux-parametric family of finite Hermitian matrices.
+
+    Edge e contributes exp(i*(flux_factors[e]*phi + windings[e].k)) at
+    (rows[e], cols[e]) and its conjugate at (cols[e], rows[e]); ``windings``
+    has one column per momentum direction.
+    """
 
     bands: int
-    dimensionality: int
+    rows: np.ndarray
+    cols: np.ndarray
+    flux_factors: np.ndarray
+    windings: np.ndarray
     default_flux: float
-    builder: Callable[..., np.ndarray]
+
+    @property
+    def dimensionality(self) -> int:
+        return self.windings.shape[1]
+
+    def stack(self, momenta, phi: float | None = None) -> np.ndarray:
+        """The matrices at each row of ``momenta`` (K, dimensionality), as (K, n, n)."""
+        phi = self.default_flux if phi is None else phi
+        ks = np.asarray(momenta, dtype=float)
+        if ks.ndim != 2 or ks.shape[1] != self.dimensionality:
+            raise InvalidParameterError(
+                f"{self.dimensionality} momentum component(s) required, got shape {ks.shape}")
+        w = np.exp(1j * (phi * self.flux_factors + ks @ self.windings.T))
+        n = self.bands
+        out = np.zeros((len(ks), n * n), dtype=complex)
+        slots = np.concatenate([self.rows * n + self.cols, self.cols * n + self.rows])
+        np.add.at(out, (slice(None), slots), np.concatenate([w, w.conj()], axis=1))
+        return out.reshape(-1, n, n)
 
     def matrix(self, k, phi: float | None = None) -> np.ndarray:
-        phi = self.default_flux if phi is None else phi
-        if self.dimensionality == 1:
-            kk = k[0] if isinstance(k, (tuple, list, np.ndarray)) else k
-            return self.builder(kk, phi)
-        if isinstance(k, (int, float)):
-            raise InvalidParameterError("two momentum components required")
-        return self.builder(k[0], k[1], phi)
+        return self.stack(np.reshape(k, (1, -1)), phi)[0]
 
 
 def chain_bloch(x: Sequence[int], phi: float) -> BlochModel:
@@ -49,37 +74,15 @@ def chain_bloch(x: Sequence[int], phi: float) -> BlochModel:
 
     One unit cell holds the tree minus its last root, so the band count is
     the tree vertex count minus one.  The couplings into the last root wrap
-    to the next cell's first root with the momentum phase.
+    to the next cell's first root.  The last root has the highest
+    breadth-first id, so it is the column of every edge it lies on.
     """
-    xs = graphs.check_growth_sequence(x)
-    d = len(xs)
-    xd = xs[-1]
-
-    @lru_cache(maxsize=32)
-    def _sub(phi_val: float):
-        if d == 1:
-            return np.zeros((1, 1), dtype=complex), 0, 0
-        sub = gauge.canonical_ccam(xs[:-1], phi_val, _allow_trailing_one=True)
-        return gauge.dense_matrix(sub), sub.first_vertex, sub.last_vertex
-
-    sub_dim = 1 if d == 1 else graphs.tree_vertex_count(xs[:-1])
-    dim = 1 + xd * sub_dim
-
-    def builder(k: float, phi_val: float) -> np.ndarray:
-        y_sub, f_idx, l_idx = _sub(phi_val)
-        k_eff = k - 0.5 * phi_val  # align the zone origin with the closed form
-        out = np.zeros((dim, dim), dtype=complex)
-        wrap = cmath.exp(1j * k_eff)
-        for j in range(xd):
-            base = 1 + j * sub_dim
-            out[base:base + sub_dim, base:base + sub_dim] = y_sub
-            w = cmath.exp(1j * gauge.branch_angle(xs, d, j + 1, phi_val))
-            out[0, base + f_idx] += w
-            out[0, base + l_idx] += wrap * w.conjugate()
-        out[1:, 0] = np.conj(out[0, 1:])
-        return out
-
-    return BlochModel(bands=dim, dimensionality=1, default_flux=phi, builder=builder)
+    tree = gauge.canonical_ccam(x, 1.0)
+    wrap = tree.cols == tree.last_vertex
+    return BlochModel(bands=tree.dimension - 1, rows=tree.rows,
+                      cols=np.where(wrap, tree.first_vertex, tree.cols),
+                      flux_factors=np.where(wrap, tree.phases + 0.5, tree.phases),
+                      windings=-wrap.astype(np.int64)[:, None], default_flux=phi)
 
 
 def rhombic_bands(phi: float, k: float) -> tuple[float, float, float]:
@@ -88,6 +91,17 @@ def rhombic_bands(phi: float, k: float) -> tuple[float, float, float]:
     val = 2.0 + math.cos(k) + math.cos(k - phi)
     e = math.sqrt(2.0) * math.sqrt(max(val, 0.0))
     return (-e, 0.0, e)
+
+
+# (row, col, phase per unit flux, x winding, y winding) of the {4,4} cell.
+_STAR_44_EDGES = np.array([
+    (0, 1, 0.0, -1, 0), (0, 1, 0.5, 0, 0),
+    (0, 3, 0.0, -1, -1), (0, 3, -0.5, -1, 0),
+    (0, 4, 0.0, 0, 0), (0, 4, -0.5, 0, -1),
+    (0, 5, 0.0, 0, -1), (0, 5, 0.5, -1, -1),
+    (1, 2, 0.5, 0, 0), (2, 3, 0.0, 0, 0),
+    (2, 4, 0.0, 0, 0), (2, 5, -0.5, 0, 0),
+])
 
 
 def second_kind_44_bloch(phi: float) -> BlochModel:
@@ -99,28 +113,10 @@ def second_kind_44_bloch(phi: float) -> BlochModel:
     every face, which the real-space patch check pins down: the bands all
     flatten exactly at the 2-shrub caging point phi = pi.
     """
-
-    def builder(kx: float, ky: float, phi_val: float) -> np.ndarray:
-        w = cmath.exp(0.5j * phi_val)
-        wc = w.conjugate()
-        ex = cmath.exp(1j * kx)
-        ey = cmath.exp(1j * ky)
-        exy = ex * ey
-        out = np.zeros((6, 6), dtype=complex)
-        out[0, 1] = 1.0 / ex + w
-        out[0, 3] = 1.0 / exy + wc / ex
-        out[0, 4] = 1.0 + wc / ey
-        out[0, 5] = 1.0 / ey + w / exy
-        out[1, 2] = w
-        out[2, 3] = 1.0
-        out[2, 4] = 1.0
-        out[2, 5] = wc
-        for i in range(6):
-            for j in range(i + 1, 6):
-                out[j, i] = out[i, j].conjugate()
-        return out
-
-    return BlochModel(bands=6, dimensionality=2, default_flux=phi, builder=builder)
+    t = _STAR_44_EDGES
+    return BlochModel(bands=6, rows=t[:, 0].astype(np.int64), cols=t[:, 1].astype(np.int64),
+                      flux_factors=t[:, 2], windings=t[:, 3:].astype(np.int64),
+                      default_flux=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -128,28 +124,26 @@ def second_kind_44_bloch(phi: float) -> BlochModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandSweep:
-    momenta: tuple[tuple[float, ...], ...]
+    momenta: np.ndarray  # (num points, dimensionality)
     energies: np.ndarray  # (num points, bands), ascending per row
     total_bandwidth: float
 
 
-def momentum_grid(dimensionality: int, grid: int) -> tuple[tuple[float, ...], ...]:
+def momentum_grid(dimensionality: int, grid: int) -> np.ndarray:
+    """The points 2*pi*i/grid per direction, first direction outermost."""
     if grid < 2:
         raise InvalidParameterError("grid needs at least 2 points per direction")
-    line = [TWO_PI * i / grid for i in range(grid)]
-    if dimensionality == 1:
-        return tuple((k,) for k in line)
-    return tuple((kx, ky) for kx in line for ky in line)
+    line = TWO_PI * np.arange(grid) / grid
+    axes = np.meshgrid(*[line] * dimensionality, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, dimensionality)
 
 
 def band_sweep(model: BlochModel, phi: float | None, grid: int) -> BandSweep:
     """Diagonalize on a uniform momentum grid over [0, 2*pi) per direction."""
     pts = momentum_grid(model.dimensionality, grid)
-    energies = np.empty((len(pts), model.bands))
-    for i, k in enumerate(pts):
-        energies[i] = np.linalg.eigvalsh(model.matrix(k, phi))
+    energies = np.linalg.eigvalsh(model.stack(pts, phi))
     width = float(np.max(energies.max(axis=0) - energies.min(axis=0)))
     return BandSweep(momenta=pts, energies=energies, total_bandwidth=width)
 
@@ -198,12 +192,7 @@ def charpoly_k_independence(x: Sequence[int], phi: float, lam_samples: Sequence[
     if len(lam_samples) == 0:
         raise InvalidParameterError("need at least one sample shift")
     model = chain_bloch(x, phi)
-    ks = [TWO_PI * i / k_count for i in range(k_count)]
-    worst = 0.0
-    eye = np.eye(model.bands)
-    for lam in lam_samples:
-        dets = [complex(np.linalg.det(model.matrix(k, phi) - lam * eye)) for k in ks]
-        for i in range(len(dets)):
-            for j in range(i + 1, len(dets)):
-                worst = max(worst, abs(dets[i] - dets[j]))
-    return worst
+    ks = TWO_PI * np.arange(k_count)[:, None] / k_count
+    shifts = np.asarray(lam_samples, dtype=float)[:, None, None, None] * np.eye(model.bands)
+    dets = np.linalg.det(model.stack(ks, phi) - shifts)  # (shift, k)
+    return float(np.max(np.abs(dets[:, :, None] - dets[:, None, :]), initial=0.0))

@@ -422,12 +422,13 @@ def krylov_cls(m: gauge.Ccam, seed: int, *, cap: int = DEFAULT_KRYLOV_CAP,
            for idx in range(len(vals))]
     if spectral is None and polish and m.dimension <= gauge.dense_limit():
         spectral = dense_spectral_data(m)
+    plain = gauge.PhasedOperator(m)
     states = []
     for idx in range(len(vals)):
         full = raw[idx]
         if spectral is not None:
             full = _snap_to_eigenspace(full, float(vals[idx]), spectral)
-        resid = float(np.linalg.norm(gauge.apply_ccam(m, full) - float(vals[idx]) * full))
+        resid = float(np.linalg.norm(plain.apply(full) - float(vals[idx]) * full))
         support = {v: complex(full[v]) for v in range(m.dimension)
                    if abs(full[v]) > SUPPORT_EPS}
         radius = max((dist[v] for v in support), default=0)
@@ -496,7 +497,8 @@ def local_caging_check(m: gauge.Ccam, vertex: int, tol: float = 1e-10) -> bool:
         raise InvalidParameterError(f"vertex {vertex} out of range")
     vec = np.zeros(m.dimension, dtype=complex)
     vec[vertex] = 1.0
-    image = gauge.apply_ccam(m, gauge.apply_ccam(m, vec))
+    op = gauge.PhasedOperator(m)
+    image = op.apply(op.apply(vec))
     image[vertex] -= m.degrees()[vertex]
     return float(np.linalg.norm(image)) < tol
 

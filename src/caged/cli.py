@@ -126,13 +126,8 @@ def cmd_bands(args) -> int:
     else:
         raise InvalidParameterError(f"unknown model {args.model!r}")
     sweep = bloch.band_sweep(model, phi, args.grid)
-    if model.dimensionality == 1:
-        header = ["k"] + [f"E_{i + 1}" for i in range(model.bands)]
-    else:
-        header = ["k", "ky"] + [f"E_{i + 1}" for i in range(model.bands)]
-    rows = []
-    for pt, energies in zip(sweep.momenta, sweep.energies):
-        rows.append([float(c) for c in pt] + [float(e) for e in energies])
+    header = ["k", "ky"][:model.dimensionality] + [f"E_{i + 1}" for i in range(model.bands)]
+    rows = np.hstack([sweep.momenta, sweep.energies]).tolist()
     _write(args.out, _rows_to_output(header, rows, args.format))
     return 0
 

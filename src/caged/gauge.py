@@ -194,11 +194,6 @@ def dense_matrix(m: Ccam) -> np.ndarray:
     return out
 
 
-def apply_ccam(m: Ccam, vec: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product H @ vec from the edge arrays."""
-    return PhasedOperator(m).apply(vec)
-
-
 class PhasedOperator:
     """Prepared sparse matrix-vector kernel for a Ccam.
 
@@ -436,29 +431,28 @@ def parse_ccam(text: str) -> Ccam:
     flux = 0.0
     entries: list[tuple[int, int, float]] = []
     faces: list[tuple[int, ...]] = []
-    first = last = None
+    roots: dict[str, int] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if parts[0] == "ccam":
-            dim = int(parts[1])
-            flux = float(parts[2]) if len(parts) > 2 else 0.0
+            dim, flux = (graphs.text_fields(line, int, float) if len(parts) > 2
+                         else graphs.text_fields(line, int) + [0.0])
         elif parts[0] == "e":
-            u, v, t = int(parts[1]), int(parts[2]), float(parts[3])
+            u, v, t = graphs.text_fields(line, int, int, float)
             entries.append((u, v, t) if u < v else (v, u, -t))
         elif parts[0] == "face":
-            faces.append(tuple(int(s) for s in parts[1:]))
+            faces.append(tuple(graphs.text_fields(line, *[int] * (len(parts) - 1))))
         elif parts[0] == "root":
-            if parts[1] == "first":
-                first = int(parts[2])
-            else:
-                last = int(parts[2])
+            kind, v = graphs.parse_root(line)
+            roots[kind] = v
         else:
             raise InvalidParameterError(f"unrecognized line {line!r}")
     if dim is None:
         raise InvalidParameterError("missing 'ccam <n> <flux>' header")
+    first, last = roots.get("first"), roots.get("last")
     m = Ccam.from_entries(dim, entries, first_vertex=first, last_vertex=last, flux=flux)
     if not faces:
         return m

@@ -686,30 +686,46 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def text_fields(line: str, *types) -> list:
+    """The words after a text line's keyword, converted by ``types`` in turn;
+    refuses a line with too few words or a word that does not convert."""
+    words = line.split()[1:]
+    if len(words) < len(types):
+        raise InvalidParameterError(f"line {line!r} needs {len(types)} field(s)")
+    try:
+        return [kind(word) for kind, word in zip(types, words)]
+    except ValueError:
+        raise InvalidParameterError(f"bad field in line {line!r}") from None
+
+
+def parse_root(line: str) -> tuple[str, int]:
+    """The kind (``first`` or ``last``) and vertex of a ``root`` line."""
+    kind, v = text_fields(line, str, int)
+    if kind not in ("first", "last"):
+        raise InvalidParameterError(f"unknown root kind {kind!r}")
+    return kind, v
+
+
 def parse_graph(text: str) -> Graph:
     num = None
     edges: list[Edge] = []
     faces: list[tuple[int, ...]] = []
-    first = last = None
+    roots: dict[str, int] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if parts[0] == "graph":
-            num = int(parts[1])
+            num, = text_fields(line, int)
         elif parts[0] == "e":
-            u, v = int(parts[1]), int(parts[2])
+            u, v = text_fields(line, int, int)
             edges.append((min(u, v), max(u, v)))
         elif parts[0] == "face":
-            faces.append(tuple(int(s) for s in parts[1:]))
+            faces.append(tuple(text_fields(line, *[int] * (len(parts) - 1))))
         elif parts[0] == "root":
-            if parts[1] == "first":
-                first = int(parts[2])
-            elif parts[1] == "last":
-                last = int(parts[2])
-            else:
-                raise InvalidParameterError(f"unknown root kind {parts[1]!r}")
+            kind, v = parse_root(line)
+            roots[kind] = v
         else:
             raise InvalidParameterError(f"unrecognized line {line!r}")
     if num is None:
@@ -718,6 +734,6 @@ def parse_graph(text: str) -> Graph:
         num_vertices=num,
         edges=tuple(sorted(set(edges))),
         plaquettes=tuple(faces),
-        first_vertex=first,
-        last_vertex=last,
+        first_vertex=roots.get("first"),
+        last_vertex=roots.get("last"),
     )

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,8 +7,86 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caged import bloch, gauge, graphs
+from caged.errors import InvalidParameterError
 
 TWO_PI = 2.0 * math.pi
+
+
+def reference_chain_matrix(xs, k, phi):
+    """The per-k chain builder that the folded edge arrays replace: the
+    first root, then x_d blocks holding the depth d - 1 tree in its own
+    breadth-first order."""
+    d, xd = len(xs), xs[-1]
+    if d == 1:
+        y_sub, f_idx, l_idx, sub_dim = np.zeros((1, 1), dtype=complex), 0, 0, 1
+    else:
+        sub = gauge.canonical_ccam(xs[:-1], phi, _allow_trailing_one=True)
+        y_sub, f_idx, l_idx = gauge.dense_matrix(sub), sub.first_vertex, sub.last_vertex
+        sub_dim = sub.dimension
+    dim = 1 + xd * sub_dim
+    out = np.zeros((dim, dim), dtype=complex)
+    wrap = cmath.exp(1j * (k - 0.5 * phi))
+    for j in range(xd):
+        base = 1 + j * sub_dim
+        out[base:base + sub_dim, base:base + sub_dim] = y_sub
+        w = cmath.exp(1j * gauge.branch_angle(xs, d, j + 1, phi))
+        out[0, base + f_idx] += w
+        out[0, base + l_idx] += wrap * w.conjugate()
+    out[1:, 0] = np.conj(out[0, 1:])
+    return out
+
+
+def reference_block_order(xs):
+    """Breadth-first id of the tree vertex at each row of the reference
+    chain matrix."""
+    full = graphs.bfs_permutation(xs)
+    sub = graphs.bfs_permutation(xs[:-1]) if len(xs) > 1 else (0,)
+    n = len(sub)
+    order = [0] * (1 + xs[-1] * n)
+    for j in range(xs[-1]):
+        for t in range(n):
+            order[1 + j * n + sub[t]] = full[1 + j * n + t]
+    return order
+
+
+def reference_44_matrix(kx, ky, phi):
+    """The element-by-element {4,4} builder that the edge table replaces."""
+    w = cmath.exp(0.5j * phi)
+    wc = w.conjugate()
+    ex, ey = cmath.exp(1j * kx), cmath.exp(1j * ky)
+    exy = ex * ey
+    out = np.zeros((6, 6), dtype=complex)
+    out[0, 1] = 1.0 / ex + w
+    out[0, 3] = 1.0 / exy + wc / ex
+    out[0, 4] = 1.0 + wc / ey
+    out[0, 5] = 1.0 / ey + w / exy
+    out[1, 2] = w
+    out[2, 3] = 1.0
+    out[2, 4] = 1.0
+    out[2, 5] = wc
+    for i in range(6):
+        for j in range(i + 1, 6):
+            out[j, i] = out[i, j].conjugate()
+    return out
+
+
+def reference_charpoly(x, phi, lam_samples, k_count=8):
+    """The per-k determinant loop of ``charpoly_k_independence``."""
+    model = bloch.chain_bloch(x, phi)
+    ks = [TWO_PI * i / k_count for i in range(k_count)]
+    worst = 0.0
+    eye = np.eye(model.bands)
+    for lam in lam_samples:
+        dets = [complex(np.linalg.det(reference_chain_matrix(x, k, phi) - lam * eye))
+                for k in ks]
+        for i in range(len(dets)):
+            for j in range(i + 1, len(dets)):
+                worst = max(worst, abs(dets[i] - dets[j]))
+    return worst
+
+
+CHAINS = [(2,), (3,), (2, 2), (2, 3, 2), (3, 2)]
+FLUXES = [0.0, 0.3, math.pi / 6, math.pi, TWO_PI, -1.0]
 
 
 class TestRhombicBands:
@@ -53,6 +132,71 @@ class TestChainBloch:
         scale = np.linalg.norm(h, 2) ** model.bands
         for v in vals:
             assert abs(np.linalg.det(h - v * np.eye(model.bands))) < 1e-6 * scale
+
+
+class TestAgainstReferenceBuilders:
+    @pytest.mark.parametrize("xs", CHAINS)
+    @pytest.mark.parametrize("phi", FLUXES)
+    def test_chain_matrix(self, xs, phi):
+        model = bloch.chain_bloch(xs, phi)
+        order = reference_block_order(xs)
+        for k in (0.0, 0.4, 2.5, 5.9, 0.4 + TWO_PI):
+            got = model.matrix(k, phi)[np.ix_(order, order)]
+            assert np.max(np.abs(got - reference_chain_matrix(xs, k, phi))) < 1e-13
+
+    @pytest.mark.parametrize("xs", CHAINS)
+    @pytest.mark.parametrize("phi", FLUXES)
+    def test_chain_band_sweep(self, xs, phi):
+        sweep = bloch.band_sweep(bloch.chain_bloch(xs, phi), phi, 7)
+        want = np.array([np.linalg.eigvalsh(reference_chain_matrix(xs, k, phi))
+                         for (k,) in sweep.momenta])
+        assert np.max(np.abs(sweep.energies - want)) < 1e-13
+
+    @pytest.mark.parametrize("phi", [0.7, math.pi])
+    def test_star_lattice(self, phi):
+        model = bloch.second_kind_44_bloch(phi)
+        sweep = bloch.band_sweep(model, phi, 5)
+        assert len(sweep.momenta) == 25
+        for (kx, ky), energies in zip(sweep.momenta, sweep.energies):
+            want = reference_44_matrix(kx, ky, phi)
+            assert np.max(np.abs(model.matrix((kx, ky), phi) - want)) < 1e-13
+            assert np.max(np.abs(energies - np.linalg.eigvalsh(want))) < 1e-13
+
+    @pytest.mark.parametrize("xs, phi", [((2,), math.pi), ((2,), 1.0), ((2, 2), math.pi / 2),
+                                         ((2, 3), TWO_PI / 6), ((2, 3), 0.3)])
+    def test_charpoly(self, xs, phi):
+        lams = [0.5, 1.5, 3.0]
+        got, want = bloch.charpoly_k_independence(xs, phi, lams), reference_charpoly(xs, phi, lams)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-8)
+
+
+class TestBlochModelArrays:
+    def test_repeated_pairs_accumulate(self):
+        model = bloch.BlochModel(bands=2, rows=np.array([0, 1]), cols=np.array([1, 0]),
+                                 flux_factors=np.array([0.0, 0.5]),
+                                 windings=np.array([[0], [-1]]), default_flux=0.0)
+        h = model.matrix(0.3, 1.0)
+        assert h[0, 1] == pytest.approx(1.0 + cmath.exp(-1j * (0.5 - 0.3)))
+        assert h[1, 0] == pytest.approx(h[0, 1].conjugate())
+        assert h[0, 0] == h[1, 1] == 0.0
+
+    def test_wrong_momentum_length_refused(self):
+        with pytest.raises(InvalidParameterError):
+            bloch.second_kind_44_bloch(0.7).matrix(0.5)
+        with pytest.raises(InvalidParameterError):
+            bloch.chain_bloch((2,), 0.7).matrix((0.1, 0.2))
+
+    def test_stack_matches_single_momenta(self):
+        model = bloch.chain_bloch((2, 3), 0.9)
+        ks = np.array([[0.0], [1.1], [4.0]])
+        stack = model.stack(ks, 0.9)
+        for k, h in zip(ks, stack):
+            assert np.array_equal(model.matrix(k, 0.9), h)
+
+    def test_grid_orders_first_direction_outermost(self):
+        grid = bloch.momentum_grid(2, 3)
+        line = [TWO_PI * i / 3 for i in range(3)]
+        assert grid.tolist() == [[kx, ky] for kx in line for ky in line]
 
 
 class TestStarLatticeBloch:

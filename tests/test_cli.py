@@ -83,17 +83,22 @@ class TestBandsCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "k,E_1,E_2,E_3"
         assert len(lines) == 102
-        for line in lines[1:]:
-            vals = [float(s) for s in line.split(",")[1:]]
-            assert vals == pytest.approx([-2.0, 0.0, 2.0], abs=1e-10)
+        for i, line in enumerate(lines[1:]):
+            vals = [float(s) for s in line.split(",")]
+            assert vals[0] == 2.0 * math.pi * i / 101
+            assert vals[1:] == pytest.approx([-2.0, 0.0, 2.0], abs=1e-10)
 
     def test_star_lattice_model(self, tmp_path, capsys):
         out = tmp_path / "b44.csv"
         code, _, _ = run(capsys, "bands", "--model", "lotus44", "--phi", "pi",
                          "--grid", "8", "--out", str(out))
         assert code == 0
-        header = out.read_text().splitlines()[0]
-        assert header.startswith("k,ky,E_1")
+        lines = out.read_text().splitlines()
+        assert lines[0] == "k,ky," + ",".join(f"E_{i}" for i in range(1, 7))
+        assert len(lines) == 1 + 64
+        for r, line in enumerate(lines[1:]):
+            k, ky = (float(s) for s in line.split(",")[:2])
+            assert (k, ky) == (2.0 * math.pi * (r // 8) / 8, 2.0 * math.pi * (r % 8) / 8)
 
 
 class TestCagingCommand:

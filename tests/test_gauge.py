@@ -375,3 +375,23 @@ class TestCcamFile:
     def test_header_required(self):
         with pytest.raises(InvalidParameterError):
             gauge.parse_ccam("e 0 1 0.5\n")
+
+    @pytest.mark.parametrize("bad", [
+        "root middle 2",  # unknown root kind
+        "root first",  # root vertex missing
+        "e 0 1",  # phase missing
+        "e 0 x 0.5",  # non-integer vertex
+        "e 0 1 half",  # non-numeric phase
+        "face 0 x 2",  # non-integer face vertex
+    ])
+    def test_bad_line_refused(self, bad):
+        with pytest.raises(InvalidParameterError):
+            gauge.parse_ccam(f"ccam 3 0\ne 0 1 0.5\ne 1 2 0\n{bad}\n")
+
+    @pytest.mark.parametrize("header", ["ccam x 0", "ccam 3 x", "ccam"])
+    def test_bad_header_refused(self, header):
+        with pytest.raises(InvalidParameterError):
+            gauge.parse_ccam(f"{header}\ne 0 1 0.5\n")
+
+    def test_flux_defaults_to_zero(self):
+        assert gauge.parse_ccam("ccam 2\ne 0 1 0.5\n").flux == 0.0

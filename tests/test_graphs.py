@@ -323,3 +323,16 @@ class TestGraphFile:
     def test_bad_header(self):
         with pytest.raises(InvalidParameterError):
             graphs.parse_graph("e 0 1\n")
+
+    @pytest.mark.parametrize("text", [
+        "graph x\ne 0 1\n",  # non-integer vertex count
+        "graph\ne 0 1\n",  # vertex count missing
+        "graph 3\ne 0\n",  # edge end missing
+        "graph 3\ne 0 one\n",  # non-integer edge end
+        "graph 3\ne 0 1\nroot first\n",  # root vertex missing
+        "graph 3\ne 0 1\nroot middle 2\n",  # unknown root kind
+        "graph 3\ne 0 1\nface 0 1 x\n",  # non-integer face vertex
+    ])
+    def test_bad_line_refused(self, text):
+        with pytest.raises(InvalidParameterError):
+            graphs.parse_graph(text)
