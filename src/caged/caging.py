@@ -309,10 +309,24 @@ def recurrence_normalizer(x: Sequence[int], flux: float, lam: complex, i: int) -
 
 
 def exchange_symmetry_check(m: gauge.Ccam, tol: float = 1e-10) -> tuple[bool, float]:
-    """Whether the matrix commutes with the anti-diagonal permutation."""
-    h = gauge.dense_matrix(m)
-    flipped = h[::-1, ::-1]  # J H J
-    norm = float(np.max(np.abs(h - flipped))) if h.size else 0.0
+    """Whether the matrix commutes with the anti-diagonal permutation J.
+
+    J H J maps edge (u, v, w) to (n-1-v, n-1-u, conj w).  The edge arrays and
+    their mirror image are laid out over the union of their (row, col) slots,
+    an absent edge reading 0, and the norm is the largest |w - w'| over that
+    union, so an edge on one side only contributes |w|.  This is the maximum
+    entry of |H - J H J|, bit for bit, without forming either matrix.
+    """
+    n = m.dimension
+    w = np.exp(1j * m.phases)
+    keys = m.rows * n + m.cols
+    mirror = (n - 1 - m.cols) * n + (n - 1 - m.rows)
+    slots = np.union1d(keys, mirror)
+    h = np.zeros(len(slots), dtype=complex)
+    h[np.searchsorted(slots, keys)] = w
+    jhj = np.zeros(len(slots), dtype=complex)
+    jhj[np.searchsorted(slots, mirror)] = w.conj()
+    norm = float(np.max(np.abs(h - jhj))) if slots.size else 0.0
     return norm < tol, norm
 
 

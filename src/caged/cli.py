@@ -9,6 +9,7 @@ failed (e.g. confinement was asserted but a seed's subspace did not close).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -91,18 +92,30 @@ def cmd_lotus(args) -> int:
     return 0
 
 
+def _theorem_assembly(xs: tuple[int, ...], phi: float):
+    """The theorem's assembly at ``phi`` as (label, builder), or None.
+
+    The theorem covers flux 0 and 2*pi/x1; an angle a whole number of turns
+    away is gauge-equivalent and gets the same assembly.
+    """
+    xs = graphs.check_growth_sequence(xs)
+    if abs(gauge.reduce_angle(phi)) < 1e-12:
+        return "fluxless", spectral.spectrum_fluxless
+    if abs(gauge.reduce_angle(phi - 2.0 * math.pi / xs[0])) < 1e-12:
+        return "flux 2pi/x1", spectral.spectrum_flux_af
+    return None
+
+
 def cmd_spectrum(args) -> int:
     xs = parse_sequence(args.x)
     phi = parse_phi(args.phi)
     if args.method == "theorem":
-        if abs(gauge.reduce_angle(phi)) < 1e-12:
-            spec = spectral.spectrum_fluxless(xs)
-        elif abs(phi - 2.0 * math.pi / xs[0]) < 1e-12:
-            spec = spectral.spectrum_flux_af(xs)
-        else:
+        assembly = _theorem_assembly(xs, phi)
+        if assembly is None:
             sys.stderr.write(
                 "theorem path covers flux 0 and 2*pi/x1 only; use --method oracle\n")
             return 1
+        spec = assembly[1](xs)
     else:
         spec = spectral.ccam_spectrum(gauge.canonical_ccam(xs, phi))
     rows = [[float(v), mult] for (v, mult) in spec.eigenvalues]
@@ -210,15 +223,11 @@ def cmd_verify(args) -> int:
     if not ok:
         failures.append("exchange")
 
-    oracle = spectral.ccam_spectrum(m).expand()
-    label = None
-    if all(v >= 2 for v in xs):
-        if abs(gauge.reduce_angle(phi)) < 1e-12:
-            label, assembled = "fluxless", spectral.spectrum_fluxless(xs).expand()
-        elif abs(phi - 2.0 * math.pi / xs[0]) < 1e-12:
-            label, assembled = "flux 2pi/x1", spectral.spectrum_flux_af(xs).expand()
-    if label is not None:
-        err = float(np.max(np.abs(oracle - assembled)))
+    assembly = _theorem_assembly(xs, phi) if all(v >= 2 for v in xs) else None
+    if assembly is not None:
+        label, build = assembly
+        oracle = spectral.ccam_spectrum(m).expand()
+        err = float(np.max(np.abs(oracle - build(xs).expand())))
         print(f"assembled vs oracle spectrum ({label}): max deviation {err:.3e}")
         if err > 1e-8:
             failures.append("spectrum")
@@ -240,7 +249,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="caged",
                                  description="glued-tree lattices and their spectra")
     sub = ap.add_subparsers(dest="command", required=True)

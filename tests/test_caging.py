@@ -26,6 +26,14 @@ def reference_polynomials(m, m_max, n, source, target):
     return out
 
 
+def dense_exchange_check(m, tol=1e-10):
+    """The dense comparison of H with J H J that the edge-array check replaces."""
+    h = gauge.dense_matrix(m)
+    flipped = h[::-1, ::-1]
+    norm = float(np.max(np.abs(h - flipped))) if h.size else 0.0
+    return norm < tol, norm
+
+
 def ccam_text(n, dim, edges):
     """A ccam file whose edge (u, v, c) carries the phase 2*pi*c/n."""
     return "\n".join([f"ccam {dim} 0"] + [f"e {u} {v} {TWO_PI * c / n!r}"
@@ -258,6 +266,45 @@ class TestExchangeSymmetry:
         ok, norm = caging.exchange_symmetry_check(
             gauge.Ccam.from_entries(1, (), flux=0.0))
         assert ok and norm == 0.0
+
+    def test_equals_dense_oracle_on_trees(self):
+        family = [xs for p in range(2, 25) for xs in graphs.ordered_factorizations(p)[1]]
+        for xs in family:
+            for phi in (0.0, 0.7, math.pi / xs[0], 2.9):
+                m = gauge.canonical_ccam(xs, phi)
+                moved = gauge.gauge_transform(m, m.dimension // 3, 0.77)
+                for case in (m, moved):
+                    got = caging.exchange_symmetry_check(case)
+                    assert got == dense_exchange_check(case), (xs, phi)
+                    assert got[0] == (case is m), (xs, phi)
+
+    @pytest.mark.parametrize("text", [
+        "ccam 4 0\ne 0 1 0.5\n",
+        "ccam 4 0\ne 0 1 0.3\n",  # np.abs(np.exp([0.3j])) is 1 - 2^-53, not 1
+        "ccam 4 0\ne 0 1 0.5\ne 2 3 0.5\n",  # mirror-closed but not conjugate
+        "ccam 4 0\ne 0 1 0.5\ne 2 3 -0.5\n",
+        "ccam 5 0\ne 0 4 1.5\ne 1 2 0\n",  # an edge that is its own mirror
+        "ccam 3 0\ne 0 1 0\ne 1 2 0\ne 0 2 2.0\n",
+        "ccam 6 0\n",
+    ])
+    def test_equals_dense_oracle_on_files(self, text):
+        m = gauge.parse_ccam(text)
+        assert caging.exchange_symmetry_check(m) == dense_exchange_check(m)
+
+    def test_equals_dense_oracle_on_chain_and_lotus(self):
+        patch = graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6))
+        for m in (gauge.chain_ccam((2, 3, 2), 3, math.pi / 6), gauge.lotus_ccam(patch, math.pi),
+                  gauge.lotus_ccam(patch, 0.4)):
+            assert caging.exchange_symmetry_check(m) == dense_exchange_check(m)
+
+    def test_empty_matrix(self):
+        m = gauge.Ccam.from_entries(0, ())
+        assert caging.exchange_symmetry_check(m) == dense_exchange_check(m) == (True, 0.0)
+
+    def test_needs_no_dense_matrix(self, monkeypatch):
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "3")
+        ok, norm = caging.exchange_symmetry_check(gauge.canonical_ccam((2, 3, 2), 1.1))
+        assert ok and norm < 1e-12
 
 
 class TestKrylov:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from caged import cli
+from caged import cli, gauge, spectral
 from caged.errors import InvalidParameterError
 
 
@@ -72,6 +72,26 @@ class TestSpectrumCommand:
         assert code == 0
         rows = json.loads(out.read_text())
         assert [r["multiplicity"] for r in rows] == [2, 2]
+
+    @pytest.mark.parametrize("xs,phi,base", [
+        ("2,3", "-pi", "pi"), ("2,3", "3pi", "pi"), ("3,2", "-4pi/3", "2pi/3"),
+        ("2,3", "-2pi", "0"), ("3,2", "8pi/3", "2pi/3"),
+    ])
+    def test_theorem_accepts_gauge_equivalent_angles(self, capsys, xs, phi, base):
+        want = run(capsys, "spectrum", "--x", xs, "--phi", base, "--method", "theorem")
+        got = run(capsys, "spectrum", "--x", xs, f"--phi={phi}", "--method", "theorem")
+        assert want[0] == 0 and got == want
+
+    def test_theorem_refuses_a_zero_entry(self, capsys):
+        code, _, err = run(capsys, "spectrum", "--x", "0", "--phi", "1", "--method", "theorem")
+        assert code == 1
+        assert "must be >= 1" in err
+
+    def test_theorem_refuses_an_angle_off_both_points(self, capsys):
+        code, _, err = run(capsys, "spectrum", "--x", "2,3", "--phi", "7pi/3",
+                           "--method", "theorem")
+        assert code == 1
+        assert "oracle" in err
 
 
 class TestBandsCommand:
@@ -225,6 +245,38 @@ class TestOtherCommands:
     def test_verify_flux_af(self, capsys):
         code, out, _ = run(capsys, "verify", "--x", "3,2", "--phi", "2pi/3")
         assert code == 0
+
+    def test_verify_assembles_at_gauge_equivalent_flux(self, capsys):
+        code, out, _ = run(capsys, "verify", "--x", "2,3", "--phi=-pi")
+        assert code == 0
+        assert "assembled vs oracle spectrum (flux 2pi/x1)" in out
+
+    def test_verify_needs_no_spectrum_off_the_special_points(self, capsys, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("dense spectrum computed")
+
+        monkeypatch.setattr(spectral, "ccam_spectrum", refuse)
+        code, out, _ = run(capsys, "verify", "--x", "2,2,2,2,2,2,2,2", "--phi", "2pi/256")
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "OK"
+
+    def test_verify_refuses_above_dense_limit_only_for_a_spectrum(self, capsys, monkeypatch):
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "500")
+        code, out, _ = run(capsys, "verify", "--x", "2,2,2,2,2,2,2,2", "--phi", "2pi/256")
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "OK"
+        code, _, err = run(capsys, "verify", "--x", "2,2,2,2,2,2,2,2", "--phi", "0")
+        assert code == 1
+        assert "exceeds dense limit 500" in err
+
+    def test_parser_carries_no_state_between_calls(self, capsys):
+        argv = ["spectrum", "--x", "2", "--phi", "pi"]
+        code_json, out_json, _ = run(capsys, *argv, "--format", "json")
+        code_csv, out_csv, _ = run(capsys, *argv)
+        assert code_json == code_csv == 0
+        assert out_csv.splitlines()[0] == "eigenvalue,multiplicity"
+        assert json.loads(out_json)[0]["multiplicity"] == 2
+        assert run(capsys, *argv, "--format", "json")[1] == out_json
 
     def test_bad_flux_is_usage_error(self, capsys):
         code, _, err = run(capsys, "spectrum", "--x", "2", "--phi", "nope")
