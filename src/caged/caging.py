@@ -4,9 +4,10 @@ localized states.
 A flux-carrying glued tree becomes impossible to cross when the flux is a
 nonzero multiple of 2*pi over the branching product: every same-length path
 from one root to the other picks up phases that sum to zero.  When a lattice
-region is fenced by uncrossable trees, repeated application of the matrix to
-any seed vector closes on a finite subspace, and diagonalizing the matrix on
-that subspace yields exact eigenvectors with finite support.
+region is fenced by uncrossable trees, the Krylov space of any seed is finite
+and spanned by the seed's projections onto the eigenspaces: compact states are
+read from the columns of the dense spectral projectors, or beyond the dense
+limit from a sparse 80-bit Krylov expansion.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from . import gauge, graphs, spectral
 from .errors import InvalidParameterError, ResourceLimitError
 
 DEFAULT_KRYLOV_CAP = 512
-# Image components smaller than this (relative to the image) count as inside
-# the current span; the subspace is closed when one whole expansion level
-# contributes nothing new.  True novel weights in caged systems are products
-# of a few partial-cancellation factors (well above 1e-4 here), while the
-# roundoff floor of the 80-bit iteration stays below 1e-8 even after dozens
-# of expansion levels; the reported invariance defect and per-state
-# residuals expose any system where this separation fails.
+# A cluster projecting the seed to at most this norm adds no state; in the
+# sparse expansion, image components this small (relative to the image) count
+# as inside the span, which closes when a whole level adds nothing.  True
+# novel weights in caged systems are products of a few partial-cancellation
+# factors (well above 1e-4 here), while roundoff stays below 1e-8 even after
+# dozens of 80-bit expansion levels; the reported invariance defect and
+# per-state residuals expose any system where this separation fails.
 KRYLOV_NOVELTY_TOL = 1e-6
 CLS_RESIDUAL_TOL = 1e-8
 SUPPORT_EPS = 1e-8
@@ -42,6 +43,8 @@ def crossing_amplitudes(m: gauge.Ccam, m_max: int, *, source: int | None = None,
     Defaults to the marked first/last roots; matrices read from external
     files may need the vertices given explicitly.
     """
+    if m_max < 0:
+        raise InvalidParameterError(f"power count must be non-negative, got {m_max}")
     src = m.first_vertex if source is None else source
     tgt = m.last_vertex if target is None else target
     if src is None or tgt is None:
@@ -119,6 +122,8 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
     with an all-zero row; one power is then a gather and a sum per chunk of
     rows, in the same exact int64 additions as an edge-by-edge update.
     """
+    if m_max < 0:
+        raise InvalidParameterError(f"power count must be non-negative, got {m_max}")
     src = m.first_vertex if source is None else source
     tgt = m.last_vertex if target is None else target
     if src is None or tgt is None:
@@ -331,18 +336,24 @@ def exchange_symmetry_check(m: gauge.Ccam, tol: float = 1e-10) -> tuple[bool, fl
 
 
 # ---------------------------------------------------------------------------
-# Krylov extraction of compact localized states
+# Compact localized states
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClsState:
     """A normalized finite-support eigenvector."""
 
-    amplitudes: dict[int, complex]
+    vector: np.ndarray
     eigenvalue: float
     support_radius: int
     residual: float
+
+    @property
+    def amplitudes(self) -> dict[int, complex]:
+        """The amplitudes above ``SUPPORT_EPS``, by vertex."""
+        support = np.flatnonzero(np.abs(self.vector) > SUPPORT_EPS)
+        return dict(zip(support.tolist(), self.vector[support].tolist()))
 
 
 @dataclass(frozen=True)
@@ -363,28 +374,37 @@ class KrylovResult:
 
 
 def krylov_cls(m: gauge.Ccam, seed: int, *, cap: int = DEFAULT_KRYLOV_CAP,
-               novelty_tol: float = KRYLOV_NOVELTY_TOL, polish: bool = True,
-               spectral=None) -> KrylovResult:
-    """Diagonalize the matrix on the subspace reachable from one site.
+               novelty_tol: float = KRYLOV_NOVELTY_TOL, spectral=None) -> KrylovResult:
+    """Diagonalize the matrix on the Krylov space of one site.
 
-    The reachable subspace is grown breadth-first: each level orthogonalizes
-    the images of the previous level's new directions (twice; plain
-    Gram-Schmidt loses orthogonality inside degenerate flat bands) and keeps
-    those with a novel component above ``novelty_tol``.  Level order spans
-    the same nested subspaces as the plain power sequence while keeping
-    every multiply-and-normalize chain as shallow as the closure radius, so
-    roundoff is never amplified through repeated near-breakdown vectors.
-    When a whole level contributes nothing, the span is invariant and its
-    eigenvectors are eigenvectors of the full matrix with finite support;
-    the reported invariance defect certifies that.  A cap hit is reported,
-    not raised: it is the expected outcome away from flat fluxes.
-
-    For matrices within the dense limit the states are snapped onto the
-    machine-accurate eigenspaces afterwards (``polish``); ``spectral`` lets
-    callers share one dense decomposition across many seeds.
+    That space is spanned by the projections P_c e_s of the seed onto the
+    eigenspaces, so within the dense limit the states are the normalised
+    columns V_c V_c^H e_s of the clusters (lambda_c, V_c) of
+    ``dense_spectral_data`` (``spectral``, shareable across seeds) with
+    ||V_c[s, :]|| > ``novelty_tol``.  Beyond it the space is grown
+    breadth-first in 80-bit arithmetic, orthogonalizing each level's images
+    twice (plain Gram-Schmidt loses orthogonality inside degenerate flat
+    bands) and keeping the novel components above ``novelty_tol``; a level
+    that adds nothing closes an invariant span.  Residuals are measured on
+    the returned vectors, the invariance defect on the projector columns or
+    the 80-bit basis.  A cap hit is reported (``closed=False``, dimension
+    ``cap``, no states), not raised: it is expected away from flat fluxes.
     """
     if not (0 <= seed < m.dimension):
         raise InvalidParameterError(f"seed {seed} out of range")
+    if cap < 1:
+        raise InvalidParameterError(f"cap must be at least 1, got {cap}")
+    if spectral is None and m.dimension <= gauge.dense_limit():
+        spectral = dense_spectral_data(m)
+    if spectral is not None:
+        hits = [(value, basis) for value, basis in spectral
+                if np.linalg.norm(basis[seed]) > novelty_tol]
+        if len(hits) > cap:
+            return KrylovResult(seed=seed, dimension=cap, closed=False, states=())
+        block = np.column_stack([basis @ basis[seed].conj() for _, basis in hits])
+        return _closed_result(m, seed, np.array([value for value, _ in hits]),
+                              block / np.linalg.norm(block, axis=0))
+
     op = gauge.PhasedOperator(m, extended=True)
     basis: list[np.ndarray] = []
 
@@ -398,10 +418,8 @@ def krylov_cls(m: gauge.Ccam, seed: int, *, cap: int = DEFAULT_KRYLOV_CAP,
     seed_vec = np.zeros(m.dimension, dtype=np.clongdouble)
     seed_vec[seed] = 1.0
     frontier = [seed_vec]
-    closed = False
-    while not closed:
+    while True:
         fresh: list[np.ndarray] = []
-        overflow = False
         for w in frontier:
             pre = float(np.linalg.norm(w))
             if pre < 1e-13:
@@ -411,94 +429,46 @@ def krylov_cls(m: gauge.Ccam, seed: int, *, cap: int = DEFAULT_KRYLOV_CAP,
             if norm <= novelty_tol * max(1.0, pre):
                 continue
             if len(basis) >= cap:
-                overflow = True
-                break
+                return KrylovResult(seed=seed, dimension=cap, closed=False, states=())
             b = r / norm
             basis.append(b)
             fresh.append(b)
-        if overflow:
-            return KrylovResult(seed=seed, dimension=len(basis), closed=False, states=())
         if not fresh:
-            closed = True
             break
         frontier = [op.apply(b) for b in fresh]
-    if not basis:
-        return KrylovResult(seed=seed, dimension=0, closed=True, states=())
 
     q = np.array(basis).T  # dimension x k
-    image = _apply_columns(op, q)
+    image = np.column_stack([op.apply(c) for c in q.T])
     small = q.conj().T @ image
     defect = float(np.max(np.sqrt(np.sum(np.abs(image - q @ small) ** 2, axis=0))))
     small = 0.5 * (small + small.conj().T)
     vals, vecs = np.linalg.eigh(small.astype(complex))  # small and well conditioned
-    dist = m.distances(seed)
-    raw = [(q @ vecs[:, idx].astype(np.clongdouble)).astype(complex)
-           for idx in range(len(vals))]
-    if spectral is None and polish and m.dimension <= gauge.dense_limit():
-        spectral = dense_spectral_data(m)
-    plain = gauge.PhasedOperator(m)
-    states = []
-    for idx in range(len(vals)):
-        full = raw[idx]
-        if spectral is not None:
-            full = _snap_to_eigenspace(full, float(vals[idx]), spectral)
-        resid = float(np.linalg.norm(plain.apply(full) - float(vals[idx]) * full))
-        support = {v: complex(full[v]) for v in range(m.dimension)
-                   if abs(full[v]) > SUPPORT_EPS}
-        radius = max((dist[v] for v in support), default=0)
-        states.append(ClsState(amplitudes=support, eigenvalue=float(vals[idx]),
-                               support_radius=radius, residual=resid))
-    return KrylovResult(seed=seed, dimension=len(basis), closed=True, states=tuple(states),
-                        defect=defect)
+    block = (q @ vecs.astype(np.clongdouble)).astype(complex)
+    return _closed_result(m, seed, vals, block, defect)
 
 
 def dense_spectral_data(m: gauge.Ccam, cluster_tol: float = 1e-6):
     """Eigen-decomposition of the dense matrix grouped into degeneracy clusters."""
     evals, evecs = np.linalg.eigh(gauge.dense_matrix(m))
-    clusters = []
-    start = 0
-    for i in range(1, len(evals) + 1):
-        if i == len(evals) or evals[i] - evals[i - 1] > cluster_tol:
-            clusters.append((float(np.mean(evals[start:i])), evecs[:, start:i]))
-            start = i
-    return clusters
+    cuts = np.flatnonzero(np.diff(evals, prepend=-np.inf, append=np.inf) > cluster_tol)
+    return [(float(np.mean(evals[a:b])), evecs[:, a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def _snap_to_eigenspace(state: np.ndarray, value: float, clusters,
-                        window_tol: float = 1e-5, null_tol: float = 3e-9) -> np.ndarray:
-    """Replace a nearly-converged state by the closest exact eigenvector that
-    vanishes outside the state's clean support window.
-
-    The iteration's residual is dominated by roundoff mixed in from outside
-    the reachable set; projecting onto the matching dense eigenspace removes
-    the off-cluster part, and a nullspace solve inside the (degenerate)
-    cluster removes the in-cluster part that lives outside the window.
-    """
-    best = min(clusters, key=lambda c: abs(c[0] - value))
-    if abs(best[0] - value) > 1e-4:
-        return state
-    basis = best[1]
-    coeff = basis.conj().T @ state
-    outside = np.abs(state) <= window_tol
-    if outside.any() and basis.shape[1] > 1:
-        block = basis[outside, :]
-        _u, svals, vh = np.linalg.svd(block, full_matrices=True)
-        null = vh.conj().T[:, np.concatenate([svals, np.zeros(
-            max(0, basis.shape[1] - len(svals)))]) <= null_tol]
-        if null.shape[1]:
-            coeff = null @ (null.conj().T @ coeff)
-    snapped = basis @ coeff
-    norm = float(np.linalg.norm(snapped))
-    if norm < 0.9:
-        return state  # window cut into real content; keep the honest raw state
-    return snapped / norm
-
-
-def _apply_columns(op: gauge.PhasedOperator, q: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(q)
-    for j in range(q.shape[1]):
-        out[:, j] = op.apply(q[:, j])
-    return out
+def _closed_result(m: gauge.Ccam, seed: int, vals: np.ndarray, block: np.ndarray,
+                   defect: float | None = None) -> KrylovResult:
+    """States from the orthonormal columns of ``block``, with residuals, radii
+    and (unless given) the invariance defect measured on those columns."""
+    plain = gauge.PhasedOperator(m)
+    image = np.column_stack([plain.apply(c) for c in block.T])
+    resid = np.linalg.norm(image - block * vals, axis=0)
+    if defect is None:
+        defect = float(np.max(np.linalg.norm(image - block @ (block.conj().T @ image), axis=0)))
+    dist = np.asarray(m.distances(seed))
+    states = tuple(
+        ClsState(vector=v, eigenvalue=float(val), residual=float(r),
+                 support_radius=int(dist[np.abs(v) > SUPPORT_EPS].max(initial=0)))
+        for v, val, r in zip(block.T, vals, resid))
+    return KrylovResult(seed=seed, dimension=len(vals), closed=True, states=states, defect=defect)
 
 
 def local_caging_check(m: gauge.Ccam, vertex: int, tol: float = 1e-10) -> bool:
@@ -570,44 +540,69 @@ def verify_all_cls(m: gauge.Ccam, radius_bound: int, *, seeds: Sequence[int] | N
                    cap: int = DEFAULT_KRYLOV_CAP, rank_tol: float = 1e-8) -> CagingReport:
     """Extract compact states from every seed and check that they span.
 
-    The collected states are deduplicated by rank of the stacked state matrix
-    (pairwise matching is ill-posed inside degenerate flat bands).  Seeds
-    whose subspace fails to close are reported, and such a report means the
-    matrix is not caging at this flux (or the cap is too small).
+    Within the dense limit one pass over the clusters writes every seed's
+    projector columns (see ``krylov_cls``) straight into the stacked state
+    matrix; beyond it each seed runs the sparse Krylov expansion.  The rank
+    of that matrix deduplicates the states (pairwise matching is ill-posed
+    inside degenerate flat bands).  Seeds over ``cap`` are reported: the
+    matrix is not caging at this flux, or the cap is too small.
     """
+    if cap < 1 or radius_bound < 0:
+        raise InvalidParameterError(f"cap {cap} must be >= 1 and radius bound {radius_bound} >= 0")
     seed_list = list(range(m.dimension)) if seeds is None else list(seeds)
-    records: list[SeedRecord] = []
-    vectors: list[np.ndarray] = []
-    cap_exceeded: list[int] = []
-    spectral = dense_spectral_data(m) if m.dimension <= gauge.dense_limit() else None
-    for seed in seed_list:
-        res = krylov_cls(m, seed, cap=cap, spectral=spectral)
-        radius = res.support_radius
-        resid = max((s.residual for s in res.states), default=0.0)
-        records.append(SeedRecord(seed=seed, krylov_dim=res.dimension, closed=res.closed,
-                                  eigenvalues=res.eigenvalues, support_radius=radius,
-                                  residual=resid))
-        if not res.closed:
-            cap_exceeded.append(seed)
-            continue
-        for s in res.states:
-            full = np.zeros(m.dimension, dtype=complex)
-            for v, a in s.amplitudes.items():
-                full[v] = a
-            vectors.append(full)
-    if vectors:
-        stack = np.array(vectors)
-        svals = np.linalg.svd(stack, compute_uv=False)
-        rank = int(np.sum(svals > rank_tol * max(1.0, float(svals[0]))))
+    if any(not 0 <= s < m.dimension for s in seed_list):
+        raise InvalidParameterError(f"seeds must lie in 0..{m.dimension - 1}")
+    if m.dimension <= gauge.dense_limit():
+        records, stack = _projector_cover(m, seed_list, cap)
     else:
-        rank = 0
-    radius_ok = all(r.support_radius <= radius_bound for r in records if r.closed)
+        results = [krylov_cls(m, seed, cap=cap) for seed in seed_list]
+        records = [SeedRecord(seed=r.seed, krylov_dim=r.dimension, closed=r.closed,
+                              eigenvalues=r.eigenvalues, support_radius=r.support_radius,
+                              residual=max((s.residual for s in r.states), default=0.0))
+                   for r in results]
+        stack = np.array([s.vector for r in results for s in r.states]).reshape(-1, m.dimension)
+    svals = np.linalg.svd(stack, compute_uv=False) if len(stack) else np.zeros(1)
+    rank = int(np.sum(svals > rank_tol * max(1.0, float(svals[0]))))
+    cap_exceeded = tuple(r.seed for r in records if not r.closed)
     return CagingReport(
         dimension=m.dimension,
         span_rank=rank,
         covered=(rank == m.dimension and not cap_exceeded),
         radius_bound=radius_bound,
-        radius_ok=radius_ok,
-        cap_exceeded=tuple(cap_exceeded),
+        radius_ok=all(r.support_radius <= radius_bound for r in records if r.closed),
+        cap_exceeded=cap_exceeded,
         records=tuple(records),
     )
+
+
+def _projector_cover(m: gauge.Ccam, seeds: list[int], cap: int):
+    """Seed records, and the states of the seeds within ``cap`` as rows, seed
+    by seed with eigenvalues ascending: the projector columns of ``krylov_cls``
+    written in one pass over the clusters."""
+    clusters, h = dense_spectral_data(m), gauge.dense_matrix(m)
+    reach = np.array([np.linalg.norm(basis[seeds], axis=1) > KRYLOV_NOVELTY_TOL
+                      for _, basis in clusters], dtype=bool).reshape(len(clusters), len(seeds))
+    dims = reach.sum(axis=0)
+    reach &= dims <= cap
+    counts = reach.sum(axis=0)
+    ends = np.cumsum(counts)
+    rows = ends - counts + np.cumsum(reach, axis=0) - 1  # stack row of (cluster, seed)
+    stack = np.empty((int(counts.sum()), m.dimension), dtype=complex)
+    values, resid = np.empty(len(stack)), np.empty(len(stack))
+    for c, (value, basis) in enumerate(clusters):
+        hits = np.flatnonzero(reach[c])
+        block = basis @ basis[[seeds[j] for j in hits]].conj().T
+        block /= np.linalg.norm(block, axis=0)
+        stack[rows[c, hits]] = block.T
+        values[rows[c, hits]] = value
+        resid[rows[c, hits]] = np.linalg.norm(h @ block - value * block, axis=0)
+    records = []
+    for j, seed in enumerate(seeds):
+        at = slice(ends[j] - counts[j], ends[j])
+        support = (np.abs(stack[at]) > SUPPORT_EPS).any(axis=0)
+        radius = int(np.asarray(m.distances(seed))[support].max()) if counts[j] else 0
+        records.append(SeedRecord(
+            seed=seed, krylov_dim=int(min(dims[j], cap)), closed=bool(dims[j] <= cap),
+            eigenvalues=tuple(values[at].tolist()), support_radius=radius,
+            residual=float(resid[at].max(initial=0.0))))
+    return records, stack

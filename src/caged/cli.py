@@ -181,9 +181,14 @@ def cmd_caging(args) -> int:
 def cmd_cls(args) -> int:
     phi = parse_phi(args.phi)
     if args.lotus:
-        kind, sides, p, q = args.lotus.split(",")
-        spec = graphs.LotusSpec(kind=kind, sides=int(sides), shrub_p=int(p),
-                                tiling_q=int(q), generations=args.generations)
+        try:
+            kind, sides, p, q = args.lotus.split(",")
+            sides, p, q = int(sides), int(p), int(q)
+        except ValueError:
+            raise InvalidParameterError(
+                f"cannot parse lotus {args.lotus!r}; expected kind,sides,p,q") from None
+        spec = graphs.LotusSpec(kind=kind, sides=sides, shrub_p=p, tiling_q=q,
+                                generations=args.generations)
         patch = graphs.lotus_patch(spec)
         m = gauge.lotus_ccam(patch, phi)
     else:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from caged import caging, gauge, graphs
+from caged import caging, cli, gauge, graphs
 from caged.errors import InvalidParameterError, ResourceLimitError
 
 TWO_PI = 2.0 * math.pi
@@ -319,6 +319,16 @@ class TestKrylov:
         res = caging.krylov_cls(m, m.graph.cell_bounds[20], cap=32)
         assert not res.closed and res.dimension == 32 and res.states == ()
 
+    def test_cap_equal_to_the_dimension_closes(self):
+        m = gauge.chain_ccam((2,), 8, math.pi)
+        hub = m.graph.cell_bounds[4]
+        dim = caging.krylov_cls(m, hub).dimension
+        for cap, closed in ((dim, True), (dim - 1, False)):
+            res = caging.krylov_cls(m, hub, cap=cap)
+            assert (res.closed, res.dimension, len(res.states)) == (closed, cap, cap * closed)
+            rec, = caging.verify_all_cls(m, 4, seeds=[hub], cap=cap).records
+            assert (rec.closed, rec.krylov_dim, len(rec.eigenvalues)) == (closed, cap, cap * closed)
+
     def test_dice_hub_closes_within_two_rings(self):
         patch = graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6))
         m = gauge.lotus_ccam(patch, math.pi)
@@ -338,6 +348,71 @@ class TestKrylov:
                 vec[v] = a
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.norm(h @ vec - s.eigenvalue * vec) <= 1e-8
+
+
+class TestRouteAgreement:
+    """Projector columns within the dense limit and the sparse 80-bit Krylov
+    expansion beyond it find the same states."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: gauge.chain_ccam((2, 3, 2), 2, math.pi / 6),
+        lambda: gauge.chain_ccam((2,), 6, math.pi),
+        lambda: gauge.lotus_ccam(graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6)),
+                                 math.pi),
+    ], ids=["chain-232x2", "chain-2x6", "dice"])
+    def test_same_spans_dimensions_and_radii(self, build, monkeypatch):
+        m = build()
+        dense = [caging.krylov_cls(m, s) for s in range(m.dimension)]
+        dense_rep = caging.verify_all_cls(m, 10)
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "1")
+
+        def refuse(_m):
+            raise AssertionError("the sparse route must not diagonalize")
+        monkeypatch.setattr(caging, "dense_spectral_data", refuse)
+        sparse = [caging.krylov_cls(m, s) for s in range(m.dimension)]
+        sparse_rep = caging.verify_all_cls(m, 10)
+        for a, b in zip(dense, sparse):
+            assert (a.closed, a.dimension, a.support_radius) == \
+                (b.closed, b.dimension, b.support_radius)
+            pa, pb = (sum(np.outer(s.vector, s.vector.conj()) for s in r.states)
+                      for r in (a, b))
+            assert np.abs(pa - pb).max() <= 1e-8
+            assert max(s.residual for s in a.states + b.states) <= 1e-8
+            assert max(a.defect, b.defect) <= 1e-8
+        assert [(r.krylov_dim, r.closed, r.support_radius) for r in dense_rep.records] == \
+            [(r.krylov_dim, r.closed, r.support_radius) for r in sparse_rep.records]
+        assert (dense_rep.span_rank, dense_rep.covered, dense_rep.radius_ok) == \
+            (sparse_rep.span_rank, sparse_rep.covered, sparse_rep.radius_ok) == \
+            (m.dimension, True, True)
+
+
+class TestClsRefusals:
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one(self, cap):
+        m = gauge.chain_ccam((2,), 3, math.pi)
+        with pytest.raises(InvalidParameterError, match="cap"):
+            caging.krylov_cls(m, 0, cap=cap)
+        with pytest.raises(InvalidParameterError, match="cap"):
+            caging.verify_all_cls(m, 4, cap=cap)
+
+    def test_negative_radius_bound(self):
+        with pytest.raises(InvalidParameterError, match="radius bound"):
+            caging.verify_all_cls(gauge.chain_ccam((2,), 3, math.pi), -1)
+
+    @pytest.mark.parametrize("seed", [-1, 13])
+    def test_seed_out_of_range(self, seed):
+        m = gauge.chain_ccam((2,), 3, math.pi)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            caging.verify_all_cls(m, 4, seeds=[0, seed])
+
+    def test_negative_power_count(self):
+        m = gauge.canonical_ccam((2,), math.pi)
+        with pytest.raises(InvalidParameterError, match="power count"):
+            caging.crossing_amplitudes(m, -2)
+        with pytest.raises(InvalidParameterError, match="power count"):
+            caging.crossing_amplitude_polynomials(m, -1, 8)
+        assert caging.crossing_amplitudes(m, 0).shape == (0,)
+        assert caging.crossing_amplitude_polynomials(m, 0, 8).shape == (0, 8)
 
 
 class TestLocalCaging:
@@ -375,11 +450,24 @@ class TestVerifyAllCls:
                 cells = {graphs.chain_cell_of_vertex(m.graph, v) for v in s.amplitudes}
                 assert all(abs(c - seed_cell) <= 1 for c in cells)
 
-    def test_dispersive_flux_reports_violations(self):
+    def test_dispersive_flux_reports_violations(self, capsys):
+        # 117 sites but only 63 distinct eigenvalues, so no Krylov space
+        # reaches 64 and the violation at cap 64 is the support radius.
         m = gauge.chain_ccam((2, 3, 2), 4, 1.0)
         rep = caging.verify_all_cls(m, 10, cap=64)
+        assert not rep.radius_ok and rep.cap_exceeded == ()
+        assert cli.main(["cls", "--x", "2,3,2", "--phi", "1.0", "--cells", "4",
+                         "--radius-bound", "10", "--cap", "64"]) == 2
+        assert "verification failed" in capsys.readouterr().err
+        # At cap 32 the seeds over the cap are those whose projection reaches
+        # more than 32 clusters of eigenvalues (gaps of at most 1e-6 merge).
+        evals, evecs = np.linalg.eigh(gauge.dense_matrix(m))
+        starts = np.flatnonzero(np.r_[True, np.diff(evals) > 1e-6])
+        weight = np.sqrt(np.add.reduceat(np.abs(evecs) ** 2, starts, axis=1))
+        over = np.flatnonzero((weight > caging.KRYLOV_NOVELTY_TOL).sum(axis=1) > 32)
+        rep = caging.verify_all_cls(m, 10, cap=32)
         assert not rep.covered
-        assert len(rep.cap_exceeded) > 0
+        assert rep.cap_exceeded == tuple(over.tolist()) and len(over) > 0
 
     def test_report_json_shape(self):
         import json

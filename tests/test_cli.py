@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +187,52 @@ class TestClsCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["summary"]["covered"] is True
+
+
+    @pytest.mark.parametrize("spec", ["first,6", "first,six,2,3", "first,6,2,3,4", "first"])
+    def test_malformed_lotus_is_bad_input(self, spec, capsys):
+        code, out, err = run(capsys, "cls", "--lotus", spec, "--phi", "pi")
+        assert code == 1 and out == ""
+        assert err == f"error: cannot parse lotus {spec!r}; expected kind,sides,p,q\n"
+
+    @pytest.mark.parametrize("flag,value", [("--cap", "0"), ("--cap", "-3"),
+                                            ("--radius-bound", "-1")])
+    def test_bad_cap_or_bound_is_bad_input(self, flag, value, capsys):
+        code, out, err = run(capsys, "cls", "--x", "2", "--phi", "pi", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+    def test_negative_kmax_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "caging", "--x", "2", "--phi", "pi", "--kmax", "-2")
+        assert code == 1 and out == ""
+        assert err == "error: power count must be non-negative, got -2\n"
+
+
+GOLDEN_CLS = json.loads((Path(__file__).parent / "data" / "readme_cls_golden.json").read_text())
+
+
+class TestReadmeClsReports:
+    """The README's two ``caged cls`` reports against a recording made with the
+    80-bit Krylov route: the summary, and per seed its support radius and its
+    eigenvalues as indices into the distinct levels (a seed's krylov_dim is
+    the length of that list).  The levels reproduce every recorded
+    eigenvalue within 4e-15."""
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_CLS))
+    def test_matches_recording(self, command, capsys):
+        want = GOLDEN_CLS[command]
+        code, out, err = run(capsys, *command.split())
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["summary"] == want["summary"]
+        assert [s["seed"] for s in report["states"]] == list(range(len(want["seeds"])))
+        levels = np.array(want["levels"])
+        for state, (spectrum, radius) in zip(report["states"], want["seeds"]):
+            expected = levels[want["spectra"][spectrum]]
+            assert state["krylov_dim"] == len(state["eigenvalues"]) == len(expected)
+            assert state["support_radius"] == radius
+            assert np.abs(np.array(state["eigenvalues"]) - expected).max() <= 1e-12
+            assert state["residual"] <= 1e-8
 
 
 class TestOtherCommands:
