@@ -7,6 +7,13 @@ cell along each momentum direction; the Hermitian conjugate is added the
 same way, and repeated (row, col) pairs accumulate.  One broadcast and one
 scatter-add build the matrices of a whole momentum list at once.
 
+Every cell is bipartite (the glued trees keep their level parity across the
+root-to-root chain, and the rhombus tilings have only 4-cycle faces), and a
+model refuses a cell that cannot be 2-coloured.  With the sublattices A and
+B, H(k) = [[0, T(k)], [T(k)^H, 0]], so its spectrum is +-sigma(T(k)) plus
+||B| - |A|| exact zeros: a sweep stacks only the |A| x |B| blocks T(k) and
+takes their singular values.
+
 The chain keeps one copy of the tree per unit cell, identifying the last
 root of each cell with the first root of the next, so its cell is the
 canonically gauged tree (``gauge.canonical_ccam`` at unit flux, the gauge
@@ -20,15 +27,37 @@ pointwise in k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import gauge
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceLimitError
 
 TWO_PI = 2.0 * math.pi
+
+# Largest (points, |A|*|B|) complex block a sweep may stack; its other arrays
+# (per-edge phases, energies) are of the same order.  The README figures need
+# at most 1,024 points, under 1 MiB.
+SWEEP_BLOCK_LIMIT_BYTES = 256 * 2**20
+
+
+def _two_colouring(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sublattice (0 or 1) of each of ``n`` vertices, level by level from the
+    lowest uncoloured vertex of each component; refuses an odd cycle."""
+    heads, tails = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    colour = np.full(n, -1, dtype=np.int64)
+    while (colour < 0).any():
+        colour[np.argmax(colour < 0)] = 0
+        while True:
+            frontier = (colour[heads] >= 0) & (colour[tails] < 0)
+            if not frontier.any():
+                break
+            colour[tails[frontier]] = 1 - colour[heads[frontier]]
+    if (colour[rows] == colour[cols]).any():
+        raise InvalidParameterError("the cell graph is not bipartite")
+    return colour
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +66,10 @@ class BlochModel:
 
     Edge e contributes exp(i*(flux_factors[e]*phi + windings[e].k)) at
     (rows[e], cols[e]) and its conjugate at (cols[e], rows[e]); ``windings``
-    has one column per momentum direction.
+    has one column per momentum direction.  ``sublattices`` (A, B) are the
+    vertex ids of the two colour classes, found once at construction; each
+    edge also keeps its slot in the flattened |A| x |B| block and its phase
+    factors negated where it runs from B to A, so enters the block conjugated.
     """
 
     bands: int
@@ -46,24 +78,55 @@ class BlochModel:
     flux_factors: np.ndarray
     windings: np.ndarray
     default_flux: float
+    sublattices: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _block_edges: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        colour = _two_colouring(self.bands, self.rows, self.cols)
+        a, b = np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)
+        pos = np.empty(self.bands, dtype=np.int64)
+        pos[a], pos[b] = np.arange(len(a)), np.arange(len(b))
+        # An edge from B to A enters T(k) conjugated: ends swapped, phase negated.
+        flip = colour[self.rows] == 1
+        sign = np.where(flip, -1, 1)
+        u, v = pos[self.rows], pos[self.cols]
+        object.__setattr__(self, "sublattices", (a, b))
+        object.__setattr__(self, "_block_edges", (
+            sign * self.flux_factors, sign[:, None] * self.windings,
+            np.where(flip, v * len(b) + u, u * len(b) + v)))
 
     @property
     def dimensionality(self) -> int:
         return self.windings.shape[1]
 
-    def stack(self, momenta, phi: float | None = None) -> np.ndarray:
-        """The matrices at each row of ``momenta`` (K, dimensionality), as (K, n, n)."""
-        phi = self.default_flux if phi is None else phi
+    def _momenta(self, momenta) -> np.ndarray:
         ks = np.asarray(momenta, dtype=float)
         if ks.ndim != 2 or ks.shape[1] != self.dimensionality:
             raise InvalidParameterError(
                 f"{self.dimensionality} momentum component(s) required, got shape {ks.shape}")
+        return ks
+
+    def stack(self, momenta, phi: float | None = None) -> np.ndarray:
+        """The matrices at each row of ``momenta`` (K, dimensionality), as (K, n, n)."""
+        phi = self.default_flux if phi is None else phi
+        ks = self._momenta(momenta)
         w = np.exp(1j * (phi * self.flux_factors + ks @ self.windings.T))
         n = self.bands
         out = np.zeros((len(ks), n * n), dtype=complex)
         slots = np.concatenate([self.rows * n + self.cols, self.cols * n + self.rows])
         np.add.at(out, (slice(None), slots), np.concatenate([w, w.conj()], axis=1))
         return out.reshape(-1, n, n)
+
+    def hopping_blocks(self, momenta, phi: float | None = None) -> np.ndarray:
+        """The blocks T(k) = <A|H(k, phi)|B> at each row of ``momenta``, as (K, |A|, |B|)."""
+        phi = self.default_flux if phi is None else phi
+        ks = self._momenta(momenta)
+        factors, windings, slots = self._block_edges
+        w = np.exp(1j * (phi * factors + ks @ windings.T))
+        a, b = (len(s) for s in self.sublattices)
+        out = np.zeros((len(ks), a * b), dtype=complex)
+        np.add.at(out, (slice(None), slots), w)
+        return out.reshape(-1, a, b)
 
     def matrix(self, k, phi: float | None = None) -> np.ndarray:
         return self.stack(np.reshape(k, (1, -1)), phi)[0]
@@ -141,9 +204,23 @@ def momentum_grid(dimensionality: int, grid: int) -> np.ndarray:
 
 
 def band_sweep(model: BlochModel, phi: float | None, grid: int) -> BandSweep:
-    """Diagonalize on a uniform momentum grid over [0, 2*pi) per direction."""
+    """Energies on a uniform momentum grid over [0, 2*pi) per direction.
+
+    The singular values s_1 >= ... >= s_m of each block T(k), m = min(|A|,
+    |B|), give the row (-s_1, ..., -s_m, 0, ..., 0, s_m, ..., s_1) with
+    n - 2m zeros: ascending, and exactly symmetric about zero.  Refuses,
+    before the grid is built, when the block would exceed
+    ``SWEEP_BLOCK_LIMIT_BYTES``.
+    """
+    a, b = (len(s) for s in model.sublattices)
+    points = max(grid, 0) ** model.dimensionality
+    if points * a * b * 16 > SWEEP_BLOCK_LIMIT_BYTES:
+        raise ResourceLimitError(f"{points} momenta x {a} x {b} complex block exceeds "
+                                 f"{SWEEP_BLOCK_LIMIT_BYTES / 2**20:g} MiB")
     pts = momentum_grid(model.dimensionality, grid)
-    energies = np.linalg.eigvalsh(model.stack(pts, phi))
+    sigma = np.linalg.svd(model.hopping_blocks(pts, phi), compute_uv=False)
+    zeros = np.zeros((len(pts), model.bands - 2 * sigma.shape[1]))
+    energies = np.hstack([-sigma, zeros, sigma[:, ::-1]])
     width = float(np.max(energies.max(axis=0) - energies.min(axis=0)))
     return BandSweep(momenta=pts, energies=energies, total_bandwidth=width)
 

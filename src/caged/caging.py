@@ -540,12 +540,13 @@ def verify_all_cls(m: gauge.Ccam, radius_bound: int, *, seeds: Sequence[int] | N
                    cap: int = DEFAULT_KRYLOV_CAP, rank_tol: float = 1e-8) -> CagingReport:
     """Extract compact states from every seed and check that they span.
 
-    Within the dense limit one pass over the clusters writes every seed's
-    projector columns (see ``krylov_cls``) straight into the stacked state
-    matrix; beyond it each seed runs the sparse Krylov expansion.  The rank
-    of that matrix deduplicates the states (pairwise matching is ill-posed
-    inside degenerate flat bands).  Seeds over ``cap`` are reported: the
-    matrix is not caging at this flux, or the cap is too small.
+    Within the dense limit one pass over the clusters reads every seed's
+    projector columns (see ``krylov_cls``) and the singular values of all of
+    them together; beyond it each seed runs the sparse Krylov expansion and
+    its states are stacked as rows for one SVD.  The rank of the states
+    deduplicates them (pairwise matching is ill-posed inside degenerate flat
+    bands).  Seeds over ``cap`` are reported: the matrix is not caging at
+    this flux, or the cap is too small.
     """
     if cap < 1 or radius_bound < 0:
         raise InvalidParameterError(f"cap {cap} must be >= 1 and radius bound {radius_bound} >= 0")
@@ -553,7 +554,7 @@ def verify_all_cls(m: gauge.Ccam, radius_bound: int, *, seeds: Sequence[int] | N
     if any(not 0 <= s < m.dimension for s in seed_list):
         raise InvalidParameterError(f"seeds must lie in 0..{m.dimension - 1}")
     if m.dimension <= gauge.dense_limit():
-        records, stack = _projector_cover(m, seed_list, cap)
+        records, svals = _projector_cover(m, seed_list, cap)
     else:
         results = [krylov_cls(m, seed, cap=cap) for seed in seed_list]
         records = [SeedRecord(seed=r.seed, krylov_dim=r.dimension, closed=r.closed,
@@ -561,8 +562,8 @@ def verify_all_cls(m: gauge.Ccam, radius_bound: int, *, seeds: Sequence[int] | N
                               residual=max((s.residual for s in r.states), default=0.0))
                    for r in results]
         stack = np.array([s.vector for r in results for s in r.states]).reshape(-1, m.dimension)
-    svals = np.linalg.svd(stack, compute_uv=False) if len(stack) else np.zeros(1)
-    rank = int(np.sum(svals > rank_tol * max(1.0, float(svals[0]))))
+        svals = np.linalg.svd(stack, compute_uv=False) if len(stack) else np.zeros(0)
+    rank = int(np.sum(svals > rank_tol * max(1.0, float(svals.max(initial=0.0)))))
     cap_exceeded = tuple(r.seed for r in records if not r.closed)
     return CagingReport(
         dimension=m.dimension,
@@ -576,33 +577,39 @@ def verify_all_cls(m: gauge.Ccam, radius_bound: int, *, seeds: Sequence[int] | N
 
 
 def _projector_cover(m: gauge.Ccam, seeds: list[int], cap: int):
-    """Seed records, and the states of the seeds within ``cap`` as rows, seed
-    by seed with eigenvalues ascending: the projector columns of ``krylov_cls``
-    written in one pass over the clusters."""
+    """Seed records, and the singular values of the states of the seeds
+    within ``cap``: the projector columns of ``krylov_cls``, read one cluster
+    at a time.
+
+    Cluster c's states are V_c C_c, with C_c = V_c[hits, :]^H scaled to unit
+    columns.  States of different clusters are orthogonal and V_c has
+    orthonormal columns, so the singular values of all the states together
+    are those of the small blocks C_c together, and no (states x dimension)
+    stack is formed.
+    """
     clusters, h = dense_spectral_data(m), gauge.dense_matrix(m)
     reach = np.array([np.linalg.norm(basis[seeds], axis=1) > KRYLOV_NOVELTY_TOL
                       for _, basis in clusters], dtype=bool).reshape(len(clusters), len(seeds))
     dims = reach.sum(axis=0)
     reach &= dims <= cap
-    counts = reach.sum(axis=0)
-    ends = np.cumsum(counts)
-    rows = ends - counts + np.cumsum(reach, axis=0) - 1  # stack row of (cluster, seed)
-    stack = np.empty((int(counts.sum()), m.dimension), dtype=complex)
-    values, resid = np.empty(len(stack)), np.empty(len(stack))
+    support = np.zeros((len(seeds), m.dimension), dtype=bool)
+    resid = np.zeros(len(seeds))
+    svals = [np.zeros(0)]
     for c, (value, basis) in enumerate(clusters):
         hits = np.flatnonzero(reach[c])
-        block = basis @ basis[[seeds[j] for j in hits]].conj().T
-        block /= np.linalg.norm(block, axis=0)
-        stack[rows[c, hits]] = block.T
-        values[rows[c, hits]] = value
-        resid[rows[c, hits]] = np.linalg.norm(h @ block - value * block, axis=0)
-    records = []
-    for j, seed in enumerate(seeds):
-        at = slice(ends[j] - counts[j], ends[j])
-        support = (np.abs(stack[at]) > SUPPORT_EPS).any(axis=0)
-        radius = int(np.asarray(m.distances(seed))[support].max()) if counts[j] else 0
-        records.append(SeedRecord(
-            seed=seed, krylov_dim=int(min(dims[j], cap)), closed=bool(dims[j] <= cap),
-            eigenvalues=tuple(values[at].tolist()), support_radius=radius,
-            residual=float(resid[at].max(initial=0.0))))
-    return records, stack
+        if not hits.size:
+            continue
+        coeffs = basis[[seeds[j] for j in hits]].conj().T
+        block = basis @ coeffs
+        norms = np.linalg.norm(block, axis=0)
+        block /= norms
+        svals.append(np.linalg.svd(coeffs / norms, compute_uv=False))
+        support[hits] |= (np.abs(block) > SUPPORT_EPS).T
+        resid[hits] = np.maximum(resid[hits], np.linalg.norm(h @ block - value * block, axis=0))
+    values = np.array([value for value, _ in clusters])
+    records = [SeedRecord(
+        seed=seed, krylov_dim=int(min(dims[j], cap)), closed=bool(dims[j] <= cap),
+        eigenvalues=tuple(values[reach[:, j]].tolist()),
+        support_radius=int(np.asarray(m.distances(seed))[support[j]].max(initial=0)),
+        residual=float(resid[j])) for j, seed in enumerate(seeds)]
+    return records, np.concatenate(svals)

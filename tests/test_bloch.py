@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caged import bloch, gauge, graphs
-from caged.errors import InvalidParameterError
+from caged import bloch, cli, gauge, graphs
+from caged.errors import InvalidParameterError, ResourceLimitError
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,6 +197,97 @@ class TestBlochModelArrays:
         grid = bloch.momentum_grid(2, 3)
         line = [TWO_PI * i / 3 for i in range(3)]
         assert grid.tolist() == [[kx, ky] for kx in line for ky in line]
+
+
+class TestSublattices:
+    def cell(self, rows, cols):
+        return bloch.BlochModel(bands=3, rows=np.array(rows), cols=np.array(cols),
+                                flux_factors=np.zeros(len(rows)),
+                                windings=np.zeros((len(rows), 1), dtype=np.int64),
+                                default_flux=0.0)
+
+    def test_self_loop_refused(self):
+        with pytest.raises(InvalidParameterError):
+            self.cell([0, 1], [1, 1])
+
+    def test_triangle_refused(self):
+        with pytest.raises(InvalidParameterError):
+            self.cell([0, 0, 1], [1, 2, 2])
+
+    def test_every_chain_to_product_64_splits(self):
+        count = 0
+        for m in range(2, 65):
+            for xs in graphs.ordered_factorizations(m)[1]:
+                model = bloch.chain_bloch(xs, 0.0)
+                a, b = model.sublattices
+                side = np.zeros(model.bands, dtype=int)
+                side[b] = 1
+                assert len(a) + len(b) == model.bands
+                assert (side[model.rows] != side[model.cols]).all()
+                count += 1
+        assert count == 440
+        assert [len(s) for s in bloch.chain_bloch((2,) * 6, 0.0).sublattices] == [105, 84]
+
+    def test_star_lattice_splits(self):
+        a, b = bloch.second_kind_44_bloch(0.7).sublattices
+        assert a.tolist() == [0, 2] and b.tolist() == [1, 3, 4, 5]
+
+    def test_hopping_blocks_are_the_off_diagonal_blocks(self):
+        model = bloch.second_kind_44_bloch(0.7)
+        ks = bloch.momentum_grid(2, 3)
+        a, b = model.sublattices
+        full = model.stack(ks, 0.7)
+        assert np.array_equal(model.hopping_blocks(ks, 0.7), full[:, a][:, :, b])
+        assert not full[:, a][:, :, a].any() and not full[:, b][:, :, b].any()
+
+
+class TestChiralRoute:
+    """``band_sweep`` reads the energies from singular values of the hopping
+    block; the full-matrix ``eigvalsh`` is the reference."""
+
+    @staticmethod
+    def deviation(model, phi, grid):
+        sweep = bloch.band_sweep(model, phi, grid)
+        want = np.linalg.eigvalsh(model.stack(sweep.momenta, phi))
+        return float(np.max(np.abs(sweep.energies - want)))
+
+    def test_232_flat_values_and_midpoints(self):
+        model = bloch.chain_bloch((2, 3, 2), 0.0)
+        fv = gauge.flat_values((2, 3, 2))
+        for phi in list(fv.values) + list(fv.midpoints()):
+            assert self.deviation(model, phi, 101) < 1e-12
+
+    @pytest.mark.parametrize("xs", [(6,), (2, 3)])
+    @pytest.mark.parametrize("phi", [0.3, 2.0])
+    def test_small_chains(self, xs, phi):
+        assert self.deviation(bloch.chain_bloch(xs, phi), phi, 101) < 1e-12
+
+    @pytest.mark.parametrize("phi", [0.7, math.pi / 2, math.pi])
+    def test_star_lattice_grid(self, phi):
+        assert self.deviation(bloch.second_kind_44_bloch(phi), phi, 24) < 1e-12
+
+    def test_exact_zeros_and_mirror_symmetry(self):
+        energies = bloch.band_sweep(bloch.chain_bloch((2, 3, 2), 0.7), 0.7, 101).energies
+        assert ((energies == 0.0).sum(axis=1) == 3).all()
+        assert ((energies + energies[:, ::-1]) == 0.0).all()
+        assert (np.diff(energies, axis=1) >= 0).all()
+
+
+class TestSweepLimit:
+    def test_refused_before_the_grid_is_built(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("momentum grid built")
+
+        monkeypatch.setattr(bloch, "SWEEP_BLOCK_LIMIT_BYTES", 4096)
+        monkeypatch.setattr(bloch, "momentum_grid", no_grid)
+        with pytest.raises(ResourceLimitError):
+            bloch.band_sweep(bloch.second_kind_44_bloch(math.pi), math.pi, 64)
+
+    def test_cli_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(bloch, "SWEEP_BLOCK_LIMIT_BYTES", 4096)
+        code = cli.main(["bands", "--model", "lotus44", "--phi", "pi", "--grid", "64"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and "MiB" in captured.err
 
 
 class TestStarLatticeBloch:

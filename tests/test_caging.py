@@ -386,6 +386,32 @@ class TestRouteAgreement:
             (m.dimension, True, True)
 
 
+class TestPerClusterRank:
+    """The dense cover ranks its states by the singular values of each
+    cluster's coefficient block; stacking every state of every seed as a row
+    and taking one SVD gives the same values."""
+
+    @pytest.mark.parametrize("xs, cells, phi, rank", [
+        ((2, 3, 2), 4, math.pi / 6, 117),
+        ((2, 3, 2), 4, 1.0, 117),
+        ((2,), 6, math.pi, 19),
+    ])
+    def test_union_matches_stacked_svd(self, xs, cells, phi, rank):
+        m = gauge.chain_ccam(xs, cells, phi)
+        seeds = list(range(m.dimension))
+        _, union = caging._projector_cover(m, seeds, caging.DEFAULT_KRYLOV_CAP)
+        spectral = caging.dense_spectral_data(m)
+        stack = np.array([s.vector for seed in seeds
+                          for s in caging.krylov_cls(m, seed, spectral=spectral).states])
+        stacked = np.linalg.svd(stack, compute_uv=False)
+        union = np.sort(union)[::-1]
+        both = min(len(union), len(stacked))
+        assert np.abs(union[:both] - stacked[:both]).max() <= 1e-12
+        assert max(union[both:].max(initial=0.0), stacked[both:].max(initial=0.0)) <= 1e-12
+        assert caging.verify_all_cls(m, 100).span_rank == rank
+        assert int(np.sum(stacked > 1e-8 * max(1.0, stacked[0]))) == rank
+
+
 class TestClsRefusals:
     @pytest.mark.parametrize("cap", [0, -3])
     def test_cap_below_one(self, cap):
