@@ -38,8 +38,9 @@ from .errors import InvalidParameterError, ResourceLimitError
 TWO_PI = 2.0 * math.pi
 
 # Largest (points, |A|*|B|) complex block a sweep may stack; its other arrays
-# (per-edge phases, energies) are of the same order.  The README figures need
-# at most 1,024 points, under 1 MiB.
+# (per-edge phases, energies) are of the same order.  It also bounds the
+# energies of every flux that ``dos_map`` holds at once.  The README figures
+# need at most 1,024 points, under 1 MiB.
 SWEEP_BLOCK_LIMIT_BYTES = 256 * 2**20
 
 
@@ -243,10 +244,17 @@ def dos_map(model: BlochModel, phi_grid: Sequence[float], k_grid: int,
     """Histogram of eigenvalues per flux over a momentum grid.
 
     Bin edges are shared across fluxes (computed from the global energy
-    range) so columns are comparable.
+    range) so columns are comparable.  Every flux's energies are held until
+    those edges are known, so it refuses, before the first sweep, when they
+    would exceed ``SWEEP_BLOCK_LIMIT_BYTES`` together.
     """
     if len(phi_grid) == 0 or energy_bins < 1:
         raise InvalidParameterError("need at least one flux and one bin")
+    points = max(k_grid, 0) ** model.dimensionality
+    if len(phi_grid) * points * model.bands * 8 > SWEEP_BLOCK_LIMIT_BYTES:
+        raise ResourceLimitError(f"{len(phi_grid)} fluxes x {points} momenta x {model.bands} "
+                                 f"bands of energies exceed "
+                                 f"{SWEEP_BLOCK_LIMIT_BYTES / 2**20:g} MiB")
     sweeps = [band_sweep(model, phi, k_grid) for phi in phi_grid]
     lo = min(float(s.energies.min()) for s in sweeps)
     hi = max(float(s.energies.max()) for s in sweeps)

@@ -228,26 +228,21 @@ class PhasedOperator:
         return out
 
 
-@lru_cache(maxsize=graphs.LAYOUT_CACHE_SIZE)
+@lru_cache(maxsize=graphs.GROWTH_CACHE_SIZE)
 def _canonical_template(xs: tuple[int, ...]):
     """The flux-free part of ``canonical_ccam``: the tree, its sorted edges,
     and per edge the factors of its phase f * (phi/4) * a * p, where a =
     x_j - 1, p = x_1...x_{j-1} and f = +-(1 - 2(b-1)/(x_j-1)) for branch b,
     negative when the edge runs to the lower label.  Multiplied in that
     order they reproduce ``branch_angle`` bit for bit."""
-    lay = graphs.grow_layout(xs)
-    perm = np.array(graphs.bfs_permutation(xs))
-    u, v, level, branch = map(np.array, list(zip(*lay.tagged_edges))[:4])
-    pu, pv = perm[u], perm[v]
-    x = np.array(xs)[level - 1]
-    f = np.where(pu < pv, 1.0, -1.0) * (1.0 - 2.0 * (branch - 1) / np.maximum(x - 1, 1))
-    p = np.cumprod(np.array((1,) + xs[:-1]))[level - 1]
-    lo, hi = np.minimum(pu, pv), np.maximum(pu, pv)
-    order = np.argsort(lo * lay.num_vertices + hi)
-    arrays = (lo[order], hi[order], f[order], (x - 1.0)[order], p[order] * 1.0)
-    for arr in arrays:
+    g = graphs.growth(xs)
+    x = np.array(xs)[g.level - 1]
+    f = np.where(g.forward, 1.0, -1.0) * (1.0 - 2.0 * (g.branch - 1) / np.maximum(x - 1, 1))
+    p = np.cumprod(np.array((1,) + xs[:-1]))[g.level - 1]
+    factors = (f, x - 1.0, p * 1.0)
+    for arr in factors:
         arr.flags.writeable = False  # shared by every Ccam of this sequence
-    return (graphs.grow_tree(xs, _allow_trailing_one=True),) + arrays
+    return (graphs.grow_tree(xs, _allow_trailing_one=True), g.rows, g.cols) + factors
 
 
 def canonical_ccam(x: Sequence[int], phi: float, *, _allow_trailing_one: bool = False) -> Ccam:
@@ -415,43 +410,17 @@ def flat_values(x: Sequence[int]) -> FlatSet:
 
 
 def format_ccam(m: Ccam) -> str:
-    lines = [f"ccam {m.dimension} {m.flux:.17g}"]
-    lines += [f"e {u} {v} {t:.17g}" for (u, v, t) in m.entries]
-    if m.graph is not None:
-        lines += ["face " + " ".join(str(v) for v in cyc) for cyc in m.graph.plaquettes]
-    if m.first_vertex is not None:
-        lines.append(f"root first {m.first_vertex}")
-    if m.last_vertex is not None:
-        lines.append(f"root last {m.last_vertex}")
-    return "\n".join(lines) + "\n"
+    faces = m.graph.plaquettes if m.graph is not None else ()
+    return graphs.format_text(f"ccam {m.dimension} {m.flux:.17g}",
+                              (f"e {u} {v} {t:.17g}" for (u, v, t) in m.entries),
+                              faces, m.first_vertex, m.last_vertex)
 
 
 def parse_ccam(text: str) -> Ccam:
-    dim = None
-    flux = 0.0
-    entries: list[tuple[int, int, float]] = []
-    faces: list[tuple[int, ...]] = []
-    roots: dict[str, int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "ccam":
-            dim, flux = (graphs.text_fields(line, int, float) if len(parts) > 2
-                         else graphs.text_fields(line, int) + [0.0])
-        elif parts[0] == "e":
-            u, v, t = graphs.text_fields(line, int, int, float)
-            entries.append((u, v, t) if u < v else (v, u, -t))
-        elif parts[0] == "face":
-            faces.append(tuple(graphs.text_fields(line, *[int] * (len(parts) - 1))))
-        elif parts[0] == "root":
-            kind, v = graphs.parse_root(line)
-            roots[kind] = v
-        else:
-            raise InvalidParameterError(f"unrecognized line {line!r}")
-    if dim is None:
-        raise InvalidParameterError("missing 'ccam <n> <flux>' header")
+    header, edges, faces, roots = graphs.parse_text(text, "ccam <n> <flux>", (int, int, float))
+    dim, flux = (graphs.text_fields(header, int, float) if len(header.split()) > 2
+                 else graphs.text_fields(header, int) + [0.0])
+    entries = [(u, v, t) if u < v else (v, u, -t) for (u, v, t) in edges]
     first, last = roots.get("first"), roots.get("last")
     m = Ccam.from_entries(dim, entries, first_vertex=first, last_vertex=last, flux=flux)
     if not faces:

@@ -14,11 +14,12 @@ construction order, so identical inputs always produce identical graphs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import InvalidParameterError
 
@@ -26,7 +27,7 @@ Edge = tuple[int, int]
 
 # Entries in each per-sequence cache: more than the 440 sequences with
 # product <= 64, so a sweep over that family rebuilds nothing.
-LAYOUT_CACHE_SIZE = 512
+GROWTH_CACHE_SIZE = 512
 
 
 def check_growth_sequence(x: Sequence[int], *, allow_trailing_one: bool = False) -> tuple[int, ...]:
@@ -88,118 +89,104 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# Growth layout: the recursive construction, before breadth-first relabeling.
+# Growth: the level-by-level construction, relabeled breadth-first.
 # ---------------------------------------------------------------------------
 
-# Tagged edge: (u, v, level, branch, side) where side is "f" for a coupling of
-# a fresh first root into a copy and "l" for a coupling of a copy into a fresh
-# last root.  Branches are 1-based.  u < v is NOT guaranteed here; u is the
-# vertex on the root side of the coupling.
-TaggedEdge = tuple[int, int, int, int, str]
+
+@dataclass(frozen=True, eq=False)
+class Growth:
+    """The glued tree grown by a sequence, as read-only arrays.
+
+    ``perm`` maps each growth id to its breadth-first id; growth ids put the
+    first root first, then the x_d copies of the depth d-1 tree one after
+    another, each in its own growth order, and the last root last.  Edge k
+    joins breadth-first ids ``rows[k] < cols[k]``, sorted by (row, col); it
+    couples a fresh root of level ``level[k]`` to copy ``branch[k]``
+    (1-based), and ``forward[k]`` is true when that root side is the row.
+    The faces are ``face_vertices`` cut into runs of ``face_lengths``, in
+    growth order: at each level the big faces between adjacent copies, then
+    each copy's own faces.  The first root is 0 and the last root is the
+    last id.
+    """
+
+    perm: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    level: np.ndarray
+    branch: np.ndarray
+    forward: np.ndarray
+    face_vertices: np.ndarray
+    face_lengths: np.ndarray
 
 
-@dataclass(frozen=True)
-class GrowthLayout:
-    x: tuple[int, ...]
-    num_vertices: int
-    tagged_edges: tuple[TaggedEdge, ...]
-    first: int
-    last: int
-    plaquettes: tuple[tuple[int, ...], ...]
-    left_path: tuple[int, ...]
-    right_path: tuple[int, ...]
+@lru_cache(maxsize=GROWTH_CACHE_SIZE)
+def growth(x: tuple[int, ...]) -> Growth:
+    """The tree grown by ``x``, built once per sequence and shared.
 
-
-def _shrub_layout(p: int) -> GrowthLayout:
-    edges = []
-    for j in range(1, p + 1):
-        edges.append((0, j, 1, j, "f"))
-        edges.append((j, p + 1, 1, j, "l"))
-    plaq = tuple((0, j, p + 1, j + 1) for j in range(1, p))
-    return GrowthLayout(
-        x=(p,),
-        num_vertices=p + 2,
-        tagged_edges=tuple(edges),
-        first=0,
-        last=p + 1,
-        plaquettes=plaq,
-        left_path=(0, 1, p + 1) if p >= 1 else (0, p + 1),
-        right_path=(0, p, p + 1) if p >= 1 else (0, p + 1),
-    )
-
-
-@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def grow_layout(x: tuple[int, ...]) -> GrowthLayout:
-    """Recursive layout of the tree grown by ``x``, in construction order.
-
-    Index 0 is the outermost first root, the x_d copies of the depth d-1
-    layout follow contiguously, and the outermost last root comes last.  The
-    big faces between adjacent copies at each level are recorded alongside
-    each copy's own faces.
+    Level i tiles x_i copies of the level i-1 arrays at their copy offsets
+    (level 1 tiles single vertices) between a fresh pair of roots, and closes
+    a big face between adjacent copies along their boundary paths.  The
+    breadth-first ids are tiled with them: a copy's vertex at distance d from
+    the copy's first root is at distance d + 1 from the fresh first root, so
+    it takes an id after every vertex closer, after the vertices at its
+    distance in earlier copies, and in its copy's own order.  That is the
+    order of a breadth-first search from the first root that visits
+    neighbours by growth id.
     """
     xs = check_growth_sequence(x, allow_trailing_one=True)
-    if len(xs) == 1:
-        return _shrub_layout(xs[0])
-    sub = grow_layout(xs[:-1])
-    xi = xs[-1]
-    level = len(xs)
-    n = sub.num_vertices
-    offsets = [1 + j * n for j in range(xi)]
-    last = 1 + xi * n
+    n = 1
+    u = v = level = branch = faces = lengths = np.zeros(0, dtype=np.int64)
+    left = right = perm = dist = np.zeros(1, dtype=np.int64)  # boundary paths, ids, distances
+    for lev, xi in enumerate(xs, start=1):
+        copy = np.arange(xi)
+        shift = (1 + n * copy)[:, None]  # growth id of each copy's first root
+        last = 1 + xi * n
+        u = np.concatenate([0 * copy, shift[:, 0] + n - 1, (u + shift).ravel()])
+        v = np.concatenate([shift[:, 0], 0 * copy + last, (v + shift).ravel()])
+        level = np.concatenate([np.full(2 * xi, lev)] + [level] * xi)
+        branch = np.concatenate([copy + 1, copy + 1] + [branch] * xi)
+        # the face between copies 0 and 1; copy j's face shifts its copy vertices by j * n
+        big = np.concatenate([[0], right + 1, [last], left[::-1] + 1 + n])
+        big = big + n * copy[:-1, None] * ((big != 0) & (big != last))
+        faces = np.concatenate([big.ravel(), (faces + shift).ravel()])
+        lengths = np.concatenate([np.full(xi - 1, big.shape[1])] + [lengths] * xi)
+        left = np.concatenate([[0], left + 1, [last]])
+        right = np.concatenate([[0], right + 1 + n * (xi - 1), [last]])
+        count = np.bincount(dist)
+        start = (np.cumsum(count) - count)[dist]  # first id at each vertex's distance
+        ids = 1 + xi * start + (perm - start) + count[dist] * copy[:, None]
+        perm = np.concatenate([[0], ids.ravel(), [last]])
+        dist = np.concatenate([[0]] + [dist + 1] * xi + [[dist[-1] + 2]])
+        n = last + 1
 
-    edges: list[TaggedEdge] = []
-    for j, off in enumerate(offsets):
-        edges.append((0, off + sub.first, level, j + 1, "f"))
-        edges.append((off + sub.last, last, level, j + 1, "l"))
-    for off in offsets:
-        for (u, v, lev, br, side) in sub.tagged_edges:
-            edges.append((u + off, v + off, lev, br, side))
+    pu, pv = perm[u], perm[v]
+    rows, cols = np.minimum(pu, pv), np.maximum(pu, pv)
+    order = np.argsort(rows * n + cols)
+    arrays = (perm, rows[order], cols[order], level[order], branch[order], (pu < pv)[order],
+              perm[faces], lengths)
+    for arr in arrays:
+        arr.flags.writeable = False  # shared by every caller of this sequence
+    return Growth(*arrays)
 
-    plaquettes: list[tuple[int, ...]] = []
-    for j in range(xi - 1):
-        right = tuple(v + offsets[j] for v in sub.right_path)
-        left = tuple(v + offsets[j + 1] for v in reversed(sub.left_path))
-        plaquettes.append((0,) + right + (last,) + left)
-    for off in offsets:
-        for cyc in sub.plaquettes:
-            plaquettes.append(tuple(v + off for v in cyc))
 
-    return GrowthLayout(
-        x=xs,
-        num_vertices=2 + xi * n,
-        tagged_edges=tuple(edges),
-        first=0,
-        last=last,
-        plaquettes=tuple(plaquettes),
-        left_path=(0,) + tuple(v + offsets[0] for v in sub.left_path) + (last,),
-        right_path=(0,) + tuple(v + offsets[-1] for v in sub.right_path) + (last,),
+def _tiled_tree(xs: tuple[int, ...], cells: int,
+                cell_bounds: tuple[int, ...] | None = None) -> Graph:
+    """``cells`` copies of the tree grown by ``xs``, copy c shifted by c times
+    (tree size - 1): each copy's first root is the previous copy's last root,
+    and the tiled edges stay sorted."""
+    g = growth(xs)
+    stride = len(g.perm) - 1
+    offsets = stride * np.arange(cells)[:, None]
+    faces = (g.face_vertices + offsets).ravel().tolist()
+    ends = np.cumsum(np.tile(g.face_lengths, cells)).tolist()  # each face is faces[start:end]
+    return Graph(
+        num_vertices=cells * stride + 1,
+        edges=tuple(zip((g.rows + offsets).ravel().tolist(), (g.cols + offsets).ravel().tolist())),
+        plaquettes=tuple(map(tuple, map(faces.__getitem__, map(slice, [0] + ends[:-1], ends)))),
+        first_vertex=0,
+        last_vertex=cells * stride,
+        cell_bounds=cell_bounds,
     )
-
-
-@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def bfs_permutation(x: tuple[int, ...]) -> tuple[int, ...]:
-    """perm[growth_id] = breadth-first id, exploring from the first root."""
-    layout = grow_layout(x)
-    nbrs: list[list[int]] = [[] for _ in range(layout.num_vertices)]
-    for (u, v, *_tag) in layout.tagged_edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    for lst in nbrs:
-        lst.sort()
-    perm = [-1] * layout.num_vertices
-    perm[layout.first] = 0
-    queue = deque([layout.first])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in nbrs[u]:
-            if perm[w] < 0:
-                perm[w] = count
-                count += 1
-                queue.append(w)
-    if count != layout.num_vertices:
-        raise AssertionError("growth layout is not connected")
-    return tuple(perm)
 
 
 def shrub(p: int) -> Graph:
@@ -211,20 +198,7 @@ def shrub(p: int) -> Graph:
 
 def grow_tree(x: Sequence[int], *, _allow_trailing_one: bool = False) -> Graph:
     """The glued tree grown by ``x``, breadth-first relabeled from the first root."""
-    xs = check_growth_sequence(x, allow_trailing_one=_allow_trailing_one)
-    lay = grow_layout(xs)
-    perm = bfs_permutation(xs)
-    edges = tuple(sorted(
-        (min(perm[u], perm[v]), max(perm[u], perm[v])) for (u, v, *_t) in lay.tagged_edges
-    ))
-    plaq = tuple(tuple(perm[v] for v in cyc) for cyc in lay.plaquettes)
-    return Graph(
-        num_vertices=lay.num_vertices,
-        edges=edges,
-        plaquettes=plaq,
-        first_vertex=perm[lay.first],
-        last_vertex=perm[lay.last],
-    )
+    return _tiled_tree(check_growth_sequence(x, allow_trailing_one=_allow_trailing_one), 1)
 
 
 def tree_vertex_count(x: Sequence[int]) -> int:
@@ -307,24 +281,8 @@ def chain_graph(x: Sequence[int], cells: int) -> Graph:
     xs = check_growth_sequence(x)
     if cells < 1:
         raise InvalidParameterError(f"cells must be >= 1, got {cells}")
-    t = grow_tree(xs)
-    if t.last_vertex != t.num_vertices - 1:
-        raise AssertionError("breadth-first relabeling must place the last root last")
-    stride = t.num_vertices - 1
-    edges = []
-    plaquettes = []
-    for c in range(cells):
-        off = c * stride
-        edges.extend((u + off, v + off) for (u, v) in t.edges)
-        plaquettes.extend(tuple(w + off for w in cyc) for cyc in t.plaquettes)
-    return Graph(
-        num_vertices=cells * stride + 1,
-        edges=tuple(sorted(edges)),
-        plaquettes=tuple(plaquettes),
-        first_vertex=0,
-        last_vertex=cells * stride,
-        cell_bounds=tuple(c * stride for c in range(cells + 1)),
-    )
+    stride = tree_vertex_count(xs) - 1
+    return _tiled_tree(xs, cells, cell_bounds=tuple(range(0, cells * stride + 1, stride)))
 
 
 def chain_cell_of_vertex(g: Graph, v: int) -> int:
@@ -332,7 +290,7 @@ def chain_cell_of_vertex(g: Graph, v: int) -> int:
     if g.cell_bounds is None:
         raise InvalidParameterError("graph does not carry chain cell marks")
     stride = g.cell_bounds[1] - g.cell_bounds[0]
-    return min(v // stride, len(g.cell_bounds) - 2) if v > 0 else 0
+    return max(v - 1, 0) // stride
 
 
 # ---------------------------------------------------------------------------
@@ -675,14 +633,13 @@ def ordered_factorization_counts(limit: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def format_graph(g: Graph) -> str:
-    lines = [f"graph {g.num_vertices}"]
-    lines += [f"e {u} {v}" for (u, v) in g.edges]
-    lines += ["face " + " ".join(str(v) for v in cyc) for cyc in g.plaquettes]
-    if g.first_vertex is not None:
-        lines.append(f"root first {g.first_vertex}")
-    if g.last_vertex is not None:
-        lines.append(f"root last {g.last_vertex}")
+def format_text(header: str, edge_lines: Iterable[str], faces: Iterable[Sequence[int]],
+                first: int | None, last: int | None) -> str:
+    """A text graph: the header line, the edge lines, then a ``face`` line per
+    face and a ``root`` line per root that is set."""
+    lines = [header, *edge_lines]
+    lines += ["face " + " ".join(map(str, cyc)) for cyc in faces]
+    lines += [f"root {kind} {v}" for kind, v in (("first", first), ("last", last)) if v is not None]
     return "\n".join(lines) + "\n"
 
 
@@ -698,17 +655,17 @@ def text_fields(line: str, *types) -> list:
         raise InvalidParameterError(f"bad field in line {line!r}") from None
 
 
-def parse_root(line: str) -> tuple[str, int]:
-    """The kind (``first`` or ``last``) and vertex of a ``root`` line."""
-    kind, v = text_fields(line, str, int)
-    if kind not in ("first", "last"):
-        raise InvalidParameterError(f"unknown root kind {kind!r}")
-    return kind, v
+def parse_text(text: str, usage: str, edge_types: Sequence[type]):
+    """The header line, the fields of each edge line (converted by
+    ``edge_types``), the faces and the roots by kind of a text graph.
 
-
-def parse_graph(text: str) -> Graph:
-    num = None
-    edges: list[Edge] = []
+    Blank lines and ``#`` comments are skipped.  The header keyword is the
+    first word of ``usage``; refuses a missing header, an unrecognized line,
+    a malformed field or a root kind other than ``first`` or ``last``.
+    """
+    keyword = usage.split()[0]
+    header = None
+    edges: list[list] = []
     faces: list[tuple[int, ...]] = []
     roots: dict[str, int] = {}
     for raw in text.splitlines():
@@ -716,23 +673,36 @@ def parse_graph(text: str) -> Graph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "graph":
-            num, = text_fields(line, int)
+        if parts[0] == keyword:
+            header = line
         elif parts[0] == "e":
-            u, v = text_fields(line, int, int)
-            edges.append((min(u, v), max(u, v)))
+            edges.append(text_fields(line, *edge_types))
         elif parts[0] == "face":
             faces.append(tuple(text_fields(line, *[int] * (len(parts) - 1))))
         elif parts[0] == "root":
-            kind, v = parse_root(line)
+            kind, v = text_fields(line, str, int)
+            if kind not in ("first", "last"):
+                raise InvalidParameterError(f"unknown root kind {kind!r}")
             roots[kind] = v
         else:
             raise InvalidParameterError(f"unrecognized line {line!r}")
-    if num is None:
-        raise InvalidParameterError("missing 'graph <n>' header")
+    if header is None:
+        raise InvalidParameterError(f"missing '{usage}' header")
+    return header, edges, faces, roots
+
+
+def format_graph(g: Graph) -> str:
+    return format_text(f"graph {g.num_vertices}", (f"e {u} {v}" for (u, v) in g.edges),
+                       g.plaquettes, g.first_vertex, g.last_vertex)
+
+
+def parse_graph(text: str) -> Graph:
+    """Read the text graph format; refuses a repeated edge, in either orientation."""
+    header, edges, faces, roots = parse_text(text, "graph <n>", (int, int))
+    num, = text_fields(header, int)
     return Graph(
         num_vertices=num,
-        edges=tuple(sorted(set(edges))),
+        edges=tuple(sorted((min(u, v), max(u, v)) for (u, v) in edges)),
         plaquettes=tuple(faces),
         first_vertex=roots.get("first"),
         last_vertex=roots.get("last"),

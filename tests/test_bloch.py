@@ -39,8 +39,8 @@ def reference_chain_matrix(xs, k, phi):
 def reference_block_order(xs):
     """Breadth-first id of the tree vertex at each row of the reference
     chain matrix."""
-    full = graphs.bfs_permutation(xs)
-    sub = graphs.bfs_permutation(xs[:-1]) if len(xs) > 1 else (0,)
+    full = graphs.growth(xs).perm.tolist()
+    sub = graphs.growth(xs[:-1]).perm.tolist() if len(xs) > 1 else [0]
     n = len(sub)
     order = [0] * (1 + xs[-1] * n)
     for j in range(xs[-1]):
@@ -363,6 +363,23 @@ class TestDosMap:
         model = bloch.chain_bloch((2,), 0.0)
         dos = bloch.dos_map(model, [math.pi], 64, 101)
         assert len(dos.occupied_bins(0)) == 3
+
+    def test_refused_before_the_first_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("band swept")
+
+        # each 64-point sweep of the rhombic chain stacks a 2 KiB block; eight
+        # fluxes of three bands hold 12 KiB of energies
+        monkeypatch.setattr(bloch, "SWEEP_BLOCK_LIMIT_BYTES", 4096)
+        monkeypatch.setattr(bloch, "band_sweep", no_sweep)
+        with pytest.raises(ResourceLimitError):
+            bloch.dos_map(bloch.chain_bloch((2,), 0.0), [0.1 * i for i in range(8)], 64, 11)
+
+    def test_cli_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(bloch, "SWEEP_BLOCK_LIMIT_BYTES", 4096)
+        code = cli.main(["dos", "--x", "2", "--phi-grid", "8", "--k-grid", "64", "--bins", "11"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and "MiB" in captured.err
 
 
 class TestCharpolyIndependence:

@@ -26,13 +26,12 @@ def edge_arrays(entries):
 
 def reference_canonical_entries(xs, phi):
     """The per-edge builder that the cached template replaces."""
-    lay = graphs.grow_layout(xs)
-    perm = graphs.bfs_permutation(xs)
+    g = graphs.growth(xs)
+    edges = zip(*(arr.tolist() for arr in (g.rows, g.cols, g.level, g.branch, g.forward)))
     entries = []
-    for (u, v, lev, br, _side) in lay.tagged_edges:
+    for (u, v, lev, br, forward) in edges:
         a = gauge.branch_angle(xs, lev, br, phi)
-        pu, pv = perm[u], perm[v]
-        entries.append((pu, pv, a) if pu < pv else (pv, pu, -a))
+        entries.append((u, v, a if forward else -a))
     return sorted(entries)
 
 

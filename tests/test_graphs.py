@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,24 @@ def kron_growth(xs):
         m[1:-1, 1:-1] = np.kron(np.eye(x), y)
         y = m
     return y
+
+
+def reference_breadth_first_ids(g):
+    """Breadth-first ids by a queue from the first root that visits
+    neighbours by growth id, over the growth-order edges."""
+    growth_id = np.argsort(g.perm)
+    nbrs = [[] for _ in growth_id]
+    for a, b in zip(growth_id[g.rows].tolist(), growth_id[g.cols].tolist()):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    ids = {0: 0}
+    queue = deque([0])
+    while queue:
+        for w in sorted(nbrs[queue.popleft()]):
+            if w not in ids:
+                ids[w] = len(ids)
+                queue.append(w)
+    return [ids[w] for w in range(len(nbrs))]
 
 
 class TestShrub:
@@ -99,11 +118,18 @@ class TestGrowTree:
 
     @pytest.mark.parametrize("xs", [(2,), (3,), (2, 2), (2, 3), (3, 2), (2, 3, 2), (1, 2), (2, 1, 2)])
     def test_matches_partitioned_matrix_recurrence(self, xs):
-        lay = graphs.grow_layout(xs)
-        a = np.zeros((lay.num_vertices, lay.num_vertices))
-        for (u, v, *_t) in lay.tagged_edges:
-            a[u, v] = a[v, u] = 1.0
+        g = graphs.growth(xs)
+        growth_id = np.argsort(g.perm)
+        u, v = growth_id[g.rows], growth_id[g.cols]
+        a = np.zeros((len(g.perm), len(g.perm)))
+        a[u, v] = a[v, u] = 1.0
         assert np.array_equal(a, kron_growth(xs))
+
+    @given(growth_sequences | st.sampled_from([(2,) * 6, (1, 3, 1, 2), (3, 1, 1, 2)]))
+    @settings(max_examples=40, deadline=None)
+    def test_breadth_first_ids_match_a_queue(self, xs):
+        g = graphs.growth(xs)
+        assert g.perm.tolist() == reference_breadth_first_ids(g)
 
     @given(growth_sequences)
     @settings(max_examples=40, deadline=None)
@@ -186,6 +212,11 @@ class TestChainGraph:
         deg = c.degrees()
         for b in c.cell_bounds[1:-1]:
             assert deg[b] == 4
+
+    def test_shared_roots_belong_to_the_lower_cell(self):
+        c = graphs.chain_graph((2,), 3)
+        cells = [graphs.chain_cell_of_vertex(c, v) for v in range(c.num_vertices)]
+        assert cells == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
 
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
@@ -323,6 +354,10 @@ class TestGraphFile:
     def test_bad_header(self):
         with pytest.raises(InvalidParameterError):
             graphs.parse_graph("e 0 1\n")
+
+    def test_repeated_edge_refused(self):
+        with pytest.raises(InvalidParameterError, match="duplicate"):
+            graphs.parse_graph("graph 3\ne 0 1\ne 1 0\ne 1 2\n")
 
     @pytest.mark.parametrize("text", [
         "graph x\ne 0 1\n",  # non-integer vertex count
