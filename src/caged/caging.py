@@ -73,6 +73,9 @@ def crossing_amplitudes(m: gauge.Ccam, m_max: int, *, source: int | None = None,
 # A run holds about three such states: the doubled-row buffer (two), the next
 # power (one) and one chunk of gathered rows (at most a quarter).
 POLY_STATE_LIMIT_BYTES = 64 * 2**20
+# A chunk of gathered rows may take this many bytes even when that is more
+# than a quarter state, so a small run gathers each power in one chunk.
+POLY_CHUNK_MIN_BYTES = 2**18
 
 
 def is_caged(x: Sequence[int], z: int) -> bool:
@@ -121,6 +124,22 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
     for every vertex, the source row and window of each incoming edge, padded
     with an all-zero row; one power is then a gather and a sum per chunk of
     rows, in the same exact int64 additions as an edge-by-edge update.
+
+    Power k computes only the rows of its light cone: the rows an exact
+    k-step walk reaches from the source that lie within m_max - k steps of
+    the target (``distances(target)``).  Every other row is exactly zero or
+    never reaches the target in the powers left.  A cone row w has
+    dist(w, t) <= m_max - k, so each neighbour of w lies within
+    m_max - (k - 1) steps: it is in the previous cone or exactly zero, and
+    each computed row is the same sum as in the full run.  For the same
+    reason a boolean frontier pushed along the edges from the previous cone,
+    then cut to the distance budget, is the next cone.  The chunks write the
+    cone rows, packed, into one state; they are then copied into both halves
+    of the doubled buffer, and the rows the previous power wrote but this one
+    does not are zeroed.  The working set is still at most three states: the
+    doubled buffer, the packed state and one chunk of gathered rows.  The
+    overflow guard sees the computed rows only, so a run is refused only when
+    a row that can still reach the target passes 2^60.
     """
     if m_max < 0:
         raise InvalidParameterError(f"power count must be non-negative, got {m_max}")
@@ -151,22 +170,38 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
     offset = np.zeros((dim, width), dtype=np.intp)
     offset[heads, slot] = windows
 
+    # Row w can still reach the target at powers k <= budget[w].
+    to_target = np.asarray(m.distances(tgt))
+    budget = np.where(to_target < dim, m_max - to_target, -1)
+
     buf = np.zeros((dim + 1, 2 * n), dtype=np.int64)
     buf[src, [0, n]] = 1
     win = np.lib.stride_tricks.sliding_window_view(buf, n, axis=1)
+    halves = buf.reshape(dim + 1, 2, n)
     state = np.empty((dim, n), dtype=np.int64)
-    step = max(1, dim // (4 * width))  # each gather holds at most a quarter state
+    step = max(1, dim // (4 * width), POLY_CHUNK_MIN_BYTES // (width * n * 8))
     out = np.zeros((m_max, n), dtype=np.int64)
-    for k in range(m_max):
-        for lo in range(0, dim, step):
-            rows = slice(lo, lo + step)
-            win[table[rows], offset[rows]].sum(axis=1, out=state[rows])
-        if int(max(state.max(), -state.min())) > 2**60:
+    in_cone = np.zeros(dim, dtype=bool)
+    in_cone[src] = True
+    live = np.array([src])
+    for k in range(1, m_max + 1):
+        reached = np.zeros(dim, dtype=bool)
+        reached[tails[in_cone[heads]]] = True
+        in_cone = reached & (budget >= k)
+        stale, live = live, np.flatnonzero(in_cone)
+        if not live.size:
+            break  # no later power reaches the target either
+        for lo in range(0, live.size, step):
+            rows = live[lo:lo + step]
+            win[table[rows], offset[rows]].sum(axis=1, out=state[lo:lo + rows.size])
+        cone = state[:live.size]
+        if int(max(cone.max(), -cone.min())) > 2**60:
             raise InvalidParameterError(
                 "coefficients overflow 64-bit integers; reduce the power count")
-        buf[:dim, :n] = state
-        buf[:dim, n:] = state
-        out[k] = state[tgt]
+        halves[stale[~in_cone[stale]]] = 0
+        halves[live] = cone[:, None, :]
+        if in_cone[tgt]:
+            out[k - 1] = cone[np.searchsorted(live, tgt)]
     return out
 
 

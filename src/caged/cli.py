@@ -24,7 +24,11 @@ _PI_LITERAL = re.compile(r"^(-?)(\d+)?pi(?:/(\d+))?$")
 
 
 def parse_phi(text: str) -> float:
-    """Parse a flux angle: plain decimal or exact 'pi', '2pi/3', '-pi/6' literals."""
+    """Parse a flux angle: plain decimal or exact 'pi', '2pi/3', '-pi/6' literals.
+
+    Refuses an angle that is not finite (nan, inf, or a literal past the
+    float range such as 1e400).
+    """
     s = text.strip().replace(" ", "")
     m = _PI_LITERAL.match(s)
     if m:
@@ -33,11 +37,15 @@ def parse_phi(text: str) -> float:
         den = float(m.group(3)) if m.group(3) else 1.0
         if den == 0:
             raise InvalidParameterError("zero denominator in flux literal")
-        return sign * num * math.pi / den
-    try:
-        return float(s)
-    except ValueError:
-        raise InvalidParameterError(f"cannot parse flux {text!r}") from None
+        phi = sign * num * math.pi / den
+    else:
+        try:
+            phi = float(s)
+        except ValueError:
+            raise InvalidParameterError(f"cannot parse flux {text!r}") from None
+    if not math.isfinite(phi):
+        raise InvalidParameterError(f"flux {text!r} is not a finite angle")
+    return phi
 
 
 def parse_sequence(text: str) -> tuple[int, ...]:

@@ -104,7 +104,8 @@ class Ccam:
     exp(i*phases[k]).  The edges are unique and sorted by (row, col).  The
     three arrays are read-only, because canonical trees share their index
     arrays through a per-sequence cache; ``entries`` views them as
-    (u, v, theta) tuples.
+    (u, v, theta) tuples.  ``with_phases`` rephases a matrix: it keeps the
+    validated index arrays, graph and roots, and checks only the new phases.
     """
 
     dimension: int
@@ -142,6 +143,17 @@ class Ccam:
         table.sort(order=("u", "v"))
         return cls(dimension=dimension, rows=table["u"], cols=table["v"], phases=table["t"],
                    **fields)
+
+    def with_phases(self, phases, flux: float) -> Ccam:
+        """The same edges, graph and roots with new ``phases`` and nominal
+        ``flux``; the read-only index arrays are shared, not checked again."""
+        phases = _frozen(phases, float)
+        if phases.shape != self.rows.shape:
+            raise InvalidParameterError(
+                f"phases of shape {phases.shape} for {self.rows.shape} edges")
+        rephased = object.__new__(Ccam)
+        rephased.__dict__.update(self.__dict__, phases=phases, flux=flux)
+        return rephased
 
     @property
     def entries(self) -> tuple[tuple[int, int, float], ...]:
@@ -230,8 +242,8 @@ class PhasedOperator:
 
 @lru_cache(maxsize=graphs.GROWTH_CACHE_SIZE)
 def _canonical_template(xs: tuple[int, ...]):
-    """The flux-free part of ``canonical_ccam``: the tree, its sorted edges,
-    and per edge the factors of its phase f * (phi/4) * a * p, where a =
+    """The flux-free part of ``canonical_ccam``: the tree at zero flux, and
+    per edge the factors of its phase f * (phi/4) * a * p, where a =
     x_j - 1, p = x_1...x_{j-1} and f = +-(1 - 2(b-1)/(x_j-1)) for branch b,
     negative when the edge runs to the lower label.  Multiplied in that
     order they reproduce ``branch_angle`` bit for bit."""
@@ -242,7 +254,11 @@ def _canonical_template(xs: tuple[int, ...]):
     factors = (f, x - 1.0, p * 1.0)
     for arr in factors:
         arr.flags.writeable = False  # shared by every Ccam of this sequence
-    return (graphs.grow_tree(xs, _allow_trailing_one=True), g.rows, g.cols) + factors
+    tree = graphs.grow_tree(xs, _allow_trailing_one=True)
+    zero = Ccam(dimension=tree.num_vertices, rows=g.rows, cols=g.cols,
+                phases=np.zeros(len(g.rows)), first_vertex=tree.first_vertex,
+                last_vertex=tree.last_vertex, graph=tree)
+    return (zero,) + factors
 
 
 def canonical_ccam(x: Sequence[int], phi: float, *, _allow_trailing_one: bool = False) -> Ccam:
@@ -252,10 +268,8 @@ def canonical_ccam(x: Sequence[int], phi: float, *, _allow_trailing_one: bool = 
     the canonical level phases, which winds exactly ``phi`` around every face.
     """
     xs = graphs.check_growth_sequence(x, allow_trailing_one=_allow_trailing_one)
-    g, rows, cols, f, a, p = _canonical_template(xs)
-    return Ccam(dimension=g.num_vertices, rows=rows, cols=cols,
-                phases=f * (0.25 * phi * a * p), first_vertex=g.first_vertex,
-                last_vertex=g.last_vertex, flux=phi, graph=g)
+    zero, f, a, p = _canonical_template(xs)
+    return zero.with_phases(f * (0.25 * phi * a * p), phi)
 
 
 def chain_ccam(x: Sequence[int], cells: int, phi: float) -> Ccam:
@@ -307,7 +321,7 @@ def ccam_with_plaquette_fluxes(g: graphs.Graph, fluxes: Sequence[float], *,
     theta, *_ = np.linalg.lstsq(incidence, want, rcond=None)
     if len(fluxes) and np.max(np.abs(incidence @ theta - want)) > 1e-9:
         raise InvalidParameterError("face flux prescription is inconsistent")
-    return replace(m, phases=theta)
+    return m.with_phases(theta, flux)
 
 
 def lotus_ccam(patch: graphs.Graph, phi: float) -> Ccam:
@@ -365,7 +379,8 @@ def gauge_transform(m: Ccam, w: int, gamma: float) -> Ccam:
     if not (0 <= w < m.dimension):
         raise InvalidParameterError(f"vertex {w} out of range")
     t = m.phases
-    return replace(m, phases=np.where(m.cols == w, t + gamma, np.where(m.rows == w, t - gamma, t)))
+    return m.with_phases(np.where(m.cols == w, t + gamma, np.where(m.rows == w, t - gamma, t)),
+                         m.flux)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +396,10 @@ class FlatSet:
     values: tuple[float, ...]
 
     def index(self, angle: float, tol: float = 1e-9) -> int | None:
-        """The z in 1..M with angle = 2*pi*z/M (mod 2*pi) within ``tol``, else None."""
+        """The z in 1..M with angle = 2*pi*z/M (mod 2*pi) within ``tol``, else
+        None; refuses an angle that is not finite."""
+        if not math.isfinite(angle):
+            raise InvalidParameterError(f"flux {angle} is not a finite angle")
         step = TWO_PI / self.denominator
         z = round(angle / step)
         return (z - 1) % self.denominator + 1 if abs(angle - z * step) < tol else None

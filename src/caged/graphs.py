@@ -14,6 +14,7 @@ construction order, so identical inputs always produce identical graphs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -68,13 +69,22 @@ class Graph:
     plaquette_signs: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        seen = set()
-        for (u, v) in self.edges:
-            if not (0 <= u < v < self.num_vertices):
-                raise InvalidParameterError(f"bad edge ({u}, {v}) for {self.num_vertices} vertices")
-            if (u, v) in seen:
-                raise InvalidParameterError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+        """Refuses the first edge, in edge order, that is out of range or
+        repeats an earlier edge."""
+        uv = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64,
+                         count=2 * len(self.edges)).reshape(-1, 2)
+        u, v = uv.T
+        bad = np.flatnonzero((u < 0) | (u >= v) | (v >= self.num_vertices))
+        # Stably sorted by (u, v), every edge but the first of each run repeats one.
+        order = np.lexsort((v, u))
+        again = order[1:][(uv[order[1:]] == uv[order[:-1]]).all(axis=1)]
+        first = min(bad[:1].tolist() + again.tolist(), default=None)
+        if first is None:
+            return
+        (a, b) = self.edges[first]
+        if bad.size and bad[0] == first:
+            raise InvalidParameterError(f"bad edge ({a}, {b}) for {self.num_vertices} vertices")
+        raise InvalidParameterError(f"duplicate edge ({a}, {b})")
 
     @property
     def num_edges(self) -> int:

@@ -117,6 +117,48 @@ class TestExactCrossing:
         got = caging.crossing_amplitude_polynomials(m, 9, 8, source=source, target=target)
         assert np.array_equal(got, reference_polynomials(m, 9, 8, source, target))
 
+    @pytest.mark.parametrize("xs, source, target", [
+        ((2, 3, 2), 5, 17),  # neither end is a root
+        ((2, 3, 2), 29, 3),  # from the last root back into the tree
+        ((3, 2), 7, 7),  # returns to an inner vertex
+    ])
+    def test_kernel_matches_reference_between_inner_vertices(self, xs, source, target):
+        n = 4 * math.prod(xs)
+        m = gauge.canonical_ccam(xs, TWO_PI * 4 / n)
+        kmax = 4 * len(xs)
+        got = caging.crossing_amplitude_polynomials(m, kmax, n, source=source, target=target)
+        assert np.array_equal(got, reference_polynomials(m, kmax, n, source, target))
+
+    def test_target_beyond_the_power_count(self):
+        # The roots of (2,)*4 are 8 steps apart: every power up to 7 reads zero.
+        m = gauge.canonical_ccam((2,) * 4, TWO_PI / 16)
+        got = caging.crossing_amplitude_polynomials(m, 7, 64)
+        assert got.shape == (7, 64) and not got.any()
+        assert np.array_equal(got, reference_polynomials(m, 7, 64, 0, m.dimension - 1))
+
+    @pytest.mark.parametrize("source, target", [(0, 7), (0, 5), (7, 0), (0, 0)])
+    def test_odd_cycle_reached_late(self, source, target):
+        # A path 0-1-2-3-4 into the triangle 4-5-6, with the pendant 7 at 6:
+        # walks change parity only after the triangle, four steps out.
+        edges = [(0, 1, 1), (1, 2, 3), (2, 3, 0), (3, 4, 5), (4, 5, 2), (5, 6, 7),
+                 (4, 6, 1), (6, 7, 4)]
+        m = gauge.parse_ccam(ccam_text(8, 8, edges))
+        got = caging.crossing_amplitude_polynomials(m, 14, 8, source=source, target=target)
+        assert np.array_equal(got, reference_polynomials(m, 14, 8, source, target))
+
+    def test_overflow_outside_the_light_cone_is_not_computed(self):
+        # K_9 on 0..8 with the path 8-9-10-11-12 to the target.  Walks from 0
+        # pass 2^60 on the clique from power 22 on, but by then the clique is
+        # more than 24 - 22 steps from the target; the target's own values fit.
+        clique = [(u, v, 0.0) for u in range(9) for v in range(u + 1, 9)]
+        path = [(v, v + 1, 0.0) for v in range(8, 12)]
+        m = gauge.Ccam.from_entries(13, clique + path)
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            caging.crossing_amplitude_polynomials(m, 24, 1, source=0, target=1)
+        got = caging.crossing_amplitude_polynomials(m, 24, 1, source=0, target=12)
+        want = reference_polynomials(m, 24, 1, 0, 12)
+        assert np.array_equal(got, want) and 0 < want.max() < 2**60
+
     def test_vertex_out_of_range_refused(self):
         m = gauge.canonical_ccam((2,), math.pi)
         with pytest.raises(InvalidParameterError):

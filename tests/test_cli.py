@@ -31,6 +31,27 @@ class TestPhiParsing:
         with pytest.raises(InvalidParameterError):
             cli.parse_phi("pie")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "-1e400",
+                                      pytest.param("1" + "0" * 400 + "pi", id="huge-pi")])
+    def test_rejects_non_finite(self, text):
+        with pytest.raises(InvalidParameterError, match="not a finite angle"):
+            cli.parse_phi(text)
+
+    @pytest.mark.parametrize("argv", [
+        ("caging", "--x", "2,3", "--phi", "nan"),
+        ("verify", "--x", "2,3", "--phi", "nan"),
+        ("caging", "--x", "2,3", "--phi", "inf"),
+        ("caging", "--x", "2,3", "--phi", "1e400"),
+        ("verify", "--x", "2,3", "--phi", "inf"),
+        ("verify", "--x", "2,3", "--phi=-1e400"),
+        ("spectrum", "--x", "2,3", "--phi", "nan", "--method", "oracle"),
+    ])
+    def test_non_finite_flux_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: flux '") and line.endswith("' is not a finite angle")
+
 
 class TestSpectrumCommand:
     def test_theorem_matches_oracle(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -248,6 +249,11 @@ class TestFlatValues:
         assert not fv.contains(math.pi / 12)
         assert fv.index(math.pi / 12) is None
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_refused(self, angle):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            gauge.flat_values((2, 3)).index(angle)
+
     def test_full_turn_index(self):
         fv = gauge.flat_values((2, 3, 2))
         assert fv.index(0.0) == fv.index(TWO_PI) == fv.index(1e-12) == 12
@@ -358,6 +364,72 @@ class TestCcamArrays:
         assert m.entries == ((0, 1, -0.25), (1, 2, 0.5))
         with pytest.raises(InvalidParameterError):
             gauge.Ccam.from_entries(3, [(1, 0, 0.5)])
+
+
+def same_ccam(a, b):
+    """Every field equal, with phases compared bit for bit (sign bits included)."""
+    return (a.dimension == b.dimension and a.first_vertex == b.first_vertex
+            and a.last_vertex == b.last_vertex and a.flux == b.flux and a.graph == b.graph
+            and all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("rows", "cols", "_keys"))
+            and a.phases.dtype == b.phases.dtype and a.phases.tobytes() == b.phases.tobytes()
+            and not a.phases.flags.writeable)
+
+
+class TestWithPhases:
+    def test_index_arrays_graph_and_roots_shared(self):
+        m = gauge.canonical_ccam((2, 3), 0.7)
+        r = m.with_phases(np.arange(len(m.rows)), 0.25)
+        assert all(getattr(r, k) is getattr(m, k) for k in ("rows", "cols", "_keys", "graph"))
+        assert (r.dimension, r.first_vertex, r.last_vertex) == (m.dimension, 0, m.dimension - 1)
+        assert r.flux == 0.25 and r.phases.dtype == float
+        assert np.array_equal(r.phases, np.arange(len(m.rows)))
+
+    @pytest.mark.parametrize("phases", [np.zeros(3), np.zeros((2, 10)), 0.5])
+    def test_wrong_shape_refused(self, phases):
+        m = gauge.canonical_ccam((2,), 0.7)
+        with pytest.raises(InvalidParameterError, match="shape"):
+            m.with_phases(phases, 0.7)
+
+    def test_phases_read_only_and_copied(self):
+        m = gauge.canonical_ccam((2,), 0.7)
+        theta = np.array([0.1, 0.2, 0.3, 0.4])
+        r = m.with_phases(theta, 0.7)
+        theta[0] = 9.0
+        assert r.phases[0] == 0.1
+        with pytest.raises(ValueError):
+            r.phases[0] = 5.0
+
+    @pytest.mark.parametrize("xs", [(2,), (3,), (2, 3), (3, 2, 2), (2, 1, 3)])
+    @pytest.mark.parametrize("phi", [0.0, -0.0, 0.7, -1.3, "flat"])
+    def test_canonical_equals_full_constructor(self, xs, phi):
+        phi = TWO_PI / math.prod(xs) if phi == "flat" else phi
+        m = gauge.canonical_ccam(xs, phi, _allow_trailing_one=True)
+        _zero, f, a, p = gauge._canonical_template(xs)
+        full = gauge.Ccam(dimension=m.dimension, rows=m.rows.copy(), cols=m.cols.copy(),
+                          phases=f * (0.25 * phi * a * p), first_vertex=m.first_vertex,
+                          last_vertex=m.last_vertex, flux=phi, graph=m.graph)
+        assert same_ccam(m, full)
+        if phi == 0.0:  # the phases are zeros of both signs
+            assert np.signbit(m.phases).any() and not np.signbit(m.phases).all()
+
+    @pytest.mark.parametrize("w, gamma", [(0, 0.4), (3, -0.0), (13, -2.5), (6, 0.0)])
+    def test_gauge_transform_equals_full_constructor(self, w, gamma):
+        m = gauge.canonical_ccam((2, 3), 0.0)  # reversed edges carry -0.0
+        t = m.phases
+        want = dataclasses.replace(
+            m, phases=np.where(m.cols == w, t + gamma, np.where(m.rows == w, t - gamma, t)))
+        assert same_ccam(gauge.gauge_transform(m, w, gamma), want)
+
+    def test_no_index_check_after_the_template(self, monkeypatch):
+        m = gauge.canonical_ccam((2, 2), 0.3)
+
+        def refuse(self):
+            raise AssertionError("index arrays checked again")
+
+        monkeypatch.setattr(gauge.Ccam, "__post_init__", refuse)
+        again = gauge.canonical_ccam((2, 2), 0.9)
+        moved = gauge.gauge_transform(again, 4, 0.2)
+        assert again.rows is m.rows and moved.rows is m.rows
 
 
 class TestCcamFile:

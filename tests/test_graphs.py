@@ -168,6 +168,47 @@ class TestGrowTree:
             graphs.grow_tree((0, 2))
 
 
+def reference_edge_error(num_vertices, edges):
+    """The per-edge loop that the array check replaces: the first message, or None."""
+    seen = set()
+    for (u, v) in edges:
+        if not (0 <= u < v < num_vertices):
+            return f"bad edge ({u}, {v}) for {num_vertices} vertices"
+        if (u, v) in seen:
+            return f"duplicate edge ({u}, {v})"
+        seen.add((u, v))
+    return None
+
+
+def edge_error(num_vertices, edges):
+    try:
+        graphs.Graph(num_vertices=num_vertices, edges=tuple(edges))
+    except InvalidParameterError as exc:
+        return str(exc)
+    return None
+
+
+class TestGraphEdgeCheck:
+    def test_bad_edge_before_a_duplicate(self):
+        edges = ((0, 1), (3, 2), (0, 1), (1, 2))
+        assert edge_error(4, edges) == "bad edge (3, 2) for 4 vertices"
+
+    def test_duplicate_before_a_bad_edge(self):
+        edges = ((0, 1), (1, 2), (0, 1), (2, 9))
+        assert edge_error(4, edges) == "duplicate edge (0, 1)"
+
+    def test_out_of_range_edge_that_aliases_a_valid_one(self):
+        # (0, 7) in 4 vertices would share the key 0*4 + 7 = 1*4 + 3 with (1, 3).
+        assert edge_error(4, ((1, 3), (0, 7))) == "bad edge (0, 7) for 4 vertices"
+        assert edge_error(4, ((0, 7), (1, 3))) == "bad edge (0, 7) for 4 vertices"
+
+    @given(st.integers(1, 6), st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)),
+                                       max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_edge_loop(self, num_vertices, edges):
+        assert edge_error(num_vertices, edges) == reference_edge_error(num_vertices, edges)
+
+
 class TestReplaceEdges:
     def test_single_edge_becomes_bridged_shrub(self):
         g = graphs.Graph(num_vertices=2, edges=((0, 1),))
