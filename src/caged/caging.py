@@ -36,6 +36,21 @@ CLS_RESIDUAL_TOL = 1e-8
 SUPPORT_EPS = 1e-8
 
 
+def _endpoints(m: gauge.Ccam, m_max: int, source: int | None,
+               target: int | None) -> tuple[int, int]:
+    """The source and target of a crossing run, by default the marked roots;
+    refuses a negative power count and an unmarked or out-of-range vertex."""
+    if m_max < 0:
+        raise InvalidParameterError(f"power count must be non-negative, got {m_max}")
+    src = m.first_vertex if source is None else source
+    tgt = m.last_vertex if target is None else target
+    if src is None or tgt is None:
+        raise InvalidParameterError("source and target roots are not marked")
+    if not (0 <= src < m.dimension and 0 <= tgt < m.dimension):
+        raise InvalidParameterError(f"source {src} or target {tgt} out of range")
+    return src, tgt
+
+
 def crossing_amplitudes(m: gauge.Ccam, m_max: int, *, source: int | None = None,
                         target: int | None = None) -> np.ndarray:
     """<target| H^k |source> for k = 1..m_max via repeated sparse products.
@@ -43,12 +58,7 @@ def crossing_amplitudes(m: gauge.Ccam, m_max: int, *, source: int | None = None,
     Defaults to the marked first/last roots; matrices read from external
     files may need the vertices given explicitly.
     """
-    if m_max < 0:
-        raise InvalidParameterError(f"power count must be non-negative, got {m_max}")
-    src = m.first_vertex if source is None else source
-    tgt = m.last_vertex if target is None else target
-    if src is None or tgt is None:
-        raise InvalidParameterError("source and target roots are not marked")
+    src, tgt = _endpoints(m, m_max, source, target)
     op = gauge.PhasedOperator(m, extended=True)  # cancellations grow with ||H||^k
     vec = np.zeros(m.dimension, dtype=np.clongdouble)
     vec[src] = 1.0
@@ -141,15 +151,8 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
     overflow guard sees the computed rows only, so a run is refused only when
     a row that can still reach the target passes 2^60.
     """
-    if m_max < 0:
-        raise InvalidParameterError(f"power count must be non-negative, got {m_max}")
-    src = m.first_vertex if source is None else source
-    tgt = m.last_vertex if target is None else target
-    if src is None or tgt is None:
-        raise InvalidParameterError("source and target roots are not marked")
+    src, tgt = _endpoints(m, m_max, source, target)
     dim = m.dimension
-    if not (0 <= src < dim and 0 <= tgt < dim):
-        raise InvalidParameterError(f"source {src} or target {tgt} out of range")
     n = int(denominator)
     if dim * n * 8 > POLY_STATE_LIMIT_BYTES:
         raise ResourceLimitError(f"polynomial state {dim} x {n} int64 exceeds "
@@ -171,7 +174,7 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
     offset[heads, slot] = windows
 
     # Row w can still reach the target at powers k <= budget[w].
-    to_target = np.asarray(m.distances(tgt))
+    to_target = m.graph.distances(tgt)
     budget = np.where(to_target < dim, m_max - to_target, -1)
 
     buf = np.zeros((dim + 1, 2 * n), dtype=np.int64)
@@ -503,7 +506,7 @@ def _closed_result(m: gauge.Ccam, seed: int, vals: np.ndarray, block: np.ndarray
     resid = np.linalg.norm(image - block * vals, axis=0)
     if defect is None:
         defect = float(np.max(np.linalg.norm(image - block @ (block.conj().T @ image), axis=0)))
-    dist = np.asarray(m.distances(seed))
+    dist = m.graph.distances(seed)
     states = tuple(
         ClsState(vector=v, eigenvalue=float(val), residual=float(r),
                  support_radius=int(dist[np.abs(v) > SUPPORT_EPS].max(initial=0)))
@@ -523,7 +526,7 @@ def local_caging_check(m: gauge.Ccam, vertex: int, tol: float = 1e-10) -> bool:
     vec[vertex] = 1.0
     op = gauge.PhasedOperator(m)
     image = op.apply(op.apply(vec))
-    image[vertex] -= m.degrees()[vertex]
+    image[vertex] -= m.graph.degrees()[vertex]
     return float(np.linalg.norm(image)) < tol
 
 
@@ -650,6 +653,6 @@ def _projector_cover(m: gauge.Ccam, seeds: list[int], cap: int):
     records = [SeedRecord(
         seed=seed, krylov_dim=int(min(dims[j], cap)), closed=bool(dims[j] <= cap),
         eigenvalues=tuple(values[reach[:, j]].tolist()),
-        support_radius=int(np.asarray(m.distances(seed))[support[j]].max(initial=0)),
+        support_radius=int(m.graph.distances(seed)[support[j]].max(initial=0)),
         residual=float(resid[j])) for j, seed in enumerate(seeds)]
     return records, np.concatenate(svals)

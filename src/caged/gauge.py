@@ -11,10 +11,9 @@ every face of a glued tree, each edge's phase a fixed factor times the flux.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -30,8 +29,14 @@ DENSE_LIMIT_ENV = "CAGED_DENSE_LIMIT"
 
 
 def dense_limit() -> int:
+    """The largest dimension of a dense matrix: ``CAGED_DENSE_LIMIT`` if set,
+    which must be a positive integer, else ``DEFAULT_DENSE_LIMIT``."""
     raw = os.environ.get(DENSE_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_DENSE_LIMIT
+    if not raw:
+        return DEFAULT_DENSE_LIMIT
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise InvalidParameterError(f"{DENSE_LIMIT_ENV}={raw!r} is not a positive integer")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -87,109 +92,67 @@ def phase_pairing(v: PhaseVector) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    """A read-only array of ``values``; a writeable input is copied first."""
-    arr = np.asarray(values, dtype=dtype)
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.flags.writeable = False
-    return arr
+_ENTRY = np.dtype([("u", np.int64), ("v", np.int64), ("t", float)])
 
 
 @dataclass(frozen=True, eq=False)
 class Ccam:
     """Hermitian unit-modulus weighted adjacency matrix with a nominal flux.
 
-    Edge k joins ``rows[k] < cols[k]`` with <rows[k]|H|cols[k]> =
-    exp(i*phases[k]).  The edges are unique and sorted by (row, col).  The
-    three arrays are read-only, because canonical trees share their index
-    arrays through a per-sequence cache; ``entries`` views them as
-    (u, v, theta) tuples.  ``with_phases`` rephases a matrix: it keeps the
-    validated index arrays, graph and roots, and checks only the new phases.
+    A graph plus one phase per edge: edge k of ``graph`` joins ``rows[k] <
+    cols[k]`` with <rows[k]|H|cols[k]> = exp(i*phases[k]).  The graph holds
+    the checked edges, faces and roots, and canonical trees share it through
+    a per-sequence cache; the phases are read-only too.  ``entries`` views
+    the matrix as (u, v, theta) tuples.  ``with_phases`` rephases a matrix on
+    the same graph and checks only the new phases.
     """
 
-    dimension: int
-    rows: np.ndarray
-    cols: np.ndarray
+    graph: graphs.Graph
     phases: np.ndarray
-    first_vertex: int | None = None
-    last_vertex: int | None = None
     flux: float = 0.0
-    graph: graphs.Graph | None = None
-    _keys: np.ndarray = field(init=False, repr=False)  # rows * dimension + cols
 
     def __post_init__(self):
-        rows, cols = _frozen(self.rows, np.int64), _frozen(self.cols, np.int64)
-        phases = _frozen(self.phases, float)
-        if rows.ndim != 1 or cols.shape != rows.shape or phases.shape != rows.shape:
+        phases = graphs.read_only(self.phases, float)
+        if phases.shape != self.graph.rows.shape:
             raise InvalidParameterError(
-                f"edge arrays differ in shape: {rows.shape}, {cols.shape}, {phases.shape}")
-        bad = np.flatnonzero((rows < 0) | (rows >= cols) | (cols >= self.dimension))
-        if bad.size:
-            raise InvalidParameterError(f"bad weighted edge ({rows[bad[0]]}, {cols[bad[0]]})")
-        keys = rows * self.dimension + cols
-        bad = np.flatnonzero(keys[1:] <= keys[:-1]) + 1
-        if bad.size:
-            raise InvalidParameterError(
-                f"duplicate or unsorted weighted edge ({rows[bad[0]]}, {cols[bad[0]]})")
-        for name, value in (("rows", rows), ("cols", cols), ("phases", phases), ("_keys", keys)):
-            object.__setattr__(self, name, value)
+                f"phases of shape {phases.shape} for {self.graph.rows.shape} edges")
+        object.__setattr__(self, "phases", phases)
 
     @classmethod
-    def from_entries(cls, dimension: int, entries: Iterable[tuple[int, int, float]],
-                     **fields) -> Ccam:
-        """Build from (u, v, theta) tuples with u < v, in any order."""
-        table = np.array(list(entries), dtype=[("u", np.int64), ("v", np.int64), ("t", float)])
-        table.sort(order=("u", "v"))
-        return cls(dimension=dimension, rows=table["u"], cols=table["v"], phases=table["t"],
-                   **fields)
+    def from_entries(cls, dimension: int, entries: Iterable[tuple[int, int, float]], *,
+                     flux: float = 0.0, **annotations) -> Ccam:
+        """Build from (u, v, theta) tuples with u < v, in any order; the
+        ``annotations`` (faces, roots) go to the graph."""
+        table = np.sort(np.fromiter(entries, dtype=_ENTRY), order=("u", "v"))
+        return cls(graphs.Graph(dimension, table["u"], table["v"], **annotations), table["t"], flux)
 
     def with_phases(self, phases, flux: float) -> Ccam:
-        """The same edges, graph and roots with new ``phases`` and nominal
-        ``flux``; the read-only index arrays are shared, not checked again."""
-        phases = _frozen(phases, float)
-        if phases.shape != self.rows.shape:
-            raise InvalidParameterError(
-                f"phases of shape {phases.shape} for {self.rows.shape} edges")
-        rephased = object.__new__(Ccam)
-        rephased.__dict__.update(self.__dict__, phases=phases, flux=flux)
-        return rephased
+        """The same graph with new ``phases`` and nominal ``flux``."""
+        return Ccam(self.graph, phases, flux)
+
+    @property
+    def dimension(self) -> int:
+        return self.graph.num_vertices
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.graph.rows
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.graph.cols
+
+    @property
+    def first_vertex(self) -> int | None:
+        return self.graph.first_vertex
+
+    @property
+    def last_vertex(self) -> int | None:
+        return self.graph.last_vertex
 
     @property
     def entries(self) -> tuple[tuple[int, int, float], ...]:
         return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.phases.tolist()))
-
-    def edge_slots(self, us, vs) -> np.ndarray:
-        """Index of the edge {u, v} for each pair of vertices; raises for a non-edge."""
-        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
-        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-        want = lo * self.dimension + hi
-        slot = np.searchsorted(self._keys, want)
-        hit = (lo >= 0) & (lo < hi) & (hi < self.dimension) & (slot < len(self._keys))
-        hit[hit] = self._keys[slot[hit]] == want[hit]
-        miss = np.flatnonzero(~hit)
-        if miss.size:
-            raise InvalidParameterError(f"({us[miss[0]]}, {vs[miss[0]]}) is not an edge")
-        return slot
-
-    def degrees(self) -> np.ndarray:
-        return np.bincount(np.concatenate([self.rows, self.cols]), minlength=self.dimension)
-
-    def distances(self, source: int) -> list[int]:
-        """Graph distance from ``source``, level by level; ``dimension`` if unreachable."""
-        heads = np.concatenate([self.rows, self.cols])
-        tails = np.concatenate([self.cols, self.rows])
-        dist = np.full(self.dimension, self.dimension, dtype=np.int64)
-        dist[source] = 0
-        frontier = dist == 0
-        level = 0
-        while frontier.any():
-            level += 1
-            reached = np.zeros(self.dimension, dtype=bool)
-            reached[tails[frontier[heads]]] = True
-            frontier = reached & (dist == self.dimension)
-            dist[frontier] = level
-        return dist.tolist()
 
 
 def dense_matrix(m: Ccam) -> np.ndarray:
@@ -254,10 +217,7 @@ def _canonical_template(xs: tuple[int, ...]):
     factors = (f, x - 1.0, p * 1.0)
     for arr in factors:
         arr.flags.writeable = False  # shared by every Ccam of this sequence
-    tree = graphs.grow_tree(xs, _allow_trailing_one=True)
-    zero = Ccam(dimension=tree.num_vertices, rows=g.rows, cols=g.cols,
-                phases=np.zeros(len(g.rows)), first_vertex=tree.first_vertex,
-                last_vertex=tree.last_vertex, graph=tree)
+    zero = Ccam(graphs.grow_tree(xs, _allow_trailing_one=True), np.zeros(len(g.rows)))
     return (zero,) + factors
 
 
@@ -273,63 +233,37 @@ def canonical_ccam(x: Sequence[int], phi: float, *, _allow_trailing_one: bool = 
 
 
 def chain_ccam(x: Sequence[int], cells: int, phi: float) -> Ccam:
-    """A root-to-root chain of ``cells`` canonically gauged glued trees.
-
-    Cell c is the tree shifted by c times (tree size - 1); the shift keeps
-    every cell's edges after the previous cell's, so the tiling stays sorted.
-    """
+    """A root-to-root chain of ``cells`` canonically gauged glued trees: cell
+    c carries the tree's phases on the tree's edges shifted by c times (tree
+    size - 1), which is the chain graph's edge order."""
     tree = canonical_ccam(x, phi)
-    g = graphs.chain_graph(x, cells)
-    offsets = (tree.dimension - 1) * np.arange(cells)[:, None]
-    return Ccam(dimension=g.num_vertices, rows=(tree.rows + offsets).ravel(),
-                cols=(tree.cols + offsets).ravel(), phases=np.tile(tree.phases, cells),
-                first_vertex=0, last_vertex=g.num_vertices - 1, flux=phi, graph=g)
-
-
-def _face_steps(faces: Sequence[Sequence[int]]):
-    """Every step u -> v around closed vertex loops, as arrays (face,
-    position, u, v), in face order and along each face."""
-    lengths = np.array(list(map(len, faces)), dtype=np.int64)
-    us = np.array(list(itertools.chain.from_iterable(faces)), dtype=np.int64)
-    face = np.repeat(np.arange(len(lengths)), lengths)
-    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    pos = np.arange(len(us)) - start
-    nxt = np.where(pos == lengths[face] - 1, start, np.arange(len(us)) + 1)
-    return face, pos, us, us[nxt]
+    return Ccam(graphs.chain_graph(x, cells), np.tile(tree.phases, cells), phi)
 
 
 def ccam_with_plaquette_fluxes(g: graphs.Graph, fluxes: Sequence[float], *,
-                               first: int | None = None, last: int | None = None,
                                flux: float = 0.0) -> Ccam:
     """Solve for edge phases realizing the requested flux through each face.
 
     On a planar graph the face fluxes are free parameters, so the linear
     system always has a solution; the minimum-norm one is used and verified.
     """
-    if len(fluxes) != len(g.plaquettes):
+    if len(fluxes) != len(g.face_lengths):
         raise InvalidParameterError("one flux per plaquette is required")
-    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-    m = Ccam(dimension=g.num_vertices, rows=edges[:, 0], cols=edges[:, 1],
-             phases=np.zeros(len(edges)),
-             first_vertex=first if first is not None else g.first_vertex,
-             last_vertex=last if last is not None else g.last_vertex, flux=flux, graph=g)
-    face, _pos, us, vs = _face_steps(g.plaquettes)
-    incidence = np.zeros((len(g.plaquettes), len(edges)))
-    np.add.at(incidence, (face, m.edge_slots(us, vs)), np.where(us < vs, 1.0, -1.0))
+    face, _pos, us, vs = graphs.face_steps(g.face_vertices, g.face_lengths)
+    incidence = np.zeros((len(g.face_lengths), g.num_edges))
+    np.add.at(incidence, (face, g.edge_slots(us, vs)), np.where(us < vs, 1.0, -1.0))
     want = np.asarray(fluxes, dtype=float)
     theta, *_ = np.linalg.lstsq(incidence, want, rcond=None)
     if len(fluxes) and np.max(np.abs(incidence @ theta - want)) > 1e-9:
         raise InvalidParameterError("face flux prescription is inconsistent")
-    return m.with_phases(theta, flux)
+    return Ccam(g, theta, flux)
 
 
 def lotus_ccam(patch: graphs.Graph, phi: float) -> Ccam:
     """Phases for a lotus patch: each shrub face winds its recorded sign times phi."""
     if patch.plaquette_signs is None:
         raise InvalidParameterError("patch does not carry face orientation signs")
-    fluxes = [s * phi for s in patch.plaquette_signs]
-    return ccam_with_plaquette_fluxes(patch, fluxes, flux=phi)
+    return ccam_with_plaquette_fluxes(patch, np.multiply(patch.plaquette_signs, phi), flux=phi)
 
 
 def reduce_angle(angle: float) -> float:
@@ -342,17 +276,18 @@ def reduce_angle(angle: float) -> float:
     return r
 
 
-def _face_fluxes(m: Ccam, faces: Sequence[Sequence[int]]) -> np.ndarray:
-    """Winding sum of phases around each closed vertex loop, reduced to (-pi, pi].
+def _face_fluxes(m: Ccam, vertices: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Winding sum of phases around each closed vertex loop, the loops being
+    ``vertices`` cut into runs of ``lengths``, reduced to (-pi, pi].
 
     Each face sums its steps left to right, as ``reduce_angle(sum)`` would;
     the zero padding of shorter faces leaves their sums unchanged.
     """
-    face, pos, us, vs = _face_steps(faces)
-    steps = np.zeros((len(faces), int(pos.max(initial=-1)) + 1))
-    theta = m.phases[m.edge_slots(us, vs)]
+    face, pos, us, vs = graphs.face_steps(vertices, lengths)
+    steps = np.zeros((len(lengths), int(pos.max(initial=-1)) + 1))
+    theta = m.phases[m.graph.edge_slots(us, vs)]
     steps[face, pos] = np.where(us < vs, theta, -theta)
-    total = np.zeros(len(faces))
+    total = np.zeros(len(lengths))
     for column in steps.T:
         total += column
     r = np.fmod(total, TWO_PI)
@@ -361,13 +296,14 @@ def _face_fluxes(m: Ccam, faces: Sequence[Sequence[int]]) -> np.ndarray:
 
 def plaquette_flux(m: Ccam, loop: Sequence[int]) -> float:
     """Winding sum of phases around a closed vertex loop, reduced to (-pi, pi]."""
-    return float(_face_fluxes(m, (loop,))[0])
+    loop = np.asarray(loop, dtype=np.int64)
+    return float(_face_fluxes(m, loop, np.array([len(loop)]))[0])
 
 
 def all_plaquette_fluxes(m: Ccam) -> tuple[float, ...]:
-    if m.graph is None or not m.graph.plaquettes:
+    if not len(m.graph.face_lengths):
         raise InvalidParameterError("matrix carries no face data")
-    return tuple(_face_fluxes(m, m.graph.plaquettes).tolist())
+    return tuple(_face_fluxes(m, m.graph.face_vertices, m.graph.face_lengths).tolist())
 
 
 def gauge_transform(m: Ccam, w: int, gamma: float) -> Ccam:
@@ -428,21 +364,18 @@ def flat_values(x: Sequence[int]) -> FlatSet:
 
 
 def format_ccam(m: Ccam) -> str:
-    faces = m.graph.plaquettes if m.graph is not None else ()
     return graphs.format_text(f"ccam {m.dimension} {m.flux:.17g}",
-                              (f"e {u} {v} {t:.17g}" for (u, v, t) in m.entries),
-                              faces, m.first_vertex, m.last_vertex)
+                              (f"e {u} {v} {t:.17g}" for (u, v, t) in m.entries), m.graph)
 
 
 def parse_ccam(text: str) -> Ccam:
-    header, edges, faces, roots = graphs.parse_text(text, "ccam <n> <flux>", (int, int, float))
+    """Read the text ccam format; an edge given as (v, u, theta) with u < v
+    is read as (u, v, -theta).  Refuses what ``graphs.parse_graph`` refuses."""
+    header, edges, extra = graphs.parse_text(text, "ccam <n> <flux>", (int, int, float))
     dim, flux = (graphs.text_fields(header, int, float) if len(header.split()) > 2
                  else graphs.text_fields(header, int) + [0.0])
-    entries = [(u, v, t) if u < v else (v, u, -t) for (u, v, t) in edges]
-    first, last = roots.get("first"), roots.get("last")
-    m = Ccam.from_entries(dim, entries, first_vertex=first, last_vertex=last, flux=flux)
-    if not faces:
-        return m
-    g = graphs.Graph(num_vertices=dim, edges=tuple(zip(m.rows.tolist(), m.cols.tolist())),
-                     plaquettes=tuple(faces), first_vertex=first, last_vertex=last)
-    return replace(m, graph=g)
+    table = np.fromiter(edges, dtype=_ENTRY)
+    flip = table["u"] > table["v"]
+    table["u"][flip], table["v"][flip] = table["v"][flip], table["u"][flip]
+    table["t"][flip] *= -1.0
+    return Ccam.from_entries(dim, table, flux=flux, **extra)

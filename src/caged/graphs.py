@@ -14,7 +14,6 @@ construction order, so identical inputs always produce identical graphs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -47,21 +46,49 @@ def check_growth_sequence(x: Sequence[int], *, allow_trailing_one: bool = False)
     return xs
 
 
-@dataclass(frozen=True)
-class Graph:
-    """An undirected graph with optional face and root annotations.
+def read_only(values, dtype) -> np.ndarray:
+    """A read-only array of ``values``; a writeable input is copied first."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
 
-    ``edges`` are (u, v) pairs with u < v.  ``plaquettes`` are closed vertex
-    cycles bounding internal faces; consecutive vertices (cyclically) must be
-    edges.  ``roles`` optionally classifies vertices (lotus patches), and
-    ``cell_bounds`` marks the shared roots of a chain.  ``plaquette_signs``
-    records, for lotus patches, the orientation sign each face's flux should
-    carry relative to the common flux angle.
+
+def face_steps(vertices: np.ndarray, lengths: np.ndarray):
+    """Every step u -> v around closed vertex loops, given as ``vertices`` cut
+    into runs of ``lengths``: arrays (face, position, u, v), in face order and
+    along each face."""
+    face = np.repeat(np.arange(len(lengths)), lengths)
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    pos = np.arange(len(vertices)) - start
+    nxt = np.where(pos == lengths[face] - 1, start, np.arange(len(vertices)) + 1)
+    return face, pos, vertices, vertices[nxt]
+
+
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """An undirected graph as read-only arrays, with face and root annotations.
+
+    Edge k joins ``rows[k] < cols[k]``, unique and sorted by (row, col).  The
+    faces bound internal faces: ``face_vertices`` cut into runs of
+    ``face_lengths``, each cyclic step an edge.  ``roles`` classifies the
+    vertices of lotus patches, ``cell_bounds`` marks the shared roots of a
+    chain, and ``plaquette_signs`` gives each lotus face's flux sign relative
+    to the common flux angle.
+
+    Construction is the one check: it refuses the first edge, in the order
+    given, that is out of range or repeats an earlier edge, then sorts the
+    edges, and refuses a root outside ``0..num_vertices-1`` or a face step
+    that is not an edge.  Sorted read-only inputs, such as the cached growth
+    arrays, are kept without a copy.
     """
 
     num_vertices: int
-    edges: tuple[Edge, ...]
-    plaquettes: tuple[tuple[int, ...], ...] = ()
+    rows: np.ndarray
+    cols: np.ndarray
+    face_vertices: np.ndarray = ()
+    face_lengths: np.ndarray = ()
     first_vertex: int | None = None
     last_vertex: int | None = None
     roles: tuple[str, ...] | None = None
@@ -69,33 +96,83 @@ class Graph:
     plaquette_signs: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        """Refuses the first edge, in edge order, that is out of range or
-        repeats an earlier edge."""
-        uv = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64,
-                         count=2 * len(self.edges)).reshape(-1, 2)
-        u, v = uv.T
-        bad = np.flatnonzero((u < 0) | (u >= v) | (v >= self.num_vertices))
-        # Stably sorted by (u, v), every edge but the first of each run repeats one.
-        order = np.lexsort((v, u))
-        again = order[1:][(uv[order[1:]] == uv[order[:-1]]).all(axis=1)]
-        first = min(bad[:1].tolist() + again.tolist(), default=None)
-        if first is None:
-            return
-        (a, b) = self.edges[first]
-        if bad.size and bad[0] == first:
-            raise InvalidParameterError(f"bad edge ({a}, {b}) for {self.num_vertices} vertices")
-        raise InvalidParameterError(f"duplicate edge ({a}, {b})")
+        n = self.num_vertices
+        rows, cols = np.asarray(self.rows, dtype=np.int64), np.asarray(self.cols, dtype=np.int64)
+        if rows.ndim != 1 or cols.shape != rows.shape:
+            raise InvalidParameterError(f"edge arrays differ in shape: {rows.shape}, {cols.shape}")
+        bad = np.flatnonzero((rows < 0) | (rows >= cols) | (cols >= n))
+        # Stably sorted by (row, col), every edge but the first of each run repeats one.
+        order = np.lexsort((cols, rows))
+        same = (rows[order[1:]] == rows[order[:-1]]) & (cols[order[1:]] == cols[order[:-1]])
+        first = min(bad[:1].tolist() + order[1:][same].tolist(), default=None)
+        if first is not None:
+            a, b = int(rows[first]), int(cols[first])
+            if bad.size and bad[0] == first:
+                raise InvalidParameterError(f"bad edge ({a}, {b}) for {n} vertices")
+            raise InvalidParameterError(f"duplicate edge ({a}, {b})")
+        if (order[1:] < order[:-1]).any():
+            rows, cols = rows[order], cols[order]
+        for name, value in (("rows", rows), ("cols", cols), ("face_vertices", self.face_vertices),
+                            ("face_lengths", self.face_lengths)):
+            object.__setattr__(self, name, read_only(value, np.int64))
+        vertices, lengths = self.face_vertices, self.face_lengths
+        if (vertices.ndim != 1 or lengths.ndim != 1 or (lengths < 0).any()
+                or lengths.sum() != vertices.size):
+            raise InvalidParameterError(
+                f"face lengths {lengths.tolist()} do not cut {vertices.size} face vertices")
+        for root in (self.first_vertex, self.last_vertex):
+            if root is not None and not 0 <= root < n:
+                raise InvalidParameterError(f"root {root} out of range for {n} vertices")
+        self.edge_slots(*face_steps(vertices, lengths)[2:])  # refuses a face step off the edges
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.rows)
 
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.num_vertices
-        for (u, v) in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as (u, v) tuples, a view for readers."""
+        return tuple(zip(self.rows.tolist(), self.cols.tolist()))
+
+    @property
+    def plaquettes(self) -> tuple[tuple[int, ...], ...]:
+        """The faces as vertex tuples, a view for readers."""
+        flat = self.face_vertices.tolist()
+        ends = np.cumsum(self.face_lengths).tolist()
+        return tuple(map(tuple, map(flat.__getitem__, map(slice, [0] + ends[:-1], ends))))
+
+    def edge_slots(self, us, vs) -> np.ndarray:
+        """Index of the edge {u, v} for each pair of vertices; raises for a non-edge."""
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        n = self.num_vertices
+        keys, want = self.rows * n + self.cols, lo * n + hi
+        slot = np.searchsorted(keys, want)
+        hit = (lo >= 0) & (lo < hi) & (hi < n) & (slot < len(keys))
+        hit[hit] = keys[slot[hit]] == want[hit]
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            raise InvalidParameterError(f"({us[miss[0]]}, {vs[miss[0]]}) is not an edge")
+        return slot
+
+    def degrees(self) -> np.ndarray:
+        return np.bincount(np.concatenate([self.rows, self.cols]), minlength=self.num_vertices)
+
+    def distances(self, source: int) -> np.ndarray:
+        """Graph distance from ``source``, level by level; ``num_vertices`` if unreachable."""
+        heads = np.concatenate([self.rows, self.cols])
+        tails = np.concatenate([self.cols, self.rows])
+        dist = np.full(self.num_vertices, self.num_vertices, dtype=np.int64)
+        dist[source] = 0
+        frontier = dist == 0
+        level = 0
+        while frontier.any():
+            level += 1
+            reached = np.zeros(self.num_vertices, dtype=bool)
+            reached[tails[frontier[heads]]] = True
+            frontier = reached & (dist == self.num_vertices)
+            dist[frontier] = level
+        return dist
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +256,6 @@ def growth(x: tuple[int, ...]) -> Growth:
     return Growth(*arrays)
 
 
-def _tiled_tree(xs: tuple[int, ...], cells: int,
-                cell_bounds: tuple[int, ...] | None = None) -> Graph:
-    """``cells`` copies of the tree grown by ``xs``, copy c shifted by c times
-    (tree size - 1): each copy's first root is the previous copy's last root,
-    and the tiled edges stay sorted."""
-    g = growth(xs)
-    stride = len(g.perm) - 1
-    offsets = stride * np.arange(cells)[:, None]
-    faces = (g.face_vertices + offsets).ravel().tolist()
-    ends = np.cumsum(np.tile(g.face_lengths, cells)).tolist()  # each face is faces[start:end]
-    return Graph(
-        num_vertices=cells * stride + 1,
-        edges=tuple(zip((g.rows + offsets).ravel().tolist(), (g.cols + offsets).ravel().tolist())),
-        plaquettes=tuple(map(tuple, map(faces.__getitem__, map(slice, [0] + ends[:-1], ends)))),
-        first_vertex=0,
-        last_vertex=cells * stride,
-        cell_bounds=cell_bounds,
-    )
-
-
 def shrub(p: int) -> Graph:
     """The p-shrub K_{2,p}: two degree-p roots joined through p middle vertices."""
     if p < 1:
@@ -207,8 +264,12 @@ def shrub(p: int) -> Graph:
 
 
 def grow_tree(x: Sequence[int], *, _allow_trailing_one: bool = False) -> Graph:
-    """The glued tree grown by ``x``, breadth-first relabeled from the first root."""
-    return _tiled_tree(check_growth_sequence(x, allow_trailing_one=_allow_trailing_one), 1)
+    """The glued tree grown by ``x``, breadth-first relabeled from the first
+    root; it shares the cached growth arrays."""
+    g = growth(check_growth_sequence(x, allow_trailing_one=_allow_trailing_one))
+    n = len(g.perm)
+    return Graph(n, g.rows, g.cols, g.face_vertices, g.face_lengths, first_vertex=0,
+                 last_vertex=n - 1)
 
 
 def tree_vertex_count(x: Sequence[int]) -> int:
@@ -242,44 +303,41 @@ def replace_edges(
 ) -> Graph:
     """Splice a glued tree across each marked edge of ``g``.
 
-    Each marked edge (u, v) is removed; a fresh tree grown by ``trees[(u,v)]``
-    is added with disjoint vertex ids, its first root joined to u and its last
-    root joined to v by new edges.  Faces of ``g`` that used a removed edge are
-    dropped; the spliced trees contribute their own faces.
+    Each marked edge (u, v) is removed; a fresh tree grown by ``trees[(u, v)]``
+    (or ``trees[(v, u)]``) is added with disjoint vertex ids, its first root
+    joined to u and its last root joined to v by new edges, for u < v.  Faces
+    of ``g`` that used a removed edge are dropped; the spliced trees
+    contribute their own faces.
     """
-    edge_set = set(g.edges)
-    norm = []
-    for (u, v) in marked:
-        e = (u, v) if u < v else (v, u)
-        if e not in edge_set:
-            raise InvalidParameterError(f"marked edge {e} is not an edge of the graph")
-        norm.append(e)
-    norm = sorted(set(norm))
+    pairs = np.array(list(marked), dtype=np.int64).reshape(-1, 2)
+    slots = np.unique(g.edge_slots(pairs[:, 0], pairs[:, 1]))
+    us, vs = g.rows[slots], g.cols[slots]
+    spliced = []
+    for e in zip(us.tolist(), vs.tolist()):
+        seq = trees.get(e, trees.get(e[::-1]))
+        if seq is None:
+            raise InvalidParameterError(f"no tree given for marked edge {e}")
+        spliced.append(grow_tree(seq))
+    sizes = np.array([t.num_vertices for t in spliced], dtype=np.int64)
+    base = g.num_vertices + np.cumsum(sizes) - sizes  # each tree follows the ones before
 
-    removed = set(norm)
-    edges = [e for e in g.edges if e not in removed]
-    removed_pairs = removed | {(v, u) for (u, v) in removed}
-    plaquettes = [
-        cyc for cyc in g.plaquettes
-        if not any((cyc[i], cyc[(i + 1) % len(cyc)]) in removed_pairs for i in range(len(cyc)))
-    ]
+    def shifted(name):  # one array of every tree's ``name``, each tree moved to its base
+        parts = [getattr(t, name) for t in spliced]
+        shift = np.repeat(base, list(map(len, parts)))
+        return np.concatenate([np.zeros(0, np.int64), *parts]) + shift
 
-    base = g.num_vertices
-    for (u, v) in norm:
-        t = grow_tree(trees[(u, v)])
-        edges.extend((a + base, b + base) for (a, b) in t.edges)
-        plaquettes.extend(tuple(w + base for w in cyc) for cyc in t.plaquettes)
-        edges.append(tuple(sorted((u, base + t.first_vertex))))
-        edges.append(tuple(sorted((v, base + t.last_vertex))))
-        base += t.num_vertices
-
-    return Graph(
-        num_vertices=base,
-        edges=tuple(sorted(edges)),
-        plaquettes=tuple(plaquettes),
-        first_vertex=g.first_vertex,
-        last_vertex=g.last_vertex,
-    )
+    keep = np.ones(g.num_edges, dtype=bool)
+    keep[slots] = False
+    face, _pos, fu, fv = face_steps(g.face_vertices, g.face_lengths)
+    kept_face = np.ones(len(g.face_lengths), dtype=bool)
+    kept_face[face[~keep[g.edge_slots(fu, fv)]]] = False
+    return Graph(g.num_vertices + int(sizes.sum()),
+                 np.concatenate([g.rows[keep], us, vs, shifted("rows")]),
+                 np.concatenate([g.cols[keep], base, base + sizes - 1, shifted("cols")]),
+                 np.concatenate([g.face_vertices[np.repeat(kept_face, g.face_lengths)],
+                                 shifted("face_vertices")]),
+                 np.concatenate([g.face_lengths[kept_face]] + [t.face_lengths for t in spliced]),
+                 first_vertex=g.first_vertex, last_vertex=g.last_vertex)
 
 
 def chain_graph(x: Sequence[int], cells: int) -> Graph:
@@ -287,12 +345,19 @@ def chain_graph(x: Sequence[int], cells: int) -> Graph:
 
     The last root of cell c is identified with the first root of cell c+1;
     ``cell_bounds`` lists the resulting shared roots (including the two ends).
+    Cell c is the tree shifted by c times (tree size - 1), so each cell's
+    edges follow the previous cell's and the tiling stays sorted.
     """
     xs = check_growth_sequence(x)
     if cells < 1:
         raise InvalidParameterError(f"cells must be >= 1, got {cells}")
-    stride = tree_vertex_count(xs) - 1
-    return _tiled_tree(xs, cells, cell_bounds=tuple(range(0, cells * stride + 1, stride)))
+    g = growth(xs)
+    stride = len(g.perm) - 1
+    offsets = stride * np.arange(cells)[:, None]
+    return Graph(cells * stride + 1, (g.rows + offsets).ravel(), (g.cols + offsets).ravel(),
+                 (g.face_vertices + offsets).ravel(), np.tile(g.face_lengths, cells),
+                 first_vertex=0, last_vertex=cells * stride,
+                 cell_bounds=tuple(range(0, cells * stride + 1, stride)))
 
 
 def chain_cell_of_vertex(g: Graph, v: int) -> int:
@@ -363,7 +428,8 @@ class _LotusBuilder:
         self.spec = spec
         self.roles: list[str] = []
         self.edges: set[Edge] = set()
-        self.plaquettes: list[tuple[int, ...]] = []
+        self.face_vertices: list[int] = []
+        self.face_lengths: list[int] = []
         self.signs: list[int] = []
         self.sides: list[_Side] = []
         self.arcs: dict[int, list[int]] = {}  # corner vertex -> side ids in fan order
@@ -377,7 +443,8 @@ class _LotusBuilder:
         self.edges.add((u, v) if u < v else (v, u))
 
     def face(self, cycle: tuple[int, ...], sign: int):
-        self.plaquettes.append(cycle)
+        self.face_vertices.extend(cycle)
+        self.face_lengths.append(len(cycle))
         self.signs.append(sign)
 
     def _extend_arc(
@@ -558,13 +625,9 @@ class _LotusBuilder:
             for sid in frontier:
                 if len(self.sides[sid].tiles) == 1:
                     self.attach_tile(sid)
-        return Graph(
-            num_vertices=len(self.roles),
-            edges=tuple(sorted(self.edges)),
-            plaquettes=tuple(self.plaquettes),
-            roles=tuple(self.roles),
-            plaquette_signs=tuple(self.signs),
-        )
+        uv = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        return Graph(len(self.roles), uv[:, 0], uv[:, 1], self.face_vertices, self.face_lengths,
+                     roles=tuple(self.roles), plaquette_signs=tuple(self.signs))
 
 
 def lotus_patch(spec: LotusSpec) -> Graph:
@@ -643,13 +706,13 @@ def ordered_factorization_counts(limit: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def format_text(header: str, edge_lines: Iterable[str], faces: Iterable[Sequence[int]],
-                first: int | None, last: int | None) -> str:
+def format_text(header: str, edge_lines: Iterable[str], g: Graph) -> str:
     """A text graph: the header line, the edge lines, then a ``face`` line per
-    face and a ``root`` line per root that is set."""
+    face of ``g`` and a ``root`` line per root that is set."""
     lines = [header, *edge_lines]
-    lines += ["face " + " ".join(map(str, cyc)) for cyc in faces]
-    lines += [f"root {kind} {v}" for kind, v in (("first", first), ("last", last)) if v is not None]
+    lines += ["face " + " ".join(map(str, cyc)) for cyc in g.plaquettes]
+    lines += [f"root {kind} {v}" for kind, v in (("first", g.first_vertex), ("last", g.last_vertex))
+              if v is not None]
     return "\n".join(lines) + "\n"
 
 
@@ -666,18 +729,19 @@ def text_fields(line: str, *types) -> list:
 
 
 def parse_text(text: str, usage: str, edge_types: Sequence[type]):
-    """The header line, the fields of each edge line (converted by
-    ``edge_types``), the faces and the roots by kind of a text graph.
+    """The header line, the fields of each edge line as a tuple (converted by
+    ``edge_types``), and the faces and roots of a text graph as ``Graph``
+    keywords.
 
     Blank lines and ``#`` comments are skipped.  The header keyword is the
     first word of ``usage``; refuses a missing header, an unrecognized line,
-    a malformed field or a root kind other than ``first`` or ``last``.
+    a malformed field or a root kind other than ``first`` or ``last``.  The
+    graph built from them checks the roots and faces.
     """
     keyword = usage.split()[0]
     header = None
-    edges: list[list] = []
-    faces: list[tuple[int, ...]] = []
-    roots: dict[str, int] = {}
+    edges: list[tuple] = []
+    extra: dict = {"face_vertices": [], "face_lengths": []}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -686,34 +750,31 @@ def parse_text(text: str, usage: str, edge_types: Sequence[type]):
         if parts[0] == keyword:
             header = line
         elif parts[0] == "e":
-            edges.append(text_fields(line, *edge_types))
+            edges.append(tuple(text_fields(line, *edge_types)))
         elif parts[0] == "face":
-            faces.append(tuple(text_fields(line, *[int] * (len(parts) - 1))))
+            extra["face_vertices"] += text_fields(line, *[int] * (len(parts) - 1))
+            extra["face_lengths"].append(len(parts) - 1)
         elif parts[0] == "root":
             kind, v = text_fields(line, str, int)
             if kind not in ("first", "last"):
                 raise InvalidParameterError(f"unknown root kind {kind!r}")
-            roots[kind] = v
+            extra[f"{kind}_vertex"] = v
         else:
             raise InvalidParameterError(f"unrecognized line {line!r}")
     if header is None:
         raise InvalidParameterError(f"missing '{usage}' header")
-    return header, edges, faces, roots
+    return header, edges, extra
 
 
 def format_graph(g: Graph) -> str:
-    return format_text(f"graph {g.num_vertices}", (f"e {u} {v}" for (u, v) in g.edges),
-                       g.plaquettes, g.first_vertex, g.last_vertex)
+    return format_text(f"graph {g.num_vertices}", (f"e {u} {v}" for (u, v) in g.edges), g)
 
 
 def parse_graph(text: str) -> Graph:
-    """Read the text graph format; refuses a repeated edge, in either orientation."""
-    header, edges, faces, roots = parse_text(text, "graph <n>", (int, int))
+    """Read the text graph format; refuses a repeated edge, in either
+    orientation, a root outside the vertices and a face step that is not an
+    edge."""
+    header, edges, extra = parse_text(text, "graph <n>", (int, int))
     num, = text_fields(header, int)
-    return Graph(
-        num_vertices=num,
-        edges=tuple(sorted((min(u, v), max(u, v)) for (u, v) in edges)),
-        plaquettes=tuple(faces),
-        first_vertex=roots.get("first"),
-        last_vertex=roots.get("last"),
-    )
+    uv = np.sort(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    return Graph(num, uv[:, 0], uv[:, 1], **extra)

@@ -336,7 +336,7 @@ def distance_shell_reduction(x: Sequence[int], phi: float = 0.0) -> ShellReducti
     _require_all_at_least_two(xs, "shell reduction")
     d = len(xs)
     m = gauge.canonical_ccam(xs, 0.0)
-    dist = np.array(m.distances(m.first_vertex))
+    dist = m.graph.distances(m.first_vertex)
     sizes = np.bincount(dist, minlength=2 * d + 1)
     tri = fluxless_block(xs, d)
 

@@ -62,6 +62,12 @@ class TestCrossingAmplitudes:
         amps = caging.crossing_amplitudes(bare, 4, source=0, target=3)
         assert np.max(np.abs(amps)) < 1e-12
 
+    @pytest.mark.parametrize("ends", [{"source": -1}, {"target": 9}, {"source": 4}])
+    def test_vertex_out_of_range_refused(self, ends):
+        m = gauge.canonical_ccam((2,), 1.0)
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            caging.crossing_amplitudes(m, 4, **ends)
+
 
 class TestExactCrossing:
     def test_polynomials_match_float_evaluation(self):

@@ -337,6 +337,14 @@ class TestOtherCommands:
         assert code == 1
         assert "exceeds dense limit 500" in err
 
+    @pytest.mark.parametrize("raw", ["abc", "-5"])
+    def test_bad_dense_limit_is_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, raw)
+        code, out, err = run(capsys, "cls", "--x", "2", "--phi", "pi", "--cells", "2")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: {gauge.DENSE_LIMIT_ENV}='{raw}' is not a positive integer"]
+
     def test_parser_carries_no_state_between_calls(self, capsys):
         argv = ["spectrum", "--x", "2", "--phi", "pi"]
         code_json, out_json, _ = run(capsys, *argv, "--format", "json")

@@ -207,9 +207,8 @@ class TestGaugeTransform:
         gauge face by face, hence also in spectrum."""
         phi = 1.3
         spread = gauge.canonical_ccam((2,), phi)
-        lumped = gauge.Ccam.from_entries(
-            4, ((0, 1, phi), (0, 2, 0.0), (1, 3, 0.0), (2, 3, 0.0)),
-            first_vertex=0, last_vertex=3, flux=phi, graph=spread.graph)
+        assert spread.graph.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+        lumped = gauge.Ccam(spread.graph, [phi, 0.0, 0.0, 0.0], phi)
         assert gauge.plaquette_flux(lumped, spread.graph.plaquettes[0]) == pytest.approx(
             gauge.plaquette_flux(spread, spread.graph.plaquettes[0]))
         assert np.max(np.abs(spectrum_of(lumped) - spectrum_of(spread))) < 1e-10
@@ -285,6 +284,12 @@ class TestDenseMatrix:
         monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "64")
         assert gauge.dense_matrix(gauge.canonical_ccam((2,), 0.0)).shape == (4, 4)
 
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0", "2.5"])
+    def test_limit_env_must_be_a_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, raw)
+        with pytest.raises(InvalidParameterError, match="positive integer"):
+            gauge.dense_limit()
+
 
 class TestDerivedCcams:
     def test_chain_fluxes(self):
@@ -339,8 +344,8 @@ class TestFluxPeriodicityBoundary:
 class TestCcamArrays:
     def test_distances_mark_unreachable_vertices(self):
         m = gauge.Ccam.from_entries(5, [(0, 1, 0.3), (1, 2, 0.0), (3, 4, 1.0)])
-        assert m.distances(0) == [0, 1, 2, 5, 5]
-        assert m.distances(4) == [5, 5, 5, 1, 0]
+        assert m.graph.distances(0).tolist() == [0, 1, 2, 5, 5]
+        assert m.graph.distances(4).tolist() == [5, 5, 5, 1, 0]
 
     def test_repeated_edge_refused(self):
         with pytest.raises(InvalidParameterError, match="duplicate"):
@@ -353,11 +358,10 @@ class TestCcamArrays:
         ([-1], [1], [0.0]),  # negative vertex
         ([0, 1], [1], [0.0, 0.0]),  # lengths differ
         ([0], [1], [0.0, 1.0]),
-        ([1, 0], [2, 1], [0.0, 0.0]),  # unsorted
     ])
     def test_bad_edge_arrays_refused(self, rows, cols, phases):
         with pytest.raises(InvalidParameterError):
-            gauge.Ccam(dimension=3, rows=rows, cols=cols, phases=phases)
+            gauge.Ccam(graphs.Graph(num_vertices=3, rows=rows, cols=cols), phases)
 
     def test_from_entries_sorts_and_checks_orientation(self):
         m = gauge.Ccam.from_entries(3, [(1, 2, 0.5), (0, 1, -0.25)])
@@ -369,8 +373,9 @@ class TestCcamArrays:
 def same_ccam(a, b):
     """Every field equal, with phases compared bit for bit (sign bits included)."""
     return (a.dimension == b.dimension and a.first_vertex == b.first_vertex
-            and a.last_vertex == b.last_vertex and a.flux == b.flux and a.graph == b.graph
-            and all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("rows", "cols", "_keys"))
+            and a.last_vertex == b.last_vertex and a.flux == b.flux
+            and graphs.format_graph(a.graph) == graphs.format_graph(b.graph)
+            and all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("rows", "cols"))
             and a.phases.dtype == b.phases.dtype and a.phases.tobytes() == b.phases.tobytes()
             and not a.phases.flags.writeable)
 
@@ -379,7 +384,7 @@ class TestWithPhases:
     def test_index_arrays_graph_and_roots_shared(self):
         m = gauge.canonical_ccam((2, 3), 0.7)
         r = m.with_phases(np.arange(len(m.rows)), 0.25)
-        assert all(getattr(r, k) is getattr(m, k) for k in ("rows", "cols", "_keys", "graph"))
+        assert all(getattr(r, k) is getattr(m, k) for k in ("rows", "cols", "graph"))
         assert (r.dimension, r.first_vertex, r.last_vertex) == (m.dimension, 0, m.dimension - 1)
         assert r.flux == 0.25 and r.phases.dtype == float
         assert np.array_equal(r.phases, np.arange(len(m.rows)))
@@ -405,9 +410,10 @@ class TestWithPhases:
         phi = TWO_PI / math.prod(xs) if phi == "flat" else phi
         m = gauge.canonical_ccam(xs, phi, _allow_trailing_one=True)
         _zero, f, a, p = gauge._canonical_template(xs)
-        full = gauge.Ccam(dimension=m.dimension, rows=m.rows.copy(), cols=m.cols.copy(),
-                          phases=f * (0.25 * phi * a * p), first_vertex=m.first_vertex,
-                          last_vertex=m.last_vertex, flux=phi, graph=m.graph)
+        g = m.graph
+        tree = graphs.Graph(g.num_vertices, g.rows.copy(), g.cols.copy(), g.face_vertices.copy(),
+                            g.face_lengths.copy(), first_vertex=0, last_vertex=g.num_vertices - 1)
+        full = gauge.Ccam(graph=tree, phases=f * (0.25 * phi * a * p), flux=phi)
         assert same_ccam(m, full)
         if phi == 0.0:  # the phases are zeros of both signs
             assert np.signbit(m.phases).any() and not np.signbit(m.phases).all()
@@ -426,7 +432,7 @@ class TestWithPhases:
         def refuse(self):
             raise AssertionError("index arrays checked again")
 
-        monkeypatch.setattr(gauge.Ccam, "__post_init__", refuse)
+        monkeypatch.setattr(graphs.Graph, "__post_init__", refuse)
         again = gauge.canonical_ccam((2, 2), 0.9)
         moved = gauge.gauge_transform(again, 4, 0.2)
         assert again.rows is m.rows and moved.rows is m.rows
@@ -454,6 +460,10 @@ class TestCcamFile:
         "e 0 x 0.5",  # non-integer vertex
         "e 0 1 half",  # non-numeric phase
         "face 0 x 2",  # non-integer face vertex
+        "root first 5",  # root past the last vertex
+        "root last -1",  # negative root
+        "face 0 1 7",  # face vertex out of range
+        "face 0 1 2",  # step 2 -> 0 is not an edge
     ])
     def test_bad_line_refused(self, bad):
         with pytest.raises(InvalidParameterError):

@@ -59,12 +59,21 @@ def reference_breadth_first_ids(g):
     return [ids[w] for w in range(len(nbrs))]
 
 
+def same_graph(a, b):
+    """Equal vertex counts, edge and face arrays, roots and annotations."""
+    arrays = ("rows", "cols", "face_vertices", "face_lengths")
+    fields = ("num_vertices", "first_vertex", "last_vertex", "roles", "cell_bounds",
+              "plaquette_signs")
+    return (all(np.array_equal(getattr(a, k), getattr(b, k)) for k in arrays)
+            and all(getattr(a, k) == getattr(b, k) for k in fields))
+
+
 class TestShrub:
     def test_two_shrub_is_four_cycle(self):
         g = graphs.shrub(2)
         assert g.num_vertices == 4
         assert g.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
-        assert g.degrees() == (2, 2, 2, 2)
+        assert g.degrees().tolist() == [2, 2, 2, 2]
         assert len(g.plaquettes) == 1 and len(g.plaquettes[0]) == 4
 
     def test_three_shrub_counts(self):
@@ -104,13 +113,13 @@ class TestAverageDegree:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InvalidParameterError):
-            graphs.average_degree(graphs.Graph(num_vertices=0, edges=()))
+            graphs.average_degree(graphs.Graph(num_vertices=0, rows=(), cols=()))
 
 
 class TestGrowTree:
     def test_depth_one_is_shrub(self):
-        assert graphs.grow_tree((2,)) == graphs.shrub(2)
-        assert graphs.grow_tree((5,)) == graphs.shrub(5)
+        assert same_graph(graphs.grow_tree((2,)), graphs.shrub(2))
+        assert same_graph(graphs.grow_tree((5,)), graphs.shrub(5))
 
     def test_vertex_recurrence(self):
         assert graphs.grow_tree((2, 2)).num_vertices == 10
@@ -157,7 +166,12 @@ class TestGrowTree:
     def test_deterministic(self):
         a = graphs.grow_tree((2, 3))
         b = graphs.grow_tree((2, 3))
-        assert a == b
+        assert same_graph(a, b)
+
+    def test_shares_the_growth_arrays(self):
+        g, t = graphs.growth((2, 3)), graphs.grow_tree((2, 3))
+        assert t.rows is g.rows and t.cols is g.cols
+        assert t.face_vertices is g.face_vertices and t.face_lengths is g.face_lengths
 
     def test_invalid_sequences(self):
         with pytest.raises(InvalidParameterError):
@@ -182,7 +196,8 @@ def reference_edge_error(num_vertices, edges):
 
 def edge_error(num_vertices, edges):
     try:
-        graphs.Graph(num_vertices=num_vertices, edges=tuple(edges))
+        graphs.Graph(num_vertices=num_vertices, rows=[u for (u, _v) in edges],
+                     cols=[v for (_u, v) in edges])
     except InvalidParameterError as exc:
         return str(exc)
     return None
@@ -208,29 +223,68 @@ class TestGraphEdgeCheck:
     def test_matches_per_edge_loop(self, num_vertices, edges):
         assert edge_error(num_vertices, edges) == reference_edge_error(num_vertices, edges)
 
+    def test_edges_sorted_and_read_only(self):
+        g = graphs.Graph(num_vertices=4, rows=[2, 0, 1, 0], cols=[3, 2, 3, 1])
+        assert g.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+        with pytest.raises(ValueError):
+            g.rows[0] = 1
+
+    @pytest.mark.parametrize("faces, lengths, roots", [
+        ([0, 1, 3, 2], [4], {"first_vertex": 4}),  # root past the last vertex
+        ([0, 1, 3, 2], [4], {"last_vertex": -1}),  # negative root
+        ([0, 1, 2], [3], {}),  # step 1 -> 2 is not an edge
+        ([0, 1, 3, 7], [4], {}),  # face vertex out of range
+        ([0, 1, 3, 2], [3], {}),  # lengths do not cut the vertices
+        ([0, 1, 3, 2], [5, -1], {}),
+    ])
+    def test_bad_faces_and_roots_refused(self, faces, lengths, roots):
+        with pytest.raises(InvalidParameterError):
+            graphs.Graph(num_vertices=4, rows=[0, 0, 1, 2], cols=[1, 2, 3, 3],
+                         face_vertices=faces, face_lengths=lengths, **roots)
+
 
 class TestReplaceEdges:
     def test_single_edge_becomes_bridged_shrub(self):
-        g = graphs.Graph(num_vertices=2, edges=((0, 1),))
+        g = graphs.Graph(num_vertices=2, rows=[0], cols=[1])
         out = graphs.replace_edges(g, [(0, 1)], {(0, 1): (2,)})
         assert out.num_vertices == 6
         assert (0, 1) not in out.edges
         assert out.degrees()[0] == 1 and out.degrees()[1] == 1
 
     def test_triangle_all_edges(self):
-        tri = graphs.Graph(num_vertices=3, edges=((0, 1), (0, 2), (1, 2)))
+        tri = graphs.Graph(num_vertices=3, rows=[0, 0, 1], cols=[1, 2, 2])
         trees = {e: (2,) for e in tri.edges}
         out = graphs.replace_edges(tri, tri.edges, trees)
         assert out.num_vertices == 3 * 4 + 3
 
     def test_zero_edges_identity(self):
         g = graphs.grow_tree((2, 2))
-        assert graphs.replace_edges(g, [], {}) == g
+        assert same_graph(graphs.replace_edges(g, [], {}), g)
 
     def test_absent_edge_rejected(self):
-        g = graphs.Graph(num_vertices=3, edges=((0, 1),))
+        g = graphs.Graph(num_vertices=3, rows=[0], cols=[1])
         with pytest.raises(InvalidParameterError):
             graphs.replace_edges(g, [(1, 2)], {(1, 2): (2,)})
+
+    def test_tree_keyed_by_either_orientation(self):
+        g = graphs.Graph(num_vertices=2, rows=[0], cols=[1])
+        for marked, key in [((1, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0))]:
+            out = graphs.replace_edges(g, [marked], {key: (2,)})
+            assert same_graph(out, graphs.replace_edges(g, [(0, 1)], {(0, 1): (2,)}))
+
+    def test_missing_tree_refused(self):
+        g = graphs.Graph(num_vertices=3, rows=[0, 1], cols=[1, 2])
+        with pytest.raises(InvalidParameterError, match="no tree"):
+            graphs.replace_edges(g, [(0, 1), (1, 2)], {(0, 1): (2,)})
+
+    def test_faces_on_a_marked_edge_dropped(self):
+        g = graphs.grow_tree((2, 2))
+        out = graphs.replace_edges(g, [(0, 1)], {(0, 1): (3,)})
+        kept = [cyc for cyc in g.plaquettes
+                if not any({cyc[i], cyc[i - 1]} == {0, 1} for i in range(len(cyc)))]
+        assert out.plaquettes == tuple(kept) + tuple(
+            tuple(v + g.num_vertices for v in cyc) for cyc in graphs.shrub(3).plaquettes)
+        assert out.num_edges == g.num_edges - 1 + 2 + graphs.shrub(3).num_edges
 
 
 class TestChainGraph:
@@ -408,6 +462,11 @@ class TestGraphFile:
         "graph 3\ne 0 1\nroot first\n",  # root vertex missing
         "graph 3\ne 0 1\nroot middle 2\n",  # unknown root kind
         "graph 3\ne 0 1\nface 0 1 x\n",  # non-integer face vertex
+        "graph 3\ne 0 1\nface 0 1 7\nroot first 9\nroot last -2\n",
+        "graph 3\ne 0 1\nface 0 1 7\n",  # face vertex out of range
+        "graph 3\ne 0 1\ne 1 2\nface 0 1 2\n",  # step 2 -> 0 is not an edge
+        "graph 3\ne 0 1\nroot first 9\n",  # root past the last vertex
+        "graph 3\ne 0 1\nroot last -2\n",  # negative root
     ])
     def test_bad_line_refused(self, text):
         with pytest.raises(InvalidParameterError):
