@@ -11,8 +11,18 @@ Every cell is bipartite (the glued trees keep their level parity across the
 root-to-root chain, and the rhombus tilings have only 4-cycle faces), and a
 model refuses a cell that cannot be 2-coloured.  With the sublattices A and
 B, H(k) = [[0, T(k)], [T(k)^H, 0]], so its spectrum is +-sigma(T(k)) plus
-||B| - |A|| exact zeros: a sweep stacks only the |A| x |B| blocks T(k) and
-takes their singular values.
+||B| - |A|| exact zeros, and a sweep needs only the singular values of T(k).
+
+The momentum enters T(k) only through the rows touched by an edge with a
+nonzero winding (or the columns, if fewer; a transpose keeps the singular
+values): the first root of a chain cell, the corner of the {4,4} cell.  Per
+flux a sweep takes one SVD of the other, static rows, T_s = U S V^H; the
+singular values of T(k) are then those of [S; T_r(k) V].  Within each
+cluster of g equal static values s, a rotation of the cluster's columns
+leaves min(g, r) columns coupled to the r momentum rows, and g - min(g, r)
+copies of s that are exact, k-independent singular values.  Each momentum
+then takes one SVD of a block with a row and a column per kept column, plus
+r rows.
 
 The chain keeps one copy of the tree per unit cell, identifying the last
 root of each cell with the first root of the next, so its cell is the
@@ -28,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,11 +47,14 @@ from .errors import InvalidParameterError, ResourceLimitError
 
 TWO_PI = 2.0 * math.pi
 
-# Largest (points, |A|*|B|) complex block a sweep may stack; its other arrays
-# (per-edge phases, energies) are of the same order.  It also bounds the
-# energies of every flux that ``dos_map`` holds at once.  The README figures
-# need at most 1,024 points, under 1 MiB.
+# Largest (points, |A|*|B|) complex block of T(k) a sweep may cover, although
+# it holds only smaller arrays (coupled rows, small blocks, energies).  It
+# also bounds the energies of every flux that ``dos_map`` holds at once.  The
+# README figures need at most 1,024 points, under 1 MiB.
 SWEEP_BLOCK_LIMIT_BYTES = 256 * 2**20
+# Static singular values within this many ulps of the largest one, chained
+# along the sorted values, form one cluster of equal values.
+CLUSTER_ULPS = 64
 
 
 def _two_colouring(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -61,6 +74,23 @@ def _two_colouring(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return colour
 
 
+class _Block(NamedTuple):
+    """Edges scattered into a fixed block: each adds exp(i*(factors*phi +
+    windings.k)) at its flattened slot of a ``shape`` matrix."""
+
+    factors: np.ndarray
+    windings: np.ndarray
+    slots: np.ndarray
+    shape: tuple[int, int]
+
+    def at(self, ks: np.ndarray, phi: float) -> np.ndarray:
+        """The blocks at each row of ``ks``, as (K, *shape)."""
+        w = np.exp(1j * (phi * self.factors + ks @ self.windings.T))
+        out = np.zeros((len(ks), self.shape[0] * self.shape[1]), dtype=complex)
+        np.add.at(out, (slice(None), self.slots), w)
+        return out.reshape(-1, *self.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class BlochModel:
     """A momentum- and flux-parametric family of finite Hermitian matrices.
@@ -69,8 +99,10 @@ class BlochModel:
     (rows[e], cols[e]) and its conjugate at (cols[e], rows[e]); ``windings``
     has one column per momentum direction.  ``sublattices`` (A, B) are the
     vertex ids of the two colour classes, found once at construction; each
-    edge also keeps its slot in the flattened |A| x |B| block and its phase
-    factors negated where it runs from B to A, so enters the block conjugated.
+    edge also keeps its slot in the |A| x |B| block and its phase factors
+    negated where it runs from B to A, so enters the block conjugated.  For
+    sweeps the same edges are also split into the static rows of T(k) (or
+    of its transpose) and the r coupled rows that every winding edge meets.
     """
 
     bands: int
@@ -80,7 +112,7 @@ class BlochModel:
     windings: np.ndarray
     default_flux: float
     sublattices: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    _block_edges: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _blocks: tuple[_Block, _Block, _Block] = field(init=False, repr=False)
 
     def __post_init__(self):
         colour = _two_colouring(self.bands, self.rows, self.cols)
@@ -90,11 +122,23 @@ class BlochModel:
         # An edge from B to A enters T(k) conjugated: ends swapped, phase negated.
         flip = colour[self.rows] == 1
         sign = np.where(flip, -1, 1)
-        u, v = pos[self.rows], pos[self.cols]
+        u = np.where(flip, pos[self.cols], pos[self.rows])
+        v = np.where(flip, pos[self.rows], pos[self.cols])
+        factors, windings = sign * self.flux_factors, sign[:, None] * self.windings
+        shape = (len(a), len(b))
+        full = _Block(factors, windings, u * len(b) + v, shape)
+        moving = windings.any(axis=1)
+        coupled = np.bincount(u[moving], minlength=len(a)) > 0
+        coupled_cols = np.bincount(v[moving], minlength=len(b)) > 0
+        if coupled_cols.sum() < coupled.sum():  # T(k)^T has fewer coupled rows
+            u, v, shape, coupled = v, u, shape[::-1], coupled_cols
+        r, on = int(coupled.sum()), coupled[u]
+        # Each row's index among the coupled rows, or among the static ones.
+        slots = (np.where(coupled, np.cumsum(coupled), np.cumsum(~coupled)) - 1)[u] * shape[1] + v
         object.__setattr__(self, "sublattices", (a, b))
-        object.__setattr__(self, "_block_edges", (
-            sign * self.flux_factors, sign[:, None] * self.windings,
-            np.where(flip, v * len(b) + u, u * len(b) + v)))
+        object.__setattr__(self, "_blocks", (
+            full, _Block(factors[~on], windings[~on], slots[~on], (shape[0] - r, shape[1])),
+            _Block(factors[on], windings[on], slots[on], (r, shape[1]))))
 
     @property
     def dimensionality(self) -> int:
@@ -121,13 +165,68 @@ class BlochModel:
     def hopping_blocks(self, momenta, phi: float | None = None) -> np.ndarray:
         """The blocks T(k) = <A|H(k, phi)|B> at each row of ``momenta``, as (K, |A|, |B|)."""
         phi = self.default_flux if phi is None else phi
+        return self._blocks[0].at(self._momenta(momenta), phi)
+
+    def _static_clusters(self, phi: float):
+        """The static rows' singular values, one per column of the swept
+        block, as clusters of equal values: (starts, sizes, values, V).
+
+        One SVD T_s = U S V^H; the values of S, padded with zeros to one per
+        column and sorted descending, are cut where neighbours differ by more
+        than ``CLUSTER_ULPS`` ulps of the largest, and each cluster reads as
+        its mean.  Cluster c spans columns starts[c] : starts[c] + sizes[c]
+        of V, and ``sizes - min(sizes, r)`` of its copies are singular values
+        of T(k) at every k.
+        """
+        _, static, _ = self._blocks
+        m_s, n_c = static.shape
+        sigma, v = np.zeros(n_c), np.eye(n_c, dtype=complex)
+        if m_s and n_c:
+            _, s, vh = np.linalg.svd(static.at(np.zeros((1, self.dimensionality)), phi)[0])
+            sigma[:len(s)], v = s, vh.conj().T
+        tol = CLUSTER_ULPS * np.finfo(float).eps * sigma.max(initial=0.0)
+        starts = np.flatnonzero(np.diff(sigma, prepend=np.inf) < -tol)
+        sizes = np.diff(starts, append=n_c)
+        values = np.add.reduceat(sigma, starts) / sizes if n_c else sigma
+        return starts, sizes, values, v
+
+    def singular_values(self, momenta, phi: float | None = None) -> np.ndarray:
+        """The singular values of T(k) at each row of ``momenta``, descending,
+        as (K, min(|A|, |B|)).
+
+        With the ``_static_clusters`` (s_c, V_c) of the flux, the coupling
+        X_c(k) = T_r(k) V_c of each cluster's g columns is reduced to its R
+        factor (the column norm when r = 1): min(g, r) columns stay coupled,
+        and the other g - min(g, r) values are s_c exactly, at every k.  One
+        SVD per momentum of [diag(s_kept); Y(k)], the kept columns' values
+        over their couplings, gives the rest.  Of these values, one per
+        column, the smallest beyond min(|A|, |B|) are zeros and are dropped.
+        """
+        phi = self.default_flux if phi is None else phi
         ks = self._momenta(momenta)
-        factors, windings, slots = self._block_edges
-        w = np.exp(1j * (phi * factors + ks @ windings.T))
-        a, b = (len(s) for s in self.sublattices)
-        out = np.zeros((len(ks), a * b), dtype=complex)
-        np.add.at(out, (slice(None), slots), w)
-        return out.reshape(-1, a, b)
+        starts, sizes, values, v = self._static_clusters(phi)
+        _, static, coupled = self._blocks
+        (m_s, n_c), r = static.shape, coupled.shape[0]
+        kept = np.minimum(sizes, r)
+        exact = np.repeat(values, sizes - kept)
+        free = np.zeros((len(ks), 0))
+        if kept.sum():
+            x = coupled.at(ks, phi) @ v
+            if r == 1:
+                y = np.sqrt(np.add.reduceat(x.real ** 2 + x.imag ** 2, starts, axis=2))
+            else:  # X_c^H = Q R, so X_c Q = R^H and the rest of the cluster decouples
+                y = np.concatenate([
+                    x[:, :, a:a + g] if g == 1 else
+                    np.linalg.qr(x[:, :, a:a + g].conj().swapaxes(1, 2), mode="r")
+                    .conj().swapaxes(1, 2) for a, g in zip(starts, sizes)], axis=2)
+            diag = np.repeat(values, kept)
+            small = np.zeros((len(ks), diag.size + r, diag.size), dtype=y.dtype)
+            small[:, np.arange(diag.size), np.arange(diag.size)] = diag
+            small[:, diag.size:] = y
+            free = (np.linalg.norm(small, axis=1) if diag.size == 1  # one column: its norm
+                    else np.linalg.svd(small, compute_uv=False))
+        out = np.concatenate([np.broadcast_to(exact, (len(ks), exact.size)), free], axis=1)
+        return np.sort(out, axis=1)[:, ::-1][:, :min(n_c, m_s + r)]
 
     def matrix(self, k, phi: float | None = None) -> np.ndarray:
         return self.stack(np.reshape(k, (1, -1)), phi)[0]
@@ -208,10 +307,11 @@ def band_sweep(model: BlochModel, phi: float | None, grid: int) -> BandSweep:
     """Energies on a uniform momentum grid over [0, 2*pi) per direction.
 
     The singular values s_1 >= ... >= s_m of each block T(k), m = min(|A|,
-    |B|), give the row (-s_1, ..., -s_m, 0, ..., 0, s_m, ..., s_1) with
-    n - 2m zeros: ascending, and exactly symmetric about zero.  Refuses,
-    before the grid is built, when the block would exceed
-    ``SWEEP_BLOCK_LIMIT_BYTES``.
+    |B|), from ``BlochModel.singular_values`` (one SVD of the static rows,
+    then one small SVD per momentum), give the row (-s_1, ..., -s_m, 0, ...,
+    0, s_m, ..., s_1) with n - 2m zeros: ascending, and exactly symmetric
+    about zero.  Refuses, before the grid is built, when the (points, |A|,
+    |B|) complex block of T(k) would exceed ``SWEEP_BLOCK_LIMIT_BYTES``.
     """
     a, b = (len(s) for s in model.sublattices)
     points = max(grid, 0) ** model.dimensionality
@@ -219,7 +319,7 @@ def band_sweep(model: BlochModel, phi: float | None, grid: int) -> BandSweep:
         raise ResourceLimitError(f"{points} momenta x {a} x {b} complex block exceeds "
                                  f"{SWEEP_BLOCK_LIMIT_BYTES / 2**20:g} MiB")
     pts = momentum_grid(model.dimensionality, grid)
-    sigma = np.linalg.svd(model.hopping_blocks(pts, phi), compute_uv=False)
+    sigma = model.singular_values(pts, phi)
     zeros = np.zeros((len(pts), model.bands - 2 * sigma.shape[1]))
     energies = np.hstack([-sigma, zeros, sigma[:, ::-1]])
     width = float(np.max(energies.max(axis=0) - energies.min(axis=0)))

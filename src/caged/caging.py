@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -34,6 +35,8 @@ DEFAULT_KRYLOV_CAP = 512
 KRYLOV_NOVELTY_TOL = 1e-6
 CLS_RESIDUAL_TOL = 1e-8
 SUPPORT_EPS = 1e-8
+# Dense eigenvalues split by at most this gap merge into one cluster.
+EIGEN_CLUSTER_TOL = 1e-6
 
 
 def _endpoints(m: gauge.Ccam, m_max: int, source: int | None,
@@ -412,20 +415,22 @@ class KrylovResult:
 
 
 def krylov_cls(m: gauge.Ccam, seed: int, *, cap: int = DEFAULT_KRYLOV_CAP,
-               novelty_tol: float = KRYLOV_NOVELTY_TOL, spectral=None) -> KrylovResult:
+               novelty_tol: float = KRYLOV_NOVELTY_TOL) -> KrylovResult:
     """Diagonalize the matrix on the Krylov space of one site.
 
     That space is spanned by the projections P_c e_s of the seed onto the
     eigenspaces, so within the dense limit the states are the normalised
     columns V_c V_c^H e_s of the clusters (lambda_c, V_c) of
-    ``dense_spectral_data`` (``spectral``, shareable across seeds) with
-    ||V_c[s, :]|| > ``novelty_tol``.  Beyond it the space is grown
-    breadth-first in 80-bit arithmetic, orthogonalizing each level's images
-    twice (plain Gram-Schmidt loses orthogonality inside degenerate flat
-    bands) and keeping the novel components above ``novelty_tol``; a level
-    that adds nothing closes an invariant span.  Residuals are measured on
-    the returned vectors, the invariance defect on the projector columns or
-    the 80-bit basis.  A cap hit is reported (``closed=False``, dimension
+    ``dense_spectral_data`` with ||V_c[s, :]|| > ``novelty_tol``.  That
+    decomposition is taken once per matrix and kept only while the matrix
+    lives, so every seed of one matrix (and ``verify_all_cls`` on it) shares
+    one ``eigh``.  Beyond the dense limit the space is grown breadth-first
+    in 80-bit arithmetic, orthogonalizing each level's images twice (plain
+    Gram-Schmidt loses orthogonality inside degenerate flat bands) and
+    keeping the novel components above ``novelty_tol``; a level that adds
+    nothing closes an invariant span.  Residuals are measured on the
+    returned vectors, the invariance defect on the projector columns or the
+    80-bit basis.  A cap hit is reported (``closed=False``, dimension
     ``cap``, no states), not raised: it is expected away from flat fluxes.
 
     At a dispersive flux the 80-bit route keeps roundoff copies of
@@ -437,10 +442,8 @@ def krylov_cls(m: gauge.Ccam, seed: int, *, cap: int = DEFAULT_KRYLOV_CAP,
         raise InvalidParameterError(f"seed {seed} out of range")
     if cap < 1:
         raise InvalidParameterError(f"cap must be at least 1, got {cap}")
-    if spectral is None and m.dimension <= gauge.dense_limit():
-        spectral = dense_spectral_data(m)
-    if spectral is not None:
-        hits = [(value, basis) for value, basis in spectral
+    if m.dimension <= gauge.dense_limit():
+        hits = [(value, basis) for value, basis in _shared_spectral_data(m)
                 if np.linalg.norm(basis[seed]) > novelty_tol]
         if len(hits) > cap:
             return KrylovResult(seed=seed, dimension=cap, closed=False, states=())
@@ -490,11 +493,25 @@ def krylov_cls(m: gauge.Ccam, seed: int, *, cap: int = DEFAULT_KRYLOV_CAP,
     return _closed_result(m, seed, vals, block, defect)
 
 
-def dense_spectral_data(m: gauge.Ccam, cluster_tol: float = 1e-6):
-    """Eigen-decomposition of the dense matrix grouped into degeneracy clusters."""
+def dense_spectral_data(m: gauge.Ccam):
+    """Eigen-decomposition of the dense matrix grouped into degeneracy
+    clusters, (mean eigenvalue, orthonormal eigenvector columns) each."""
     evals, evecs = np.linalg.eigh(gauge.dense_matrix(m))
-    cuts = np.flatnonzero(np.diff(evals, prepend=-np.inf, append=np.inf) > cluster_tol)
+    cuts = np.flatnonzero(np.diff(evals, prepend=-np.inf, append=np.inf) > EIGEN_CLUSTER_TOL)
     return [(float(np.mean(evals[a:b])), evecs[:, a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+# ``dense_spectral_data`` of each matrix, held only while the matrix lives.
+_SPECTRAL_DATA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _shared_spectral_data(m: gauge.Ccam):
+    """``dense_spectral_data(m)``, computed once per matrix; a ``Ccam`` is
+    immutable, so the decomposition stays valid while ``m`` lives."""
+    data = _SPECTRAL_DATA.get(m)
+    if data is None:
+        data = _SPECTRAL_DATA[m] = dense_spectral_data(m)
+    return data
 
 
 def _closed_result(m: gauge.Ccam, seed: int, vals: np.ndarray, block: np.ndarray,
@@ -584,12 +601,13 @@ def verify_all_cls(m: gauge.Ccam, radius_bound: int, *, seeds: Sequence[int] | N
     """Extract compact states from every seed and check that they span.
 
     Within the dense limit one pass over the clusters reads every seed's
-    projector columns (see ``krylov_cls``) and the singular values of all of
-    them together; beyond it each seed runs the sparse Krylov expansion and
-    its states are stacked as rows for one SVD.  The rank of the states
-    deduplicates them (pairwise matching is ill-posed inside degenerate flat
-    bands).  Seeds over ``cap`` are reported: the matrix is not caging at
-    this flux, or the cap is too small.
+    projector columns (see ``krylov_cls``, whose decomposition of ``m`` it
+    shares) and the singular values of all of them together; beyond it each
+    seed runs the sparse Krylov expansion and its states are stacked as rows
+    for one SVD.  The rank of the states deduplicates them (pairwise
+    matching is ill-posed inside degenerate flat bands).  Seeds over ``cap``
+    are reported: the matrix is not caging at this flux, or the cap is too
+    small.
     """
     if cap < 1 or radius_bound < 0:
         raise InvalidParameterError(f"cap {cap} must be >= 1 and radius bound {radius_bound} >= 0")
@@ -630,7 +648,7 @@ def _projector_cover(m: gauge.Ccam, seeds: list[int], cap: int):
     are those of the small blocks C_c together, and no (states x dimension)
     stack is formed.
     """
-    clusters, h = dense_spectral_data(m), gauge.dense_matrix(m)
+    clusters, h = _shared_spectral_data(m), gauge.dense_matrix(m)
     reach = np.array([np.linalg.norm(basis[seeds], axis=1) > KRYLOV_NOVELTY_TOL
                       for _, basis in clusters], dtype=bool).reshape(len(clusters), len(seeds))
     dims = reach.sum(axis=0)

@@ -14,6 +14,7 @@ import json
 import math
 import re
 import sys
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,7 +68,7 @@ def _write(path: str | None, payload: str):
             fh.write(payload)
 
 
-def _rows_to_output(header: list[str], rows: list[list], fmt: str) -> str:
+def _rows_to_output(header: list[str], rows: Iterable[Sequence], fmt: str) -> str:
     if fmt == "json":
         objs = [dict(zip(header, row)) for row in rows]
         return json.dumps(objs, indent=2) + "\n"
@@ -157,12 +158,9 @@ def cmd_dos(args) -> int:
     model = bloch.chain_bloch(parse_sequence(args.x), 0.0)
     phis = [2.0 * math.pi * i / args.phi_grid for i in range(args.phi_grid)]
     dos = bloch.dos_map(model, phis, args.k_grid, args.bins)
-    centers = dos.bin_centers()
-    rows = []
-    for i, phi in enumerate(dos.flux_values):
-        for b in range(len(centers)):
-            if dos.counts[i, b]:
-                rows.append([float(phi), float(centers[b]), int(dos.counts[i, b])])
+    flux, bins = np.nonzero(dos.counts)  # row-major: by flux, then by bin
+    rows = zip(np.asarray(dos.flux_values)[flux].tolist(), dos.bin_centers()[bins].tolist(),
+               dos.counts[flux, bins].tolist())
     _write(args.out, _rows_to_output(["phi", "energy_bin_center", "count"], rows, args.format))
     return 0
 

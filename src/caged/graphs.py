@@ -79,9 +79,9 @@ class Graph:
 
     Construction is the one check: it refuses the first edge, in the order
     given, that is out of range or repeats an earlier edge, then sorts the
-    edges, and refuses a root outside ``0..num_vertices-1`` or a face step
-    that is not an edge.  Sorted read-only inputs, such as the cached growth
-    arrays, are kept without a copy.
+    edges, and refuses a root outside ``0..num_vertices-1``, a face of fewer
+    than 3 vertices or a face step that is not an edge.  Sorted read-only
+    inputs, such as the cached growth arrays, are kept without a copy.
     """
 
     num_vertices: int
@@ -120,6 +120,10 @@ class Graph:
                 or lengths.sum() != vertices.size):
             raise InvalidParameterError(
                 f"face lengths {lengths.tolist()} do not cut {vertices.size} face vertices")
+        short = np.flatnonzero(lengths < 3)
+        if short.size:
+            raise InvalidParameterError(
+                f"face {short[0]} has {lengths[short[0]]} vertices; a face needs at least 3")
         for root in (self.first_vertex, self.last_vertex):
             if root is not None and not 0 <= root < n:
                 raise InvalidParameterError(f"root {root} out of range for {n} vertices")
@@ -718,14 +722,18 @@ def format_text(header: str, edge_lines: Iterable[str], g: Graph) -> str:
 
 def text_fields(line: str, *types) -> list:
     """The words after a text line's keyword, converted by ``types`` in turn;
-    refuses a line with too few words or a word that does not convert."""
+    refuses a line with too few words, a word that does not convert or an
+    integer outside int64 (vertex ids and counts are int64 arrays)."""
     words = line.split()[1:]
     if len(words) < len(types):
         raise InvalidParameterError(f"line {line!r} needs {len(types)} field(s)")
     try:
-        return [kind(word) for kind, word in zip(types, words)]
+        fields = [kind(word) for kind, word in zip(types, words)]
     except ValueError:
         raise InvalidParameterError(f"bad field in line {line!r}") from None
+    if any(type(f) is int and not -2**63 <= f < 2**63 for f in fields):
+        raise InvalidParameterError(f"integer field out of range in line {line!r}")
+    return fields
 
 
 def parse_text(text: str, usage: str, edge_types: Sequence[type]):

@@ -273,6 +273,100 @@ class TestChiralRoute:
         assert (np.diff(energies, axis=1) >= 0).all()
 
 
+def cell_model(a, b, edges, dims=1):
+    """A model on A = 0..a-1 and B = a..a+b-1 from (row, col, phase per unit
+    flux, windings...) tuples."""
+    t = np.array(edges, dtype=float)
+    return bloch.BlochModel(bands=a + b, rows=t[:, 0].astype(np.int64),
+                            cols=t[:, 1].astype(np.int64), flux_factors=t[:, 2],
+                            windings=t[:, 3:3 + dims].astype(np.int64), default_flux=0.0)
+
+
+class TestStaticSplit:
+    """A sweep takes one SVD of the static rows of T(k) per flux and, per
+    momentum, one SVD of the small block that couples their clusters to the
+    winding rows; the SVD of the whole block T(k) is the oracle."""
+
+    @staticmethod
+    def deviation(model, phi, grid):
+        pts = bloch.momentum_grid(model.dimensionality, grid)
+        want = np.linalg.svd(model.hopping_blocks(pts, phi), compute_uv=False)
+        return float(np.max(np.abs(model.singular_values(pts, phi) - want)))
+
+    @staticmethod
+    def coupled_shape(model):
+        return model._blocks[2].shape
+
+    def test_every_chain_to_product_64(self):
+        worst = 0.0
+        for m in range(2, 65):
+            for xs in graphs.ordered_factorizations(m)[1]:
+                model = bloch.chain_bloch(xs, 0.0)
+                assert self.coupled_shape(model)[0] == 1
+                for phi in (0.0, TWO_PI / m, 0.7):
+                    worst = max(worst, self.deviation(model, phi, 7))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2, math.pi])
+    def test_star_lattice(self, phi):
+        model = bloch.second_kind_44_bloch(phi)
+        assert self.coupled_shape(model) == (1, 4)
+        assert self.deviation(model, phi, 16) <= 1e-13
+
+    def test_transposed_side(self):
+        # Winding edges meet all six A rows but only B column 6.
+        edges = ([(i, 6, 0.1 * i, 1) for i in range(6)] + [(i, 7, 0.0, 0) for i in range(6)]
+                 + [(i, 8, 0.2, 0) for i in range(3)])
+        model = cell_model(6, 3, edges)
+        assert self.coupled_shape(model) == (1, 6)
+        for phi in (0.0, 0.7):
+            assert self.deviation(model, phi, 31) <= 1e-13
+
+    def test_two_coupled_rows_with_degenerate_clusters(self):
+        # Static rows 2 and 3 see every column alike, so the static values
+        # are sqrt(12) and five zeros: a cluster wider than r = 2.
+        edges = [(i, j, 0.0, 0) for i in (2, 3) for j in range(4, 10)] + [
+            (0, 4, 0.3, 1), (0, 5, 0.1, 0), (1, 6, -0.2, -1), (1, 7, 0.5, 0),
+            (0, 8, 0.0, 2), (1, 9, 0.25, 1)]
+        model = cell_model(4, 6, edges)
+        assert self.coupled_shape(model) == (2, 6)
+        assert max(model._static_clusters(0.7)[1]) > 2
+        for phi in (0.0, 0.7, 2.0):
+            assert self.deviation(model, phi, 31) <= 1e-13
+
+    def test_two_coupled_rows_in_two_directions(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            a, b = (int(v) for v in rng.integers(3, 7, 2))
+            edges = [(i, a + j, rng.normal(), 0, 0) for i in range(a) for j in range(b)
+                     if rng.random() < 0.5]
+            edges += [(i, a + int(rng.integers(b)), rng.normal(), *rng.integers(-1, 2, 2))
+                      for i in (0, 1) for _ in range(2)]
+            model = cell_model(a, b, edges, dims=2)
+            assert self.deviation(model, 0.9, 7) <= 1e-13
+
+    def test_no_static_rows(self):
+        model = cell_model(2, 2, [(0, 2, 0.0, 1), (1, 2, 0.3, 0), (1, 3, 0.0, -1),
+                                  (0, 3, 0.1, 0)])
+        assert model._blocks[1].shape == (0, 2)
+        assert self.deviation(model, 0.7, 31) <= 1e-13
+        rhombus = bloch.chain_bloch((2,), 0.0)
+        assert rhombus._blocks[1].shape == (0, 2)
+        assert self.deviation(rhombus, 1.1, 101) <= 1e-13
+
+    def test_decoupled_values_exact_at_232_flat_values(self):
+        model = bloch.chain_bloch((2, 3, 2), 0.0)
+        pts = bloch.momentum_grid(1, 101)
+        r = self.coupled_shape(model)[0]
+        for phi in gauge.flat_values((2, 3, 2)).values[:-1]:
+            _, sizes, values, _ = model._static_clusters(phi)
+            exact = np.repeat(values, sizes - np.minimum(sizes, r))
+            assert (exact > 0).sum() >= 6
+            sigma = model.singular_values(pts, phi)
+            for value in np.unique(exact[exact > 0]):
+                assert ((sigma == value).sum(axis=1) >= (exact == value).sum()).all()
+
+
 class TestSweepLimit:
     def test_refused_before_the_grid_is_built(self, monkeypatch):
         def no_grid(*args):

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -434,6 +436,30 @@ class TestRouteAgreement:
             (m.dimension, True, True)
 
 
+class TestSharedSpectralData:
+    """Within the dense limit the hubs of a patch share one ``eigh``, kept
+    only while their matrix lives."""
+
+    def test_hubs_share_one_eigh_freed_with_the_matrix(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        patch = graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6))
+        mp = gauge.lotus_ccam(patch, math.pi)
+        results = [caging.krylov_cls(mp, hub) for hub in graphs.lotus_hubs(patch)]
+        assert len(results) > 1 and all(r.closed for r in results)
+        caging.verify_all_cls(mp, 3)
+        assert calls == [(mp.dimension, mp.dimension)]
+        held = weakref.ref(caging._SPECTRAL_DATA[mp][0][1])
+        del mp
+        gc.collect()
+        assert held() is None
+
+
 class TestPerClusterRank:
     """The dense cover ranks its states by the singular values of each
     cluster's coefficient block; stacking every state of every seed as a row
@@ -448,9 +474,8 @@ class TestPerClusterRank:
         m = gauge.chain_ccam(xs, cells, phi)
         seeds = list(range(m.dimension))
         _, union = caging._projector_cover(m, seeds, caging.DEFAULT_KRYLOV_CAP)
-        spectral = caging.dense_spectral_data(m)
         stack = np.array([s.vector for seed in seeds
-                          for s in caging.krylov_cls(m, seed, spectral=spectral).states])
+                          for s in caging.krylov_cls(m, seed).states])
         stacked = np.linalg.svd(stack, compute_uv=False)
         union = np.sort(union)[::-1]
         both = min(len(union), len(stacked))

@@ -469,6 +469,20 @@ class TestCcamFile:
         with pytest.raises(InvalidParameterError):
             gauge.parse_ccam(f"ccam 3 0\ne 0 1 0.5\ne 1 2 0\n{bad}\n")
 
+    @pytest.mark.parametrize("text", [
+        "ccam 99999999999999999999 0\ne 0 1 0.5\n",  # vertex count past int64
+        "ccam 3 0\ne 0 99999999999999999999 0.5\n",  # edge end past int64
+        "ccam 3 0\ne 99999999999999999999 0 0.5\n",  # reversed edge past int64
+        "ccam 3 0\ne 0 1 0.5\ne 1 2 0\nface 0 1 99999999999999999999\n",
+    ])
+    def test_integer_past_int64_refused(self, text):
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            gauge.parse_ccam(text)
+
+    def test_degenerate_face_refused(self):
+        with pytest.raises(InvalidParameterError, match="at least 3"):
+            gauge.parse_ccam("ccam 2 0\ne 0 1 0.5\nface 0 1\n")
+
     @pytest.mark.parametrize("header", ["ccam x 0", "ccam 3 x", "ccam"])
     def test_bad_header_refused(self, header):
         with pytest.raises(InvalidParameterError):

@@ -242,6 +242,16 @@ class TestGraphEdgeCheck:
             graphs.Graph(num_vertices=4, rows=[0, 0, 1, 2], cols=[1, 2, 3, 3],
                          face_vertices=faces, face_lengths=lengths, **roots)
 
+    @pytest.mark.parametrize("faces, lengths", [
+        ([], [0]),  # an empty face
+        ([0, 1, 3, 2, 0, 1], [4, 2]),  # a face of two vertices after a square
+        ([0, 1], [1, 1]),
+    ])
+    def test_faces_below_three_vertices_refused(self, faces, lengths):
+        with pytest.raises(InvalidParameterError, match="a face needs at least 3"):
+            graphs.Graph(num_vertices=4, rows=[0, 0, 1, 2], cols=[1, 2, 3, 3],
+                         face_vertices=faces, face_lengths=lengths)
+
 
 class TestReplaceEdges:
     def test_single_edge_becomes_bridged_shrub(self):
@@ -471,3 +481,19 @@ class TestGraphFile:
     def test_bad_line_refused(self, text):
         with pytest.raises(InvalidParameterError):
             graphs.parse_graph(text)
+
+    @pytest.mark.parametrize("text", [
+        "graph 99999999999999999999\ne 0 1\n",  # vertex count past int64
+        "graph 3\ne 0 99999999999999999999\n",  # edge end past int64
+        "graph 3\ne -99999999999999999999 1\n",  # edge end below int64
+        "graph 3\ne 0 1\ne 1 2\nface 0 1 99999999999999999999\n",
+        "graph 3\ne 0 1\nroot last 99999999999999999999\n",
+    ])
+    def test_integer_past_int64_refused(self, text):
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            graphs.parse_graph(text)
+
+    @pytest.mark.parametrize("face", ["face", "face 0", "face 0 1"])
+    def test_degenerate_face_refused(self, face):
+        with pytest.raises(InvalidParameterError, match="at least 3"):
+            graphs.parse_graph(f"graph 2\ne 0 1\n{face}\n")
