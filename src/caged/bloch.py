@@ -47,10 +47,10 @@ from .errors import InvalidParameterError, ResourceLimitError
 
 TWO_PI = 2.0 * math.pi
 
-# Largest (points, |A|*|B|) complex block of T(k) a sweep may cover, although
-# it holds only smaller arrays (coupled rows, small blocks, energies).  It
-# also bounds the energies of every flux that ``dos_map`` holds at once.  The
-# README figures need at most 1,024 points, under 1 MiB.
+# Largest total, over a sweep's momenta, of the r coupled rows of T(k) (twice),
+# a small block of at most (n + r) x n values for n swept columns, and the
+# energies.  It also bounds the energies of every flux that ``dos_map`` holds
+# at once.  The README figures need at most 1,024 points, under 5 MiB.
 SWEEP_BLOCK_LIMIT_BYTES = 256 * 2**20
 # Static singular values within this many ulps of the largest one, chained
 # along the sorted values, form one cluster of equal values.
@@ -310,14 +310,14 @@ def band_sweep(model: BlochModel, phi: float | None, grid: int) -> BandSweep:
     |B|), from ``BlochModel.singular_values`` (one SVD of the static rows,
     then one small SVD per momentum), give the row (-s_1, ..., -s_m, 0, ...,
     0, s_m, ..., s_1) with n - 2m zeros: ascending, and exactly symmetric
-    about zero.  Refuses, before the grid is built, when the (points, |A|,
-    |B|) complex block of T(k) would exceed ``SWEEP_BLOCK_LIMIT_BYTES``.
+    about zero.  Refuses, before the grid is built, when the coupled rows,
+    small blocks and energies would exceed ``SWEEP_BLOCK_LIMIT_BYTES``.
     """
-    a, b = (len(s) for s in model.sublattices)
-    points = max(grid, 0) ** model.dimensionality
-    if points * a * b * 16 > SWEEP_BLOCK_LIMIT_BYTES:
-        raise ResourceLimitError(f"{points} momenta x {a} x {b} complex block exceeds "
-                                 f"{SWEEP_BLOCK_LIMIT_BYTES / 2**20:g} MiB")
+    (r, n), points = model._blocks[2].shape, max(grid, 0) ** model.dimensionality
+    held = points * (16 * (2 * r * n + (n + r) * n) + 8 * model.bands)
+    if held > SWEEP_BLOCK_LIMIT_BYTES:
+        raise ResourceLimitError(f"{points} momenta x {held // points} bytes of sweep arrays "
+                                 f"exceed {SWEEP_BLOCK_LIMIT_BYTES / 2**20:g} MiB")
     pts = momentum_grid(model.dimensionality, grid)
     sigma = model.singular_values(pts, phi)
     zeros = np.zeros((len(pts), model.bands - 2 * sigma.shape[1]))

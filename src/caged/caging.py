@@ -6,8 +6,8 @@ nonzero multiple of 2*pi over the branching product: every same-length path
 from one root to the other picks up phases that sum to zero.  When a lattice
 region is fenced by uncrossable trees, the Krylov space of any seed is finite
 and spanned by the seed's projections onto the eigenspaces: compact states are
-read from the columns of the dense spectral projectors, or beyond the dense
-limit from a sparse 80-bit Krylov expansion.
+read from the columns of dense spectral projectors, of the whole matrix within
+the dense limit and beyond it of a window around the seeds that none leak from.
 """
 
 from __future__ import annotations
@@ -25,13 +25,10 @@ from . import gauge, graphs, spectral
 from .errors import InvalidParameterError, ResourceLimitError
 
 DEFAULT_KRYLOV_CAP = 512
-# A cluster projecting the seed to at most this norm adds no state; in the
-# sparse expansion, image components this small (relative to the image) count
-# as inside the span, which closes when a whole level adds nothing.  True
-# novel weights in caged systems are products of a few partial-cancellation
-# factors (well above 1e-4 here), while roundoff stays below 1e-8 even after
-# dozens of 80-bit expansion levels; the reported invariance defect and
-# per-state residuals expose any system where this separation fails.
+# A cluster projecting the seed to at most this norm adds no state.  True
+# weights in caged systems are products of a few partial-cancellation factors
+# (well above 1e-4 here), while the roundoff of one dense ``eigh`` stays near
+# 1e-14; the per-state residuals expose any system where this separation fails.
 KRYLOV_NOVELTY_TOL = 1e-6
 CLS_RESIDUAL_TOL = 1e-8
 SUPPORT_EPS = 1e-8
@@ -163,13 +160,11 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
     exps = phase_exponents(m, n)
     # Edge (u, v, c) adds state[v] rotated by c into row u, and state[u]
     # rotated by -c into row v.
-    heads = np.concatenate([m.rows, m.cols])
-    tails = np.concatenate([m.cols, m.rows])
-    windows = np.concatenate([(n - exps) % n, exps])
-    order = np.argsort(heads, kind="stable")
-    heads, tails, windows = heads[order], tails[order], windows[order]
-    degree = np.bincount(heads, minlength=dim)
-    slot = np.arange(len(heads)) - np.repeat(np.cumsum(degree) - degree, degree)
+    offsets, tails, edges = m.graph.adjacency
+    degree = np.diff(offsets)
+    heads = np.repeat(np.arange(dim), degree)
+    windows = np.where(heads < tails, -exps[edges], exps[edges]) % n
+    slot = np.arange(len(heads)) - offsets[heads]
     width = max(int(degree.max(initial=0)), 1)
     table = np.full((dim, width), dim, dtype=np.intp)  # row dim stays zero
     table[heads, slot] = tails
@@ -403,7 +398,6 @@ class KrylovResult:
     dimension: int
     closed: bool
     states: tuple[ClsState, ...]
-    defect: float = 0.0  # ||(I - QQ*) H Q|| of the closed subspace
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -414,121 +408,152 @@ class KrylovResult:
         return max((s.support_radius for s in self.states), default=0)
 
 
-def krylov_cls(m: gauge.Ccam, seed: int, *, cap: int = DEFAULT_KRYLOV_CAP,
-               novelty_tol: float = KRYLOV_NOVELTY_TOL) -> KrylovResult:
-    """Diagonalize the matrix on the Krylov space of one site.
-
-    That space is spanned by the projections P_c e_s of the seed onto the
-    eigenspaces, so within the dense limit the states are the normalised
-    columns V_c V_c^H e_s of the clusters (lambda_c, V_c) of
-    ``dense_spectral_data`` with ||V_c[s, :]|| > ``novelty_tol``.  That
-    decomposition is taken once per matrix and kept only while the matrix
-    lives, so every seed of one matrix (and ``verify_all_cls`` on it) shares
-    one ``eigh``.  Beyond the dense limit the space is grown breadth-first
-    in 80-bit arithmetic, orthogonalizing each level's images twice (plain
-    Gram-Schmidt loses orthogonality inside degenerate flat bands) and
-    keeping the novel components above ``novelty_tol``; a level that adds
-    nothing closes an invariant span.  Residuals are measured on the
-    returned vectors, the invariance defect on the projector columns or the
-    80-bit basis.  A cap hit is reported (``closed=False``, dimension
-    ``cap``, no states), not raised: it is expected away from flat fluxes.
-
-    At a dispersive flux the 80-bit route keeps roundoff copies of
-    eigenvalues, so its dimension and cap hits are upper bounds there: on
-    the (2,3,2) chain of four cells at flux 0.3 it counts up to 85 states
-    against 63 distinct eigenvalues.
+def krylov_cls(m: gauge.Ccam, seed: int, *, cap: int = DEFAULT_KRYLOV_CAP) -> KrylovResult:
+    """Diagonalize the matrix on the Krylov space of one site, spanned by
+    its projections P_c e_s onto the eigenspaces (``_cover``).  Beyond the
+    dense limit the window is the seed's ball of radius 1, 2, 4, ..., grown
+    until no state leaks out; ``ResourceLimitError`` is raised when no ball
+    within the limit closes.  A Krylov space over ``cap`` is reported
+    (``closed=False``, dimension ``cap``, no states), not raised: it is
+    expected away from flat fluxes.
     """
     if not (0 <= seed < m.dimension):
         raise InvalidParameterError(f"seed {seed} out of range")
     if cap < 1:
         raise InvalidParameterError(f"cap must be at least 1, got {cap}")
-    if m.dimension <= gauge.dense_limit():
-        hits = [(value, basis) for value, basis in _shared_spectral_data(m)
-                if np.linalg.norm(basis[seed]) > novelty_tol]
-        if len(hits) > cap:
-            return KrylovResult(seed=seed, dimension=cap, closed=False, states=())
-        block = np.column_stack([basis @ basis[seed].conj() for _, basis in hits])
-        return _closed_result(m, seed, np.array([value for value, _ in hits]),
-                              block / np.linalg.norm(block, axis=0))
-
-    op = gauge.PhasedOperator(m, extended=True)
-    basis: list[np.ndarray] = []
-
-    def orthogonalized(w: np.ndarray) -> np.ndarray:
-        for b in basis:
-            w = w - b * np.vdot(b, w)
-        for b in basis:
-            w = w - b * np.vdot(b, w)
-        return w
-
-    seed_vec = np.zeros(m.dimension, dtype=np.clongdouble)
-    seed_vec[seed] = 1.0
-    frontier = [seed_vec]
-    while True:
-        fresh: list[np.ndarray] = []
-        for w in frontier:
-            pre = float(np.linalg.norm(w))
-            if pre < 1e-13:
-                continue
-            r = orthogonalized(w)
-            norm = float(np.linalg.norm(r))
-            if norm <= novelty_tol * max(1.0, pre):
-                continue
-            if len(basis) >= cap:
-                return KrylovResult(seed=seed, dimension=cap, closed=False, states=())
-            b = r / norm
-            basis.append(b)
-            fresh.append(b)
-        if not fresh:
-            break
-        frontier = [op.apply(b) for b in fresh]
-
-    q = np.array(basis).T  # dimension x k
-    image = np.column_stack([op.apply(c) for c in q.T])
-    small = q.conj().T @ image
-    defect = float(np.max(np.sqrt(np.sum(np.abs(image - q @ small) ** 2, axis=0))))
-    small = 0.5 * (small + small.conj().T)
-    vals, vecs = np.linalg.eigh(small.astype(complex))  # small and well conditioned
-    block = (q @ vecs.astype(np.clongdouble)).astype(complex)
-    return _closed_result(m, seed, vals, block, defect)
+    radius, leak = 1, [np.inf]
+    while leak[0] > CLS_RESIDUAL_TOL:
+        (record,), leak, (states,), _ = _cover(m, [seed], radius, m.dimension, keep=True)
+        radius *= 2
+    closed = record.krylov_dim <= cap
+    return KrylovResult(seed, min(record.krylov_dim, cap), closed, tuple(states) if closed else ())
 
 
-def dense_spectral_data(m: gauge.Ccam):
-    """Eigen-decomposition of the dense matrix grouped into degeneracy
-    clusters, (mean eigenvalue, orthonormal eigenvector columns) each."""
-    evals, evecs = np.linalg.eigh(gauge.dense_matrix(m))
-    cuts = np.flatnonzero(np.diff(evals, prepend=-np.inf, append=np.inf) > EIGEN_CLUSTER_TOL)
-    return [(float(np.mean(evals[a:b])), evecs[:, a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
-
-
-# ``dense_spectral_data`` of each matrix, held only while the matrix lives.
+# The whole matrix's ``dense_spectral_data``, held only while the matrix lives.
 _SPECTRAL_DATA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _shared_spectral_data(m: gauge.Ccam):
-    """``dense_spectral_data(m)``, computed once per matrix; a ``Ccam`` is
-    immutable, so the decomposition stays valid while ``m`` lives."""
-    data = _SPECTRAL_DATA.get(m)
-    if data is None:
-        data = _SPECTRAL_DATA[m] = dense_spectral_data(m)
+def dense_spectral_data(m: gauge.Ccam, inner: np.ndarray | None = None):
+    """Eigen-decomposition of the dense matrix, or of its rows and columns
+    ``inner``, grouped into degeneracy clusters: (mean eigenvalues,
+    orthonormal eigenvectors, zero off ``inner``, and the offsets of each
+    cluster's run of columns).  The whole matrix's is computed once: a
+    ``Ccam`` is immutable."""
+    if inner is None and m in _SPECTRAL_DATA:
+        return _SPECTRAL_DATA[m]
+    h = gauge.dense_matrix(m)
+    evals, evecs = np.linalg.eigh(h if inner is None else h[np.ix_(inner, inner)])
+    if inner is not None:  # zero off ``inner``
+        part, evecs = evecs, np.zeros((m.dimension, len(evals)), dtype=complex)
+        evecs[inner] = part
+    cuts = np.flatnonzero(np.diff(evals, prepend=-np.inf, append=np.inf) > EIGEN_CLUSTER_TOL)
+    data = np.array([np.mean(evals[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]), evecs, cuts
+    if inner is None:
+        _SPECTRAL_DATA[m] = data
     return data
 
 
-def _closed_result(m: gauge.Ccam, seed: int, vals: np.ndarray, block: np.ndarray,
-                   defect: float | None = None) -> KrylovResult:
-    """States from the orthonormal columns of ``block``, with residuals, radii
-    and (unless given) the invariance defect measured on those columns."""
-    plain = gauge.PhasedOperator(m)
-    image = np.column_stack([plain.apply(c) for c in block.T])
-    resid = np.linalg.norm(image - block * vals, axis=0)
-    if defect is None:
-        defect = float(np.max(np.linalg.norm(image - block @ (block.conj().T @ image), axis=0)))
-    dist = m.graph.distances(seed)
-    states = tuple(
-        ClsState(vector=v, eigenvalue=float(val), residual=float(r),
-                 support_radius=int(dist[np.abs(v) > SUPPORT_EPS].max(initial=0)))
-        for v, val, r in zip(block.T, vals, resid))
-    return KrylovResult(seed=seed, dimension=len(vals), closed=True, states=states, defect=defect)
+def _window(m: gauge.Ccam, seeds: np.ndarray, radius: int):
+    """The sorted vertices within ``radius`` + 1 of ``seeds``, the mask of
+    those within ``radius``, and the matrix induced from their own edges."""
+    levels = [np.unique(seeds)]  # breadth first, walking only the edges at each level
+    while len(levels) <= radius + 1:
+        reached = np.unique(m.graph.incidences(levels[-1])[1])
+        reached = reached[~np.isin(reached, np.concatenate(levels[-2:]))]
+        if not reached.size:
+            break
+        levels.append(reached)
+    vertices = np.sort(np.concatenate(levels))
+    inner = ~np.isin(vertices, np.concatenate([[-1]] + levels[radius + 1:]))
+    j, a, e = m.graph.incidences(vertices)
+    pos = np.minimum(np.searchsorted(vertices, a), len(vertices) - 1)
+    own = (vertices[pos] == a) & (vertices[j] < a)
+    return vertices, inner, gauge.Ccam(graphs.Graph(len(vertices), j[own], pos[own]),
+                                       m.phases[e[own]], m.flux)
+
+
+def _project(window: gauge.Ccam, spectral, local: np.ndarray, cap: int, radius: int,
+             inner: np.ndarray | None, keep: bool, svals: list | None):
+    """One window's pass for the seeds at ``local``: per seed, the record
+    fields after the seed, largest leak and (with ``keep``) states as [value,
+    column, residual, radius]; block singular values go to ``svals``."""
+    h, (values, evecs, cuts) = gauge.dense_matrix(window), spectral
+    weight = np.add.reduceat(np.abs(evecs[local]) ** 2, cuts[:-1], axis=1)
+    reach = np.sqrt(weight).T > KRYLOV_NOVELTY_TOL
+    dims = reach.sum(axis=0)
+    reach &= dims <= cap
+    support = np.zeros((len(local), window.dimension), dtype=bool)
+    resid, leak, found = np.zeros(len(local)), np.zeros(len(local)), [[] for _ in local]
+    for c in np.flatnonzero(reach.any(axis=1)).tolist():
+        value, basis, hits = values[c], evecs[:, cuts[c]:cuts[c + 1]], np.flatnonzero(reach[c])
+        coeffs = basis[local[hits]].conj().T
+        block = basis @ coeffs
+        norms = np.linalg.norm(block, axis=0)
+        block /= norms
+        support[hits] |= (np.abs(block) > SUPPORT_EPS).T
+        image = h @ block
+        r = np.linalg.norm(image - value * block, axis=0)
+        resid[hits] = np.maximum(resid[hits], r)
+        ring = image[slice(0) if inner is None else ~inner]
+        leak[hits] = np.maximum(leak[hits], np.linalg.norm(ring, axis=0))
+        if svals is not None:
+            svals.append(np.linalg.svd(coeffs / norms, compute_uv=False))
+        for col, row in enumerate(hits.tolist() if keep else ()):
+            found[row].append([float(value), block[:, col], float(r[col])])
+    out = []
+    for row, seed in enumerate(local.tolist()):
+        dist = window.graph.distances(seed)
+        for state in found[row]:
+            state.append(int(dist[np.abs(state[1]) > SUPPORT_EPS].max(initial=0)))
+        reached = radius + 1 if leak[row] > CLS_RESIDUAL_TOL else dist[support[row]].max(initial=0)
+        out.append(((int(min(dims[row], cap)), bool(dims[row] <= cap),
+                     tuple(values[reach[:, row]].tolist()), int(reached), float(resid[row])),
+                    leak[row], found[row]))
+    return out
+
+
+def _cover(m: gauge.Ccam, seeds: Sequence[int], radius: int, cap: int, keep: bool = False):
+    """Each seed's ``SeedRecord``, largest leak, states (with ``keep``) and,
+    with one window, the singular values of every cluster's block
+    V_c[hits, :]^H, columns scaled to unit norm: those of all the states,
+    as V_c is orthonormal and clusters orthogonal.  The states are the
+    columns V_c V_c^H e_s, scaled to unit norm, of the window's clusters
+    (lambda_c, V_c) with ||V_c[s, :]|| > ``KRYLOV_NOVELTY_TOL``.
+
+    Within the dense limit the window is the whole matrix.  Beyond it the
+    seeds of a chain cell (``cell_bounds``), or else each seed, share the
+    vertices within ``radius`` of them, diagonalized as the matrix they
+    induce; equal windows share one ``eigh``, and one above the dense limit
+    (with its outer ring) is refused.  A state's leak is H v on that ring.
+    Without leak its span is invariant under H, so the states are the global
+    P_c e_s; a leak means they reach past ``radius``, and the record reads
+    support radius ``radius + 1``.  Residuals use H on the window and ring,
+    the whole matrix; radii, distances there, are exact to ``radius + 1``.
+    """
+    g, seeds = m.graph, np.asarray(seeds, dtype=np.int64)
+    records, leaks, states = [None] * len(seeds), np.zeros(len(seeds)), [[] for _ in seeds]
+    svals, shared, whole = [np.zeros(0)], {}, m.dimension <= gauge.dense_limit()
+    labels = (np.arange(len(seeds)) if g.cell_bounds is None
+              else graphs.chain_cell_of_vertex(g, seeds))
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(seeds) else []
+    windows = ([(np.arange(m.dimension), None, m, np.arange(len(seeds)))] if whole else
+               (_window(m, seeds[group], radius) + (group,) for group in groups))
+    for vertices, inner, window, pos in windows:
+        local = np.searchsorted(vertices, seeds[pos])
+        key = whole or tuple(a.tobytes() for a in (window.rows, window.cols, window.phases, inner))
+        if key not in shared:  # equal windows share one ``eigh``, and with equal seeds one pass
+            shared[key] = dense_spectral_data(window, inner)
+        if (key, local.tobytes()) not in shared:
+            shared[key, local.tobytes()] = _project(window, shared[key], local, cap, radius, inner,
+                                                    keep, svals if whole and not keep else None)
+        for j, (fields, leak, found) in zip(pos.tolist(), shared[key, local.tobytes()]):
+            records[j], leaks[j] = SeedRecord(int(seeds[j]), *fields), leak
+            for value, v, r, reached in found:
+                vector = np.zeros(m.dimension, dtype=complex)
+                vector[vertices] = v
+                states[j].append(ClsState(vector, value, reached, r))
+    return records, leaks, states, np.concatenate(svals) if whole else None
 
 
 def local_caging_check(m: gauge.Ccam, vertex: int, tol: float = 1e-10) -> bool:
@@ -598,34 +623,25 @@ class CagingReport:
 
 def verify_all_cls(m: gauge.Ccam, radius_bound: int, *, seeds: Sequence[int] | None = None,
                    cap: int = DEFAULT_KRYLOV_CAP, rank_tol: float = 1e-8) -> CagingReport:
-    """Extract compact states from every seed and check that they span.
-
-    Within the dense limit one pass over the clusters reads every seed's
-    projector columns (see ``krylov_cls``, whose decomposition of ``m`` it
-    shares) and the singular values of all of them together; beyond it each
-    seed runs the sparse Krylov expansion and its states are stacked as rows
-    for one SVD.  The rank of the states deduplicates them (pairwise
-    matching is ill-posed inside degenerate flat bands).  Seeds over ``cap``
-    are reported: the matrix is not caging at this flux, or the cap is too
-    small.
+    """Extract compact states from every seed (``_cover``) and check that
+    they span.  With one window, the whole matrix within the dense limit,
+    the rank is read from the singular values of all the states together
+    (pairwise matching is ill-posed inside degenerate flat bands).  Beyond
+    it no state stack is formed: the states of a seed that closes under
+    ``cap`` without leak sum to it, sum_c P_c e_s = e_s, so ``span_rank``
+    counts those seeds.  Seeds over ``cap`` are reported: the matrix is not
+    caging at this flux, or the cap is too small.
     """
     if cap < 1 or radius_bound < 0:
         raise InvalidParameterError(f"cap {cap} must be >= 1 and radius bound {radius_bound} >= 0")
     seed_list = list(range(m.dimension)) if seeds is None else list(seeds)
     if any(not 0 <= s < m.dimension for s in seed_list):
         raise InvalidParameterError(f"seeds must lie in 0..{m.dimension - 1}")
-    if m.dimension <= gauge.dense_limit():
-        records, svals = _projector_cover(m, seed_list, cap)
-    else:
-        results = [krylov_cls(m, seed, cap=cap) for seed in seed_list]
-        records = [SeedRecord(seed=r.seed, krylov_dim=r.dimension, closed=r.closed,
-                              eigenvalues=r.eigenvalues, support_radius=r.support_radius,
-                              residual=max((s.residual for s in r.states), default=0.0))
-                   for r in results]
-        stack = np.array([s.vector for r in results for s in r.states]).reshape(-1, m.dimension)
-        svals = np.linalg.svd(stack, compute_uv=False) if len(stack) else np.zeros(0)
-    rank = int(np.sum(svals > rank_tol * max(1.0, float(svals.max(initial=0.0)))))
+    records, leaks, _, svals = _cover(m, seed_list, radius_bound, cap)
     cap_exceeded = tuple(r.seed for r in records if not r.closed)
+    exact = {r.seed for r, leak in zip(records, leaks) if r.closed and leak <= CLS_RESIDUAL_TOL}
+    rank = (len(exact) if svals is None else
+            int(np.sum(svals > rank_tol * max(1.0, float(svals.max(initial=0.0))))))
     return CagingReport(
         dimension=m.dimension,
         span_rank=rank,
@@ -635,42 +651,3 @@ def verify_all_cls(m: gauge.Ccam, radius_bound: int, *, seeds: Sequence[int] | N
         cap_exceeded=cap_exceeded,
         records=tuple(records),
     )
-
-
-def _projector_cover(m: gauge.Ccam, seeds: list[int], cap: int):
-    """Seed records, and the singular values of the states of the seeds
-    within ``cap``: the projector columns of ``krylov_cls``, read one cluster
-    at a time.
-
-    Cluster c's states are V_c C_c, with C_c = V_c[hits, :]^H scaled to unit
-    columns.  States of different clusters are orthogonal and V_c has
-    orthonormal columns, so the singular values of all the states together
-    are those of the small blocks C_c together, and no (states x dimension)
-    stack is formed.
-    """
-    clusters, h = _shared_spectral_data(m), gauge.dense_matrix(m)
-    reach = np.array([np.linalg.norm(basis[seeds], axis=1) > KRYLOV_NOVELTY_TOL
-                      for _, basis in clusters], dtype=bool).reshape(len(clusters), len(seeds))
-    dims = reach.sum(axis=0)
-    reach &= dims <= cap
-    support = np.zeros((len(seeds), m.dimension), dtype=bool)
-    resid = np.zeros(len(seeds))
-    svals = [np.zeros(0)]
-    for c, (value, basis) in enumerate(clusters):
-        hits = np.flatnonzero(reach[c])
-        if not hits.size:
-            continue
-        coeffs = basis[[seeds[j] for j in hits]].conj().T
-        block = basis @ coeffs
-        norms = np.linalg.norm(block, axis=0)
-        block /= norms
-        svals.append(np.linalg.svd(coeffs / norms, compute_uv=False))
-        support[hits] |= (np.abs(block) > SUPPORT_EPS).T
-        resid[hits] = np.maximum(resid[hits], np.linalg.norm(h @ block - value * block, axis=0))
-    values = np.array([value for value, _ in clusters])
-    records = [SeedRecord(
-        seed=seed, krylov_dim=int(min(dims[j], cap)), closed=bool(dims[j] <= cap),
-        eigenvalues=tuple(values[reach[:, j]].tolist()),
-        support_radius=int(m.graph.distances(seed)[support[j]].max(initial=0)),
-        residual=float(resid[j])) for j, seed in enumerate(seeds)]
-    return records, np.concatenate(svals)

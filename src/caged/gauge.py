@@ -174,9 +174,9 @@ class PhasedOperator:
 
     Stores the directed edge arrays once so repeated products cost O(|E|)
     vectorized work each, with no dense matrix ever formed.  With
-    ``extended=True`` the weights are held in 80-bit floats and products
-    accumulate at that precision, which buys roughly three extra digits in
-    long cancellation-heavy iterations.
+    ``extended=True``, which only ``caging.crossing_amplitudes`` uses, the
+    weights are held in 80-bit floats and products accumulate at that
+    precision: about three more digits in long cancellation-heavy powers.
     """
 
     def __init__(self, m: Ccam, extended: bool = False):

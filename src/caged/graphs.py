@@ -14,9 +14,10 @@ construction order, so identical inputs always produce identical graphs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +29,8 @@ Edge = tuple[int, int]
 # Entries in each per-sequence cache: more than the 440 sequences with
 # product <= 64, so a sweep over that family rebuilds nothing.
 GROWTH_CACHE_SIZE = 512
+# Most vertices of a graph: a vertex pair is keyed u * n + v in int64.
+MAX_VERTICES = math.isqrt(2**63 - 1)
 
 
 def check_growth_sequence(x: Sequence[int], *, allow_trailing_one: bool = False) -> tuple[int, ...]:
@@ -77,11 +80,12 @@ class Graph:
     chain, and ``plaquette_signs`` gives each lotus face's flux sign relative
     to the common flux angle.
 
-    Construction is the one check: it refuses the first edge, in the order
-    given, that is out of range or repeats an earlier edge, then sorts the
-    edges, and refuses a root outside ``0..num_vertices-1``, a face of fewer
-    than 3 vertices or a face step that is not an edge.  Sorted read-only
-    inputs, such as the cached growth arrays, are kept without a copy.
+    Construction is the one check: it refuses more than ``MAX_VERTICES``
+    vertices and the first edge, in the order given, that is out of range or
+    repeats an earlier edge, then sorts the edges, and refuses a root outside
+    ``0..num_vertices-1``, a face of fewer than 3 vertices or a face step
+    that is not an edge.  Sorted read-only inputs, such as the cached growth
+    arrays, are kept without a copy.
     """
 
     num_vertices: int
@@ -97,6 +101,8 @@ class Graph:
 
     def __post_init__(self):
         n = self.num_vertices
+        if not 0 <= n <= MAX_VERTICES:
+            raise InvalidParameterError(f"{n} vertices; at most {MAX_VERTICES} are supported")
         rows, cols = np.asarray(self.rows, dtype=np.int64), np.asarray(self.cols, dtype=np.int64)
         if rows.ndim != 1 or cols.shape != rows.shape:
             raise InvalidParameterError(f"edge arrays differ in shape: {rows.shape}, {cols.shape}")
@@ -177,6 +183,23 @@ class Graph:
             frontier = reached & (dist == self.num_vertices)
             dist[frontier] = level
         return dist
+
+    @cached_property
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each vertex's run offsets, then every (neighbour, edge) by vertex."""
+        heads = np.concatenate([self.rows, self.cols])
+        tails = np.concatenate([self.cols, self.rows])
+        order = np.lexsort((tails, heads))
+        offsets = np.searchsorted(heads[order], np.arange(self.num_vertices + 1))
+        return offsets, tails[order], order % max(self.num_edges, 1)
+
+    def incidences(self, vertices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays (j, w, e): w is across edge e from vertices[j], by j then w."""
+        offsets, neighbours, edges = self.adjacency
+        lo, hi = offsets[vertices], offsets[np.asarray(vertices) + 1]
+        j = np.repeat(np.arange(len(lo)), hi - lo)
+        k = np.arange(len(j)) + (lo - np.cumsum(hi - lo) + hi - lo)[j]
+        return j, neighbours[k], edges[k]
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +387,12 @@ def chain_graph(x: Sequence[int], cells: int) -> Graph:
                  cell_bounds=tuple(range(0, cells * stride + 1, stride)))
 
 
-def chain_cell_of_vertex(g: Graph, v: int) -> int:
-    """Cell index of a chain vertex; shared roots belong to the lower cell."""
+def chain_cell_of_vertex(g: Graph, v):
+    """Cell index of chain vertices; shared roots belong to the lower cell."""
     if g.cell_bounds is None:
         raise InvalidParameterError("graph does not carry chain cell marks")
     stride = g.cell_bounds[1] - g.cell_bounds[0]
-    return max(v - 1, 0) // stride
+    return np.maximum(np.asarray(v) - 1, 0) // stride
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,28 @@ class TestSweepLimit:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and "MiB" in captured.err
 
+    def test_bounded_by_the_arrays_it_holds(self, capsys):
+        # The (2000, 105, 84) block of T(k) would pass the limit; the sweep
+        # holds one coupled row per momentum and small blocks.
+        code = cli.main(["bands", "--x", "2,2,2,2,2,2", "--phi", "pi", "--grid", "2000"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        rows = np.loadtxt(captured.out.splitlines()[1::97], delimiter=",")
+        sigma = np.linalg.svd(bloch.chain_bloch((2,) * 6, math.pi).hopping_blocks(
+            rows[:, :1], math.pi), compute_uv=False)
+        energies = np.hstack([-sigma, np.zeros((len(rows), 21)), sigma[:, ::-1]])
+        assert np.abs(rows[:, 1:] - energies).max() <= 1e-13
+
+    def test_energies_past_the_limit_refused(self, monkeypatch, capsys):
+        def no_grid(*args):
+            raise AssertionError("momentum grid built")
+
+        # 2400^2 momenta of six bands hold 276 MB of energies alone.
+        monkeypatch.setattr(bloch, "momentum_grid", no_grid)
+        code = cli.main(["bands", "--model", "lotus44", "--phi", "pi", "--grid", "2400"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and "256 MiB" in captured.err
+
 
 class TestStarLatticeBloch:
     def test_hermitian_everywhere(self):

@@ -400,40 +400,98 @@ class TestKrylov:
             assert np.linalg.norm(h @ vec - s.eigenvalue * vec) <= 1e-8
 
 
+def dice(generations, phi=math.pi):
+    spec = graphs.LotusSpec(kind="first", sides=6, generations=generations)
+    return gauge.lotus_ccam(graphs.lotus_patch(spec), phi)
+
+
+def count_eigh(monkeypatch):
+    """The shapes of every matrix ``np.linalg.eigh`` sees from now on."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigh(a)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes
+
+
+def summary(rep):
+    return (rep.span_rank, rep.covered, rep.radius_ok)
+
+
 class TestRouteAgreement:
-    """Projector columns within the dense limit and the sparse 80-bit Krylov
-    expansion beyond it find the same states."""
+    """With the dense limit lowered below the graph but above its windows,
+    the windowed route finds the states of the one-window route."""
 
-    @pytest.mark.parametrize("build", [
-        lambda: gauge.chain_ccam((2, 3, 2), 2, math.pi / 6),
-        lambda: gauge.chain_ccam((2,), 6, math.pi),
-        lambda: gauge.lotus_ccam(graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6)),
-                                 math.pi),
-    ], ids=["chain-232x2", "chain-2x6", "dice"])
-    def test_same_spans_dimensions_and_radii(self, build, monkeypatch):
+    @pytest.mark.parametrize("build, bound", [
+        (lambda: gauge.chain_ccam((2, 3, 2), 8, math.pi / 6), 10),
+        (lambda: gauge.chain_ccam((2,), 12, math.pi), 10),
+        (lambda: dice(2), 4),
+    ], ids=["chain-232x8", "chain-2x12", "dice-gen2"])
+    def test_same_spans_dimensions_and_radii(self, build, bound, monkeypatch):
         m = build()
-        dense = [caging.krylov_cls(m, s) for s in range(m.dimension)]
-        dense_rep = caging.verify_all_cls(m, 10)
-        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "1")
-
-        def refuse(_m):
-            raise AssertionError("the sparse route must not diagonalize")
-        monkeypatch.setattr(caging, "dense_spectral_data", refuse)
-        sparse = [caging.krylov_cls(m, s) for s in range(m.dimension)]
-        sparse_rep = caging.verify_all_cls(m, 10)
-        for a, b in zip(dense, sparse):
+        whole = [caging.krylov_cls(m, s) for s in range(m.dimension)]
+        whole_rep = caging.verify_all_cls(m, bound)
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, str(m.dimension - 1))
+        shapes = count_eigh(monkeypatch)
+        windowed = [caging.krylov_cls(m, s) for s in range(m.dimension)]
+        windowed_rep = caging.verify_all_cls(m, bound)
+        assert shapes and max(shapes) < (m.dimension, m.dimension)
+        for a, b in zip(whole, windowed):
             assert (a.closed, a.dimension, a.support_radius) == \
                 (b.closed, b.dimension, b.support_radius)
-            pa, pb = (sum(np.outer(s.vector, s.vector.conj()) for s in r.states)
-                      for r in (a, b))
+            pa, pb = (q @ q.conj().T for q in (np.array([s.vector for s in r.states]).T
+                                                for r in (a, b)))
             assert np.abs(pa - pb).max() <= 1e-8
             assert max(s.residual for s in a.states + b.states) <= 1e-8
-            assert max(a.defect, b.defect) <= 1e-8
-        assert [(r.krylov_dim, r.closed, r.support_radius) for r in dense_rep.records] == \
-            [(r.krylov_dim, r.closed, r.support_radius) for r in sparse_rep.records]
-        assert (dense_rep.span_rank, dense_rep.covered, dense_rep.radius_ok) == \
-            (sparse_rep.span_rank, sparse_rep.covered, sparse_rep.radius_ok) == \
-            (m.dimension, True, True)
+        assert [(r.krylov_dim, r.closed, r.support_radius) for r in whole_rep.records] == \
+            [(r.krylov_dim, r.closed, r.support_radius) for r in windowed_rep.records]
+        assert max(r.residual for r in windowed_rep.records) <= 1e-8
+        assert summary(whole_rep) == summary(windowed_rep) == (m.dimension, True, True)
+
+
+class TestWindows:
+    def test_leaking_seeds_are_the_seeds_past_the_bound(self, monkeypatch):
+        m = dice(2)
+        radii = np.array([r.support_radius for r in caging.verify_all_cls(m, 4).records])
+        assert radii.max() == 4 and (radii == 4).sum() == 36
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, str(m.dimension - 1))
+        records, leaks, _, _ = caging._cover(m, range(m.dimension), 3, caging.DEFAULT_KRYLOV_CAP)
+        leaking = np.flatnonzero(leaks > caging.CLS_RESIDUAL_TOL)
+        assert leaking.tolist() == np.flatnonzero(radii == 4).tolist()
+        assert [r.support_radius for r in records] == radii.tolist()
+        rep = caging.verify_all_cls(m, 3)
+        assert not rep.covered and not rep.radius_ok
+        assert rep.span_rank == int((radii <= 3).sum())
+
+    def test_dispersive_flux_is_neither_covered_nor_within_the_bound(self, monkeypatch):
+        m = gauge.chain_ccam((2, 3, 2), 8, 1.0)
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, str(m.dimension - 1))
+        rep = caging.verify_all_cls(m, 10)
+        assert not rep.covered and not rep.radius_ok
+        with pytest.raises(ResourceLimitError, match="dense limit"):
+            caging.krylov_cls(m, m.graph.cell_bounds[4])
+
+    def test_window_above_the_limit_is_refused(self, monkeypatch, capsys):
+        m = gauge.chain_ccam((2, 3, 2), 8, math.pi / 6)
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "100")
+        with pytest.raises(ResourceLimitError, match="exceeds dense limit 100"):
+            caging.verify_all_cls(m, 10)
+        assert cli.main(["cls", "--x", "2,3,2", "--phi", "pi/6", "--cells", "8",
+                         "--radius-bound", "10"]) == 1
+        assert "exceeds dense limit 100" in capsys.readouterr().err
+
+    def test_eigh_count_does_not_grow_with_the_chain(self, monkeypatch):
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "232")
+        counts = []
+        for cells in (8, 16):
+            shapes = count_eigh(monkeypatch)
+            rep = caging.verify_all_cls(gauge.chain_ccam((2, 3, 2), cells, math.pi / 6), 10)
+            assert rep.covered and rep.radius_ok
+            counts.append(len(shapes))
+        assert counts[0] == counts[1] == 5
 
 
 class TestSharedSpectralData:
@@ -454,7 +512,7 @@ class TestSharedSpectralData:
         assert len(results) > 1 and all(r.closed for r in results)
         caging.verify_all_cls(mp, 3)
         assert calls == [(mp.dimension, mp.dimension)]
-        held = weakref.ref(caging._SPECTRAL_DATA[mp][0][1])
+        held = weakref.ref(caging._SPECTRAL_DATA[mp][1])
         del mp
         gc.collect()
         assert held() is None
@@ -473,7 +531,7 @@ class TestPerClusterRank:
     def test_union_matches_stacked_svd(self, xs, cells, phi, rank):
         m = gauge.chain_ccam(xs, cells, phi)
         seeds = list(range(m.dimension))
-        _, union = caging._projector_cover(m, seeds, caging.DEFAULT_KRYLOV_CAP)
+        *_, union = caging._cover(m, seeds, 0, caging.DEFAULT_KRYLOV_CAP)
         stack = np.array([s.vector for seed in seeds
                           for s in caging.krylov_cls(m, seed).states])
         stacked = np.linalg.svd(stack, compute_uv=False)

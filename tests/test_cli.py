@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,21 @@ class TestClsCommand:
         code, out, err = run(capsys, "caging", "--x", "2", "--phi", "pi", "--kmax", "-2")
         assert code == 1 and out == ""
         assert err == "error: power count must be non-negative, got -2\n"
+
+
+class TestClsBeyondTheDenseLimit:
+    def test_two_hundred_cells_within_budget(self, capsys):
+        # 5,801 sites, past the dense limit: each cell's window is diagonalized,
+        # translated windows sharing one eigh.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "cls", "--x", "2,3,2", "--phi", "pi/6", "--cells", "200",
+                             "--radius-bound", "10")
+        elapsed = time.perf_counter() - t0
+        summary = json.loads(out)["summary"]
+        assert code == 0, err
+        assert summary["dimension"] == summary["span_rank"] == 5801
+        assert summary["covered"] and summary["radius_ok"]
+        assert elapsed < 10.0
 
 
 GOLDEN_CLS = json.loads((Path(__file__).parent / "data" / "readme_cls_golden.json").read_text())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caged import graphs
+from caged import gauge, graphs
 from caged.errors import InvalidParameterError
 
 growth_sequences = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
@@ -492,6 +492,27 @@ class TestGraphFile:
     def test_integer_past_int64_refused(self, text):
         with pytest.raises(InvalidParameterError, match="out of range"):
             graphs.parse_graph(text)
+
+    @pytest.mark.parametrize("parse, text", [
+        # n^2 wraps int64, so the non-edge step (5, 10) would alias an edge key
+        (graphs.parse_graph, "graph 4611686018427387904\ne 1 10\ne 1 5\nface 1 5 10\n"),
+        (gauge.parse_ccam, "ccam 4611686018427387904 0\ne 1 10 0.5\ne 1 5 0.5\nface 1 5 10\n"),
+        (graphs.parse_graph, "graph 3037000500\ne 1 10\n"),  # one past the largest count
+        (graphs.parse_graph, "graph -1\n"),
+    ])
+    def test_vertex_count_past_the_key_range_refused(self, parse, text):
+        with pytest.raises(InvalidParameterError, match="vertices"):
+            parse(text)
+
+    def test_largest_vertex_count_keeps_edge_keys_exact(self):
+        with pytest.raises(InvalidParameterError, match="vertices"):
+            graphs.Graph(2**62, [1], [10])
+        g = graphs.Graph(graphs.MAX_VERTICES, [1, graphs.MAX_VERTICES - 2],
+                         [10, graphs.MAX_VERTICES - 1])
+        assert g.edge_slots([10, graphs.MAX_VERTICES - 1], [1, graphs.MAX_VERTICES - 2]).tolist() \
+            == [0, 1]
+        with pytest.raises(InvalidParameterError, match="not an edge"):
+            g.edge_slots([5], [10])
 
     @pytest.mark.parametrize("face", ["face", "face 0", "face 0 1"])
     def test_degenerate_face_refused(self, face):
