@@ -3,8 +3,14 @@
 Two routes to every spectrum: a dense Hermitian solve of the full weighted
 adjacency matrix (the brute-force oracle), and block assembly from small
 symmetric tridiagonal matrices, which covers the fluxless tree and the tree
-at flux 2*pi/x_1.  The tridiagonal matrices are solved by Sturm-sequence
-bisection, so a depth-d tree's spectrum costs polynomial work in d even
+at flux 2*pi/x_1.  With a_j = sqrt(x_j), every block is a leading principal
+submatrix (a prefix) of one of three zero-diagonal paths: the fluxless
+block i splits into the size-(i + 1) prefix of E = (sqrt(2) a_1, a_2, ...,
+a_d) and the size-i prefix of O = (a_2, ..., a_d), and the flux block i is
+the size-(i + 1) prefix of F = (a_1, ..., a_d).  One Sturm pass along a path
+counts the eigenvalues below a shift for all of its prefixes at once, so one
+vectorized bisection (``prefix_eigenvalues``) solves every block of an
+assembly, and a depth-d tree's spectrum costs polynomial work in d even
 though the matrix itself has roughly x^d rows.
 """
 
@@ -20,7 +26,7 @@ from . import gauge, graphs
 from .errors import InvalidParameterError, UnsupportedHypothesisError
 
 DEGENERACY_TOL = 1e-8
-_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # Sturm pivot floor per unit off2
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,8 @@ class Tridiag:
     def __post_init__(self):
         if len(self.offdiagonal) != max(len(self.diagonal) - 1, 0):
             raise InvalidParameterError("offdiagonal length must be n - 1")
+        if not all(map(math.isfinite, (*self.diagonal, *self.offdiagonal))):
+            raise InvalidParameterError("tridiagonal entries must be finite")
 
     def dense(self) -> np.ndarray:
         n = len(self.diagonal)
@@ -118,55 +126,82 @@ class Tridiag:
         return out
 
 
-def _sturm_counts(diag: np.ndarray, off2: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift in ``xs``.
+def prefix_eigenvalues(paths: Sequence[Tridiag],
+                       prefixes: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Eigenvalues of leading principal submatrices of symmetric tridiagonal paths.
 
-    Counts negative pivots of the LDL^T factorization of T - x, the standard
-    Sturm sequence; zero pivots are nudged to keep the recurrence finite.
+    ``prefixes`` lists (path index, size) pairs; the result concatenates the
+    eigenvalues of each listed prefix, ascending, in the listed order.  The
+    leading s pivots of the LDL^T factorization of T - x are the pivots of
+    its size-s prefix, so one Sturm pass along a path counts the eigenvalues
+    below x of every prefix at once: the negative pivots among the first s.
+    All (prefix, index) targets bisect together, one pass per step, until
+    the brackets are at machine precision.  No similarity transform touches
+    the matrices.  The entries are first divided by a power of two at or
+    above the largest |entry|, which is exact and keeps the squared
+    off-diagonals finite.
     """
-    n = len(diag)
-    counts = np.zeros(len(xs), dtype=int)
-    d = np.full(len(xs), 1.0)
-    # pivot floor keeps off2/prev finite without disturbing counts
-    pivmin = _SQRT_TINY * max(1.0, float(off2.max(initial=0.0)))
-    for k in range(n):
-        prev = np.where(np.abs(d) < pivmin, np.where(d < 0, -pivmin, pivmin), d)
-        d = (diag[k] - xs) - (off2[k - 1] / prev if k > 0 else 0.0)
-        counts += d < 0
-    return counts
-
-
-def tridiagonal_eigenvalues(t: Tridiag) -> np.ndarray:
-    """All eigenvalues of a real symmetric tridiagonal matrix, ascending.
-
-    Bisection on the Sturm count converges to machine-precision brackets for
-    every index simultaneously; no similarity transforms, so the matrix is
-    never modified.
-    """
-    n = len(t.diagonal)
-    if n == 0:
+    sizes = np.array([s for (_p, s) in prefixes], dtype=np.intp)
+    which = np.array([p for (p, _s) in prefixes], dtype=np.intp)
+    for p, s in zip(which.tolist(), sizes.tolist()):
+        if not (0 <= p < len(paths) and 0 <= s <= len(paths[p].diagonal)):
+            raise InvalidParameterError(f"prefix ({p}, {s}) is not in a listed path")
+    width = int(sizes.max(initial=0))
+    if width == 0:
         return np.array([])
-    diag = np.asarray(t.diagonal, dtype=float)
-    off = np.asarray(t.offdiagonal, dtype=float)
-    off2 = off * off
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off) if n > 1 else 0.0
-    radius[1:] += np.abs(off) if n > 1 else 0.0
+    diag = np.zeros((width, len(paths)))
+    off = np.zeros((width, len(paths)))  # off[k] couples positions k and k + 1
+    for col, t in enumerate(paths):
+        diag[:len(t.diagonal[:width]), col] = t.diagonal[:width]
+        off[:len(t.offdiagonal[:width - 1]), col] = t.offdiagonal[:width - 1]
+    top = max(float(np.max(np.abs(diag))), float(np.max(np.abs(off))))
+    scale = math.ldexp(1.0, math.frexp(top)[1]) if top > 0 else 1.0
+    diag /= scale
+    off /= scale
+    radius = np.abs(off)
+    radius[1:] += radius[:-1].copy()
     lo_all = float(np.min(diag - radius))
     hi_all = float(np.max(diag + radius))
     span = max(hi_all - lo_all, 1.0)
-    lo = np.full(n, lo_all - 1e-3 * span)
-    hi = np.full(n, hi_all + 1e-3 * span)
-    targets = np.arange(1, n + 1)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        counts = _sturm_counts(diag, off2, mid)
-        below = counts >= targets
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-        if np.max(hi - lo) < 1e-15 * span:
-            break
-    return 0.5 * (lo + hi)
+    length = hi_all - lo_all + 2e-3 * span
+    # Squared couplings are floored at the smallest normal float, so 0/0
+    # cannot occur: a zero pivot gives an infinite next pivot and a zero
+    # ratio after it, and IEEE arithmetic keeps the count exact.
+    off2 = np.maximum(off * off, _TINY)
+
+    # One target per eigenvalue, longest prefix first, so the targets still
+    # inside their prefix at position k are a leading slice.
+    target_size = np.repeat(sizes, sizes)
+    rank = np.arange(target_size.size) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1
+    order = np.argsort(-target_size, kind="stable")
+    rank, path = rank[order], np.repeat(which, sizes)[order]
+    inside = np.searchsorted(-target_size[order], -np.arange(width), side="left")
+    # each target's column of diag and off2; with one path, that column once
+    lane = path if len(paths) > 1 else np.zeros(1, dtype=np.intp)
+    passes = max(0, math.ceil(math.log2(length / (1e-15 * span))))
+    lo = np.full(rank.size, lo_all - 1e-3 * span)
+    hi = lo + length
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(passes):
+            mid = 0.5 * (lo + hi)
+            piv = diag[0, lane] - mid
+            count = (piv < 0).astype(np.intp)
+            for k in range(1, width):
+                n = inside[k]
+                piv = (diag[k, lane[:n]] - mid[:n]) - off2[k - 1, lane[:n]] / piv[:n]
+                count[:n] += piv < 0
+            below = count >= rank
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, mid)
+    out = np.empty(rank.size)
+    out[order] = 0.5 * (lo + hi) * scale
+    return out
+
+
+def tridiagonal_eigenvalues(t: Tridiag) -> np.ndarray:
+    """All eigenvalues of a real symmetric tridiagonal matrix, ascending: the
+    one prefix of one path that is the whole matrix."""
+    return prefix_eigenvalues([t], [(0, len(t.diagonal))])
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +213,14 @@ def continuant_eval(x: Sequence[int], lam: complex, n: int):
     """Evaluate gamma_n at ``lam`` for gamma_i = -lam*gamma_{i-1} - x_{floor(i/2)}*gamma_{i-2}.
 
     gamma_0 = 1 and gamma_{-1} = 0; the weights x are 1-based, so gamma_{2j}
-    and gamma_{2j+1} both consume x_j.  These are the characteristic
-    polynomials of the tridiagonal blocks below, interleaved.
+    and gamma_{2j+1} both consume x_j.  gamma_n = det(T_n - lam) for the
+    size-n zero-diagonal path with weights (a_1, a_1, a_2, a_2, ...),
+    a_j = sqrt(x_j).  For a staircase (p,) * d every weight is sqrt(p), so
+    gamma_{i+1} is the characteristic polynomial of the size-(i + 1) prefix
+    of the flux path F (flux block i) and gamma_{2i+1} that of fluxless
+    block i.  For other sequences the assemblies' blocks are prefixes of
+    the paths E, O and F in the module docstring, which ``prefix_eigenvalues``
+    solves from their Sturm counts, not from these polynomials.
     """
     if n < -1:
         raise InvalidParameterError("index must be >= -1")
@@ -213,13 +254,31 @@ def _require_all_at_least_two(xs: tuple[int, ...], what: str):
             "use the dense oracle instead")
 
 
+def _path(weights: Sequence[float]) -> Tridiag:
+    """The zero-diagonal path with the given off-diagonal weights."""
+    return Tridiag(diagonal=(0.0,) * (len(weights) + 1), offdiagonal=tuple(weights))
+
+
+def _assemble(xs: tuple[int, ...], paths: Sequence[Tridiag],
+              blocks: Sequence[tuple[int, int, int]], what: str) -> Spectrum:
+    """Cluster the eigenvalues of (path, prefix size, multiplicity) blocks."""
+    values = prefix_eigenvalues(paths, [(p, s) for (p, s, _m) in blocks])
+    counts = [m for (_p, s, m) in blocks for _ in range(s)]  # exact Python ints
+    spec = cluster_eigenvalues(values.tolist(), counts)
+    if spec.dimension != graphs.tree_vertex_count(xs):
+        raise AssertionError(f"{what} lost eigenvalues")
+    return spec
+
+
 def fluxless_block(x: Sequence[int], i: int) -> Tridiag:
     """Block i of the fluxless tree: zero diagonal, off-diagonal weights
     (sqrt(x_i), ..., sqrt(x_1), sqrt(x_1), ..., sqrt(x_i)), size 2i + 1.
 
     The weights are square roots of the branching numbers even though the
     raw symmetrized couplings bundle x_i parallel edges; the dense oracle and
-    the shell basis both fix this normalization.
+    the shell basis both fix this normalization.  ``spectrum_fluxless`` does
+    not build these blocks; they are kept for the shell reduction and as the
+    per-block reference in tests.
     """
     xs = graphs.check_growth_sequence(x, allow_trailing_one=True)
     if not (0 <= i <= len(xs)):
@@ -246,29 +305,32 @@ def fluxless_multiplicities(x: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def spectrum_fluxless(x: Sequence[int]) -> Spectrum:
-    """Spectrum of the unweighted glued tree, assembled from tridiagonal blocks."""
+    """Spectrum of the unweighted glued tree, assembled from tridiagonal blocks.
+
+    Block i is mirror-symmetric about its middle row, so it splits into an
+    even sector, the size-(i + 1) prefix of the path E with weights
+    (sqrt(2) a_1, a_2, ..., a_d), and an odd sector, the size-i prefix of
+    O = (a_2, ..., a_d), where a_j = sqrt(x_j).  One bisection over both
+    paths solves every block.
+    """
     xs = graphs.check_growth_sequence(x)
     _require_all_at_least_two(xs, "fluxless assembly")
-    values: list[float] = []
-    counts: list[int] = []
+    a = [math.sqrt(v) for v in xs]
+    paths = (_path([math.sqrt(2 * xs[0])] + a[1:]), _path(a[1:]))
+    blocks = []
     for (i, mult) in fluxless_multiplicities(xs):
-        for v in tridiagonal_eigenvalues(fluxless_block(xs, i)):
-            values.append(float(v))
-            counts.append(mult)
-    spec = cluster_eigenvalues(values, counts)
-    if spec.dimension != graphs.tree_vertex_count(xs):
-        raise AssertionError("fluxless assembly lost eigenvalues")
-    return spec
+        blocks += [(0, i + 1, mult), (1, i, mult)]
+    return _assemble(xs, paths, blocks, "fluxless assembly")
 
 
 def flux_af_block(x: Sequence[int], i: int) -> Tridiag:
     """Open path block for the tree at flux 2*pi/x_1: size i + 1 with
-    off-diagonal weights (sqrt(x_1), ..., sqrt(x_i))."""
+    off-diagonal weights (sqrt(x_1), ..., sqrt(x_i)), the size-(i + 1)
+    prefix of the path F = (a_1, ..., a_d) that ``spectrum_flux_af`` solves."""
     xs = graphs.check_growth_sequence(x, allow_trailing_one=True)
     if not (0 <= i <= len(xs)):
         raise InvalidParameterError(f"block index {i} out of range")
-    return Tridiag(diagonal=(0.0,) * (i + 1),
-                   offdiagonal=tuple(math.sqrt(v) for v in xs[:i]))
+    return _path([math.sqrt(v) for v in xs[:i]])
 
 
 def flux_af_multiplicities(x: Sequence[int]) -> list[tuple[int, int]]:
@@ -293,19 +355,13 @@ def flux_af_multiplicities(x: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def spectrum_flux_af(x: Sequence[int]) -> Spectrum:
-    """Spectrum of the canonically gauged tree at flux 2*pi/x_1."""
+    """Spectrum of the canonically gauged tree at flux 2*pi/x_1: block i is
+    the size-(i + 1) prefix of the path F = (a_1, ..., a_d), a_j = sqrt(x_j)."""
     xs = graphs.check_growth_sequence(x)
     _require_all_at_least_two(xs, "flux assembly")
-    values: list[float] = []
-    counts: list[int] = []
-    for (i, mult) in flux_af_multiplicities(xs):
-        for v in tridiagonal_eigenvalues(flux_af_block(xs, i)):
-            values.append(float(v))
-            counts.append(mult)
-    spec = cluster_eigenvalues(values, counts)
-    if spec.dimension != graphs.tree_vertex_count(xs):
-        raise AssertionError("flux assembly lost eigenvalues")
-    return spec
+    paths = (_path([math.sqrt(v) for v in xs]),)
+    blocks = [(0, i + 1, mult) for (i, mult) in flux_af_multiplicities(xs)]
+    return _assemble(xs, paths, blocks, "flux assembly")
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,58 @@ class TestTridiagonal:
                 assert full[i] <= minor[i] + 1e-10
                 assert minor[i] <= full[i + 1] + 1e-10
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(InvalidParameterError):
+            spectral.Tridiag((bad, 0.0), (1.0,))
+        with pytest.raises(InvalidParameterError):
+            spectral.Tridiag((0.0, 0.0), (bad,))
+
+    def test_huge_entries_do_not_overflow(self):
+        got = spectral.tridiagonal_eigenvalues(spectral.Tridiag((1e300, -1e300), (1e300,)))
+        want = math.sqrt(2) * 1e300
+        assert got == pytest.approx([-want, want], rel=1e-14)
+
+    def test_tiny_entries_keep_their_scale(self):
+        got = spectral.tridiagonal_eigenvalues(spectral.Tridiag((0.0, 0.0), (1e-300,)))
+        assert got == pytest.approx([-1e-300, 1e-300], rel=1e-14)
+
+
+class TestPrefixEigenvalues:
+    """Every leading principal submatrix of several paths in one bisection."""
+
+    def test_every_prefix_matches_lapack(self):
+        rng = np.random.default_rng(29)
+        for _ in range(6):
+            paths = []
+            for n in rng.integers(1, 18, size=3):
+                diag = rng.normal(size=n)
+                diag[diag == 0.0] = 1.0
+                paths.append(spectral.Tridiag(tuple(diag), tuple(rng.normal(size=n - 1))))
+            prefixes = [(p, s) for p, t in enumerate(paths)
+                        for s in range(len(t.diagonal) + 1)]
+            prefixes = [prefixes[i] for i in rng.permutation(len(prefixes))]
+            got = spectral.prefix_eigenvalues(paths, prefixes)
+            at = 0
+            for p, s in prefixes:
+                want = np.linalg.eigvalsh(paths[p].dense()[:s, :s])
+                assert np.max(np.abs(got[at:at + s] - want), initial=0.0) < 1e-12, (p, s)
+                at += s
+            assert at == got.size
+
+    def test_repeated_and_empty_prefixes(self):
+        t = spectral.Tridiag((0.5, -1.0, 2.0), (1.0, 0.25))
+        got = spectral.prefix_eigenvalues([t], [(0, 2), (0, 0), (0, 2), (0, 1)])
+        two = np.linalg.eigvalsh(t.dense()[:2, :2])
+        assert got == pytest.approx(np.concatenate([two, two, [0.5]]), abs=1e-14)
+        assert spectral.prefix_eigenvalues([t], []).size == 0
+
+    @pytest.mark.parametrize("prefix", [(1, 1), (-1, 1), (0, 4), (0, -1)])
+    def test_prefix_outside_paths_rejected(self, prefix):
+        t = spectral.Tridiag((0.0, 0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(InvalidParameterError):
+            spectral.prefix_eigenvalues([t], [prefix])
+
 
 class TestContinuant:
     def test_seeds(self):
@@ -172,6 +224,13 @@ class TestAssembledSpectra:
             assert spectral.spectrum_fluxless(xs).dimension == graphs.tree_vertex_count(xs)
             assert spectral.spectrum_flux_af(xs).dimension == graphs.tree_vertex_count(xs)
 
+    def test_deep_tree_multiplicities_stay_exact(self):
+        # the shallowest blocks appear about 2**69 times, past int64
+        xs = (2,) * 70
+        for spec in (spectral.spectrum_fluxless(xs), spectral.spectrum_flux_af(xs)):
+            assert spec.dimension == graphs.tree_vertex_count(xs)
+            assert all(type(m) is int for (_v, m) in spec.eigenvalues)
+
     def test_bipartite_symmetry(self):
         for xs in [(2, 3), (3, 2), (2, 2, 2)]:
             for spec in (spectral.spectrum_fluxless(xs), spectral.spectrum_flux_af(xs)):
@@ -188,6 +247,36 @@ class TestAssembledSpectra:
         spec = spectral.spectrum_fluxless((2,) * 8)
         frac = spec.multiplicity_at(0.0) / spec.dimension
         assert abs(frac - 1 / 3) < 0.01
+
+
+def per_block_spectrum(xs, blocks, block):
+    """Reference assembly: each block solved on its own by ``tridiagonal_eigenvalues``."""
+    values, counts = [], []
+    for (i, mult) in blocks(xs):
+        for v in spectral.tridiagonal_eigenvalues(block(xs, i)):
+            values.append(float(v))
+            counts.append(mult)
+    return spectral.cluster_eigenvalues(values, counts)
+
+
+class TestPrefixAssemblyMatchesBlocks:
+    """The prefix-path assembly against one bisection per tridiagonal block."""
+
+    SEQUENCES = family(64) + [(p,) * d for p in range(2, 7) for d in (9, 11, 13, 15)]
+
+    @pytest.mark.parametrize("at_af", [False, True], ids=["fluxless", "flux_af"])
+    def test_same_levels_and_multiplicities(self, at_af):
+        if at_af:
+            assemble = spectral.spectrum_flux_af
+            blocks, block = spectral.flux_af_multiplicities, spectral.flux_af_block
+        else:
+            assemble = spectral.spectrum_fluxless
+            blocks, block = spectral.fluxless_multiplicities, spectral.fluxless_block
+        for xs in self.SEQUENCES:
+            got = assemble(xs).eigenvalues
+            want = per_block_spectrum(xs, blocks, block).eigenvalues
+            assert [m for (_v, m) in got] == [m for (_v, m) in want], xs
+            assert max(abs(u - v) for ((u, _a), (v, _b)) in zip(got, want)) < 1e-13, xs
 
 
 class TestShellReduction:
