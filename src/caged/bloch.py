@@ -97,7 +97,8 @@ class BlochModel:
 
     Edge e contributes exp(i*(flux_factors[e]*phi + windings[e].k)) at
     (rows[e], cols[e]) and its conjugate at (cols[e], rows[e]); ``windings``
-    has one column per momentum direction.  ``sublattices`` (A, B) are the
+    has one column per momentum direction, and ``stack`` scatters both
+    directions as one n x n block.  ``sublattices`` (A, B) are the
     vertex ids of the two colour classes, found once at construction; each
     edge also keeps its slot in the |A| x |B| block and its phase factors
     negated where it runs from B to A, so enters the block conjugated.  For
@@ -112,6 +113,7 @@ class BlochModel:
     windings: np.ndarray
     default_flux: float
     sublattices: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _square: _Block = field(init=False, repr=False)
     _blocks: tuple[_Block, _Block, _Block] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -136,6 +138,13 @@ class BlochModel:
         # Each row's index among the coupled rows, or among the static ones.
         slots = (np.where(coupled, np.cumsum(coupled), np.cumsum(~coupled)) - 1)[u] * shape[1] + v
         object.__setattr__(self, "sublattices", (a, b))
+        # The whole matrix: the conjugate half has its ends swapped and its
+        # factors and windings negated.
+        n = self.bands
+        object.__setattr__(self, "_square", _Block(
+            np.concatenate([self.flux_factors, -self.flux_factors]),
+            np.concatenate([self.windings, -self.windings]),
+            np.concatenate([self.rows * n + self.cols, self.cols * n + self.rows]), (n, n)))
         object.__setattr__(self, "_blocks", (
             full, _Block(factors[~on], windings[~on], slots[~on], (shape[0] - r, shape[1])),
             _Block(factors[on], windings[on], slots[on], (r, shape[1]))))
@@ -154,13 +163,7 @@ class BlochModel:
     def stack(self, momenta, phi: float | None = None) -> np.ndarray:
         """The matrices at each row of ``momenta`` (K, dimensionality), as (K, n, n)."""
         phi = self.default_flux if phi is None else phi
-        ks = self._momenta(momenta)
-        w = np.exp(1j * (phi * self.flux_factors + ks @ self.windings.T))
-        n = self.bands
-        out = np.zeros((len(ks), n * n), dtype=complex)
-        slots = np.concatenate([self.rows * n + self.cols, self.cols * n + self.rows])
-        np.add.at(out, (slice(None), slots), np.concatenate([w, w.conj()], axis=1))
-        return out.reshape(-1, n, n)
+        return self._square.at(self._momenta(momenta), phi)
 
     def hopping_blocks(self, momenta, phi: float | None = None) -> np.ndarray:
         """The blocks T(k) = <A|H(k, phi)|B> at each row of ``momenta``, as (K, |A|, |B|)."""

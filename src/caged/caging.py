@@ -53,19 +53,21 @@ def _endpoints(m: gauge.Ccam, m_max: int, source: int | None,
 
 def crossing_amplitudes(m: gauge.Ccam, m_max: int, *, source: int | None = None,
                         target: int | None = None) -> np.ndarray:
-    """<target| H^k |source> for k = 1..m_max via repeated sparse products.
+    """<target| H^k |source> for k = 1..m_max via repeated ``Ccam.apply``.
 
-    Defaults to the marked first/last roots; matrices read from external
-    files may need the vertices given explicitly.
+    The products run in complex128, so an amplitude whose exact value is zero
+    reads at most about k * ||H||_2^k * eps (the forward error of k products):
+    these values are for display, and ``is_caged`` decides.  Defaults to the
+    marked first/last roots; matrices read from external files may need the
+    vertices given explicitly.
     """
     src, tgt = _endpoints(m, m_max, source, target)
-    op = gauge.PhasedOperator(m, extended=True)  # cancellations grow with ||H||^k
-    vec = np.zeros(m.dimension, dtype=np.clongdouble)
+    vec = np.zeros(m.dimension, dtype=complex)
     vec[src] = 1.0
     out = np.zeros(m_max, dtype=complex)
     for k in range(m_max):
-        vec = op.apply(vec)
-        out[k] = complex(vec[tgt])
+        vec = m.apply(vec)
+        out[k] = vec[tgt]
     return out
 
 
@@ -476,8 +478,10 @@ def _project(window: gauge.Ccam, spectral, local: np.ndarray, cap: int, radius: 
              inner: np.ndarray | None, keep: bool, svals: list | None):
     """One window's pass for the seeds at ``local``: per seed, the record
     fields after the seed, largest leak and (with ``keep``) states as [value,
-    column, residual, radius]; block singular values go to ``svals``."""
-    h, (values, evecs, cuts) = gauge.dense_matrix(window), spectral
+    column, residual, radius]; block singular values go to ``svals``.  Each
+    cluster's states take H from ``window.apply``, which gives both their
+    residuals and their leak onto the ring."""
+    values, evecs, cuts = spectral
     weight = np.add.reduceat(np.abs(evecs[local]) ** 2, cuts[:-1], axis=1)
     reach = np.sqrt(weight).T > KRYLOV_NOVELTY_TOL
     dims = reach.sum(axis=0)
@@ -491,7 +495,7 @@ def _project(window: gauge.Ccam, spectral, local: np.ndarray, cap: int, radius: 
         norms = np.linalg.norm(block, axis=0)
         block /= norms
         support[hits] |= (np.abs(block) > SUPPORT_EPS).T
-        image = h @ block
+        image = window.apply(block)
         r = np.linalg.norm(image - value * block, axis=0)
         resid[hits] = np.maximum(resid[hits], r)
         ring = image[slice(0) if inner is None else ~inner]
@@ -566,8 +570,7 @@ def local_caging_check(m: gauge.Ccam, vertex: int, tol: float = 1e-10) -> bool:
         raise InvalidParameterError(f"vertex {vertex} out of range")
     vec = np.zeros(m.dimension, dtype=complex)
     vec[vertex] = 1.0
-    op = gauge.PhasedOperator(m)
-    image = op.apply(op.apply(vec))
+    image = m.apply(m.apply(vec))
     image[vertex] -= m.graph.degrees()[vertex]
     return float(np.linalg.norm(image)) < tol
 

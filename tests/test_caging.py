@@ -44,8 +44,14 @@ def ccam_text(n, dim, edges):
 
 class TestCrossingAmplitudes:
     def test_pi_flux_rhombus_is_sealed(self):
-        amps = caging.crossing_amplitudes(gauge.canonical_ccam((2,), math.pi), 20)
-        assert np.max(np.abs(amps)) < 1e-12
+        m = gauge.canonical_ccam((2,), math.pi)  # phases +-pi/4: multiples of 2*pi/8
+        polys = caging.crossing_amplitude_polynomials(m, 20, 8)
+        assert caging.cyclotomic_zero_table(polys, 8, [1]).all()
+        # Each float amplitude, exactly zero, is within the forward error of
+        # k complex128 products: k * ||H||_2^k * eps with ||H||_2 = sqrt(2).
+        k = np.arange(1, 21)
+        bound = k * math.sqrt(2.0) ** k * np.finfo(float).eps
+        assert np.all(np.abs(caging.crossing_amplitudes(m, 20)) <= bound)
 
     def test_zero_flux_two_paths_add(self):
         amps = caging.crossing_amplitudes(gauge.canonical_ccam((2,), 0.0), 2)
@@ -516,6 +522,21 @@ class TestSharedSpectralData:
         del mp
         gc.collect()
         assert held() is None
+
+    def test_repeated_calls_form_one_dense_matrix(self, monkeypatch):
+        formed = []
+        dense = gauge.dense_matrix
+
+        def counted(m):
+            formed.append(m.dimension)
+            return dense(m)
+        monkeypatch.setattr(gauge, "dense_matrix", counted)
+        patch = graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6))
+        mp = gauge.lotus_ccam(patch, math.pi)
+        hub = graphs.lotus_hubs(patch)[0]
+        for _ in range(3):
+            assert caging.krylov_cls(mp, hub).closed
+        assert formed == [mp.dimension]
 
 
 class TestPerClusterRank:

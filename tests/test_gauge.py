@@ -291,6 +291,26 @@ class TestDenseMatrix:
             gauge.dense_limit()
 
 
+class TestApply:
+    """``Ccam.apply`` is the dense product H x, for vectors and column blocks."""
+
+    @pytest.mark.parametrize("m", [
+        gauge.chain_ccam((2, 3), 3, 0.66),
+        gauge.lotus_ccam(graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6)), 1.3),
+        # a reversed edge, and vertex 4 with no edges
+        gauge.parse_ccam("ccam 5 0\ne 0 1 0.5\ne 2 1 0.25\ne 0 3 -1.5\ne 2 3 2.0\n"),
+        gauge.Ccam.from_entries(0, ()),
+    ], ids=["chain", "lotus", "parsed", "empty"])
+    def test_matches_dense_product(self, m):
+        rng = np.random.default_rng(7)
+        h = gauge.dense_matrix(m)
+        for shape in ((m.dimension,), (m.dimension, 3)):
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            got = m.apply(x)
+            assert got.shape == shape and got.dtype == complex
+            assert np.max(np.abs(got - h @ x), initial=0.0) <= 1e-14
+
+
 class TestDerivedCcams:
     def test_chain_fluxes(self):
         m = gauge.chain_ccam((2, 3), 3, 0.66)
