@@ -425,7 +425,7 @@ def krylov_cls(m: gauge.Ccam, seed: int, *, cap: int = DEFAULT_KRYLOV_CAP) -> Kr
         raise InvalidParameterError(f"cap must be at least 1, got {cap}")
     radius, leak = 1, [np.inf]
     while leak[0] > CLS_RESIDUAL_TOL:
-        (record,), leak, (states,), _ = _cover(m, [seed], radius, m.dimension, keep=True)
+        (record,), leak, (states,) = _cover(m, [seed], radius, m.dimension, keep=True)
         radius *= 2
     closed = record.krylov_dim <= cap
     return KrylovResult(seed, min(record.krylov_dim, cap), closed, tuple(states) if closed else ())
@@ -475,12 +475,12 @@ def _window(m: gauge.Ccam, seeds: np.ndarray, radius: int):
 
 
 def _project(window: gauge.Ccam, spectral, local: np.ndarray, cap: int, radius: int,
-             inner: np.ndarray | None, keep: bool, svals: list | None):
+             inner: np.ndarray | None, keep: bool):
     """One window's pass for the seeds at ``local``: per seed, the record
     fields after the seed, largest leak and (with ``keep``) states as [value,
-    column, residual, radius]; block singular values go to ``svals``.  Each
-    cluster's states take H from ``window.apply``, which gives both their
-    residuals and their leak onto the ring."""
+    column, residual, radius].  H from ``window.apply`` gives each cluster's
+    residuals and leak onto the ring; a seed whose states leak or reach past
+    ``radius`` records support radius ``radius + 1``."""
     values, evecs, cuts = spectral
     weight = np.add.reduceat(np.abs(evecs[local]) ** 2, cuts[:-1], axis=1)
     reach = np.sqrt(weight).T > KRYLOV_NOVELTY_TOL
@@ -490,8 +490,7 @@ def _project(window: gauge.Ccam, spectral, local: np.ndarray, cap: int, radius: 
     resid, leak, found = np.zeros(len(local)), np.zeros(len(local)), [[] for _ in local]
     for c in np.flatnonzero(reach.any(axis=1)).tolist():
         value, basis, hits = values[c], evecs[:, cuts[c]:cuts[c + 1]], np.flatnonzero(reach[c])
-        coeffs = basis[local[hits]].conj().T
-        block = basis @ coeffs
+        block = basis @ basis[local[hits]].conj().T
         norms = np.linalg.norm(block, axis=0)
         block /= norms
         support[hits] |= (np.abs(block) > SUPPORT_EPS).T
@@ -500,8 +499,6 @@ def _project(window: gauge.Ccam, spectral, local: np.ndarray, cap: int, radius: 
         resid[hits] = np.maximum(resid[hits], r)
         ring = image[slice(0) if inner is None else ~inner]
         leak[hits] = np.maximum(leak[hits], np.linalg.norm(ring, axis=0))
-        if svals is not None:
-            svals.append(np.linalg.svd(coeffs / norms, compute_uv=False))
         for col, row in enumerate(hits.tolist() if keep else ()):
             found[row].append([float(value), block[:, col], float(r[col])])
     out = []
@@ -509,7 +506,9 @@ def _project(window: gauge.Ccam, spectral, local: np.ndarray, cap: int, radius: 
         dist = window.graph.distances(seed)
         for state in found[row]:
             state.append(int(dist[np.abs(state[1]) > SUPPORT_EPS].max(initial=0)))
-        reached = radius + 1 if leak[row] > CLS_RESIDUAL_TOL else dist[support[row]].max(initial=0)
+        reached = dist[support[row]].max(initial=0)
+        if leak[row] > CLS_RESIDUAL_TOL or reached > radius:
+            reached = radius + 1
         out.append(((int(min(dims[row], cap)), bool(dims[row] <= cap),
                      tuple(values[reach[:, row]].tolist()), int(reached), float(resid[row])),
                     leak[row], found[row]))
@@ -517,12 +516,9 @@ def _project(window: gauge.Ccam, spectral, local: np.ndarray, cap: int, radius: 
 
 
 def _cover(m: gauge.Ccam, seeds: Sequence[int], radius: int, cap: int, keep: bool = False):
-    """Each seed's ``SeedRecord``, largest leak, states (with ``keep``) and,
-    with one window, the singular values of every cluster's block
-    V_c[hits, :]^H, columns scaled to unit norm: those of all the states,
-    as V_c is orthonormal and clusters orthogonal.  The states are the
-    columns V_c V_c^H e_s, scaled to unit norm, of the window's clusters
-    (lambda_c, V_c) with ||V_c[s, :]|| > ``KRYLOV_NOVELTY_TOL``.
+    """Each seed's ``SeedRecord``, largest leak and states (with ``keep``).
+    The states are the columns V_c V_c^H e_s, scaled to unit norm, of the
+    window's clusters (lambda_c, V_c) with ||V_c[s, :]|| > ``KRYLOV_NOVELTY_TOL``.
 
     Within the dense limit the window is the whole matrix.  Beyond it the
     seeds of a chain cell (``cell_bounds``), or else each seed, share the
@@ -530,13 +526,14 @@ def _cover(m: gauge.Ccam, seeds: Sequence[int], radius: int, cap: int, keep: boo
     induce; equal windows share one ``eigh``, and one above the dense limit
     (with its outer ring) is refused.  A state's leak is H v on that ring.
     Without leak its span is invariant under H, so the states are the global
-    P_c e_s; a leak means they reach past ``radius``, and the record reads
-    support radius ``radius + 1``.  Residuals use H on the window and ring,
-    the whole matrix; radii, distances there, are exact to ``radius + 1``.
+    P_c e_s.  Records read one rule on either route (``_project``), so the
+    window only decides which matrix ``eigh`` sees.  Residuals use H on the
+    window and ring, the whole matrix; state radii, distances there, are
+    exact to ``radius + 1``.
     """
     g, seeds = m.graph, np.asarray(seeds, dtype=np.int64)
     records, leaks, states = [None] * len(seeds), np.zeros(len(seeds)), [[] for _ in seeds]
-    svals, shared, whole = [np.zeros(0)], {}, m.dimension <= gauge.dense_limit()
+    shared, whole = {}, m.dimension <= gauge.dense_limit()
     labels = (np.arange(len(seeds)) if g.cell_bounds is None
               else graphs.chain_cell_of_vertex(g, seeds))
     order = np.argsort(labels, kind="stable")
@@ -548,16 +545,16 @@ def _cover(m: gauge.Ccam, seeds: Sequence[int], radius: int, cap: int, keep: boo
         key = whole or tuple(a.tobytes() for a in (window.rows, window.cols, window.phases, inner))
         if key not in shared:  # equal windows share one ``eigh``, and with equal seeds one pass
             shared[key] = dense_spectral_data(window, inner)
-        if (key, local.tobytes()) not in shared:
-            shared[key, local.tobytes()] = _project(window, shared[key], local, cap, radius, inner,
-                                                    keep, svals if whole and not keep else None)
-        for j, (fields, leak, found) in zip(pos.tolist(), shared[key, local.tobytes()]):
+        pass_key = key, local.tobytes()
+        if pass_key not in shared:
+            shared[pass_key] = _project(window, shared[key], local, cap, radius, inner, keep)
+        for j, (fields, leak, found) in zip(pos.tolist(), shared[pass_key]):
             records[j], leaks[j] = SeedRecord(int(seeds[j]), *fields), leak
             for value, v, r, reached in found:
                 vector = np.zeros(m.dimension, dtype=complex)
                 vector[vertices] = v
                 states[j].append(ClsState(vector, value, reached, r))
-    return records, leaks, states, np.concatenate(svals) if whole else None
+    return records, leaks, states
 
 
 def local_caging_check(m: gauge.Ccam, vertex: int, tol: float = 1e-10) -> bool:
@@ -625,26 +622,22 @@ class CagingReport:
 
 
 def verify_all_cls(m: gauge.Ccam, radius_bound: int, *, seeds: Sequence[int] | None = None,
-                   cap: int = DEFAULT_KRYLOV_CAP, rank_tol: float = 1e-8) -> CagingReport:
+                   cap: int = DEFAULT_KRYLOV_CAP) -> CagingReport:
     """Extract compact states from every seed (``_cover``) and check that
-    they span.  With one window, the whole matrix within the dense limit,
-    the rank is read from the singular values of all the states together
-    (pairwise matching is ill-posed inside degenerate flat bands).  Beyond
-    it no state stack is formed: the states of a seed that closes under
-    ``cap`` without leak sum to it, sum_c P_c e_s = e_s, so ``span_rank``
-    counts those seeds.  Seeds over ``cap`` are reported: the matrix is not
-    caging at this flux, or the cap is too small.
+    they span.  ``span_rank`` counts the seeds that close under ``cap`` with
+    support radius within ``radius_bound``, on either route: such a seed's
+    states sum to it, sum_c P_c e_s = e_s, so the states span the space when
+    every vertex is such a seed.  Seeds over ``cap`` are reported: the
+    matrix is not caging at this flux, or the cap is too small.
     """
     if cap < 1 or radius_bound < 0:
         raise InvalidParameterError(f"cap {cap} must be >= 1 and radius bound {radius_bound} >= 0")
     seed_list = list(range(m.dimension)) if seeds is None else list(seeds)
     if any(not 0 <= s < m.dimension for s in seed_list):
         raise InvalidParameterError(f"seeds must lie in 0..{m.dimension - 1}")
-    records, leaks, _, svals = _cover(m, seed_list, radius_bound, cap)
+    records, _, _ = _cover(m, seed_list, radius_bound, cap)
     cap_exceeded = tuple(r.seed for r in records if not r.closed)
-    exact = {r.seed for r, leak in zip(records, leaks) if r.closed and leak <= CLS_RESIDUAL_TOL}
-    rank = (len(exact) if svals is None else
-            int(np.sum(svals > rank_tol * max(1.0, float(svals.max(initial=0.0))))))
+    rank = len({r.seed for r in records if r.closed and r.support_radius <= radius_bound})
     return CagingReport(
         dimension=m.dimension,
         span_rank=rank,

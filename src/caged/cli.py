@@ -208,11 +208,11 @@ def cmd_cls(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    count, factorizations = graphs.ordered_factorizations(args.m)
+    count, factorizations = (graphs.ordered_factorizations(args.m) if args.list
+                             else (graphs.ordered_factorization_count(args.m), ()))
     sys.stdout.write(f"{count}\n")
-    if args.list:
-        for f in factorizations:
-            sys.stdout.write(",".join(str(v) for v in f) + "\n")
+    for f in factorizations:
+        sys.stdout.write(",".join(str(v) for v in f) + "\n")
     return 0
 
 

@@ -712,18 +712,24 @@ def ordered_factorizations(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return len(out), tuple(out)
 
 
+def ordered_factorization_count(m: int) -> int:
+    """N(m) from the divisor recurrence over the divisors of ``m`` alone."""
+    if m < 1:
+        raise InvalidParameterError(f"m must be >= 1, got {m}")
+    divisors, counts = _divisors(m), {1: 1}
+    for d in divisors[1:]:
+        counts[d] = sum(counts[e] for e in divisors if e < d and d % e == 0)
+    return counts[m]
+
+
 def ordered_factorization_counts(limit: int) -> list[int]:
-    """Count table n -> N(n) for 1 <= n <= limit via the divisor recurrence."""
+    """Count table n -> N(n) for 1 <= n <= limit: each N(d) adds to its multiples."""
     if limit < 1:
         raise InvalidParameterError("limit must be >= 1")
-    counts = [0] * (limit + 1)
-    counts[1] = 1
-    for n in range(2, limit + 1):
-        total = 0
-        for d in _divisors(n):
-            if d < n:
-                total += counts[d]
-        counts[n] = total
+    counts = [0, 1] + [0] * (limit - 1)
+    for d in range(1, limit // 2 + 1):
+        for n in range(2 * d, limit + 1, d):
+            counts[n] += counts[d]
     return counts
 
 

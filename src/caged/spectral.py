@@ -26,6 +26,7 @@ from . import gauge, graphs
 from .errors import InvalidParameterError, UnsupportedHypothesisError
 
 DEGENERACY_TOL = 1e-8
+HERMITICITY_TOL = 1e-10
 _TINY = np.finfo(float).tiny
 
 
@@ -47,16 +48,15 @@ class Spectrum:
         """The full multiset as a sorted array."""
         return np.array([v for (v, m) in self.eigenvalues for _ in range(m)])
 
-    def multiplicity_at(self, value: float, tol: float = DEGENERACY_TOL) -> int:
-        return sum(m for (v, m) in self.eigenvalues if abs(v - value) <= tol)
+    def multiplicity_at(self, value: float) -> int:
+        return sum(m for (v, m) in self.eigenvalues if abs(v - value) <= DEGENERACY_TOL)
 
 
-def cluster_eigenvalues(values: Sequence[float], counts: Sequence[int] | None = None,
-                        tol: float = DEGENERACY_TOL) -> Spectrum:
+def cluster_eigenvalues(values: Sequence[float], counts: Sequence[int] | None = None) -> Spectrum:
     """Merge a weighted eigenvalue list into a Spectrum.
 
-    Values closer than ``tol`` are one level; the level's value is the
-    weighted mean of its members.
+    Values closer than ``DEGENERACY_TOL`` are one level; the level's value
+    is the weighted mean of its members.
     """
     if counts is None:
         counts = [1] * len(values)
@@ -64,7 +64,7 @@ def cluster_eigenvalues(values: Sequence[float], counts: Sequence[int] | None = 
     merged: list[tuple[float, int]] = []
     acc_val, acc_cnt = None, 0
     for v, c in pairs:
-        if acc_val is None or v - acc_val / acc_cnt > tol:
+        if acc_val is None or v - acc_val / acc_cnt > DEGENERACY_TOL:
             if acc_val is not None:
                 merged.append((acc_val / acc_cnt, acc_cnt))
             acc_val, acc_cnt = v * c, c
@@ -81,8 +81,7 @@ def cluster_eigenvalues(values: Sequence[float], counts: Sequence[int] | None = 
 # ---------------------------------------------------------------------------
 
 
-def hermitian_eigensolve(m: np.ndarray, *, cluster_tol: float = DEGENERACY_TOL,
-                         hermiticity_tol: float = 1e-10) -> tuple[Spectrum, np.ndarray]:
+def hermitian_eigensolve(m: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     """Eigen-decomposition of a dense Hermitian matrix.
 
     Returns the clustered Spectrum and the eigenvector matrix (columns ordered
@@ -91,14 +90,14 @@ def hermitian_eigensolve(m: np.ndarray, *, cluster_tol: float = DEGENERACY_TOL,
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError("matrix must be square")
-    if m.size and np.max(np.abs(m - m.conj().T)) > hermiticity_tol:
+    if m.size and np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise InvalidParameterError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(m)
-    return cluster_eigenvalues(vals.tolist(), tol=cluster_tol), vecs
+    return cluster_eigenvalues(vals.tolist()), vecs
 
 
-def ccam_spectrum(m: gauge.Ccam, *, cluster_tol: float = DEGENERACY_TOL) -> Spectrum:
-    spec, _vecs = hermitian_eigensolve(gauge.dense_matrix(m), cluster_tol=cluster_tol)
+def ccam_spectrum(m: gauge.Ccam) -> Spectrum:
+    spec, _vecs = hermitian_eigensolve(gauge.dense_matrix(m))
     return spec
 
 
@@ -157,6 +156,7 @@ def prefix_eigenvalues(paths: Sequence[Tridiag],
     top = max(float(np.max(np.abs(diag))), float(np.max(np.abs(off))))
     scale = math.ldexp(1.0, math.frexp(top)[1]) if top > 0 else 1.0
     diag /= scale
+    diag += 0.0  # -0.0 becomes +0.0, so no pivot is a negative zero
     off /= scale
     radius = np.abs(off)
     radius[1:] += radius[:-1].copy()
@@ -166,7 +166,9 @@ def prefix_eigenvalues(paths: Sequence[Tridiag],
     length = hi_all - lo_all + 2e-3 * span
     # Squared couplings are floored at the smallest normal float, so 0/0
     # cannot occur: a zero pivot gives an infinite next pivot and a zero
-    # ratio after it, and IEEE arithmetic keeps the count exact.
+    # ratio after it, and IEEE arithmetic keeps the count exact.  A zero
+    # pivot is +0.0, which the count reads as non-negative and the next
+    # division as positive; a -0.0 would be read one way by each.
     off2 = np.maximum(off * off, _TINY)
 
     # One target per eigenvalue, longest prefix first, so the targets still

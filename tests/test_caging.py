@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import random
 import weakref
@@ -458,13 +459,36 @@ class TestRouteAgreement:
         assert summary(whole_rep) == summary(windowed_rep) == (m.dimension, True, True)
 
 
+class TestOneVerdict:
+    """The report is decided one way at every size: with the dense limit
+    just below the dimension the window route gives the same summary and
+    per-seed support radii, also on reports that fail."""
+
+    @pytest.mark.parametrize("build, bound, cap", [
+        (lambda: gauge.chain_ccam((2, 3, 2), 4, 1.0), 10, caging.DEFAULT_KRYLOV_CAP),
+        (lambda: dice(2), 2, caging.DEFAULT_KRYLOV_CAP),
+        (lambda: gauge.chain_ccam((2, 3, 2), 4, math.pi / 6), 10, 32),
+    ], ids=["chain-232x4-flux1", "dice-gen2-bound2", "chain-232x4-cap32"])
+    def test_same_summary_and_radii_on_both_routes(self, build, bound, cap, monkeypatch):
+        m = build()
+        reports = [caging.verify_all_cls(m, bound, cap=cap)]
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, str(m.dimension - 1))
+        shapes = count_eigh(monkeypatch)
+        reports.append(caging.verify_all_cls(m, bound, cap=cap))
+        assert shapes and max(shapes) < (m.dimension, m.dimension)
+        whole, windowed = ((json.loads(r.to_json())["summary"],
+                            [s.support_radius for s in r.records]) for r in reports)
+        assert whole == windowed
+        assert not (reports[0].covered and reports[0].radius_ok)
+
+
 class TestWindows:
     def test_leaking_seeds_are_the_seeds_past_the_bound(self, monkeypatch):
         m = dice(2)
         radii = np.array([r.support_radius for r in caging.verify_all_cls(m, 4).records])
         assert radii.max() == 4 and (radii == 4).sum() == 36
         monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, str(m.dimension - 1))
-        records, leaks, _, _ = caging._cover(m, range(m.dimension), 3, caging.DEFAULT_KRYLOV_CAP)
+        records, leaks, _ = caging._cover(m, range(m.dimension), 3, caging.DEFAULT_KRYLOV_CAP)
         leaking = np.flatnonzero(leaks > caging.CLS_RESIDUAL_TOL)
         assert leaking.tolist() == np.flatnonzero(radii == 4).tolist()
         assert [r.support_radius for r in records] == radii.tolist()
@@ -540,9 +564,9 @@ class TestSharedSpectralData:
 
 
 class TestPerClusterRank:
-    """The dense cover ranks its states by the singular values of each
-    cluster's coefficient block; stacking every state of every seed as a row
-    and taking one SVD gives the same values."""
+    """``span_rank`` counts the seeds that close under the cap within the
+    radius bound.  On a covered input the union of every seed's states,
+    stacked as rows and ranked by one SVD, spans the whole space."""
 
     @pytest.mark.parametrize("xs, cells, phi, rank", [
         ((2, 3, 2), 4, math.pi / 6, 117),
@@ -551,17 +575,21 @@ class TestPerClusterRank:
     ])
     def test_union_matches_stacked_svd(self, xs, cells, phi, rank):
         m = gauge.chain_ccam(xs, cells, phi)
-        seeds = list(range(m.dimension))
-        *_, union = caging._cover(m, seeds, 0, caging.DEFAULT_KRYLOV_CAP)
-        stack = np.array([s.vector for seed in seeds
+        rep = caging.verify_all_cls(m, 100)
+        assert rep.covered
+        stack = np.array([s.vector for seed in range(m.dimension)
                           for s in caging.krylov_cls(m, seed).states])
         stacked = np.linalg.svd(stack, compute_uv=False)
-        union = np.sort(union)[::-1]
-        both = min(len(union), len(stacked))
-        assert np.abs(union[:both] - stacked[:both]).max() <= 1e-12
-        assert max(union[both:].max(initial=0.0), stacked[both:].max(initial=0.0)) <= 1e-12
-        assert caging.verify_all_cls(m, 100).span_rank == rank
-        assert int(np.sum(stacked > 1e-8 * max(1.0, stacked[0]))) == rank
+        assert int(np.sum(stacked > 1e-8 * max(1.0, stacked[0]))) == rep.span_rank == rank
+        assert rep.span_rank == m.dimension
+
+    def test_cap_counts_the_closed_seeds_within_the_bound(self):
+        m = gauge.chain_ccam((2, 3, 2), 4, math.pi / 6)
+        rep = caging.verify_all_cls(m, 10, cap=32)
+        within = [s for s in range(m.dimension)
+                  if (res := caging.krylov_cls(m, s, cap=32)).closed and res.support_radius <= 10]
+        assert not rep.covered and rep.cap_exceeded
+        assert rep.span_rank == len(within) == m.dimension - len(rep.cap_exceeded)
 
 
 class TestClsRefusals:
@@ -648,7 +676,6 @@ class TestVerifyAllCls:
         assert rep.cap_exceeded == tuple(over.tolist()) and len(over) > 0
 
     def test_report_json_shape(self):
-        import json
         rep = caging.verify_all_cls(gauge.canonical_ccam((2,), math.pi), 2)
         payload = json.loads(rep.to_json())
         assert set(payload) == {"states", "summary"}

@@ -285,6 +285,13 @@ class TestOtherCommands:
         assert code == 0
         assert out.splitlines()[0] == "8"
 
+    def test_factorize_counts_without_listing(self, capsys):
+        # 2^24 has 2^23 ordered factorizations; counting lists none of them.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "factorize", "--m", str(2**24))
+        assert (code, out) == (0, "8388608\n")
+        assert time.perf_counter() - start < 1.0
+
     def test_factorize_listing(self, capsys):
         code, out, _ = run(capsys, "factorize", "--m", "4", "--list")
         assert code == 0

@@ -439,9 +439,15 @@ class TestOrderedFactorizations:
         for m in range(1, 601):
             assert counts[m] == graphs.ordered_factorizations(m)[0]
 
+    def test_count_without_listing_matches_the_table(self):
+        counts = graphs.ordered_factorization_counts(3000)
+        assert [graphs.ordered_factorization_count(m) for m in range(1, 3001)] == counts[1:]
+
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
             graphs.ordered_factorizations(0)
+        with pytest.raises(InvalidParameterError):
+            graphs.ordered_factorization_count(0)
 
 
 class TestGraphFile:

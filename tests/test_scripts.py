@@ -18,8 +18,6 @@ ROOT = Path(__file__).resolve().parent.parent
     ("chain_bandwidth.py", ["--x", "2", "--phi-grid", "4", "--k-grid", "5"],
      "phi,total_bandwidth,is_flat_value"),
     ("pnary_spectrum.py", ["--p", "2", "--depth", "3"], "eigenvalue,cumulative_fraction"),
-    ("rhombic_dos.py", ["--x", "2", "--phi-grid", "4", "--k-grid", "5", "--bins", "5"],
-     "phi,energy_bin_center,count"),
 ])
 def test_script_writes_csv(script, args, header):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

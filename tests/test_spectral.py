@@ -61,6 +61,13 @@ class TestTridiagonal:
             spectral.Tridiag((0.0, 0.0), (math.sqrt(2),))) == pytest.approx(
             [-math.sqrt(2), math.sqrt(2)])
 
+    def test_negative_zero_diagonal(self):
+        # a -0.0 pivot once read as non-negative but divided as negative
+        for diag in [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0, -0.0)]:
+            t = spectral.Tridiag(diag, (1.0,) * (len(diag) - 1))
+            got = spectral.tridiagonal_eigenvalues(t)
+            assert np.max(np.abs(got - np.linalg.eigvalsh(t.dense()))) < 1e-12
+
     @pytest.mark.parametrize("n", [3, 8, 33, 64])
     def test_uniform_closed_form(self, n):
         p = 3
