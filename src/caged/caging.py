@@ -34,6 +34,13 @@ CLS_RESIDUAL_TOL = 1e-8
 SUPPORT_EPS = 1e-8
 # Dense eigenvalues split by at most this gap merge into one cluster.
 EIGEN_CLUSTER_TOL = 1e-6
+# An edge phase within this angle of a multiple of 2*pi/denominator is that
+# multiple.
+PHASE_EXPONENT_TOL = 1e-8
+# Float residual norms below these read as zero in the local caging and the
+# exchange symmetry checks.
+LOCAL_CAGING_TOL = 1e-10
+EXCHANGE_SYMMETRY_TOL = 1e-10
 
 
 def _endpoints(m: gauge.Ccam, m_max: int, source: int | None,
@@ -104,8 +111,9 @@ def is_caged(x: Sequence[int], z: int) -> bool:
     return z % math.prod(xs) != 0
 
 
-def phase_exponents(m: gauge.Ccam, denominator: int, tol: float = 1e-8) -> np.ndarray:
-    """Each edge phase as an integer multiple of 2*pi/denominator."""
+def phase_exponents(m: gauge.Ccam, denominator: int) -> np.ndarray:
+    """Each edge phase as an integer multiple of 2*pi/denominator, within
+    ``PHASE_EXPONENT_TOL``."""
     if denominator < 1:
         raise InvalidParameterError("denominator must be positive")
     ts = m.phases
@@ -113,7 +121,7 @@ def phase_exponents(m: gauge.Ccam, denominator: int, tol: float = 1e-8) -> np.nd
     # Distance of each residual angle from the nearest whole turn, as
     # |gauge.reduce_angle(...)| computes it; NaN never passes.
     r = np.abs(np.fmod(ts - 2.0 * math.pi * out / denominator, 2.0 * math.pi))
-    bad = np.flatnonzero(~(np.minimum(r, 2.0 * math.pi - r) <= tol))
+    bad = np.flatnonzero(~(np.minimum(r, 2.0 * math.pi - r) <= PHASE_EXPONENT_TOL))
     if bad.size:
         raise InvalidParameterError(
             f"phase {float(ts[bad[0]])} is not a multiple of 2*pi/{denominator}")
@@ -351,7 +359,7 @@ def recurrence_normalizer(x: Sequence[int], flux: float, lam: complex, i: int) -
 # ---------------------------------------------------------------------------
 
 
-def exchange_symmetry_check(m: gauge.Ccam, tol: float = 1e-10) -> tuple[bool, float]:
+def exchange_symmetry_check(m: gauge.Ccam) -> tuple[bool, float]:
     """Whether the matrix commutes with the anti-diagonal permutation J.
 
     J H J maps edge (u, v, w) to (n-1-v, n-1-u, conj w).  The edge arrays and
@@ -370,7 +378,7 @@ def exchange_symmetry_check(m: gauge.Ccam, tol: float = 1e-10) -> tuple[bool, fl
     jhj = np.zeros(len(slots), dtype=complex)
     jhj[np.searchsorted(slots, mirror)] = w.conj()
     norm = float(np.max(np.abs(h - jhj))) if slots.size else 0.0
-    return norm < tol, norm
+    return norm < EXCHANGE_SYMMETRY_TOL, norm
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +565,7 @@ def _cover(m: gauge.Ccam, seeds: Sequence[int], radius: int, cap: int, keep: boo
     return records, leaks, states
 
 
-def local_caging_check(m: gauge.Ccam, vertex: int, tol: float = 1e-10) -> bool:
+def local_caging_check(m: gauge.Ccam, vertex: int) -> bool:
     """Whether H^2 acts on the site as multiplication by its degree.
 
     True exactly when every two-step return interferes away; the hallmark of
@@ -569,7 +577,7 @@ def local_caging_check(m: gauge.Ccam, vertex: int, tol: float = 1e-10) -> bool:
     vec[vertex] = 1.0
     image = m.apply(m.apply(vec))
     image[vertex] -= m.graph.degrees()[vertex]
-    return float(np.linalg.norm(image)) < tol
+    return float(np.linalg.norm(image)) < LOCAL_CAGING_TOL
 
 
 # ---------------------------------------------------------------------------

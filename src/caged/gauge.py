@@ -26,6 +26,8 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_DENSE_LIMIT = 4096
 DENSE_LIMIT_ENV = "CAGED_DENSE_LIMIT"
+# An angle within this distance of 2*pi*z/M is the flat value z.
+FLAT_VALUE_TOL = 1e-9
 
 
 def dense_limit() -> int:
@@ -322,17 +324,17 @@ class FlatSet:
     denominator: int
     values: tuple[float, ...]
 
-    def index(self, angle: float, tol: float = 1e-9) -> int | None:
-        """The z in 1..M with angle = 2*pi*z/M (mod 2*pi) within ``tol``, else
-        None; refuses an angle that is not finite."""
+    def index(self, angle: float) -> int | None:
+        """The z in 1..M with angle = 2*pi*z/M (mod 2*pi) within
+        ``FLAT_VALUE_TOL``, else None; refuses an angle that is not finite."""
         if not math.isfinite(angle):
             raise InvalidParameterError(f"flux {angle} is not a finite angle")
         step = TWO_PI / self.denominator
         z = round(angle / step)
-        return (z - 1) % self.denominator + 1 if abs(angle - z * step) < tol else None
+        return (z - 1) % self.denominator + 1 if abs(angle - z * step) < FLAT_VALUE_TOL else None
 
-    def contains(self, angle: float, tol: float = 1e-9) -> bool:
-        return self.index(angle, tol) is not None
+    def contains(self, angle: float) -> bool:
+        return self.index(angle) is not None
 
     def midpoints(self) -> tuple[float, ...]:
         """Angles halfway between consecutive members."""

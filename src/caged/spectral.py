@@ -7,11 +7,10 @@ at flux 2*pi/x_1.  With a_j = sqrt(x_j), every block is a leading principal
 submatrix (a prefix) of one of three zero-diagonal paths: the fluxless
 block i splits into the size-(i + 1) prefix of E = (sqrt(2) a_1, a_2, ...,
 a_d) and the size-i prefix of O = (a_2, ..., a_d), and the flux block i is
-the size-(i + 1) prefix of F = (a_1, ..., a_d).  One Sturm pass along a path
-counts the eigenvalues below a shift for all of its prefixes at once, so one
-vectorized bisection (``prefix_eigenvalues``) solves every block of an
-assembly, and a depth-d tree's spectrum costs polynomial work in d even
-though the matrix itself has roughly x^d rows.
+the size-(i + 1) prefix of F = (a_1, ..., a_d).  ``prefix_eigenvalues``
+solves each block with one LAPACK ``eigvalsh`` of at most d + 1 rows, so a
+depth-d tree's spectrum costs polynomial work in d even though the matrix
+itself has roughly x^d rows.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from . import gauge, graphs
-from .errors import InvalidParameterError, UnsupportedHypothesisError
+from .errors import InvalidParameterError, ResourceLimitError, UnsupportedHypothesisError
 
 DEGENERACY_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ def ccam_spectrum(m: gauge.Ccam) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# Symmetric tridiagonal eigenvalues by Sturm bisection
+# Symmetric tridiagonal paths and their prefix eigenvalues
 # ---------------------------------------------------------------------------
 
 
@@ -130,74 +128,24 @@ def prefix_eigenvalues(paths: Sequence[Tridiag],
     """Eigenvalues of leading principal submatrices of symmetric tridiagonal paths.
 
     ``prefixes`` lists (path index, size) pairs; the result concatenates the
-    eigenvalues of each listed prefix, ascending, in the listed order.  The
-    leading s pivots of the LDL^T factorization of T - x are the pivots of
-    its size-s prefix, so one Sturm pass along a path counts the eigenvalues
-    below x of every prefix at once: the negative pivots among the first s.
-    All (prefix, index) targets bisect together, one pass per step, until
-    the brackets are at machine precision.  No similarity transform touches
-    the matrices.  The entries are first divided by a power of two at or
-    above the largest |entry|, which is exact and keeps the squared
-    off-diagonals finite.
+    eigenvalues of each listed prefix, ascending, in the listed order.  Each
+    path is formed dense once, up to its longest listed prefix, and each
+    prefix is one ``eigvalsh`` of that matrix's leading block.  A prefix
+    longer than ``gauge.dense_limit()`` is refused, as every dense matrix is.
     """
-    sizes = np.array([s for (_p, s) in prefixes], dtype=np.intp)
-    which = np.array([p for (p, _s) in prefixes], dtype=np.intp)
-    for p, s in zip(which.tolist(), sizes.tolist()):
+    widths: dict[int, int] = {}
+    for p, s in prefixes:
         if not (0 <= p < len(paths) and 0 <= s <= len(paths[p].diagonal)):
             raise InvalidParameterError(f"prefix ({p}, {s}) is not in a listed path")
-    width = int(sizes.max(initial=0))
-    if width == 0:
-        return np.array([])
-    diag = np.zeros((width, len(paths)))
-    off = np.zeros((width, len(paths)))  # off[k] couples positions k and k + 1
-    for col, t in enumerate(paths):
-        diag[:len(t.diagonal[:width]), col] = t.diagonal[:width]
-        off[:len(t.offdiagonal[:width - 1]), col] = t.offdiagonal[:width - 1]
-    top = max(float(np.max(np.abs(diag))), float(np.max(np.abs(off))))
-    scale = math.ldexp(1.0, math.frexp(top)[1]) if top > 0 else 1.0
-    diag /= scale
-    diag += 0.0  # -0.0 becomes +0.0, so no pivot is a negative zero
-    off /= scale
-    radius = np.abs(off)
-    radius[1:] += radius[:-1].copy()
-    lo_all = float(np.min(diag - radius))
-    hi_all = float(np.max(diag + radius))
-    span = max(hi_all - lo_all, 1.0)
-    length = hi_all - lo_all + 2e-3 * span
-    # Squared couplings are floored at the smallest normal float, so 0/0
-    # cannot occur: a zero pivot gives an infinite next pivot and a zero
-    # ratio after it, and IEEE arithmetic keeps the count exact.  A zero
-    # pivot is +0.0, which the count reads as non-negative and the next
-    # division as positive; a -0.0 would be read one way by each.
-    off2 = np.maximum(off * off, _TINY)
-
-    # One target per eigenvalue, longest prefix first, so the targets still
-    # inside their prefix at position k are a leading slice.
-    target_size = np.repeat(sizes, sizes)
-    rank = np.arange(target_size.size) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1
-    order = np.argsort(-target_size, kind="stable")
-    rank, path = rank[order], np.repeat(which, sizes)[order]
-    inside = np.searchsorted(-target_size[order], -np.arange(width), side="left")
-    # each target's column of diag and off2; with one path, that column once
-    lane = path if len(paths) > 1 else np.zeros(1, dtype=np.intp)
-    passes = max(0, math.ceil(math.log2(length / (1e-15 * span))))
-    lo = np.full(rank.size, lo_all - 1e-3 * span)
-    hi = lo + length
-    with np.errstate(divide="ignore", over="ignore"):
-        for _ in range(passes):
-            mid = 0.5 * (lo + hi)
-            piv = diag[0, lane] - mid
-            count = (piv < 0).astype(np.intp)
-            for k in range(1, width):
-                n = inside[k]
-                piv = (diag[k, lane[:n]] - mid[:n]) - off2[k - 1, lane[:n]] / piv[:n]
-                count[:n] += piv < 0
-            below = count >= rank
-            hi = np.where(below, mid, hi)
-            lo = np.where(below, lo, mid)
-    out = np.empty(rank.size)
-    out[order] = 0.5 * (lo + hi) * scale
-    return out
+        widths[p] = max(widths.get(p, 0), s)
+    widest, limit = max(widths.values(), default=0), gauge.dense_limit()
+    if widest > limit:
+        raise ResourceLimitError(f"prefix of {widest} rows exceeds dense limit {limit} "
+                                 f"(override with {gauge.DENSE_LIMIT_ENV})")
+    dense = {p: Tridiag(paths[p].diagonal[:w], paths[p].offdiagonal[:max(w - 1, 0)]).dense()
+             for p, w in widths.items()}
+    values = [np.linalg.eigvalsh(dense[p][:s, :s]) for p, s in prefixes]
+    return np.concatenate(values) if values else np.array([])
 
 
 def tridiagonal_eigenvalues(t: Tridiag) -> np.ndarray:
@@ -222,7 +170,7 @@ def continuant_eval(x: Sequence[int], lam: complex, n: int):
     of the flux path F (flux block i) and gamma_{2i+1} that of fluxless
     block i.  For other sequences the assemblies' blocks are prefixes of
     the paths E, O and F in the module docstring, which ``prefix_eigenvalues``
-    solves from their Sturm counts, not from these polynomials.
+    solves by dense ``eigvalsh``, not from these polynomials.
     """
     if n < -1:
         raise InvalidParameterError("index must be >= -1")
@@ -312,8 +260,8 @@ def spectrum_fluxless(x: Sequence[int]) -> Spectrum:
     Block i is mirror-symmetric about its middle row, so it splits into an
     even sector, the size-(i + 1) prefix of the path E with weights
     (sqrt(2) a_1, a_2, ..., a_d), and an odd sector, the size-i prefix of
-    O = (a_2, ..., a_d), where a_j = sqrt(x_j).  One bisection over both
-    paths solves every block.
+    O = (a_2, ..., a_d), where a_j = sqrt(x_j).  One ``prefix_eigenvalues``
+    call over both paths solves every block.
     """
     xs = graphs.check_growth_sequence(x)
     _require_all_at_least_two(xs, "fluxless assembly")

@@ -360,6 +360,13 @@ class TestOtherCommands:
         assert code == 1
         assert "exceeds dense limit 500" in err
 
+    def test_theorem_spectrum_refuses_a_block_above_dense_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "3")
+        code, out, err = run(capsys, "spectrum", "--x", "2,2,2", "--phi", "0",
+                             "--method", "theorem")
+        assert code == 1 and out == ""
+        assert "exceeds dense limit 3" in err
+
     @pytest.mark.parametrize("raw", ["abc", "-5"])
     def test_bad_dense_limit_is_usage_error(self, capsys, monkeypatch, raw):
         monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, raw)

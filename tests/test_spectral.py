@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caged import gauge, graphs, spectral
-from caged.errors import InvalidParameterError, UnsupportedHypothesisError
+from caged.errors import InvalidParameterError, ResourceLimitError, UnsupportedHypothesisError
 
 
 def family(limit):
@@ -116,7 +116,7 @@ class TestTridiagonal:
 
 
 class TestPrefixEigenvalues:
-    """Every leading principal submatrix of several paths in one bisection."""
+    """Every leading principal submatrix of several paths in one call."""
 
     def test_every_prefix_matches_lapack(self):
         rng = np.random.default_rng(29)
@@ -149,6 +149,15 @@ class TestPrefixEigenvalues:
         t = spectral.Tridiag((0.0, 0.0, 0.0), (1.0, 1.0))
         with pytest.raises(InvalidParameterError):
             spectral.prefix_eigenvalues([t], [prefix])
+
+    def test_prefix_above_dense_limit_refused(self, monkeypatch):
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "3")
+        path = spectral.Tridiag((0.0,) * 4, (1.0,) * 3)
+        with pytest.raises(ResourceLimitError, match="exceeds dense limit 3"):
+            spectral.tridiagonal_eigenvalues(path)
+        # only the listed prefixes count, not the length of the path
+        got = spectral.prefix_eigenvalues([path], [(0, 3), (0, 2)])
+        assert got == pytest.approx([-math.sqrt(2), 0.0, math.sqrt(2), -1.0, 1.0], abs=1e-14)
 
 
 class TestContinuant:
@@ -267,7 +276,7 @@ def per_block_spectrum(xs, blocks, block):
 
 
 class TestPrefixAssemblyMatchesBlocks:
-    """The prefix-path assembly against one bisection per tridiagonal block."""
+    """The prefix-path assembly against one solve per tridiagonal block."""
 
     SEQUENCES = family(64) + [(p,) * d for p in range(2, 7) for d in (9, 11, 13, 15)]
 
