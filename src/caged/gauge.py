@@ -104,10 +104,11 @@ class Ccam:
     A graph plus one phase per edge: edge k of ``graph`` joins ``rows[k] <
     cols[k]`` with <rows[k]|H|cols[k]> = exp(i*phases[k]).  The graph holds
     the checked edges, faces and roots, and canonical trees share it through
-    a per-sequence cache; the phases are read-only too.  ``entries`` views
-    the matrix as (u, v, theta) tuples.  ``with_phases`` rephases a matrix on
-    the same graph and checks only the new phases.  ``apply`` multiplies by
-    the matrix without forming it.
+    a per-sequence cache; the phases are read-only too, and they and the
+    flux must be finite.  ``entries`` views the matrix as (u, v, theta)
+    tuples.  ``with_phases`` rephases a matrix on the same graph and checks
+    only the new phases.  ``apply`` multiplies by the matrix without forming
+    it.
     """
 
     graph: graphs.Graph
@@ -119,6 +120,8 @@ class Ccam:
         if phases.shape != self.graph.rows.shape:
             raise InvalidParameterError(
                 f"phases of shape {phases.shape} for {self.graph.rows.shape} edges")
+        if not (np.isfinite(phases).all() and math.isfinite(self.flux)):
+            raise InvalidParameterError("phases and flux must be finite")
         object.__setattr__(self, "phases", phases)
 
     @classmethod

@@ -1,7 +1,8 @@
 """Eigenvalue engines for glued trees.
 
-Two routes to every spectrum: a dense Hermitian solve of the full weighted
-adjacency matrix (the brute-force oracle), and block assembly from small
+Two routes to every spectrum: a dense values-only Hermitian solve of the
+full weighted adjacency matrix (the brute-force oracle, one ``eigvalsh``,
+real symmetric when the matrix is real), and block assembly from small
 symmetric tridiagonal matrices, which covers the fluxless tree and the tree
 at flux 2*pi/x_1.  With a_j = sqrt(x_j), every block is a leading principal
 submatrix (a prefix) of one of three zero-diagonal paths: the fluxless
@@ -83,11 +84,14 @@ def hermitian_eigensolve(m: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     """Eigen-decomposition of a dense Hermitian matrix.
 
     Returns the clustered Spectrum and the eigenvector matrix (columns ordered
-    by ascending eigenvalue).  Rejects visibly non-Hermitian input.
+    by ascending eigenvalue).  Rejects non-finite and visibly non-Hermitian
+    input.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError("matrix must be square")
+    if not np.isfinite(m).all():
+        raise InvalidParameterError("matrix entries must be finite")
     if m.size and np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise InvalidParameterError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(m)
@@ -95,8 +99,14 @@ def hermitian_eigensolve(m: np.ndarray) -> tuple[Spectrum, np.ndarray]:
 
 
 def ccam_spectrum(m: gauge.Ccam) -> Spectrum:
-    spec, _vecs = hermitian_eigensolve(gauge.dense_matrix(m))
-    return spec
+    """The clustered spectrum of a Ccam's dense matrix, from eigenvalues only.
+
+    ``dense_matrix`` is Hermitian by construction, so no check is needed;
+    one LAPACK ``eigvalsh`` solves it, in real arithmetic when no entry has
+    a nonzero imaginary part (as at flux 0, where every phase is +-0.0).
+    """
+    h = gauge.dense_matrix(m)
+    return cluster_eigenvalues(np.linalg.eigvalsh(h if h.imag.any() else h.real).tolist())
 
 
 # ---------------------------------------------------------------------------

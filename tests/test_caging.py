@@ -100,9 +100,11 @@ class TestExactCrossing:
         m = gauge.canonical_ccam((2,), 1.0)
         with pytest.raises(InvalidParameterError):
             caging.phase_exponents(m, 8)
-        nan = gauge.parse_ccam("ccam 2 0\ne 0 1 nan\n")
-        with pytest.raises(InvalidParameterError, match="phase nan is not a multiple"):
-            caging.phase_exponents(nan, 8)
+        with pytest.raises(InvalidParameterError, match="finite"):  # refused when built
+            gauge.parse_ccam("ccam 2 0\ne 0 1 nan\n")
+        huge = gauge.parse_ccam("ccam 2 0\ne 0 1 1.7e308\n")  # phase * 8 overflows
+        with pytest.raises(InvalidParameterError, match="phase 1.7e[+]308 is not a multiple"):
+            caging.phase_exponents(huge, 8)
 
     def test_kernel_matches_reference_on_random_trees(self):
         rng = random.Random(7)

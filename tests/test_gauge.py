@@ -415,6 +415,20 @@ class TestWithPhases:
         with pytest.raises(InvalidParameterError, match="shape"):
             m.with_phases(phases, 0.7)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phases_and_flux_refused(self, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            gauge.canonical_ccam((2, 3), bad)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            gauge.Ccam.from_entries(3, [(0, 1, 0.5), (1, 2, bad)])
+        with pytest.raises(InvalidParameterError, match="finite"):
+            gauge.Ccam.from_entries(3, [(0, 1, 0.5), (1, 2, 0.0)], flux=bad)
+        m = gauge.canonical_ccam((2,), 0.7)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            m.with_phases(np.array([0.1, bad, 0.3, 0.4]), 0.7)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            m.with_phases(m.phases, bad)
+
     def test_phases_read_only_and_copied(self):
         m = gauge.canonical_ccam((2,), 0.7)
         theta = np.array([0.1, 0.2, 0.3, 0.4])

@@ -52,6 +52,45 @@ class TestHermitianEigensolve:
         with pytest.raises(InvalidParameterError):
             spectral.hermitian_eigensolve(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            spectral.hermitian_eigensolve(np.array([[bad]]))
+        with pytest.raises(InvalidParameterError, match="finite"):
+            spectral.hermitian_eigensolve(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+class TestDenseOracle:
+    """``ccam_spectrum`` takes eigenvalues only, in real arithmetic when the
+    dense matrix is real, and agrees with the eigenvector solve."""
+
+    def test_matches_eigh_over_family(self):
+        for xs in family(64):
+            for phi in (0.0, 2 * math.pi / xs[0], 0.7, 2 * math.pi / math.prod(xs)):
+                m = gauge.canonical_ccam(xs, phi)
+                got = spectral.ccam_spectrum(m).eigenvalues
+                want, _vecs = spectral.hermitian_eigensolve(gauge.dense_matrix(m))
+                assert [c for (_v, c) in got] == [c for (_v, c) in want.eigenvalues], (xs, phi)
+                assert max(abs(a - b) for (a, _), (b, _) in zip(got, want.eigenvalues)) < 1e-13
+
+    def test_values_only_and_real_when_real(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("eigh called")
+
+        seen, eigvalsh = [], np.linalg.eigvalsh
+
+        def record(h):
+            seen.append(h.dtype)
+            return eigvalsh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        flat = spectral.ccam_spectrum(gauge.canonical_ccam((2, 3), 0.0)).expand()
+        turned = spectral.ccam_spectrum(gauge.canonical_ccam((2, 3), 0.7))
+        assert seen == [np.float64, np.complex128]
+        assert np.max(np.abs(flat - spectral.spectrum_fluxless((2, 3)).expand())) < 1e-13
+        assert turned.dimension == graphs.tree_vertex_count((2, 3))
+
 
 class TestTridiagonal:
     def test_tiny(self):
