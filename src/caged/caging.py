@@ -117,9 +117,13 @@ def phase_exponents(m: gauge.Ccam, denominator: int) -> np.ndarray:
     if denominator < 1:
         raise InvalidParameterError("denominator must be positive")
     ts = m.phases
+    huge = np.flatnonzero(np.abs(ts) > np.finfo(float).max / denominator)
+    if huge.size:  # refused before ts * denominator overflows
+        raise InvalidParameterError(f"phase {float(ts[huge[0]])} is not a multiple of "
+                                    f"2*pi/{denominator}: too large to scale")
     out = np.round(ts * denominator / (2.0 * math.pi)) % denominator
     # Distance of each residual angle from the nearest whole turn, as
-    # |gauge.reduce_angle(...)| computes it; NaN never passes.
+    # |gauge.reduce_angle(...)| computes it.
     r = np.abs(np.fmod(ts - 2.0 * math.pi * out / denominator, 2.0 * math.pi))
     bad = np.flatnonzero(~(np.minimum(r, 2.0 * math.pi - r) <= PHASE_EXPONENT_TOL))
     if bad.size:
@@ -223,8 +227,17 @@ def evaluate_cyclotomic(coeffs: np.ndarray, z: int, denominator: int) -> np.ndar
     return np.asarray(coeffs, dtype=float) @ root
 
 
+@lru_cache(maxsize=64)
 def _prime_factors(n: int) -> tuple[int, ...]:
-    return tuple(p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
+    """The distinct primes dividing n, ascending, by trial division up to sqrt(n)."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return tuple(primes + [n] * (n > 1))
 
 
 @lru_cache(maxsize=64)
@@ -510,8 +523,7 @@ def _project(window: gauge.Ccam, spectral, local: np.ndarray, cap: int, radius: 
         for col, row in enumerate(hits.tolist() if keep else ()):
             found[row].append([float(value), block[:, col], float(r[col])])
     out = []
-    for row, seed in enumerate(local.tolist()):
-        dist = window.graph.distances(seed)
+    for row, dist in enumerate(window.graph.distances(local)):
         for state in found[row]:
             state.append(int(dist[np.abs(state[1]) > SUPPORT_EPS].max(initial=0)))
         reached = dist[support[row]].max(initial=0)

@@ -161,26 +161,23 @@ class Ccam:
         return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.phases.tolist()))
 
     @cached_property
-    def _slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Along ``graph.adjacency``, each directed slot's tail and weight
-        <head|H|tail>, exp(i*phase) where head < tail and its conjugate
-        otherwise; then the heads that have edges and where their runs start."""
-        offsets, tails, edges = self.graph.adjacency
-        heads = np.repeat(np.arange(self.dimension), np.diff(offsets))
-        w = np.exp(1j * self.phases[edges])
-        busy = np.flatnonzero(np.diff(offsets))
-        return tails, np.where(heads < tails, w, w.conj()), busy, offsets[busy]
+    def _weights(self) -> np.ndarray:
+        """<head|H|tail> along ``graph.slots``: exp(i*phase) on a forward slot,
+        its conjugate on a backward one, 0 on an isolated vertex's self-slot."""
+        _tails, edges, backward, _starts = self.graph.slots
+        w = np.append(np.exp(1j * self.phases), 0.0)[edges]
+        return np.where(backward, w.conj(), w)
 
     def apply(self, x) -> np.ndarray:
         """H x in complex128 for a vector (n,) or a column block (n, c): one
-        gather along the directed slots and one segmented sum per row, an
-        isolated vertex reading 0."""
-        tails, weights, busy, starts = self._slots
+        gather along ``graph.slots`` and one segmented sum over every vertex's
+        run, an isolated vertex summing its zero-weight self-slot."""
         x = np.asarray(x)
-        prod = x[tails] * (weights if x.ndim == 1 else weights[:, None])
-        out = np.zeros(x.shape, dtype=complex)
-        out[busy] = np.add.reduceat(prod, starts, axis=0)
-        return out
+        if not self.dimension:
+            return np.zeros(x.shape, dtype=complex)
+        tails, _edges, _backward, starts = self.graph.slots
+        w = self._weights
+        return np.add.reduceat(x[tails] * (w if x.ndim == 1 else w[:, None]), starts, axis=0)
 
 
 def dense_matrix(m: Ccam) -> np.ndarray:
@@ -222,6 +219,10 @@ def canonical_ccam(x: Sequence[int], phi: float, *, _allow_trailing_one: bool = 
     the canonical level phases, which winds exactly ``phi`` around every face.
     """
     xs = graphs.check_growth_sequence(x, allow_trailing_one=_allow_trailing_one)
+    # Each a * p is below the product M: a finite phi * M / 4 keeps every phase
+    # finite, and a flux that fails is refused before the factors meet it.
+    if not math.isfinite(0.25 * phi * math.prod(xs)):
+        raise InvalidParameterError(f"flux {phi} is not finite or overflows the phases")
     zero, f, a, p = _canonical_template(xs)
     return zero.with_phases(f * (0.25 * phi * a * p), phi)
 

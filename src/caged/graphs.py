@@ -168,19 +168,20 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate([self.rows, self.cols]), minlength=self.num_vertices)
 
-    def distances(self, source: int) -> np.ndarray:
-        """Graph distance from ``source``, level by level; ``num_vertices`` if unreachable."""
-        heads = np.concatenate([self.rows, self.cols])
-        tails = np.concatenate([self.cols, self.rows])
-        dist = np.full(self.num_vertices, self.num_vertices, dtype=np.int64)
-        dist[source] = 0
+    def distances(self, source) -> np.ndarray:
+        """Graph distance from ``source``, level by level along ``slots``;
+        ``num_vertices`` if unreachable.  An array of sources gives one row
+        of distances per source."""
+        tails, _edges, _backward, starts = self.slots
+        n = self.num_vertices
+        source = np.asarray(source)
+        dist = np.full(source.shape + (n,), n, dtype=np.int64)
+        np.put_along_axis(dist, source[..., None], 0, axis=-1)
         frontier = dist == 0
         level = 0
         while frontier.any():
             level += 1
-            reached = np.zeros(self.num_vertices, dtype=bool)
-            reached[tails[frontier[heads]]] = True
-            frontier = reached & (dist == self.num_vertices)
+            frontier = np.logical_or.reduceat(frontier[..., tails], starts, axis=-1) & (dist == n)
             dist[frontier] = level
         return dist
 
@@ -192,6 +193,23 @@ class Graph:
         order = np.lexsort((tails, heads))
         offsets = np.searchsorted(heads[order], np.arange(self.num_vertices + 1))
         return offsets, tails[order], order % max(self.num_edges, 1)
+
+    @cached_property
+    def slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The flux-free layout of a product with H: ``adjacency`` with one
+        self-slot for each isolated vertex, so every vertex has a nonempty run.
+        Arrays (tails, edges, backward, starts): each directed slot's tail,
+        its edge, or the sentinel ``num_edges`` (weight 0) on a self-slot,
+        whether it runs from the higher label to the lower, and where each
+        vertex's run starts."""
+        offsets, tails, edges = self.adjacency
+        degree = np.diff(offsets)
+        lonely = np.flatnonzero(degree == 0)
+        tails = np.insert(tails, offsets[lonely], lonely)
+        edges = np.insert(edges, offsets[lonely], self.num_edges)
+        runs = np.maximum(degree, 1)
+        heads = np.repeat(np.arange(self.num_vertices), runs)
+        return tails, edges, heads >= tails, np.cumsum(runs) - runs
 
     def incidences(self, vertices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays (j, w, e): w is across edge e from vertices[j], by j then w."""

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import warnings
 import weakref
 
 import numpy as np
@@ -103,8 +104,16 @@ class TestExactCrossing:
         with pytest.raises(InvalidParameterError, match="finite"):  # refused when built
             gauge.parse_ccam("ccam 2 0\ne 0 1 nan\n")
         huge = gauge.parse_ccam("ccam 2 0\ne 0 1 1.7e308\n")  # phase * 8 overflows
-        with pytest.raises(InvalidParameterError, match="phase 1.7e[+]308 is not a multiple"):
-            caging.phase_exponents(huge, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="phase 1.7e[+]308 is not a multiple"):
+                caging.phase_exponents(huge, 8)
+
+    def test_prime_factors_match_sieve_loop(self):
+        for n in range(1, 2000):
+            want = tuple(p for p in range(2, n + 1)
+                         if n % p == 0 and all(p % q for q in range(2, p)))
+            assert caging._prime_factors(n) == want
 
     def test_kernel_matches_reference_on_random_trees(self):
         rng = random.Random(7)

@@ -1,6 +1,8 @@
 import cmath
 import dataclasses
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -291,16 +293,40 @@ class TestDenseMatrix:
             gauge.dense_limit()
 
 
+def busy_rows_apply(m, x):
+    """The product kept as the reference for ``Ccam.apply``: weights and
+    tails along ``graph.adjacency``, a zero-filled output, and a segmented
+    sum scattered into the rows that have edges."""
+    offsets, tails, edges = m.graph.adjacency
+    heads = np.repeat(np.arange(m.dimension), np.diff(offsets))
+    w = np.exp(1j * m.phases[edges])
+    weights = np.where(heads < tails, w, w.conj())
+    busy = np.flatnonzero(np.diff(offsets))
+    x = np.asarray(x)
+    prod = x[tails] * (weights if x.ndim == 1 else weights[:, None])
+    out = np.zeros(x.shape, dtype=complex)
+    out[busy] = np.add.reduceat(prod, offsets[busy], axis=0)
+    return out
+
+
+APPLY_CASES = {
+    "chain": gauge.chain_ccam((2, 3), 3, 0.66),
+    "lotus": gauge.lotus_ccam(graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6)), 1.3),
+    # a reversed edge, and vertex 4 with no edges
+    "parsed": gauge.parse_ccam("ccam 5 0\ne 0 1 0.5\ne 2 1 0.25\ne 0 3 -1.5\ne 2 3 2.0\n"),
+    "empty": gauge.Ccam.from_entries(0, ()),
+    "first-isolated": gauge.Ccam.from_entries(4, [(1, 2, 0.3), (2, 3, -1.1), (1, 3, 2.0)]),
+    "consecutive-isolated": gauge.Ccam.from_entries(
+        8, [(0, 1, 0.3), (1, 5, -0.7), (5, 7, 1.0)]),  # 2, 3, 4 and 6 have no edges
+    "no-edges": gauge.Ccam.from_entries(3, ()),
+    "canonical": gauge.canonical_ccam((2, 3, 2), math.pi / 6),
+}
+
+
 class TestApply:
     """``Ccam.apply`` is the dense product H x, for vectors and column blocks."""
 
-    @pytest.mark.parametrize("m", [
-        gauge.chain_ccam((2, 3), 3, 0.66),
-        gauge.lotus_ccam(graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6)), 1.3),
-        # a reversed edge, and vertex 4 with no edges
-        gauge.parse_ccam("ccam 5 0\ne 0 1 0.5\ne 2 1 0.25\ne 0 3 -1.5\ne 2 3 2.0\n"),
-        gauge.Ccam.from_entries(0, ()),
-    ], ids=["chain", "lotus", "parsed", "empty"])
+    @pytest.mark.parametrize("m", APPLY_CASES.values(), ids=APPLY_CASES.keys())
     def test_matches_dense_product(self, m):
         rng = np.random.default_rng(7)
         h = gauge.dense_matrix(m)
@@ -309,6 +335,37 @@ class TestApply:
             got = m.apply(x)
             assert got.shape == shape and got.dtype == complex
             assert np.max(np.abs(got - h @ x), initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("m", APPLY_CASES.values(), ids=APPLY_CASES.keys())
+    def test_bits_match_busy_rows_reference(self, m):
+        rng = np.random.default_rng(11)
+        for shape in ((m.dimension,), (m.dimension, 4), (m.dimension, 1)):
+            for x in (rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                      rng.normal(size=shape)):
+                assert np.array_equal(m.apply(x), busy_rows_apply(m, x))
+
+    def test_layout_has_one_run_per_vertex(self):
+        g = APPLY_CASES["consecutive-isolated"].graph
+        tails, edges, backward, starts = g.slots
+        runs = np.diff(np.append(starts, len(tails)))
+        assert runs.tolist() == [1, 2, 1, 1, 1, 2, 1, 1]
+        lonely = starts[[2, 3, 4, 6]]
+        assert tails[lonely].tolist() == [2, 3, 4, 6]
+        assert (edges[lonely] == g.num_edges).all() and backward[lonely].all()
+        assert not (edges[np.setdiff1d(np.arange(len(tails)), lonely)] == g.num_edges).any()
+
+    def test_layout_shared_across_fluxes(self, monkeypatch):
+        calls, layout = [], graphs.Graph.slots.func
+        counted = functools.cached_property(lambda g: calls.append(g) or layout(g))
+        counted.__set_name__(graphs.Graph, "slots")
+        monkeypatch.setattr(graphs.Graph, "slots", counted)
+        gauge._canonical_template.cache_clear()  # a fresh tree graph, its layout not yet built
+        a = gauge.canonical_ccam((2, 3, 2), 0.7)
+        b = gauge.canonical_ccam((2, 3, 2), math.pi / 6)
+        x = np.ones(a.dimension)
+        assert not np.array_equal(a.apply(x), b.apply(x))
+        assert a.graph is b.graph and a.graph.slots is b.graph.slots
+        assert calls == [a.graph]
 
 
 class TestDerivedCcams:
@@ -366,6 +423,27 @@ class TestCcamArrays:
         m = gauge.Ccam.from_entries(5, [(0, 1, 0.3), (1, 2, 0.0), (3, 4, 1.0)])
         assert m.graph.distances(0).tolist() == [0, 1, 2, 5, 5]
         assert m.graph.distances(4).tolist() == [5, 5, 5, 1, 0]
+        assert m.graph.distances([4, 0]).tolist() == [[5, 5, 5, 1, 0], [0, 1, 2, 5, 5]]
+
+    @pytest.mark.parametrize("g", [
+        gauge.chain_ccam((2, 3, 2), 4, math.pi / 6).graph,
+        graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6, generations=2)),
+        graphs.Graph(6, [1, 2], [2, 4]),
+    ], ids=["chain", "dice", "isolated"])
+    def test_distances_match_edge_list_walk(self, g):
+        heads = np.concatenate([g.rows, g.cols])
+        tails = np.concatenate([g.cols, g.rows])
+        n = g.num_vertices
+        want = np.full((n, n), n)
+        for s in range(n):  # a breadth-first walk over the edge list
+            want[s, s], frontier, level = 0, [s], 0
+            while frontier:
+                level += 1
+                frontier = sorted({int(t) for t in tails[np.isin(heads, frontier)]
+                                   if want[s, t] == n})
+                want[s, frontier] = level
+        assert np.array_equal(g.distances(np.arange(n)), want)
+        assert all(np.array_equal(g.distances(s), want[s]) for s in range(n))
 
     def test_repeated_edge_refused(self):
         with pytest.raises(InvalidParameterError, match="duplicate"):
@@ -428,6 +506,15 @@ class TestWithPhases:
             m.with_phases(np.array([0.1, bad, 0.3, 0.4]), 0.7)
         with pytest.raises(InvalidParameterError, match="finite"):
             m.with_phases(m.phases, bad)
+
+    @pytest.mark.parametrize("xs, phi", [((2, 3), math.inf), ((2, 3), -math.inf),
+                                         ((2, 3), math.nan), ((2, 2, 2, 2), 1e308),
+                                         ((3, 3, 3), -1.7e308)])
+    def test_canonical_refusal_emits_no_warning(self, xs, phi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="finite"):
+                gauge.canonical_ccam(xs, phi)
 
     def test_phases_read_only_and_copied(self):
         m = gauge.canonical_ccam((2,), 0.7)
