@@ -31,7 +31,6 @@ from .spectral import (
     Tridiag,
     continuant_eval,
     distance_shell_reduction,
-    hermitian_eigensolve,
     pnary_closed_form,
     spectrum_flux_af,
     spectrum_fluxless,

@@ -9,8 +9,9 @@ scatter-add build the matrices of a whole momentum list at once.
 
 Every cell is bipartite (the glued trees keep their level parity across the
 root-to-root chain, and the rhombus tilings have only 4-cycle faces), and a
-model refuses a cell that cannot be 2-coloured.  With the sublattices A and
-B, H(k) = [[0, T(k)], [T(k)^H, 0]], so its spectrum is +-sigma(T(k)) plus
+model refuses a cell that cannot be 2-coloured by ``graphs.two_colouring``,
+the colouring the dense oracle uses too.  With the sublattices A and B,
+H(k) = [[0, T(k)], [T(k)^H, 0]], so its spectrum is +-sigma(T(k)) plus
 ||B| - |A|| exact zeros, and a sweep needs only the singular values of T(k).
 
 The momentum enters T(k) only through the rows touched by an edge with a
@@ -42,7 +43,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import gauge
+from . import gauge, graphs
 from .errors import InvalidParameterError, ResourceLimitError
 
 TWO_PI = 2.0 * math.pi
@@ -55,23 +56,6 @@ SWEEP_BLOCK_LIMIT_BYTES = 256 * 2**20
 # Static singular values within this many ulps of the largest one, chained
 # along the sorted values, form one cluster of equal values.
 CLUSTER_ULPS = 64
-
-
-def _two_colouring(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sublattice (0 or 1) of each of ``n`` vertices, level by level from the
-    lowest uncoloured vertex of each component; refuses an odd cycle."""
-    heads, tails = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    colour = np.full(n, -1, dtype=np.int64)
-    while (colour < 0).any():
-        colour[np.argmax(colour < 0)] = 0
-        while True:
-            frontier = (colour[heads] >= 0) & (colour[tails] < 0)
-            if not frontier.any():
-                break
-            colour[tails[frontier]] = 1 - colour[heads[frontier]]
-    if (colour[rows] == colour[cols]).any():
-        raise InvalidParameterError("the cell graph is not bipartite")
-    return colour
 
 
 class _Block(NamedTuple):
@@ -98,12 +82,13 @@ class BlochModel:
     Edge e contributes exp(i*(flux_factors[e]*phi + windings[e].k)) at
     (rows[e], cols[e]) and its conjugate at (cols[e], rows[e]); ``windings``
     has one column per momentum direction, and ``stack`` scatters both
-    directions as one n x n block.  ``sublattices`` (A, B) are the
-    vertex ids of the two colour classes, found once at construction; each
-    edge also keeps its slot in the |A| x |B| block and its phase factors
-    negated where it runs from B to A, so enters the block conjugated.  For
-    sweeps the same edges are also split into the static rows of T(k) (or
-    of its transpose) and the r coupled rows that every winding edge meets.
+    directions as one n x n block.  ``sublattices`` (A, B) are the vertex
+    ids of the two colour classes, found once at construction by
+    ``graphs.two_colouring``; each edge also keeps its slot in the |A| x |B|
+    block and its phase factors negated where it runs from B to A, so enters
+    the block conjugated.  For sweeps the same edges are also split into the
+    static rows of T(k) (or of its transpose) and the r coupled rows that
+    every winding edge meets.
     """
 
     bands: int
@@ -117,12 +102,12 @@ class BlochModel:
     _blocks: tuple[_Block, _Block, _Block] = field(init=False, repr=False)
 
     def __post_init__(self):
-        colour = _two_colouring(self.bands, self.rows, self.cols)
-        a, b = np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)
+        side = graphs.two_colouring(self.bands, self.rows, self.cols)
+        a, b = np.flatnonzero(~side), np.flatnonzero(side)
         pos = np.empty(self.bands, dtype=np.int64)
         pos[a], pos[b] = np.arange(len(a)), np.arange(len(b))
         # An edge from B to A enters T(k) conjugated: ends swapped, phase negated.
-        flip = colour[self.rows] == 1
+        flip = side[self.rows]
         sign = np.where(flip, -1, 1)
         u = np.where(flip, pos[self.cols], pos[self.rows])
         v = np.where(flip, pos[self.rows], pos[self.cols])

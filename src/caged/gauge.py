@@ -180,13 +180,18 @@ class Ccam:
         return np.add.reduceat(x[tails] * (w if x.ndim == 1 else w[:, None]), starts, axis=0)
 
 
+def require_dense(dimension: int):
+    """Refuse a dense solve of ``dimension`` rows above ``dense_limit()``."""
+    limit = dense_limit()
+    if dimension > limit:
+        raise ResourceLimitError(
+            f"dimension {dimension} exceeds dense limit {limit} "
+            f"(override with {DENSE_LIMIT_ENV})")
+
+
 def dense_matrix(m: Ccam) -> np.ndarray:
     """Dense Hermitian matrix of a Ccam; refuses above the configured limit."""
-    limit = dense_limit()
-    if m.dimension > limit:
-        raise ResourceLimitError(
-            f"dimension {m.dimension} exceeds dense limit {limit} "
-            f"(override with {DENSE_LIMIT_ENV})")
+    require_dense(m.dimension)
     out = np.zeros((m.dimension, m.dimension), dtype=complex)
     w = np.exp(1j * m.phases)
     out[m.rows, m.cols] = w

@@ -69,6 +69,44 @@ def face_steps(vertices: np.ndarray, lengths: np.ndarray):
     return face, pos, vertices, vertices[nxt]
 
 
+def two_colouring(n: int, rows, cols) -> np.ndarray:
+    """The side of each of ``n`` vertices in the 2-colouring of the graph
+    with edges (rows[k], cols[k]), as booleans: False on the lowest vertex of
+    each component.  Refuses a graph with an odd cycle (or a loop).
+
+    Each vertex hangs from its lowest neighbour below it, which makes a
+    forest, and pointer doubling reads every vertex's root and the parity of
+    its depth.  An edge between two trees becomes an edge between their
+    roots, carrying the parity its ends must differ by, and the same step
+    joins those roots, until every edge lies within one tree and is checked.
+    A breadth-first labelling, as every builder here makes, leaves one tree
+    per component after the first step.
+    """
+    u, v = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    odd = np.ones(lo.shape, dtype=bool)  # whether the two ends differ
+    side, root = np.zeros(n, dtype=bool), np.arange(n)
+    while True:
+        inside = lo == hi
+        if (odd & inside).any():
+            raise InvalidParameterError("the graph is not bipartite: it has an odd cycle")
+        lo, hi, odd = lo[~inside], hi[~inside], odd[~inside]
+        if not lo.size:
+            return side
+        # Each vertex's lowest lower neighbour and the parity to it, as 2*lo + odd.
+        best = np.full(n, 2 * n)
+        np.minimum.at(best, hi, 2 * lo + odd)
+        up = np.where(best < 2 * n, best // 2, np.arange(n))
+        flip = best % 2 == 1
+        while (up[up] != up).any():
+            flip ^= flip[up]
+            up = up[up]
+        side ^= flip[root]
+        root = up[root]
+        odd ^= flip[lo] ^ flip[hi]
+        lo, hi = np.minimum(up[lo], up[hi]), np.maximum(up[lo], up[hi])
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """An undirected graph as read-only arrays, with face and root annotations.
@@ -210,6 +248,12 @@ class Graph:
         runs = np.maximum(degree, 1)
         heads = np.repeat(np.arange(self.num_vertices), runs)
         return tails, edges, heads >= tails, np.cumsum(runs) - runs
+
+    @cached_property
+    def colouring(self) -> np.ndarray:
+        """``two_colouring`` of the graph, read-only: the sublattice of each
+        vertex, True on B; refuses a graph with an odd cycle."""
+        return read_only(two_colouring(self.num_vertices, self.rows, self.cols), bool)
 
     def incidences(self, vertices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays (j, w, e): w is across edge e from vertices[j], by j then w."""

@@ -1,17 +1,20 @@
 """Eigenvalue engines for glued trees.
 
-Two routes to every spectrum: a dense values-only Hermitian solve of the
-full weighted adjacency matrix (the brute-force oracle, one ``eigvalsh``,
-real symmetric when the matrix is real), and block assembly from small
-symmetric tridiagonal matrices, which covers the fluxless tree and the tree
-at flux 2*pi/x_1.  With a_j = sqrt(x_j), every block is a leading principal
-submatrix (a prefix) of one of three zero-diagonal paths: the fluxless
-block i splits into the size-(i + 1) prefix of E = (sqrt(2) a_1, a_2, ...,
-a_d) and the size-i prefix of O = (a_2, ..., a_d), and the flux block i is
-the size-(i + 1) prefix of F = (a_1, ..., a_d).  ``prefix_eigenvalues``
-solves each block with one LAPACK ``eigvalsh`` of at most d + 1 rows, so a
-depth-d tree's spectrum costs polynomial work in d even though the matrix
-itself has roughly x^d rows.
+Two routes to every spectrum: the brute-force oracle, and block assembly
+from small symmetric tridiagonal matrices, which covers the fluxless tree and
+the tree at flux 2*pi/x_1.  The oracle uses that the graph is bipartite:
+with its sublattices A and B (``Graph.colouring``), H = [[0, T], [T^H, 0]],
+so the spectrum is +-sigma(T) plus ||B| - |A|| exact zeros, the chiral zero
+modes (Sutherland 1986; Lieb 1989).  One values-only LAPACK SVD of the
+|A| x |B| block T, built straight from the edge arrays, gives it; the n x n
+matrix is never formed.  With a_j = sqrt(x_j), every assembly block is a
+leading principal submatrix (a prefix) of one of three zero-diagonal paths:
+the fluxless block i splits into the size-(i + 1) prefix of E = (sqrt(2) a_1,
+a_2, ..., a_d) and the size-i prefix of O = (a_2, ..., a_d), and the flux
+block i is the size-(i + 1) prefix of F = (a_1, ..., a_d).
+``prefix_eigenvalues`` solves each block with one LAPACK ``eigvalsh`` of at
+most d + 1 rows, so a depth-d tree's spectrum costs polynomial work in d even
+though the matrix itself has roughly x^d rows.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from . import gauge, graphs
 from .errors import InvalidParameterError, ResourceLimitError, UnsupportedHypothesisError
 
 DEGENERACY_TOL = 1e-8
-HERMITICITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,37 +78,35 @@ def cluster_eigenvalues(values: Sequence[float], counts: Sequence[int] | None = 
 
 
 # ---------------------------------------------------------------------------
-# Dense Hermitian oracle
+# The chiral oracle
 # ---------------------------------------------------------------------------
 
 
-def hermitian_eigensolve(m: np.ndarray) -> tuple[Spectrum, np.ndarray]:
-    """Eigen-decomposition of a dense Hermitian matrix.
-
-    Returns the clustered Spectrum and the eigenvector matrix (columns ordered
-    by ascending eigenvalue).  Rejects non-finite and visibly non-Hermitian
-    input.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidParameterError("matrix must be square")
-    if not np.isfinite(m).all():
-        raise InvalidParameterError("matrix entries must be finite")
-    if m.size and np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise InvalidParameterError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(m)
-    return cluster_eigenvalues(vals.tolist()), vecs
-
-
 def ccam_spectrum(m: gauge.Ccam) -> Spectrum:
-    """The clustered spectrum of a Ccam's dense matrix, from eigenvalues only.
+    """The clustered spectrum of a bipartite Ccam, from the singular values
+    of its sublattice block.
 
-    ``dense_matrix`` is Hermitian by construction, so no check is needed;
-    one LAPACK ``eigvalsh`` solves it, in real arithmetic when no entry has
-    a nonzero imaginary part (as at flux 0, where every phase is +-0.0).
+    Refuses a matrix of more than ``gauge.dense_limit()`` rows, and a graph
+    with an odd cycle (every glued tree, chain and rhombic tiling is
+    bipartite).  Edge k enters T = <A|H|B> as exp(i*phases[k]) when its row
+    lies in A, conjugated when it lies in B.  One ``svd(T, compute_uv=False)``
+    gives the min(|A|, |B|) singular values s, in real arithmetic when no
+    entry has a nonzero imaginary part (as at flux 0, where every phase is
+    +-0.0); the spectrum is -s, n - 2*min(|A|, |B|) exact zeros and s.
     """
-    h = gauge.dense_matrix(m)
-    return cluster_eigenvalues(np.linalg.eigvalsh(h if h.imag.any() else h.real).tolist())
+    gauge.require_dense(m.dimension)
+    side = m.graph.colouring
+    nb = int(side.sum())
+    pos = np.where(side, np.cumsum(side), np.cumsum(~side)) - 1
+    w = np.exp(1j * m.phases)
+    w = w if w.imag.any() else w.real
+    flip = side[m.rows]
+    t = np.zeros((m.dimension - nb, nb), dtype=w.dtype)
+    t[np.where(flip, pos[m.cols], pos[m.rows]),
+      np.where(flip, pos[m.rows], pos[m.cols])] = np.where(flip, w.conj(), w)
+    s = np.linalg.svd(t, compute_uv=False)
+    zeros = np.zeros(m.dimension - 2 * s.size)
+    return cluster_eigenvalues(np.concatenate([-s, zeros, s]).tolist())
 
 
 # ---------------------------------------------------------------------------

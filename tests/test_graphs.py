@@ -253,6 +253,65 @@ class TestGraphEdgeCheck:
                          face_vertices=faces, face_lengths=lengths)
 
 
+def reference_colouring(n, rows, cols):
+    """Breadth-first 2-colouring from the lowest uncoloured vertex of each
+    component, as booleans; None when some edge joins equal colours."""
+    adjacent = [[] for _ in range(n)]
+    for u, v in zip(rows, cols):
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    colour = [None] * n
+    for s in range(n):
+        if colour[s] is None:
+            colour[s], queue = False, deque([s])
+            while queue:
+                u = queue.popleft()
+                for v in adjacent[u]:
+                    if colour[v] is None:
+                        colour[v] = not colour[u]
+                        queue.append(v)
+    if any(colour[u] == colour[v] for u, v in zip(rows, cols)):
+        return None
+    return np.array(colour, dtype=bool)
+
+
+class TestTwoColouring:
+    def test_matches_breadth_first_on_random_labellings(self):
+        # Random labels leave several trees per component after the first
+        # step, so edges between trees carry parities into later steps.
+        rng = np.random.default_rng(41)
+        refused = 0
+        for _ in range(1500):
+            n = int(rng.integers(0, 13))
+            pairs = list(itertools.combinations(range(n), 2))
+            chosen = rng.permutation(len(pairs))[:int(rng.integers(0, n + 3))]
+            label = rng.permutation(n)
+            rows = np.array([label[pairs[i][0]] for i in chosen], dtype=np.int64)
+            cols = np.array([label[pairs[i][1]] for i in chosen], dtype=np.int64)
+            want = reference_colouring(n, rows.tolist(), cols.tolist())
+            if want is None:
+                refused += 1
+                with pytest.raises(InvalidParameterError, match="odd cycle"):
+                    graphs.two_colouring(n, rows, cols)
+            else:
+                assert (graphs.two_colouring(n, rows, cols) == want).all(), (n, rows, cols)
+        assert 100 < refused < 1400
+
+    def test_loops_and_repeated_edges(self):
+        with pytest.raises(InvalidParameterError, match="odd cycle"):
+            graphs.two_colouring(2, [0, 1], [1, 1])
+        assert graphs.two_colouring(3, [0, 1, 2, 1], [1, 0, 1, 2]).tolist() == [False, True, False]
+
+    def test_graph_caches_one_boolean_per_vertex(self):
+        g = gauge.canonical_ccam((2, 3, 2), 0.0).graph
+        side = g.colouring
+        assert side is g.colouring and side.dtype == bool and side.shape == (g.num_vertices,)
+        assert not side.flags.writeable
+        assert (side[g.rows] != side[g.cols]).all() and not side[0]
+        # A glued tree keeps its level parity along the root-to-root chain.
+        assert side[g.last_vertex] == (g.distances(0)[g.last_vertex] % 2 == 1)
+
+
 class TestReplaceEdges:
     def test_single_edge_becomes_bridged_shrub(self):
         g = graphs.Graph(num_vertices=2, rows=[0], cols=[1])

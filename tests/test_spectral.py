@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caged import gauge, graphs, spectral
+from caged import bloch, gauge, graphs, spectral
 from caged.errors import InvalidParameterError, ResourceLimitError, UnsupportedHypothesisError
 
 
@@ -16,21 +16,36 @@ def family(limit):
     return out
 
 
+def hermitian_eigensolve(m):
+    """The eigenvector oracle: the clustered Spectrum of a dense Hermitian
+    matrix and its eigenvectors (columns by ascending eigenvalue), from one
+    ``eigh``.  Refuses non-finite and visibly non-Hermitian input."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidParameterError("matrix must be square")
+    if not np.isfinite(m).all():
+        raise InvalidParameterError("matrix entries must be finite")
+    if m.size and np.max(np.abs(m - m.conj().T)) > 1e-10:
+        raise InvalidParameterError("matrix is not Hermitian within tolerance")
+    vals, vecs = np.linalg.eigh(m)
+    return spectral.cluster_eigenvalues(vals.tolist()), vecs
+
+
 class TestHermitianEigensolve:
     def test_scalar(self):
-        spec, vecs = spectral.hermitian_eigensolve(np.zeros((1, 1)))
+        spec, vecs = hermitian_eigensolve(np.zeros((1, 1)))
         assert spec.eigenvalues == ((0.0, 1),)
         assert vecs.shape == (1, 1)
 
     def test_four_cycle(self):
-        spec, _ = spectral.hermitian_eigensolve(
+        spec, _ = hermitian_eigensolve(
             gauge.dense_matrix(gauge.canonical_ccam((2,), 0.0)))
         assert [v for (v, _m) in spec.eigenvalues] == pytest.approx([-2.0, 0.0, 2.0])
         assert [m for (_v, m) in spec.eigenvalues] == [1, 2, 1]
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 7])
     def test_complete_bipartite(self, p):
-        spec, _ = spectral.hermitian_eigensolve(
+        spec, _ = hermitian_eigensolve(
             gauge.dense_matrix(gauge.canonical_ccam((p,), 0.0)))
         top = math.sqrt(2 * p)
         assert [v for (v, _m) in spec.eigenvalues] == pytest.approx([-top, 0.0, top])
@@ -40,7 +55,7 @@ class TestHermitianEigensolve:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         h = 0.5 * (a + a.conj().T)
-        spec, vecs = spectral.hermitian_eigensolve(h)
+        spec, vecs = hermitian_eigensolve(h)
         vals = spec.expand()
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(12))) < 1e-8
         raw = np.linalg.eigvalsh(h)
@@ -50,46 +65,78 @@ class TestHermitianEigensolve:
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(InvalidParameterError):
-            spectral.hermitian_eigensolve(np.array([[0.0, 1.0], [0.5, 0.0]]))
+            hermitian_eigensolve(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidParameterError, match="finite"):
-            spectral.hermitian_eigensolve(np.array([[bad]]))
+            hermitian_eigensolve(np.array([[bad]]))
         with pytest.raises(InvalidParameterError, match="finite"):
-            spectral.hermitian_eigensolve(np.array([[0.0, bad], [bad, 0.0]]))
+            hermitian_eigensolve(np.array([[0.0, bad], [bad, 0.0]]))
 
 
 class TestDenseOracle:
-    """``ccam_spectrum`` takes eigenvalues only, in real arithmetic when the
-    dense matrix is real, and agrees with the eigenvector solve."""
+    """``ccam_spectrum`` takes the singular values of the sublattice block
+    only, in real arithmetic when every entry is real, and agrees with the
+    eigenvector solve of the whole matrix."""
 
     def test_matches_eigh_over_family(self):
         for xs in family(64):
             for phi in (0.0, 2 * math.pi / xs[0], 0.7, 2 * math.pi / math.prod(xs)):
                 m = gauge.canonical_ccam(xs, phi)
                 got = spectral.ccam_spectrum(m).eigenvalues
-                want, _vecs = spectral.hermitian_eigensolve(gauge.dense_matrix(m))
+                want, _vecs = hermitian_eigensolve(gauge.dense_matrix(m))
                 assert [c for (_v, c) in got] == [c for (_v, c) in want.eigenvalues], (xs, phi)
                 assert max(abs(a - b) for (a, _), (b, _) in zip(got, want.eigenvalues)) < 1e-13
 
     def test_values_only_and_real_when_real(self, monkeypatch):
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("eigh called")
+        def refuse(name):
+            def call(*_args, **_kwargs):
+                raise AssertionError(f"{name} called")
+            return call
 
-        seen, eigvalsh = [], np.linalg.eigvalsh
+        seen, svd = [], np.linalg.svd
 
-        def record(h):
-            seen.append(h.dtype)
-            return eigvalsh(h)
+        def record(t, *args, **kwargs):
+            seen.append((t.dtype, t.shape, kwargs.get("compute_uv")))
+            return svd(t, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(np.linalg, "eigvalsh", record)
-        flat = spectral.ccam_spectrum(gauge.canonical_ccam((2, 3), 0.0)).expand()
-        turned = spectral.ccam_spectrum(gauge.canonical_ccam((2, 3), 0.7))
-        assert seen == [np.float64, np.complex128]
-        assert np.max(np.abs(flat - spectral.spectrum_fluxless((2, 3)).expand())) < 1e-13
+        want = spectral.spectrum_fluxless((2, 3)).expand()
+        monkeypatch.setattr(np.linalg, "eigh", refuse("eigh"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse("eigvalsh"))
+        monkeypatch.setattr(gauge, "dense_matrix", refuse("dense_matrix"))
+        monkeypatch.setattr(np.linalg, "svd", record)
+        flat_m, turned_m = gauge.canonical_ccam((2, 3), 0.0), gauge.canonical_ccam((2, 3), 0.7)
+        flat = spectral.ccam_spectrum(flat_m).expand()
+        turned = spectral.ccam_spectrum(turned_m)
+        odd = int((flat_m.graph.distances(0) % 2).sum())  # B: odd distance from vertex 0
+        block = (flat_m.dimension - odd, odd)
+        assert seen == [(np.float64, block, False), (np.complex128, block, False)]
+        assert np.max(np.abs(flat - want)) < 1e-13
         assert turned.dimension == graphs.tree_vertex_count((2, 3))
+
+    def test_chiral_zeros_over_family(self):
+        for xs in family(64):
+            for phi in (0.0, 2 * math.pi / xs[0]):
+                m = gauge.canonical_ccam(xs, phi)
+                gap = abs(m.dimension - 2 * int((m.graph.distances(0) % 2).sum()))
+                assert spectral.ccam_spectrum(m).multiplicity_at(0.0) >= gap, (xs, phi)
+
+    def test_odd_cycle_refused_with_the_shared_message(self):
+        triangle = gauge.Ccam(graphs.Graph(3, [0, 0, 1], [1, 2, 2]), [0.0, 0.3, 0.0])
+        with pytest.raises(InvalidParameterError, match="not bipartite: it has an odd cycle"):
+            spectral.ccam_spectrum(triangle)
+        with pytest.raises(InvalidParameterError, match="not bipartite: it has an odd cycle"):
+            bloch.BlochModel(bands=3, rows=np.array([0, 0, 1]), cols=np.array([1, 2, 2]),
+                             flux_factors=np.zeros(3), windings=np.zeros((3, 1), dtype=np.int64),
+                             default_flux=0.0)
+
+    def test_refuses_above_dense_limit(self, monkeypatch):
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "3")
+        with pytest.raises(ResourceLimitError, match="exceeds dense limit 3"):
+            spectral.ccam_spectrum(gauge.canonical_ccam((2,), 0.0))
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "4")
+        assert spectral.ccam_spectrum(gauge.canonical_ccam((2,), 0.0)).dimension == 4
 
 
 class TestTridiagonal:
