@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Sorted spectrum of deep p-nary glued trees via the block assembly.
 
-The assembly touches only tridiagonal blocks of size up to 2*depth + 1, so
-depth 50 is as cheap as depth 5 even though the tree itself has ~p^depth
-vertices.  Emits the cumulative spectral staircase (eigenvalue versus
+The assembly solves only prefixes of two zero-diagonal paths, each of at
+most depth + 1 rows, so depth 50 is as cheap as depth 5 even though the tree
+itself has ~p^depth vertices.  Emits the cumulative spectral staircase (eigenvalue versus
 cumulative fraction) plus a summary of the zero-eigenvalue weight and the
 spectral edge.
 """

@@ -4,7 +4,6 @@ from .errors import InvalidParameterError, ResourceLimitError, UnsupportedHypoth
 from .graphs import (
     Graph,
     LotusSpec,
-    average_degree,
     chain_graph,
     grow_tree,
     lotus_patch,
@@ -21,20 +20,13 @@ from .gauge import (
     chain_ccam,
     dense_matrix,
     flat_values,
-    gauge_transform,
     lotus_ccam,
     phase_pairing,
-    plaquette_flux,
 )
 from .spectral import (
     Spectrum,
-    Tridiag,
-    continuant_eval,
-    distance_shell_reduction,
-    pnary_closed_form,
     spectrum_flux_af,
     spectrum_fluxless,
-    tridiagonal_eigenvalues,
 )
 from .caging import (
     ClsState,

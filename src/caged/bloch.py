@@ -9,10 +9,11 @@ scatter-add build the matrices of a whole momentum list at once.
 
 Every cell is bipartite (the glued trees keep their level parity across the
 root-to-root chain, and the rhombus tilings have only 4-cycle faces), and a
-model refuses a cell that cannot be 2-coloured by ``graphs.two_colouring``,
-the colouring the dense oracle uses too.  With the sublattices A and B,
-H(k) = [[0, T(k)], [T(k)^H, 0]], so its spectrum is +-sigma(T(k)) plus
-||B| - |A|| exact zeros, and a sweep needs only the singular values of T(k).
+model refuses a cell that cannot be 2-coloured by ``graphs.two_colouring``.
+With the sublattices A and B, H(k) = [[0, T(k)], [T(k)^H, 0]], so its
+spectrum is +-sigma(T(k)) plus ||B| - |A|| exact zeros, and a sweep needs
+only the singular values of T(k).  The colouring, and each edge's slot in
+T(k) from ``graphs.sublattice_slots``, are those the dense oracle uses too.
 
 The momentum enters T(k) only through the rows touched by an edge with a
 nonzero winding (or the columns, if fewer; a transpose keeps the singular
@@ -84,11 +85,12 @@ class BlochModel:
     has one column per momentum direction, and ``stack`` scatters both
     directions as one n x n block.  ``sublattices`` (A, B) are the vertex
     ids of the two colour classes, found once at construction by
-    ``graphs.two_colouring``; each edge also keeps its slot in the |A| x |B|
-    block and its phase factors negated where it runs from B to A, so enters
-    the block conjugated.  For sweeps the same edges are also split into the
-    static rows of T(k) (or of its transpose) and the r coupled rows that
-    every winding edge meets.
+    ``graphs.two_colouring``.  For sweeps each edge takes its slot in the
+    |A| x |B| block T(k) from ``graphs.sublattice_slots``, with its phase
+    factors negated where it runs from B to A, so enters the block
+    conjugated; the edges are then split into the static rows of T(k) (or
+    of its transpose) and the r coupled rows that every winding edge meets.
+    ``stack(ks)[:, A][:, :, B]`` is T(k) itself.
     """
 
     bands: int
@@ -99,21 +101,16 @@ class BlochModel:
     default_flux: float
     sublattices: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     _square: _Block = field(init=False, repr=False)
-    _blocks: tuple[_Block, _Block, _Block] = field(init=False, repr=False)
+    _blocks: tuple[_Block, _Block] = field(init=False, repr=False)
 
     def __post_init__(self):
         side = graphs.two_colouring(self.bands, self.rows, self.cols)
         a, b = np.flatnonzero(~side), np.flatnonzero(side)
-        pos = np.empty(self.bands, dtype=np.int64)
-        pos[a], pos[b] = np.arange(len(a)), np.arange(len(b))
         # An edge from B to A enters T(k) conjugated: ends swapped, phase negated.
-        flip = side[self.rows]
+        u, v, flip = graphs.sublattice_slots(side, self.rows, self.cols)
         sign = np.where(flip, -1, 1)
-        u = np.where(flip, pos[self.cols], pos[self.rows])
-        v = np.where(flip, pos[self.rows], pos[self.cols])
         factors, windings = sign * self.flux_factors, sign[:, None] * self.windings
         shape = (len(a), len(b))
-        full = _Block(factors, windings, u * len(b) + v, shape)
         moving = windings.any(axis=1)
         coupled = np.bincount(u[moving], minlength=len(a)) > 0
         coupled_cols = np.bincount(v[moving], minlength=len(b)) > 0
@@ -131,7 +128,7 @@ class BlochModel:
             np.concatenate([self.windings, -self.windings]),
             np.concatenate([self.rows * n + self.cols, self.cols * n + self.rows]), (n, n)))
         object.__setattr__(self, "_blocks", (
-            full, _Block(factors[~on], windings[~on], slots[~on], (shape[0] - r, shape[1])),
+            _Block(factors[~on], windings[~on], slots[~on], (shape[0] - r, shape[1])),
             _Block(factors[on], windings[on], slots[on], (r, shape[1]))))
 
     @property
@@ -150,11 +147,6 @@ class BlochModel:
         phi = self.default_flux if phi is None else phi
         return self._square.at(self._momenta(momenta), phi)
 
-    def hopping_blocks(self, momenta, phi: float | None = None) -> np.ndarray:
-        """The blocks T(k) = <A|H(k, phi)|B> at each row of ``momenta``, as (K, |A|, |B|)."""
-        phi = self.default_flux if phi is None else phi
-        return self._blocks[0].at(self._momenta(momenta), phi)
-
     def _static_clusters(self, phi: float):
         """The static rows' singular values, one per column of the swept
         block, as clusters of equal values: (starts, sizes, values, V).
@@ -166,7 +158,7 @@ class BlochModel:
         of V, and ``sizes - min(sizes, r)`` of its copies are singular values
         of T(k) at every k.
         """
-        _, static, _ = self._blocks
+        static, _ = self._blocks
         m_s, n_c = static.shape
         sigma, v = np.zeros(n_c), np.eye(n_c, dtype=complex)
         if m_s and n_c:
@@ -193,7 +185,7 @@ class BlochModel:
         phi = self.default_flux if phi is None else phi
         ks = self._momenta(momenta)
         starts, sizes, values, v = self._static_clusters(phi)
-        _, static, coupled = self._blocks
+        static, coupled = self._blocks
         (m_s, n_c), r = static.shape, coupled.shape[0]
         kept = np.minimum(sizes, r)
         exact = np.repeat(values, sizes - kept)
@@ -301,7 +293,7 @@ def band_sweep(model: BlochModel, phi: float | None, grid: int) -> BandSweep:
     about zero.  Refuses, before the grid is built, when the coupled rows,
     small blocks and energies would exceed ``SWEEP_BLOCK_LIMIT_BYTES``.
     """
-    (r, n), points = model._blocks[2].shape, max(grid, 0) ** model.dimensionality
+    (r, n), points = model._blocks[1].shape, max(grid, 0) ** model.dimensionality
     held = points * (16 * (2 * r * n + (n + r) * n) + 8 * model.bands)
     if held > SWEEP_BLOCK_LIMIT_BYTES:
         raise ResourceLimitError(f"{points} momenta x {held // points} bytes of sweep arrays "

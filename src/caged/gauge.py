@@ -296,29 +296,10 @@ def _face_fluxes(m: Ccam, vertices: np.ndarray, lengths: np.ndarray) -> np.ndarr
     return np.where(r > math.pi, r - TWO_PI, np.where(r <= -math.pi, r + TWO_PI, r))
 
 
-def plaquette_flux(m: Ccam, loop: Sequence[int]) -> float:
-    """Winding sum of phases around a closed vertex loop, reduced to (-pi, pi]."""
-    loop = np.asarray(loop, dtype=np.int64)
-    return float(_face_fluxes(m, loop, np.array([len(loop)]))[0])
-
-
 def all_plaquette_fluxes(m: Ccam) -> tuple[float, ...]:
     if not len(m.graph.face_lengths):
         raise InvalidParameterError("matrix carries no face data")
     return tuple(_face_fluxes(m, m.graph.face_vertices, m.graph.face_lengths).tolist())
-
-
-def gauge_transform(m: Ccam, w: int, gamma: float) -> Ccam:
-    """Conjugate by the diagonal unitary that rotates vertex ``w`` by gamma.
-
-    Phases move between the edges at ``w``; every loop sum, and hence the
-    spectrum, is unchanged.
-    """
-    if not (0 <= w < m.dimension):
-        raise InvalidParameterError(f"vertex {w} out of range")
-    t = m.phases
-    return m.with_phases(np.where(m.cols == w, t + gamma, np.where(m.rows == w, t - gamma, t)),
-                         m.flux)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -105,6 +104,18 @@ def two_colouring(n: int, rows, cols) -> np.ndarray:
         root = up[root]
         odd ^= flip[lo] ^ flip[hi]
         lo, hi = np.minimum(up[lo], up[hi]), np.maximum(up[lo], up[hi])
+
+
+def sublattice_slots(side: np.ndarray, rows, cols):
+    """Each edge's slot in the |A| x |B| block <A|H|B> of a bipartite graph,
+    A and B being the vertices where ``side`` is False and True, each in id
+    order: arrays (row among A, column among B, flip).  ``flip`` marks an
+    edge whose row lies in B; it enters the block with its ends swapped,
+    conjugated.
+    """
+    pos = np.where(side, np.cumsum(side), np.cumsum(~side)) - 1
+    flip = side[rows]
+    return np.where(flip, pos[cols], pos[rows]), np.where(flip, pos[rows], pos[cols]), flip
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,21 +379,6 @@ def tree_vertex_count(x: Sequence[int]) -> int:
     for v in xs[1:]:
         n = v * n + 2
     return n
-
-
-def tree_edge_count(x: Sequence[int]) -> int:
-    xs = check_growth_sequence(x, allow_trailing_one=True)
-    e = 2 * xs[0]
-    for v in xs[1:]:
-        e = v * (e + 2)
-    return e
-
-
-def average_degree(g: Graph) -> Fraction:
-    """Average vertex degree 2|E| / |V| as an exact rational."""
-    if g.num_vertices == 0:
-        raise InvalidParameterError("average degree of an empty graph is undefined")
-    return Fraction(2 * g.num_edges, g.num_vertices)
 
 
 def replace_edges(

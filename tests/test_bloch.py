@@ -237,8 +237,9 @@ class TestSublattices:
         ks = bloch.momentum_grid(2, 3)
         a, b = model.sublattices
         full = model.stack(ks, 0.7)
-        assert np.array_equal(model.hopping_blocks(ks, 0.7), full[:, a][:, :, b])
         assert not full[:, a][:, :, a].any() and not full[:, b][:, :, b].any()
+        want = np.linalg.svd(full[:, a][:, :, b], compute_uv=False)
+        assert np.abs(model.singular_values(ks, 0.7) - want).max() <= 1e-13
 
 
 class TestChiralRoute:
@@ -290,12 +291,13 @@ class TestStaticSplit:
     @staticmethod
     def deviation(model, phi, grid):
         pts = bloch.momentum_grid(model.dimensionality, grid)
-        want = np.linalg.svd(model.hopping_blocks(pts, phi), compute_uv=False)
+        a, b = model.sublattices
+        want = np.linalg.svd(model.stack(pts, phi)[:, a][:, :, b], compute_uv=False)
         return float(np.max(np.abs(model.singular_values(pts, phi) - want)))
 
     @staticmethod
     def coupled_shape(model):
-        return model._blocks[2].shape
+        return model._blocks[1].shape
 
     def test_every_chain_to_product_64(self):
         worst = 0.0
@@ -348,10 +350,10 @@ class TestStaticSplit:
     def test_no_static_rows(self):
         model = cell_model(2, 2, [(0, 2, 0.0, 1), (1, 2, 0.3, 0), (1, 3, 0.0, -1),
                                   (0, 3, 0.1, 0)])
-        assert model._blocks[1].shape == (0, 2)
+        assert model._blocks[0].shape == (0, 2)
         assert self.deviation(model, 0.7, 31) <= 1e-13
         rhombus = bloch.chain_bloch((2,), 0.0)
-        assert rhombus._blocks[1].shape == (0, 2)
+        assert rhombus._blocks[0].shape == (0, 2)
         assert self.deviation(rhombus, 1.1, 101) <= 1e-13
 
     def test_decoupled_values_exact_at_232_flat_values(self):
@@ -390,8 +392,10 @@ class TestSweepLimit:
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
         rows = np.loadtxt(captured.out.splitlines()[1::97], delimiter=",")
-        sigma = np.linalg.svd(bloch.chain_bloch((2,) * 6, math.pi).hopping_blocks(
-            rows[:, :1], math.pi), compute_uv=False)
+        model = bloch.chain_bloch((2,) * 6, math.pi)
+        a, b = model.sublattices
+        sigma = np.linalg.svd(model.stack(rows[:, :1], math.pi)[:, a][:, :, b],
+                              compute_uv=False)
         energies = np.hstack([-sigma, np.zeros((len(rows), 21)), sigma[:, ::-1]])
         assert np.abs(rows[:, 1:] - energies).max() <= 1e-13
 

@@ -14,6 +14,17 @@ from caged.errors import InvalidParameterError, ResourceLimitError
 TWO_PI = 2.0 * math.pi
 
 
+def gauge_transform(m, w, gamma):
+    """Conjugate by the diagonal unitary that rotates vertex ``w`` by gamma.
+
+    Phases move between the edges at ``w``; every loop sum, and hence the
+    spectrum, is unchanged.
+    """
+    t = m.phases
+    return m.with_phases(np.where(m.cols == w, t + gamma, np.where(m.rows == w, t - gamma, t)),
+                         m.flux)
+
+
 def reference_polynomials(m, m_max, n, source, target):
     """The edge-by-edge rotation loop that the vectorized kernel replaces."""
     exps = caging.phase_exponents(m, n)
@@ -326,7 +337,7 @@ class TestExchangeSymmetry:
         assert ok and norm < 1e-12
 
     def test_generic_gauge_transform_breaks_it(self):
-        m = gauge.gauge_transform(gauge.canonical_ccam((2, 3, 2), 1.234), 5, 0.77)
+        m = gauge_transform(gauge.canonical_ccam((2, 3, 2), 1.234), 5, 0.77)
         ok, norm = caging.exchange_symmetry_check(m)
         assert not ok and norm > 1e-6
 
@@ -340,7 +351,7 @@ class TestExchangeSymmetry:
         for xs in family:
             for phi in (0.0, 0.7, math.pi / xs[0], 2.9):
                 m = gauge.canonical_ccam(xs, phi)
-                moved = gauge.gauge_transform(m, m.dimension // 3, 0.77)
+                moved = gauge_transform(m, m.dimension // 3, 0.77)
                 for case in (m, moved):
                     got = caging.exchange_symmetry_check(case)
                     assert got == dense_exchange_check(case), (xs, phi)

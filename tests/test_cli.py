@@ -303,6 +303,17 @@ class TestOtherCommands:
         assert out.splitlines() == [
             "8", "2,2,3", "2,3,2", "2,6", "3,2,2", "3,4", "4,3", "6,2", "12"]
 
+    def test_factorize_listing_limit(self, capsys):
+        # 12960 has 102,576 ordered factorizations, just past the limit, and
+        # 297648 has 95,328, just under it; both are counted first.
+        code, out, err = run(capsys, "factorize", "--m", "12960", "--list")
+        assert (code, out) == (1, "")
+        assert "102576 factorizations exceed the listing limit 100000" in err
+        assert run(capsys, "factorize", "--m", "12960") == (0, "102576\n", "")
+        code, out, _ = run(capsys, "factorize", "--m", "297648", "--list")
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "95328" and len(lines) == 95329
+
     def test_flat_values(self, capsys):
         code, out, _ = run(capsys, "flat-values", "--x", "2")
         assert code == 0

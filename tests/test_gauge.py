@@ -18,6 +18,24 @@ growth_sequences = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
     lambda xs: tuple(xs[:-1]) + (max(xs[-1], 2),))
 
 
+def plaquette_flux(m, loop):
+    """Winding sum of phases around one closed vertex loop, reduced to
+    (-pi, pi], from the face kernel of ``all_plaquette_fluxes``."""
+    loop = np.asarray(loop, dtype=np.int64)
+    return float(gauge._face_fluxes(m, loop, np.array([len(loop)]))[0])
+
+
+def gauge_transform(m, w, gamma):
+    """Conjugate by the diagonal unitary that rotates vertex ``w`` by gamma.
+
+    Phases move between the edges at ``w``; every loop sum, and hence the
+    spectrum, is unchanged.
+    """
+    t = m.phases
+    return m.with_phases(np.where(m.cols == w, t + gamma, np.where(m.rows == w, t - gamma, t)),
+                         m.flux)
+
+
 def spectrum_of(m):
     return np.linalg.eigvalsh(gauge.dense_matrix(m))
 
@@ -161,25 +179,25 @@ class TestPlaquetteFlux:
     def test_reversed_loop_negates(self):
         m = gauge.canonical_ccam((3, 2), 0.7)
         loop = m.graph.plaquettes[0]
-        fwd = gauge.plaquette_flux(m, loop)
-        bwd = gauge.plaquette_flux(m, tuple(reversed(loop)))
+        fwd = plaquette_flux(m, loop)
+        bwd = plaquette_flux(m, tuple(reversed(loop)))
         assert fwd == pytest.approx(-bwd)
         assert fwd == pytest.approx(0.7)
 
     def test_non_edge_rejected(self):
         m = gauge.canonical_ccam((2,), 0.0)
         with pytest.raises(InvalidParameterError):
-            gauge.plaquette_flux(m, (0, 3, 1, 2))
+            plaquette_flux(m, (0, 3, 1, 2))
 
     def test_range_is_half_open(self):
         m = gauge.canonical_ccam((2,), math.pi)
-        f = gauge.plaquette_flux(m, m.graph.plaquettes[0])
+        f = plaquette_flux(m, m.graph.plaquettes[0])
         assert -math.pi < f <= math.pi
 
     def test_all_fluxes_match_per_face_lookup(self):
         patch = graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6, generations=2))
         lotus = gauge.lotus_ccam(patch, 0.9)
-        tree = gauge.gauge_transform(gauge.canonical_ccam((2, 3), 0.8), 5, 0.77)
+        tree = gauge_transform(gauge.canonical_ccam((2, 3), 0.8), 5, 0.77)
         for m in (lotus, tree):
             assert gauge.all_plaquette_fluxes(m) == reference_fluxes(m)
 
@@ -187,20 +205,20 @@ class TestPlaquetteFlux:
 class TestGaugeTransform:
     def test_identity(self):
         m = gauge.canonical_ccam((2, 2), 0.9)
-        assert gauge.gauge_transform(m, 3, 0.0).entries == m.entries
+        assert gauge_transform(m, 3, 0.0).entries == m.entries
 
     @given(st.integers(0, 9), st.floats(-6.0, 6.0))
     @settings(max_examples=40, deadline=None)
     def test_spectrum_preserved(self, w, gamma):
         m = gauge.canonical_ccam((2, 2), 1.1)
-        t = gauge.gauge_transform(m, w, gamma)
+        t = gauge_transform(m, w, gamma)
         assert np.max(np.abs(spectrum_of(m) - spectrum_of(t))) < 1e-10
 
     @given(st.integers(0, 13), st.floats(-6.0, 6.0))
     @settings(max_examples=40, deadline=None)
     def test_fluxes_preserved(self, w, gamma):
         m = gauge.canonical_ccam((2, 3), 0.8)
-        t = gauge.gauge_transform(m, w, gamma)
+        t = gauge_transform(m, w, gamma)
         assert gauge.all_plaquette_fluxes(t) == pytest.approx(
             gauge.all_plaquette_fluxes(m))
 
@@ -211,8 +229,8 @@ class TestGaugeTransform:
         spread = gauge.canonical_ccam((2,), phi)
         assert spread.graph.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
         lumped = gauge.Ccam(spread.graph, [phi, 0.0, 0.0, 0.0], phi)
-        assert gauge.plaquette_flux(lumped, spread.graph.plaquettes[0]) == pytest.approx(
-            gauge.plaquette_flux(spread, spread.graph.plaquettes[0]))
+        assert plaquette_flux(lumped, spread.graph.plaquettes[0]) == pytest.approx(
+            plaquette_flux(spread, spread.graph.plaquettes[0]))
         assert np.max(np.abs(spectrum_of(lumped) - spectrum_of(spread))) < 1e-10
 
 
@@ -390,7 +408,7 @@ class TestDerivedCcams:
         g = graphs.grow_tree((2, 2))
         want = [0.3 * (i + 1) for i in range(len(g.plaquettes))]
         m = gauge.ccam_with_plaquette_fluxes(g, want)
-        got = [gauge.plaquette_flux(m, cyc) for cyc in g.plaquettes]
+        got = [plaquette_flux(m, cyc) for cyc in g.plaquettes]
         assert got == pytest.approx(want)
 
     @pytest.mark.parametrize("xs, cells", [((2, 3, 2), 4), ((2,), 6), ((2,) * 6, 3)])
@@ -545,7 +563,7 @@ class TestWithPhases:
         t = m.phases
         want = dataclasses.replace(
             m, phases=np.where(m.cols == w, t + gamma, np.where(m.rows == w, t - gamma, t)))
-        assert same_ccam(gauge.gauge_transform(m, w, gamma), want)
+        assert same_ccam(gauge_transform(m, w, gamma), want)
 
     def test_no_index_check_after_the_template(self, monkeypatch):
         m = gauge.canonical_ccam((2, 2), 0.3)
@@ -555,7 +573,7 @@ class TestWithPhases:
 
         monkeypatch.setattr(graphs.Graph, "__post_init__", refuse)
         again = gauge.canonical_ccam((2, 2), 0.9)
-        moved = gauge.gauge_transform(again, 4, 0.2)
+        moved = gauge_transform(again, 4, 0.2)
         assert again.rows is m.rows and moved.rows is m.rows
 
 

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from caged import graphs
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -20,13 +22,29 @@ ROOT = Path(__file__).resolve().parent.parent
     ("pnary_spectrum.py", ["--p", "2", "--depth", "3"], "eigenvalue,cumulative_fraction"),
 ])
 def test_script_writes_csv(script, args, header):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    proc = run_script(script, args)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == header and len(lines) > 1
+
+
+def run_script(script, args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_deep_pnary_staircase():
+    # 3^50 copies of the shallowest blocks: multiplicities far past 2^63,
+    # from prefixes of at most 51 rows.
+    proc = run_script("pnary_spectrum.py", ["--p", "3", "--depth", "50"])
+    assert proc.returncode == 0, proc.stderr
+    assert f"# vertices {graphs.tree_vertex_count((3,) * 50)} " in proc.stderr
+    rows = np.loadtxt(proc.stdout.splitlines()[1:], delimiter=",")
+    assert (np.diff(rows[:, 0]) > 0).all() and (np.diff(rows[:, 1]) >= 0).all()
+    assert rows[-1, 1] == 1.0
+    assert rows[:, 0].max() < 2 * math.sqrt(3)
 
 
 def run_quick_tour():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,6 +15,23 @@ def family(limit):
     for m in range(2, limit + 1):
         out.extend(graphs.ordered_factorizations(m)[1])
     return out
+
+
+def path_matrix(weights):
+    """The dense zero-diagonal path with the given off-diagonal weights."""
+    w = np.asarray(weights, dtype=float)
+    return np.diag(w, 1) + np.diag(w, -1)
+
+
+def path_eigenvalues(weights):
+    """Every eigenvalue of one path: its one prefix that is the whole path."""
+    return spectral.prefix_eigenvalues([weights], [(0, len(weights) + 1)])
+
+
+def pnary_closed_form(p, n):
+    """Eigenvalues 2*sqrt(p)*cos(pi*x/(n+1)), x = 1..n, ascending: the size-n
+    path with every weight sqrt(p)."""
+    return np.sort(2.0 * math.sqrt(p) * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
 
 
 def hermitian_eigensolve(m):
@@ -140,64 +158,45 @@ class TestDenseOracle:
 
 
 class TestTridiagonal:
-    def test_tiny(self):
-        assert spectral.tridiagonal_eigenvalues(
-            spectral.Tridiag((0.0,), ())) == pytest.approx([0.0])
-        assert spectral.tridiagonal_eigenvalues(
-            spectral.Tridiag((0.0, 0.0), (math.sqrt(2),))) == pytest.approx(
-            [-math.sqrt(2), math.sqrt(2)])
+    """Whole zero-diagonal paths, given as their off-diagonal weights."""
 
-    def test_negative_zero_diagonal(self):
-        # a -0.0 pivot once read as non-negative but divided as negative
-        for diag in [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0, -0.0)]:
-            t = spectral.Tridiag(diag, (1.0,) * (len(diag) - 1))
-            got = spectral.tridiagonal_eigenvalues(t)
-            assert np.max(np.abs(got - np.linalg.eigvalsh(t.dense()))) < 1e-12
+    def test_tiny(self):
+        assert path_eigenvalues(()) == pytest.approx([0.0])
+        assert path_eigenvalues((math.sqrt(2),)) == pytest.approx([-math.sqrt(2), math.sqrt(2)])
 
     @pytest.mark.parametrize("n", [3, 8, 33, 64])
     def test_uniform_closed_form(self, n):
-        p = 3
-        t = spectral.Tridiag((0.0,) * n, (math.sqrt(p),) * (n - 1))
-        got = spectral.tridiagonal_eigenvalues(t)
-        want = 2 * math.sqrt(p) * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-        assert np.max(np.abs(got - np.sort(want))) < 1e-12
+        got = path_eigenvalues((math.sqrt(3),) * (n - 1))
+        assert np.max(np.abs(got - pnary_closed_form(3, n))) < 1e-12
 
-    @given(st.lists(st.floats(-3, 3), min_size=1, max_size=24),
-           st.randoms(use_true_random=False))
+    @given(st.lists(st.floats(-2, 2), min_size=0, max_size=23))
     @settings(max_examples=40, deadline=None)
-    def test_matches_lapack(self, diag, rnd):
-        off = [rnd.uniform(-2, 2) for _ in range(len(diag) - 1)]
-        t = spectral.Tridiag(tuple(diag), tuple(off))
-        got = spectral.tridiagonal_eigenvalues(t)
-        want = np.linalg.eigvalsh(t.dense())
+    def test_matches_lapack(self, weights):
+        # A path is bipartite (even rows against odd rows), so its spectrum
+        # is +-sigma of that block and, for an odd size, one zero.
+        got = path_eigenvalues(weights)
+        block = path_matrix(weights)[0::2, 1::2]
+        s = np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0)
+        want = np.sort(np.concatenate([-s, s, np.zeros(len(weights) + 1 - 2 * s.size)]))
         assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
     def test_cauchy_interlacing(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             n = int(rng.integers(3, 20))
-            t = spectral.Tridiag(tuple(rng.normal(size=n)), tuple(rng.normal(size=n - 1)))
-            full = spectral.tridiagonal_eigenvalues(t)
-            minor = spectral.tridiagonal_eigenvalues(
-                spectral.Tridiag(t.diagonal[:-1], t.offdiagonal[:-1]))
+            weights = tuple(rng.normal(size=n - 1))
+            full = path_eigenvalues(weights)
+            minor = path_eigenvalues(weights[:-1])
             for i in range(n - 1):
                 assert full[i] <= minor[i] + 1e-10
                 assert minor[i] <= full[i + 1] + 1e-10
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_entries_rejected(self, bad):
-        with pytest.raises(InvalidParameterError):
-            spectral.Tridiag((bad, 0.0), (1.0,))
-        with pytest.raises(InvalidParameterError):
-            spectral.Tridiag((0.0, 0.0), (bad,))
-
     def test_huge_entries_do_not_overflow(self):
-        got = spectral.tridiagonal_eigenvalues(spectral.Tridiag((1e300, -1e300), (1e300,)))
-        want = math.sqrt(2) * 1e300
-        assert got == pytest.approx([-want, want], rel=1e-14)
+        got = path_eigenvalues((1e300,))
+        assert got == pytest.approx([-1e300, 1e300], rel=1e-14)
 
     def test_tiny_entries_keep_their_scale(self):
-        got = spectral.tridiagonal_eigenvalues(spectral.Tridiag((0.0, 0.0), (1e-300,)))
+        got = path_eigenvalues((1e-300,))
         assert got == pytest.approx([-1e-300, 1e-300], rel=1e-14)
 
 
@@ -207,84 +206,90 @@ class TestPrefixEigenvalues:
     def test_every_prefix_matches_lapack(self):
         rng = np.random.default_rng(29)
         for _ in range(6):
-            paths = []
-            for n in rng.integers(1, 18, size=3):
-                diag = rng.normal(size=n)
-                diag[diag == 0.0] = 1.0
-                paths.append(spectral.Tridiag(tuple(diag), tuple(rng.normal(size=n - 1))))
-            prefixes = [(p, s) for p, t in enumerate(paths)
-                        for s in range(len(t.diagonal) + 1)]
+            paths = [tuple(rng.normal(size=n - 1)) for n in rng.integers(1, 18, size=3)]
+            prefixes = [(p, s) for p, w in enumerate(paths) for s in range(len(w) + 2)]
             prefixes = [prefixes[i] for i in rng.permutation(len(prefixes))]
             got = spectral.prefix_eigenvalues(paths, prefixes)
             at = 0
             for p, s in prefixes:
-                want = np.linalg.eigvalsh(paths[p].dense()[:s, :s])
+                want = np.linalg.eigvalsh(path_matrix(paths[p])[:s, :s])
                 assert np.max(np.abs(got[at:at + s] - want), initial=0.0) < 1e-12, (p, s)
                 at += s
             assert at == got.size
 
     def test_repeated_and_empty_prefixes(self):
-        t = spectral.Tridiag((0.5, -1.0, 2.0), (1.0, 0.25))
-        got = spectral.prefix_eigenvalues([t], [(0, 2), (0, 0), (0, 2), (0, 1)])
-        two = np.linalg.eigvalsh(t.dense()[:2, :2])
-        assert got == pytest.approx(np.concatenate([two, two, [0.5]]), abs=1e-14)
-        assert spectral.prefix_eigenvalues([t], []).size == 0
+        w = (1.0, 0.25)
+        got = spectral.prefix_eigenvalues([w], [(0, 2), (0, 0), (0, 2), (0, 1)])
+        assert got == pytest.approx([-1.0, 1.0, -1.0, 1.0, 0.0], abs=1e-14)
+        assert spectral.prefix_eigenvalues([w], []).size == 0
 
     @pytest.mark.parametrize("prefix", [(1, 1), (-1, 1), (0, 4), (0, -1)])
     def test_prefix_outside_paths_rejected(self, prefix):
-        t = spectral.Tridiag((0.0, 0.0, 0.0), (1.0, 1.0))
         with pytest.raises(InvalidParameterError):
-            spectral.prefix_eigenvalues([t], [prefix])
+            spectral.prefix_eigenvalues([(1.0, 1.0)], [prefix])
 
     def test_prefix_above_dense_limit_refused(self, monkeypatch):
         monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "3")
-        path = spectral.Tridiag((0.0,) * 4, (1.0,) * 3)
+        path = (1.0,) * 3
         with pytest.raises(ResourceLimitError, match="exceeds dense limit 3"):
-            spectral.tridiagonal_eigenvalues(path)
+            path_eigenvalues(path)
         # only the listed prefixes count, not the length of the path
         got = spectral.prefix_eigenvalues([path], [(0, 3), (0, 2)])
         assert got == pytest.approx([-math.sqrt(2), 0.0, math.sqrt(2), -1.0, 1.0], abs=1e-14)
 
 
+def continuant(weights, lam, n):
+    """det(T_n - lam) of the size-n prefix of a zero-diagonal path, by the
+    three-term recurrence gamma_i = -lam*gamma_{i-1} - w_{i-1}^2*gamma_{i-2},
+    gamma_0 = 1, gamma_{-1} = 0."""
+    prev, cur = 0.0, 1.0
+    for i in range(1, n + 1):
+        w2 = weights[i - 2] ** 2 if i >= 2 else 0.0
+        prev, cur = cur, -lam * cur - w2 * prev
+    return cur
+
+
 class TestContinuant:
+    """The characteristic polynomial of each prefix, by the recurrence, at
+    the eigenvalues from ``prefix_eigenvalues``."""
+
     def test_seeds(self):
-        assert spectral.continuant_eval((2, 3), 0.37, 0) == 1.0
-        assert spectral.continuant_eval((2, 3), 0.37, 1) == pytest.approx(-0.37)
+        assert continuant((1.0, 2.0), 0.37, 0) == 1.0
+        assert continuant((1.0, 2.0), 0.37, 1) == pytest.approx(-0.37)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_tridiagonal_characteristic_polynomial(self, n):
-        # gamma_n is det(T_n - lam) for the doubled-weight tridiagonal ladder
-        xs = (2, 3)
-        weights = [math.sqrt(xs[(k + 1) // 2 - 1]) for k in range(1, n)]
-        t = spectral.Tridiag((0.0,) * n, tuple(weights))
+        # the doubled-weight ladder (a_1, a_1, a_2, a_2) of (2, 3)
+        weights = [math.sqrt(x) for x in (2, 3) for _ in range(2)]
+        eigs = spectral.prefix_eigenvalues([weights], [(0, n)])
         for lam in (0.3, -1.7, 2.4):
-            det = np.linalg.det(t.dense() - lam * np.eye(n))
-            assert spectral.continuant_eval(xs, lam, n) == pytest.approx(det, rel=1e-10)
+            det = np.linalg.det(path_matrix(weights)[:n, :n] - lam * np.eye(n))
+            assert continuant(weights, lam, n) == pytest.approx(det, rel=1e-10)
+            assert np.prod(eigs - lam) == pytest.approx(det, rel=1e-10)
 
     @pytest.mark.parametrize("p,n", [(2, 5), (3, 6), (5, 4)])
     def test_binomial_form(self, p, n):
+        weights = (math.sqrt(p),) * (n - 1)
+        eigs = path_eigenvalues(weights)
         for lam in (0.21, 1.3, -2.2):
-            direct = spectral.continuant_eval((p,) * ((n + 1) // 2 + 1), lam, n)
             binom = sum(
                 math.comb(n - l, l) * (-p) ** l * lam ** (n - 2 * l)
                 for l in range(n // 2 + 1)) * (-1) ** n
-            assert direct == pytest.approx(binom, rel=1e-10)
+            assert continuant(weights, lam, n) == pytest.approx(binom, rel=1e-10)
+            assert np.prod(eigs - lam) == pytest.approx(binom, rel=1e-10)
 
 
 class TestPnaryClosedForm:
     def test_values(self):
-        assert spectral.pnary_closed_form(2, 1) == pytest.approx([0.0])
-        assert spectral.pnary_closed_form(2, 2) == pytest.approx(
-            [-math.sqrt(2), math.sqrt(2)])
-        assert spectral.pnary_closed_form(3, 3) == pytest.approx(
-            [-math.sqrt(6), 0.0, math.sqrt(6)])
+        assert pnary_closed_form(2, 1) == pytest.approx([0.0])
+        assert pnary_closed_form(2, 2) == pytest.approx([-math.sqrt(2), math.sqrt(2)])
+        assert pnary_closed_form(3, 3) == pytest.approx([-math.sqrt(6), 0.0, math.sqrt(6)])
 
     def test_matches_tridiagonal(self):
         for p in range(2, 7):
             for n in (1, 2, 7, 31, 64):
-                t = spectral.Tridiag((0.0,) * n, (math.sqrt(p),) * (n - 1))
-                assert np.max(np.abs(spectral.pnary_closed_form(p, n) -
-                                     spectral.tridiagonal_eigenvalues(t))) < 1e-12
+                got = path_eigenvalues((math.sqrt(p),) * (n - 1))
+                assert np.max(np.abs(pnary_closed_form(p, n) - got)) < 1e-12
 
 
 class TestAssembledSpectra:
@@ -351,18 +356,29 @@ class TestAssembledSpectra:
         assert abs(frac - 1 / 3) < 0.01
 
 
+def fluxless_block(xs, i):
+    """Weights of fluxless block i: (a_i, ..., a_1, a_1, ..., a_i), size 2i + 1."""
+    half = [math.sqrt(v) for v in xs[:i][::-1]]
+    return half + half[::-1]
+
+
+def flux_af_block(xs, i):
+    """Weights of block i at flux 2*pi/x_1: (a_1, ..., a_i), size i + 1."""
+    return [math.sqrt(v) for v in xs[:i]]
+
+
 def per_block_spectrum(xs, blocks, block):
-    """Reference assembly: each block solved on its own by ``tridiagonal_eigenvalues``."""
+    """Reference assembly: each whole block solved on its own by ``eigvalsh``."""
     values, counts = [], []
     for (i, mult) in blocks(xs):
-        for v in spectral.tridiagonal_eigenvalues(block(xs, i)):
+        for v in np.linalg.eigvalsh(path_matrix(block(xs, i))):
             values.append(float(v))
             counts.append(mult)
     return spectral.cluster_eigenvalues(values, counts)
 
 
 class TestPrefixAssemblyMatchesBlocks:
-    """The prefix-path assembly against one solve per tridiagonal block."""
+    """The prefix-path assembly against one solve per whole block."""
 
     SEQUENCES = family(64) + [(p,) * d for p in range(2, 7) for d in (9, 11, 13, 15)]
 
@@ -370,10 +386,10 @@ class TestPrefixAssemblyMatchesBlocks:
     def test_same_levels_and_multiplicities(self, at_af):
         if at_af:
             assemble = spectral.spectrum_flux_af
-            blocks, block = spectral.flux_af_multiplicities, spectral.flux_af_block
+            blocks, block = spectral.flux_af_multiplicities, flux_af_block
         else:
             assemble = spectral.spectrum_fluxless
-            blocks, block = spectral.fluxless_multiplicities, spectral.fluxless_block
+            blocks, block = spectral.fluxless_multiplicities, fluxless_block
         for xs in self.SEQUENCES:
             got = assemble(xs).eigenvalues
             want = per_block_spectrum(xs, blocks, block).eigenvalues
@@ -381,41 +397,71 @@ class TestPrefixAssemblyMatchesBlocks:
             assert max(abs(u - v) for ((u, _a), (v, _b)) in zip(got, want)) < 1e-13, xs
 
 
+@dataclass(frozen=True)
+class ShellReduction:
+    weights: tuple[float, ...]
+    shell_sizes: tuple[int, ...]
+    closure_residual: float
+
+
+def distance_shell_reduction(xs, phi=0.0):
+    """Collapse the fluxless tree onto uniform-amplitude distance shells, the
+    column-subspace reduction of Childs et al. (STOC 2003).
+
+    Shell i holds the vertices at distance i from the first root; the
+    adjacency acts as the (2d+1)-row path with weights (sqrt(x_d), ...,
+    sqrt(x_1), sqrt(x_1), ..., sqrt(x_d)) going outward (the first root fans
+    into x_d subtrees).  Only the zero-flux matrix closes on these shells;
+    interference breaks the permutation symmetry otherwise.
+    """
+    if phi != 0.0:
+        raise UnsupportedHypothesisError("shell reduction applies at zero flux only")
+    d = len(xs)
+    m = gauge.canonical_ccam(xs, 0.0)
+    dist = m.graph.distances(m.first_vertex)
+    sizes = np.bincount(dist, minlength=2 * d + 1)
+    weights = fluxless_block(xs, d)
+    # closure check: A on the normalized shell vectors, one column each
+    shells = (dist[:, None] == np.arange(2 * d + 1)) / np.sqrt(sizes)
+    resid = np.max(np.abs(m.apply(shells).real - shells @ path_matrix(weights)))
+    return ShellReduction(weights=tuple(weights), shell_sizes=tuple(sizes.tolist()),
+                          closure_residual=float(resid))
+
+
 class TestShellReduction:
     def test_rhombus(self):
-        sr = spectral.distance_shell_reduction((2,))
+        sr = distance_shell_reduction((2,))
         assert sr.shell_sizes == (1, 2, 1)
-        assert sr.tridiag.offdiagonal == pytest.approx((math.sqrt(2), math.sqrt(2)))
+        assert sr.weights == pytest.approx((math.sqrt(2), math.sqrt(2)))
         assert sr.closure_residual < 1e-12
 
     def test_two_two(self):
-        sr = spectral.distance_shell_reduction((2, 2))
-        assert sr.tridiag.offdiagonal == pytest.approx((math.sqrt(2),) * 4)
-        shell_vals = spectral.tridiagonal_eigenvalues(sr.tridiag)
+        sr = distance_shell_reduction((2, 2))
+        assert sr.weights == pytest.approx((math.sqrt(2),) * 4)
+        shell_vals = path_eigenvalues(sr.weights)
         full = spectral.spectrum_fluxless((2, 2)).expand()
         for v in shell_vals:
             assert np.min(np.abs(full - v)) < 1e-9
 
     def test_mixed_ordering_is_outermost_last_entry(self):
         # (2, 3): the first root fans into 3 subtrees, so the outer weight is sqrt(3)
-        sr = spectral.distance_shell_reduction((2, 3))
+        sr = distance_shell_reduction((2, 3))
         assert sr.shell_sizes == (1, 3, 6, 3, 1)
-        assert sr.tridiag.offdiagonal == pytest.approx(
+        assert sr.weights == pytest.approx(
             (math.sqrt(3), math.sqrt(2), math.sqrt(2), math.sqrt(3)))
         assert sr.closure_residual < 1e-12
-        shell_vals = spectral.tridiagonal_eigenvalues(sr.tridiag)
+        shell_vals = path_eigenvalues(sr.weights)
         full = spectral.ccam_spectrum(gauge.canonical_ccam((2, 3), 0.0)).expand()
         for v in shell_vals:
             assert np.min(np.abs(full - v)) < 1e-9
 
     def test_normalization_matches_shell_sizes(self):
-        sr = spectral.distance_shell_reduction((2, 3))
-        import math as _m
+        sr = distance_shell_reduction((2, 3))
         assert sr.shell_sizes[2] == 6  # 1/sqrt(6) amplitude on the middle shell
 
     def test_flux_unsupported(self):
         with pytest.raises(UnsupportedHypothesisError):
-            spectral.distance_shell_reduction((2,), phi=0.5)
+            distance_shell_reduction((2,), phi=0.5)
 
 
 class TestOracleAgreementSweep:
