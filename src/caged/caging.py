@@ -228,19 +228,6 @@ def evaluate_cyclotomic(coeffs: np.ndarray, z: int, denominator: int) -> np.ndar
 
 
 @lru_cache(maxsize=64)
-def _prime_factors(n: int) -> tuple[int, ...]:
-    """The distinct primes dividing n, ascending, by trial division up to sqrt(n)."""
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return tuple(primes + [n] * (n > 1))
-
-
-@lru_cache(maxsize=64)
 def _cyclotomic_reduction(primes: tuple[int, ...]) -> np.ndarray:
     """(r, phi(r)) matrix whose row e holds w^e mod Phi_r, r = prod(primes).
 
@@ -275,7 +262,7 @@ def _cyclotomic_reduction(primes: tuple[int, ...]) -> np.ndarray:
 
 def _zero_at_order(mat: np.ndarray, d: int) -> np.ndarray:
     """Per row of ``mat``: is the polynomial zero at a primitive d-th root?"""
-    primes = _prime_factors(d)
+    primes = tuple(p for p, _e in graphs.prime_factorization(d))
     red = _cyclotomic_reduction(primes)
     # Folding and reducing keep every value within a row's l1 norm times max|red|.
     if np.abs(mat).sum(axis=1, dtype=float).max(initial=0.0) * np.abs(red).max() >= 2.0**62:

@@ -144,12 +144,10 @@ def cmd_flat_values(args) -> int:
 
 def cmd_bands(args) -> int:
     phi = parse_phi(args.phi)
-    if args.model == "chain":
+    if args.model == "chain":  # argparse allows only "chain" and "lotus44"
         model = bloch.chain_bloch(parse_sequence(args.x), phi)
-    elif args.model == "lotus44":
-        model = bloch.second_kind_44_bloch(phi)
     else:
-        raise InvalidParameterError(f"unknown model {args.model!r}")
+        model = bloch.second_kind_44_bloch(phi)
     sweep = bloch.band_sweep(model, phi, args.grid)
     header = ["k", "ky"][:model.dimensionality] + [f"E_{i + 1}" for i in range(model.bands)]
     rows = np.hstack([sweep.momenta, sweep.energies]).tolist()

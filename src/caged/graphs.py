@@ -15,7 +15,7 @@ construction order, so identical inputs always produce identical graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -495,223 +495,145 @@ class LotusSpec:
 class _Side:
     corners: tuple[int, int]
     midpoint: int | None
-    tiles: list[int] = field(default_factory=list)
-    flank: list[int] = field(default_factory=list)  # second kind: adjacent shrub interior per tile
+    tiles: int = 0
+    flank: int | None = None  # second kind: the first tile's ring interior beside this side
 
 
 class _LotusBuilder:
-    """Incremental patch assembly with corner-fan bookkeeping.
+    """A lotus patch grown tile by tile, each tile a ``sides``-gon filled with
+    shrubs.
 
-    Around every corner the incident sides form a rotational arc; each placed
-    tile fills the wedge between two consecutive sides.  A new tile walks the
-    boundary of its polygon, reusing an existing side whenever the corner fan
-    is already full (tiling_q sides), which closes rings deterministically.
+    Around each corner the sides met so far form a fan in rotational order,
+    with a tile in the wedge between consecutive sides.  A new tile across a
+    frontier side walks its boundary both ways from that side, turning past
+    each full fan (``tiling_q`` sides) onto the side at the fan's other end.
+    The rest of its boundary is fresh: sides through fresh corners, each on
+    the tail of its start corner's fan, then a closing side on the head of
+    the fan where the backward walk stopped.
     """
 
     def __init__(self, spec: LotusSpec):
         spec.validate()
         self.spec = spec
         self.roles: list[str] = []
-        self.edges: set[Edge] = set()
-        self.face_vertices: list[int] = []
-        self.face_lengths: list[int] = []
+        self.faces: list[int] = []  # flat rhombi, four vertices each; their steps are the edges
         self.signs: list[int] = []
         self.sides: list[_Side] = []
         self.arcs: dict[int, list[int]] = {}  # corner vertex -> side ids in fan order
-        self.tile_count = 0
 
     def vertex(self, role: str) -> int:
         self.roles.append(role)
         return len(self.roles) - 1
 
-    def edge(self, u: int, v: int):
-        self.edges.add((u, v) if u < v else (v, u))
-
-    def face(self, cycle: tuple[int, ...], sign: int):
-        self.face_vertices.extend(cycle)
-        self.face_lengths.append(len(cycle))
-        self.signs.append(sign)
-
-    def _extend_arc(
-        self,
-        corner: int,
-        prev_sid: int,
-        *,
-        allow_reuse: bool,
-        anchored: int | None = None,
-        anchor_prev: int | None = None,
-    ) -> int:
-        """Advance the fan at ``corner`` past ``prev_sid`` for the tile being placed.
-
-        The tile occupies the wedge at the arc end where ``prev_sid`` sits.
-        When the fan already holds tiling_q sides the opposite end side is
-        reused (ring closure); otherwise a fresh side is created there, ending
-        at a fresh corner or at ``anchored``.
-        """
-        arc = self.arcs[corner]
-        if not arc or prev_sid not in (arc[0], arc[-1]):
-            raise AssertionError("tile attached at an interior fan side")
-        at_tail = prev_sid == arc[-1]
-        if allow_reuse and len(arc) == self.spec.tiling_q:
-            return arc[0] if at_tail else arc[-1]
-        far = self.vertex("corner") if anchored is None else anchored
+    def side(self, a: int, b: int) -> int:
+        """A new side from corner a to corner b, with a midpoint for the first kind."""
         mid = self.vertex("midpoint") if self.spec.kind == "first" else None
-        sid = len(self.sides)
-        self.sides.append(_Side(corners=(corner, far), midpoint=mid))
-        if at_tail:
-            arc.append(sid)
-        else:
-            arc.insert(0, sid)
-        if anchored is None:
-            self.arcs[far] = [sid]
-        else:
-            arc2 = self.arcs[anchored]
-            if anchor_prev == arc2[-1]:
-                arc2.append(sid)
-            elif anchor_prev == arc2[0]:
-                arc2.insert(0, sid)
-            else:
-                raise AssertionError("anchor side is not at a fan end")
+        self.sides.append(_Side((a, b), mid))
+        return len(self.sides) - 1
+
+    def across(self, sid: int, corner: int) -> int:
+        return sum(self.sides[sid].corners) - corner  # the side's other corner
+
+    def turn(self, corner: int, sid: int) -> int:
+        """The side at the other end of the full fan at ``corner`` from ``sid``."""
+        arc = self.arcs[corner]
+        if sid not in (arc[0], arc[-1]):
+            raise AssertionError("tile attached at an interior fan side")
+        return arc[0] if sid == arc[-1] else arc[-1]
+
+    def place(self, corner: int, prev: int, far: int | None = None) -> int:
+        """A fresh side on the tail of the fan at ``corner``, just after
+        ``prev``, to ``far`` or else to a fresh corner."""
+        arc = self.arcs[corner]
+        if arc[-1] != prev:
+            raise AssertionError("fresh side placed off the tail of its fan")
+        sid = self.side(corner, self.vertex("corner") if far is None else far)
+        arc.append(sid)
+        if far is None:
+            self.arcs[self.across(sid, corner)] = [sid]
         return sid
 
     def seed_tile(self):
         n = self.spec.sides
         corners = [self.vertex("corner") for _ in range(n)]
-        sids = []
-        for i in range(n):
-            a, b = corners[i], corners[(i + 1) % n]
-            m = self.vertex("midpoint") if self.spec.kind == "first" else None
-            sid = len(self.sides)
-            self.sides.append(_Side(corners=(a, b), midpoint=m))
-            sids.append(sid)
+        sids = [self.side(corners[i], corners[(i + 1) % n]) for i in range(n)]
         for i, c in enumerate(corners):
-            self.arcs[c] = [sids[(i - 1) % n], sids[i]]
-        self._fill_tile(sids, [self.sides[s].corners for s in sids])
+            self.arcs[c] = [sids[i - 1], sids[i]]
+        self.fill(list(zip(sids, corners)))
 
     def attach_tile(self, sid0: int):
-        """Place a tile across frontier side ``sid0``.
+        """Place a tile across frontier side ``sid0``, traversing it opposite
+        to the tile already there."""
+        n, q = self.spec.sides, self.spec.tiling_q
+        cur, end = self.sides[sid0].corners
+        ahead, behind = [(sid0, end)], []  # (side, start corner) along the tile
+        prev = last = sid0
+        while len(ahead) < n - 1 and len(self.arcs[cur]) == q:
+            prev = self.turn(cur, prev)
+            ahead.append((prev, cur))
+            cur = self.across(prev, cur)
+        while len(ahead) + len(behind) < n - 1 and len(self.arcs[end]) == q:
+            last = self.turn(end, last)
+            end = self.across(last, end)
+            behind.append((last, end))
+        while len(ahead) + len(behind) < n - 1:
+            prev = self.place(cur, prev)
+            ahead.append((prev, cur))
+            cur = self.across(prev, cur)
+        if self.arcs[end][0] != last:
+            raise AssertionError("closing side is not at the head of its fan")
+        closing = self.place(cur, prev, end)
+        self.arcs[end].insert(0, closing)
+        tile = ahead + [(closing, cur)] + behind[::-1]
+        if len({c for _, c in tile}) < n:
+            raise AssertionError("tile boundary walk failed to close")
+        self.fill(tile)
 
-        The tile boundary is walked in both directions from the shared side,
-        reusing existing sides while corner fans are full, then creating fresh
-        sides through new territory.
+    def shrub(self, u: int, w: int, first: int, last: int, sign: int):
+        """A shrub between hubs u and w through interiors ``first``, p - 2
+        fresh ones and ``last``, with a face of ``sign`` between neighbours."""
+        inner = [first] + [self.vertex("interior") for _ in range(self.spec.shrub_p - 2)] + [last]
+        for t0, t1 in zip(inner, inner[1:]):
+            self.faces += (u, t0, w, t1)
+        self.signs += [sign] * (len(inner) - 1)
+
+    def fill(self, tile: list[tuple[int, int]]):
+        """Fill a tile given as (side, start corner) pairs along its boundary.
+
+        A ring of interiors joins n hub shrubs from a fresh center to the side
+        midpoints (first kind, sign +1) or to the corners (second kind, signs
+        alternating).  The first kind then adds a rim shrub between adjacent
+        midpoints, closed by their shared corner; the second kind closes a
+        face across each side that already has a tile.
         """
-        n = self.spec.sides
-        side0 = self.sides[sid0]
-        if len(side0.tiles) != 1:
-            return
-        a, b = side0.corners
-        sids: list[int] = [-1] * n
-        orient: list[tuple[int, int]] = [(-1, -1)] * n
-        sids[0] = sid0
-        orient[0] = (b, a)  # traversed opposite to the tile that created it
-
-        fwd_corner, fwd_prev = a, sid0
-        j = 1
-        while j < n - 1 and len(self.arcs[fwd_corner]) == self.spec.tiling_q:
-            sid = self._extend_arc(fwd_corner, fwd_prev, allow_reuse=True)
-            far = [c for c in self.sides[sid].corners if c != fwd_corner][0]
-            sids[j] = sid
-            orient[j] = (fwd_corner, far)
-            fwd_corner, fwd_prev = far, sid
-            j += 1
-        bwd_corner, bwd_prev = b, sid0
-        k = n - 1
-        while k > j and len(self.arcs[bwd_corner]) == self.spec.tiling_q:
-            sid = self._extend_arc(bwd_corner, bwd_prev, allow_reuse=True)
-            far = [c for c in self.sides[sid].corners if c != bwd_corner][0]
-            sids[k] = sid
-            orient[k] = (far, bwd_corner)
-            bwd_corner, bwd_prev = far, sid
-            k -= 1
-
-        if j <= k:
-            cur, prev = fwd_corner, fwd_prev
-            for t in range(j, k + 1):
-                last = t == k
-                sid = self._extend_arc(
-                    cur, prev, allow_reuse=False,
-                    anchored=bwd_corner if last else None,
-                    anchor_prev=bwd_prev if last else None)
-                far = [c for c in self.sides[sid].corners if c != cur][0]
-                sids[t] = sid
-                orient[t] = (cur, far)
-                cur, prev = far, sid
-            if cur != bwd_corner:
-                raise AssertionError("tile boundary walk failed to close")
-        if any(s < 0 for s in sids):
-            raise AssertionError("tile boundary walk left unresolved sides")
-        self._fill_tile(sids, orient)
-
-    def _fill_tile(self, sids: list[int], orient: list[tuple[int, int]]):
-        tile = self.tile_count
-        self.tile_count += 1
-        if self.spec.kind == "first":
-            self._fill_first_kind(sids, orient, tile)
-        else:
-            self._fill_second_kind(sids, orient, tile)
-        for sid in sids:
-            self.sides[sid].tiles.append(tile)
-
-    def _fill_first_kind(self, sids, orient, tile):
-        n, p = self.spec.sides, self.spec.shrub_p
-        corners = [orient[i][0] for i in range(n)]
-        mids = [self.sides[sids[i]].midpoint for i in range(n)]
+        n, first = self.spec.sides, self.spec.kind == "first"
+        sides, corners = [self.sides[sid] for sid, _ in tile], [c for _, c in tile]
         c = self.vertex("center")
-        ring = [self.vertex("interior") for _ in range(n)]  # shared between adjacent hub shrubs
-        # hub shrubs: center <-> side midpoint, interiors [ring[i-1], fresh.., ring[i]]
-        for i in range(n):
-            inner = [ring[i - 1]] + [self.vertex("interior") for _ in range(p - 2)] + [ring[i]]
-            for t in inner:
-                self.edge(c, t)
-                self.edge(mids[i], t)
-            for t0, t1 in zip(inner, inner[1:]):
-                self.face((c, t0, mids[i], t1), +1)
-        # rim shrubs: midpoint <-> next midpoint around the shared corner
-        for i in range(n):
-            m0, m1 = mids[i], mids[(i + 1) % n]
-            v = corners[(i + 1) % n]
-            outer = [ring[i]] + [self.vertex("interior") for _ in range(p - 2)] + [v]
-            for t in outer:
-                self.edge(m0, t)
-                self.edge(m1, t)
-            for t0, t1 in zip(outer, outer[1:]):
-                self.face((m0, t0, m1, t1), -1)
-
-    def _fill_second_kind(self, sids, orient, tile):
-        n, p = self.spec.sides, self.spec.shrub_p
-        corners = [orient[i][0] for i in range(n)]
-        c = self.vertex("center")
-        ring = [self.vertex("interior") for _ in range(n)]  # ring[i] between corner i and i+1
-        interiors = []
-        for i in range(n):
-            inner = [ring[i - 1]] + [self.vertex("interior") for _ in range(p - 2)] + [ring[i]]
-            interiors.append(inner)
-            for t in inner:
-                self.edge(c, t)
-                self.edge(corners[i], t)
-            for t0, t1 in zip(inner, inner[1:]):
-                self.face((c, t0, corners[i], t1), +1 if i % 2 == 0 else -1)
-        # faces shared with an already-placed neighbor across each side
-        for i in range(n):
-            sid = sids[i]
-            a, b = orient[i]  # ring[i] is adjacent to corners i and i+1 = (a_next)
-            z = ring[i]
-            side = self.sides[sid]
-            if side.flank:
-                z_other = side.flank[0]
-                self.face((a, z, b, z_other), +1)
-            side.flank.append(z)
+        ring = [self.vertex("interior") for _ in range(n)]
+        for i, side in enumerate(sides):
+            hub = side.midpoint if first else corners[i]
+            self.shrub(c, hub, ring[i - 1], ring[i], +1 if first or i % 2 == 0 else -1)
+        for i, side in enumerate(sides):
+            j = (i + 1) % n
+            if first:
+                self.shrub(side.midpoint, sides[j].midpoint, ring[i], corners[j], -1)
+            elif side.flank is None:
+                side.flank = ring[i]
+            else:
+                self.faces += (corners[i], ring[i], corners[j], side.flank)
+                self.signs.append(+1)
+            side.tiles += 1
 
     def build(self) -> Graph:
-        spec = self.spec
         self.seed_tile()
-        for _gen in range(1, spec.generations):
-            frontier = [i for i, s in enumerate(self.sides) if len(s.tiles) == 1]
-            for sid in frontier:
-                if len(self.sides[sid].tiles) == 1:
+        for _gen in range(1, self.spec.generations):
+            for sid in [i for i, s in enumerate(self.sides) if s.tiles == 1]:
+                if self.sides[sid].tiles == 1:  # unless a tile of this ring closed it
                     self.attach_tile(sid)
-        uv = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
-        return Graph(len(self.roles), uv[:, 0], uv[:, 1], self.face_vertices, self.face_lengths,
+        n, faces = len(self.roles), np.reshape(np.array(self.faces, dtype=np.int64), (-1, 4))
+        steps = np.roll(faces, -1, axis=1)
+        keys = np.unique(np.minimum(faces, steps) * n + np.maximum(faces, steps))
+        return Graph(n, keys // n, keys % n, faces.ravel(), np.full(len(faces), 4),
                      roles=tuple(self.roles), plaquette_signs=tuple(self.signs))
 
 
@@ -734,16 +656,35 @@ def lotus_hubs(g: Graph) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def prime_factorization(m: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of ``m`` >= 1, primes ascending, by trial
+    division (2, then odd numbers) up to the square root of the cofactor
+    still unfactored; a large prime m still costs sqrt(m) / 2 steps."""
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
 def _divisors(m: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+    """The divisors of ``m``, ascending: those built from the primes so far,
+    times each power of the next prime."""
+    divisors = [1]
+    for p, e in prime_factorization(m):
+        layer = divisors
+        for _ in range(e):
+            layer = [d * p for d in layer]
+            divisors += layer
+    divisors.sort()
+    return divisors
 
 
 def ordered_factorizations(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -193,6 +193,11 @@ class TestBlochModelArrays:
         for k, h in zip(ks, stack):
             assert np.array_equal(model.matrix(k, 0.9), h)
 
+    @pytest.mark.parametrize("grid", [1, 0])
+    def test_grid_needs_two_points(self, grid):
+        with pytest.raises(InvalidParameterError, match="at least 2 points"):
+            bloch.momentum_grid(1, grid)
+
     def test_grid_orders_first_direction_outermost(self):
         grid = bloch.momentum_grid(2, 3)
         line = [TWO_PI * i / 3 for i in range(3)]
@@ -484,6 +489,11 @@ class TestDosMap:
         dos = bloch.dos_map(model, [math.pi], 64, 101)
         assert len(dos.occupied_bins(0)) == 3
 
+    @pytest.mark.parametrize("phis, bins", [([], 11), ([0.5], 0)])
+    def test_needs_a_flux_and_a_bin(self, phis, bins):
+        with pytest.raises(InvalidParameterError, match="one flux and one bin"):
+            bloch.dos_map(bloch.chain_bloch((2,), 0.0), phis, 8, bins)
+
     def test_refused_before_the_first_sweep(self, monkeypatch):
         def no_sweep(*args):
             raise AssertionError("band swept")
@@ -511,3 +521,7 @@ class TestCharpolyIndependence:
 
     def test_two_two_flat_quarter_turn(self):
         assert bloch.charpoly_k_independence((2, 2), math.pi / 2, [0.5, 1.5, 3.0]) < 1e-8
+
+    def test_needs_a_shift(self):
+        with pytest.raises(InvalidParameterError, match="sample shift"):
+            bloch.charpoly_k_independence((2,), math.pi, [])

@@ -124,7 +124,9 @@ class TestExactCrossing:
         for n in range(1, 2000):
             want = tuple(p for p in range(2, n + 1)
                          if n % p == 0 and all(p % q for q in range(2, p)))
-            assert caging._prime_factors(n) == want
+            got = graphs.prime_factorization(n)
+            assert tuple(p for p, _e in got) == want
+            assert math.prod(p**e for p, e in got) == n
 
     def test_kernel_matches_reference_on_random_trees(self):
         rng = random.Random(7)
@@ -632,6 +634,13 @@ class TestClsRefusals:
         m = gauge.chain_ccam((2,), 3, math.pi)
         with pytest.raises(InvalidParameterError, match="seed"):
             caging.verify_all_cls(m, 4, seeds=[0, seed])
+        with pytest.raises(InvalidParameterError, match=f"seed {seed} out of range"):
+            caging.krylov_cls(m, seed)
+
+    @pytest.mark.parametrize("denominator", [0, -4])
+    def test_denominator_below_one(self, denominator):
+        with pytest.raises(InvalidParameterError, match="denominator must be positive"):
+            caging.phase_exponents(gauge.canonical_ccam((2,), math.pi), denominator)
 
     def test_negative_power_count(self):
         m = gauge.canonical_ccam((2,), math.pi)
@@ -658,6 +667,12 @@ class TestLocalCaging:
     def test_isolated_vertex_trivially_caged(self):
         m = gauge.Ccam.from_entries(1, (), flux=0.0)
         assert caging.local_caging_check(m, 0)
+
+    @pytest.mark.parametrize("vertex", [-1, 4])
+    def test_vertex_out_of_range(self, vertex):
+        m = gauge.canonical_ccam((2,), math.pi)
+        with pytest.raises(InvalidParameterError, match=f"vertex {vertex} out of range"):
+            caging.local_caging_check(m, vertex)
 
 
 class TestVerifyAllCls:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from caged import cli, gauge, spectral
+from caged import caging, cli, gauge, spectral
 from caged.errors import InvalidParameterError
 
 
@@ -37,6 +37,13 @@ class TestPhiParsing:
     def test_rejects_non_finite(self, text):
         with pytest.raises(InvalidParameterError, match="not a finite angle"):
             cli.parse_phi(text)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("caging", "--x", "2,3", "--phi", "pi/0"), "error: zero denominator in flux literal"),
+        (("caging", "--x", "2,a", "--phi", "pi"), "error: cannot parse sequence '2,a'"),
+    ])
+    def test_bad_literal_exits_1(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", message + "\n")
 
     @pytest.mark.parametrize("argv", [
         ("caging", "--x", "2,3", "--phi", "nan"),
@@ -161,6 +168,18 @@ class TestCagingCommand:
         code, _, _ = run(capsys, "caging", "--x", "2", "--phi", "1.0",
                          "--assert-uncaged")
         assert code == 0
+
+    def test_caged_fails_the_uncaged_assertion(self, capsys):
+        code, out, err = run(capsys, "caging", "--x", "2,3,2", "--phi", "pi/6",
+                             "--assert-uncaged")
+        assert code == 2 and out.startswith("k,amplitude\n")
+        assert err == "dispersion assertion failed: the tree is uncrossable\n"
+
+    def test_verify_reports_a_failed_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(caging, "exchange_symmetry_check", lambda m: (False, 1.0))
+        code, out, _ = run(capsys, "verify", "--x", "2,3", "--phi", "pi/6")
+        assert code == 2
+        assert out.splitlines()[-1] == "FAIL: exchange"
 
     def test_deep_tree_caged_despite_roundoff(self, capsys):
         # Float powers leave amplitudes near 1e-8 here; the verdict is exact.

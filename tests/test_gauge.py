@@ -411,6 +411,20 @@ class TestDerivedCcams:
         got = [plaquette_flux(m, cyc) for cyc in g.plaquettes]
         assert got == pytest.approx(want)
 
+    def test_flux_solver_refusals(self):
+        g = graphs.grow_tree((2, 2))
+        with pytest.raises(InvalidParameterError, match="one flux per plaquette"):
+            gauge.ccam_with_plaquette_fluxes(g, [0.1] * (len(g.plaquettes) + 1))
+        # one triangle listed twice cannot carry two fluxes
+        twice = graphs.Graph(3, [0, 0, 1], [1, 2, 2], [0, 1, 2, 0, 1, 2], [3, 3])
+        with pytest.raises(InvalidParameterError, match="inconsistent"):
+            gauge.ccam_with_plaquette_fluxes(twice, [0.1, 0.2])
+
+    def test_fluxes_need_faces(self):
+        m = gauge.Ccam.from_entries(2, ((0, 1, 0.5),), flux=0.0)
+        with pytest.raises(InvalidParameterError, match="no face data"):
+            gauge.all_plaquette_fluxes(m)
+
     @pytest.mark.parametrize("xs, cells", [((2, 3, 2), 4), ((2,), 6), ((2,) * 6, 3)])
     def test_chain_matches_per_cell_loop(self, xs, cells):
         for phi in (0.0, math.pi / 6, -1.234):

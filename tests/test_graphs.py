@@ -396,6 +396,8 @@ class TestChainGraph:
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
             graphs.chain_graph((2,), 0)
+        with pytest.raises(InvalidParameterError, match="cell marks"):
+            graphs.chain_cell_of_vertex(graphs.grow_tree((2,)), 1)
 
 
 class TestLotus:
@@ -461,6 +463,66 @@ class TestLotus:
         with pytest.raises(InvalidParameterError):
             graphs.lotus_patch(graphs.LotusSpec(kind="second", sides=4, tiling_q=3))
 
+    @pytest.mark.parametrize("spec, match", [
+        (graphs.LotusSpec(kind="third", sides=6), "unknown lotus kind"),
+        (graphs.LotusSpec(kind="first", sides=6, shrub_p=1), "p >= 2"),
+        (graphs.LotusSpec(kind="second", sides=4, tiling_q=4, generations=0), "generations"),
+    ])
+    def test_refused_specs(self, spec, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            graphs.lotus_patch(spec)
+
+    def test_hubs_need_roles(self):
+        with pytest.raises(InvalidParameterError, match="lotus roles"):
+            graphs.lotus_hubs(graphs.grow_tree((2, 2)))
+
+
+def seeded_square():
+    """A {4,4} star builder after its seed tile: corners 0..3, side i from
+    corner i to corner i + 1, each corner's fan [side i - 1, side i]."""
+    b = graphs._LotusBuilder(graphs.LotusSpec(kind="second", sides=4, tiling_q=4))
+    b.seed_tile()
+    assert [s.corners for s in b.sides] == [(0, 1), (1, 2), (2, 3), (3, 0)]
+    return b
+
+
+class TestLotusFanInvariants:
+    """A tile across side 0 walks from corner 0 and closes at corner 1."""
+
+    def test_turn_from_an_interior_fan_side(self):
+        b = seeded_square()
+        b.arcs[0] = [3, 0, 1, 2]  # full, with side 0 inside
+        with pytest.raises(AssertionError, match="interior fan side"):
+            b.attach_tile(0)
+
+    def test_fresh_side_off_the_tail(self):
+        b = seeded_square()
+        b.arcs[0] = [0, 3]
+        with pytest.raises(AssertionError, match="off the tail"):
+            b.attach_tile(0)
+
+    def test_closing_side_off_the_head(self):
+        b = seeded_square()
+        b.arcs[1] = [1, 0]
+        with pytest.raises(AssertionError, match="head of its fan"):
+            b.attach_tile(0)
+
+    def test_boundary_that_meets_itself(self):
+        # A full fan at corner 0 turns onto a second side 4 back to corner 1,
+        # so the boundary passes corner 1 twice.
+        b = seeded_square()
+        b.sides.append(graphs._Side((0, 1), None))
+        b.arcs[0], b.arcs[1] = [4, 2, 2, 0], [0, 4]
+        with pytest.raises(AssertionError, match="failed to close"):
+            b.attach_tile(0)
+
+    def test_growth_keeps_fans_ordered(self):
+        b = graphs._LotusBuilder(graphs.LotusSpec(kind="second", sides=4, tiling_q=4,
+                                                  generations=3))
+        b.build()
+        assert all(len(arc) <= 4 for arc in b.arcs.values())
+        assert all(s.tiles in (1, 2) for s in b.sides)
+
 
 def brute_force_factorizations(m):
     """Independent oracle: non-decreasing factorizations, then all orderings."""
@@ -513,11 +575,17 @@ class TestOrderedFactorizations:
         counts = graphs.ordered_factorization_counts(3000)
         assert [graphs.ordered_factorization_count(m) for m in range(1, 3001)] == counts[1:]
 
+    def test_count_of_a_large_power_of_two(self):
+        # The ordered factorizations of 2^k are the compositions of k: 2^(k-1).
+        assert graphs.ordered_factorization_count(2**48) == 2**47
+
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
             graphs.ordered_factorizations(0)
         with pytest.raises(InvalidParameterError):
             graphs.ordered_factorization_count(0)
+        with pytest.raises(InvalidParameterError, match="limit must be >= 1"):
+            graphs.ordered_factorization_counts(0)
 
 
 class TestGraphFile:
@@ -535,6 +603,14 @@ class TestGraphFile:
     def test_bad_header(self):
         with pytest.raises(InvalidParameterError):
             graphs.parse_graph("e 0 1\n")
+
+    def test_unrecognized_line_refused(self):
+        with pytest.raises(InvalidParameterError, match="unrecognized line 'edge 0 1'"):
+            graphs.parse_graph("graph 2\nedge 0 1\n")
+
+    def test_comments_skipped(self):
+        g = graphs.parse_graph("# a rhombus\ngraph 2\n  # its one edge\ne 0 1\n")
+        assert (g.num_vertices, g.edges) == (2, ((0, 1),))
 
     def test_repeated_edge_refused(self):
         with pytest.raises(InvalidParameterError, match="duplicate"):

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caged import bloch, gauge, graphs, spectral
@@ -170,6 +170,8 @@ class TestTridiagonal:
         assert np.max(np.abs(got - pnary_closed_form(3, n))) < 1e-12
 
     @given(st.lists(st.floats(-2, 2), min_size=0, max_size=23))
+    @example([4.4922828261102064e-158, 0.8125])  # tiny weights beside a zero diagonal
+    @example([1e-158, 1.0, 1e-158, 1.3])
     @settings(max_examples=40, deadline=None)
     def test_matches_lapack(self, weights):
         # A path is bipartite (even rows against odd rows), so its spectrum
