@@ -203,12 +203,13 @@ def dense_matrix(m: Ccam) -> np.ndarray:
 def _canonical_template(xs: tuple[int, ...]):
     """The flux-free part of ``canonical_ccam``: the tree at zero flux, and
     per edge the factors of its phase f * (phi/4) * a * p, where a =
-    x_j - 1, p = x_1...x_{j-1} and f = +-(1 - 2(b-1)/(x_j-1)) for branch b,
-    negative when the edge runs to the lower label.  Multiplied in that
-    order they reproduce ``branch_angle`` bit for bit."""
+    x_j - 1, p = x_1...x_{j-1} and f = 1 - 2(b-1)/(x_j-1) for branch b, the
+    phase running from the lower label: out of the fresh first root and into
+    the fresh last root.  Multiplied in that order they reproduce
+    ``branch_angle`` bit for bit."""
     g = graphs.growth(xs)
     x = np.array(xs)[g.level - 1]
-    f = np.where(g.forward, 1.0, -1.0) * (1.0 - 2.0 * (g.branch - 1) / np.maximum(x - 1, 1))
+    f = 1.0 - 2.0 * (g.branch - 1) / np.maximum(x - 1, 1)
     p = np.cumprod(np.array((1,) + xs[:-1]))[g.level - 1]
     factors = (f, x - 1.0, p * 1.0)
     for arr in factors:
@@ -246,9 +247,12 @@ def ccam_with_plaquette_fluxes(g: graphs.Graph, fluxes: Sequence[float], *,
 
     On a planar graph the face fluxes are free parameters, so the linear
     system always has a solution; the minimum-norm one is used and verified.
+    The system is a dense faces x edges matrix, so a graph with more edges
+    than ``dense_limit()`` is refused before it is built.
     """
     if len(fluxes) != len(g.face_lengths):
         raise InvalidParameterError("one flux per plaquette is required")
+    require_dense(g.num_edges)
     face, _pos, us, vs = graphs.face_steps(g.face_vertices, g.face_lengths)
     shape = (len(g.face_lengths), g.num_edges)
     cells = face * g.num_edges + g.edge_slots(us, vs)

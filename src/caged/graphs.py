@@ -289,11 +289,14 @@ class Growth:
     another, each in its own growth order, and the last root last.  Edge k
     joins breadth-first ids ``rows[k] < cols[k]``, sorted by (row, col); it
     couples a fresh root of level ``level[k]`` to copy ``branch[k]``
-    (1-based), and ``forward[k]`` is true when that root side is the row.
-    The faces are ``face_vertices`` cut into runs of ``face_lengths``, in
-    growth order: at each level the big faces between adjacent copies, then
-    each copy's own faces.  The first root is 0 and the last root is the
-    last id.
+    (1-based), the first root to the copy's first root or the copy's last
+    root to the last root.  The faces are ``face_vertices`` cut into runs of
+    ``face_lengths``, in growth order: at each level the big faces between
+    adjacent copies, then each copy's own faces.  The first root is 0 and
+    the last root is the last id.  The next level is grown from the small
+    arrays: ``counts[t]`` vertices lie at distance t from the first root,
+    and ``left`` and ``right`` are the boundary paths from the first root to
+    the last through the first and the last copy.
     """
 
     perm: np.ndarray
@@ -301,59 +304,85 @@ class Growth:
     cols: np.ndarray
     level: np.ndarray
     branch: np.ndarray
-    forward: np.ndarray
     face_vertices: np.ndarray
     face_lengths: np.ndarray
+    counts: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+
+def _grow_level(g: Growth, x: int, lev: int) -> Growth:
+    """Level ``lev``: x copies of ``g`` between a fresh pair of roots.
+
+    A copy's vertex at distance t from the copy's first root is at distance
+    t + 1 from the fresh first root, so it takes an id after every vertex
+    closer, after the vertices at its distance in earlier copies, and in its
+    copy's own order: copy c of vertex v at distance t becomes 1 + x *
+    start[t] + c * counts[t] + (v - start[t]).  That is the order of a
+    breadth-first search from the first root that visits neighbours by
+    growth id.  Each copy keeps the order of its edges, and a copy's rows at
+    distance t come after the rows closer and after the earlier copies'
+    rows at distance t; so the copies' edges are laid out the same way, run
+    by run of rows at one distance, then copy by copy, and stay sorted by
+    (row, col) between the fresh first root's edges and the last root's.
+    """
+    n, e, d = len(g.perm), len(g.rows), len(g.counts)
+    last = 1 + x * n
+    bounds = np.cumsum(g.counts)  # the end of each distance's run of ids
+    shift = 1 + (x - 1) * (bounds - g.counts) + np.arange(x)[:, None] * g.counts
+    ids = np.arange(n) + np.repeat(shift, g.counts, axis=1)  # copy c of vertex v is ids[c, v]
+    # rows, cols, level and branch of every edge: the first root's, the
+    # copies' and the last root's
+    edges = np.empty((4, x * e + 2 * x), dtype=np.int64)
+    copies = np.empty((4, x, e), dtype=np.int64)
+    copies[0], copies[1] = ids.take(g.rows, axis=1), ids.take(g.cols, axis=1)
+    copies[2], copies[3] = g.level, g.branch
+    # with one copy the runs are already in order
+    ends = np.searchsorted(g.rows, bounds).tolist() if x > 1 else [e]
+    for a, b in zip([0] + ends[:-1], ends):
+        edges[:, x + x * a:x + x * b] = copies[:, :, a:b].reshape(4, -1)
+    edges[0, :x], edges[0, -x:], edges[1, -x:] = 0, ids[:, n - 1], last
+    edges[1, :x] = edges[3, :x] = edges[3, -x:] = ids[:, 0]  # copy c's first root is c + 1
+    edges[2, :x] = edges[2, -x:] = lev
+    # the face between copies c and c + 1: c's right path, then c + 1's left path back
+    big = np.empty((x - 1, 2 * d + 2), dtype=np.int64)
+    big[:, 0], big[:, 1:d + 1], big[:, d + 1], big[:, d + 2:] = (
+        0, ids[:-1, g.right], last, ids[1:, g.left[::-1]])
+    return Growth(
+        np.concatenate([[0], ids.take(g.perm, axis=1).ravel(), [last]]), *edges,
+        face_vertices=np.concatenate([big.ravel(), ids.take(g.face_vertices, axis=1).ravel()]),
+        face_lengths=np.concatenate([np.full(x - 1, 2 * d + 2)] + [g.face_lengths] * x),
+        counts=np.concatenate([[1], x * g.counts, [1]]),
+        left=np.concatenate([[0], ids[0, g.left], [last]]),
+        right=np.concatenate([[0], ids[-1, g.right], [last]]))
+
+
+_ONE, _NONE = np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+# The tree of the empty sequence: one vertex, both roots, at distance 0.
+_VERTEX = Growth(_ONE, _NONE, _NONE, _NONE, _NONE, _NONE, _NONE,
+                 counts=np.ones(1, dtype=np.int64), left=_ONE, right=_ONE)
 
 
 @lru_cache(maxsize=GROWTH_CACHE_SIZE)
 def growth(x: tuple[int, ...]) -> Growth:
     """The tree grown by ``x``, built once per sequence and shared.
 
-    Level i tiles x_i copies of the level i-1 arrays at their copy offsets
-    (level 1 tiles single vertices) between a fresh pair of roots, and closes
-    a big face between adjacent copies along their boundary paths.  The
-    breadth-first ids are tiled with them: a copy's vertex at distance d from
-    the copy's first root is at distance d + 1 from the fresh first root, so
-    it takes an id after every vertex closer, after the vertices at its
-    distance in earlier copies, and in its copy's own order.  That is the
-    order of a breadth-first search from the first root that visits
-    neighbours by growth id.
+    It grows on the cached tree of its parent, the longest proper prefix of
+    ``x`` that ends in an entry >= 2 (or the single vertex): each later
+    level, a run of 1s and then the last entry, tiles x_i copies of the tree
+    so far between a fresh pair of roots (``_grow_level``), and closes a big
+    face between adjacent copies along their boundary paths.  The levels
+    after the parent are cached nowhere, so the recursion is no deeper than
+    the number of entries >= 2.
     """
     xs = check_growth_sequence(x, allow_trailing_one=True)
-    n = 1
-    u = v = level = branch = faces = lengths = np.zeros(0, dtype=np.int64)
-    left = right = perm = dist = np.zeros(1, dtype=np.int64)  # boundary paths, ids, distances
-    for lev, xi in enumerate(xs, start=1):
-        copy = np.arange(xi)
-        shift = (1 + n * copy)[:, None]  # growth id of each copy's first root
-        last = 1 + xi * n
-        u = np.concatenate([0 * copy, shift[:, 0] + n - 1, (u + shift).ravel()])
-        v = np.concatenate([shift[:, 0], 0 * copy + last, (v + shift).ravel()])
-        level = np.concatenate([np.full(2 * xi, lev)] + [level] * xi)
-        branch = np.concatenate([copy + 1, copy + 1] + [branch] * xi)
-        # the face between copies 0 and 1; copy j's face shifts its copy vertices by j * n
-        big = np.concatenate([[0], right + 1, [last], left[::-1] + 1 + n])
-        big = big + n * copy[:-1, None] * ((big != 0) & (big != last))
-        faces = np.concatenate([big.ravel(), (faces + shift).ravel()])
-        lengths = np.concatenate([np.full(xi - 1, big.shape[1])] + [lengths] * xi)
-        left = np.concatenate([[0], left + 1, [last]])
-        right = np.concatenate([[0], right + 1 + n * (xi - 1), [last]])
-        count = np.bincount(dist)
-        start = (np.cumsum(count) - count)[dist]  # first id at each vertex's distance
-        ids = 1 + xi * start + (perm - start) + count[dist] * copy[:, None]
-        perm = np.concatenate([[0], ids.ravel(), [last]])
-        dist = np.concatenate([[0]] + [dist + 1] * xi + [[dist[-1] + 2]])
-        n = last + 1
-
-    pu, pv = perm[u], perm[v]
-    rows, cols = np.minimum(pu, pv), np.maximum(pu, pv)
-    order = np.argsort(rows * n + cols)
-    arrays = (perm, rows[order], cols[order], level[order], branch[order], (pu < pv)[order],
-              perm[faces], lengths)
-    for arr in arrays:
+    cut = max((i for i, v in enumerate(xs[:-1], start=1) if v >= 2), default=0)
+    g = growth(xs[:cut]) if cut else _VERTEX
+    for lev in range(cut + 1, len(xs) + 1):
+        g = _grow_level(g, xs[lev - 1], lev)
+    for arr in vars(g).values():
         arr.flags.writeable = False  # shared by every caller of this sequence
-    return Growth(*arrays)
+    return g
 
 
 def shrub(p: int) -> Graph:

@@ -351,6 +351,12 @@ class TestOtherCommands:
         assert code == 0
         assert out.startswith("ccam 9 ")
 
+    def test_lotus_ccam_past_the_dense_limit_is_refused(self, capsys):
+        code, out, err = run(capsys, "lotus", "--kind", "first", "--sides", "12", "--p", "4",
+                             "--q", "3", "--generations", "3", "--phi", "pi")
+        assert code == 1
+        assert out == "" and "exceeds dense limit" in err
+
     def test_dos_runs(self, tmp_path, capsys):
         out = tmp_path / "dos.csv"
         code, _, _ = run(capsys, "dos", "--x", "2", "--phi-grid", "6",

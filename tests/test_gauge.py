@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import functools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -48,12 +49,8 @@ def edge_arrays(entries):
 def reference_canonical_entries(xs, phi):
     """The per-edge builder that the cached template replaces."""
     g = graphs.growth(xs)
-    edges = zip(*(arr.tolist() for arr in (g.rows, g.cols, g.level, g.branch, g.forward)))
-    entries = []
-    for (u, v, lev, br, forward) in edges:
-        a = gauge.branch_angle(xs, lev, br, phi)
-        entries.append((u, v, a if forward else -a))
-    return sorted(entries)
+    edges = zip(*(arr.tolist() for arr in (g.rows, g.cols, g.level, g.branch)))
+    return sorted((u, v, gauge.branch_angle(xs, lev, br, phi)) for (u, v, lev, br) in edges)
 
 
 def reference_fluxes(m):
@@ -419,6 +416,26 @@ class TestDerivedCcams:
         twice = graphs.Graph(3, [0, 0, 1], [1, 2, 2], [0, 1, 2, 0, 1, 2], [3, 3])
         with pytest.raises(InvalidParameterError, match="inconsistent"):
             gauge.ccam_with_plaquette_fluxes(twice, [0.1, 0.2])
+
+    def test_flux_solver_refuses_a_large_patch(self):
+        start = time.perf_counter()
+        spec = graphs.LotusSpec(kind="first", sides=12, shrub_p=4, tiling_q=3, generations=3)
+        patch = graphs.lotus_patch(spec)
+        assert patch.num_vertices == 8701
+        with pytest.raises(ResourceLimitError, match="dense limit"):
+            gauge.lotus_ccam(patch, math.pi)
+        assert time.perf_counter() - start < 1.0
+
+    def test_flux_solver_limit_counts_edges(self, monkeypatch):
+        patch = graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6))
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, str(patch.num_edges))
+        gauge.lotus_ccam(patch, math.pi)
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, str(patch.num_edges - 1))
+        with pytest.raises(ResourceLimitError, match="dense limit"):
+            gauge.lotus_ccam(patch, math.pi)
+        # at the default, (first, 7, 3, 3, 3), larger than any patch the tests phase, passes
+        spec = graphs.LotusSpec(kind="first", sides=7, shrub_p=3, tiling_q=3, generations=3)
+        assert graphs.lotus_patch(spec).num_edges == 1701 < gauge.DEFAULT_DENSE_LIMIT
 
     def test_fluxes_need_faces(self):
         m = gauge.Ccam.from_entries(2, ((0, 1, 0.5),), flux=0.0)

@@ -166,6 +166,26 @@ class TestGrowTree:
         assert g.num_vertices == graphs.tree_vertex_count(xs)
         assert g.degrees()[0] == g.degrees()[-1] == xs[-1]
 
+    def test_long_run_of_ones(self):
+        xs = (1,) * 1500 + (2,)
+        g = graphs.grow_tree(xs)
+        assert g.num_vertices == graphs.tree_vertex_count(xs) == 6004
+        assert g.num_edges == tree_edge_count(xs)
+
+    @given(growth_sequences | st.sampled_from([(2,) * 6, (1, 3, 1, 2), (3, 1, 1, 2)]))
+    @settings(max_examples=40, deadline=None)
+    def test_layer_counts_and_boundary_paths(self, xs):
+        g, t = graphs.growth(xs), graphs.grow_tree(xs)
+        assert g.counts.tolist() == np.bincount(t.distances(0)).tolist()
+        for path in (g.left, g.right):
+            assert path[0] == 0 and path[-1] == t.last_vertex and len(path) == len(g.counts)
+            t.edge_slots(path[:-1], path[1:])  # every step is an edge
+        # the left path runs through the first copy, the right one through the last
+        x, n = xs[-1], (t.num_vertices - 2) // xs[-1]
+        growth_id = np.argsort(g.perm)
+        assert (growth_id[g.left[1:-1]] <= n).all()
+        assert (growth_id[g.right[1:-1]] > n * (x - 1)).all()
+
     def test_plaquettes_are_cycles(self):
         g = graphs.grow_tree((2, 3, 2))
         edge_set = set(g.edges)

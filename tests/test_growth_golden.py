@@ -2,9 +2,13 @@
 phases of trees, chains and canonical gauges, pinned by digests of their text
 formats.
 
-The recording in ``tests/data/growth_golden.json`` was made with the tuple
-recursion that grew trees before the array kernel; rerun this module as a
-script (``PYTHONPATH=src python tests/test_growth_golden.py``) to rewrite it.
+The recording in ``tests/data/growth_golden.json`` covers every sequence of
+product <= 64 and a few with 1s.  The entries for product <= 24, (2,)*9,
+(1, 2) and (2, 1, 2) were made with the tuple recursion that grew trees before
+the array kernel, and the rest with the kernel that grew every level from a
+single vertex, before trees grew on their cached parents.  Rerun this module
+as a script (``PYTHONPATH=src python tests/test_growth_golden.py``) to rewrite
+it.
 """
 
 import hashlib
@@ -19,8 +23,8 @@ from caged import gauge, graphs
 GOLDEN_PATH = Path(__file__).parent / "data" / "growth_golden.json"
 
 SEQUENCES = sorted(
-    [xs for m in range(2, 25) for xs in graphs.ordered_factorizations(m)[1]]
-    + [(2,) * 9, (1, 2), (2, 1, 2)])
+    [xs for m in range(2, 65) for xs in graphs.ordered_factorizations(m)[1]]
+    + [(2,) * 9, (1, 2), (2, 1, 2), (3, 1, 1, 2), (1,) * 40 + (2,)])
 
 
 def digest(text):
