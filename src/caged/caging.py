@@ -60,7 +60,8 @@ def _endpoints(m: gauge.Ccam, m_max: int, source: int | None,
 
 def crossing_amplitudes(m: gauge.Ccam, m_max: int, *, source: int | None = None,
                         target: int | None = None) -> np.ndarray:
-    """<target| H^k |source> for k = 1..m_max via repeated ``Ccam.apply``.
+    """<target| H^k |source> for k = 1..m_max, read off one walk of
+    ``Ccam.powers`` from the source.
 
     The products run in complex128, so an amplitude whose exact value is zero
     reads at most about k * ||H||_2^k * eps (the forward error of k products):
@@ -72,9 +73,8 @@ def crossing_amplitudes(m: gauge.Ccam, m_max: int, *, source: int | None = None,
     vec = np.zeros(m.dimension, dtype=complex)
     vec[src] = 1.0
     out = np.zeros(m_max, dtype=complex)
-    for k in range(m_max):
-        vec = m.apply(vec)
-        out[k] = vec[tgt]
+    for k, power in enumerate(m.powers(vec, m_max)):
+        out[k] = power[tgt]
     return out
 
 
@@ -260,12 +260,13 @@ def _cyclotomic_reduction(primes: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _zero_at_order(mat: np.ndarray, d: int) -> np.ndarray:
-    """Per row of ``mat``: is the polynomial zero at a primitive d-th root?"""
+def _zero_at_order(mat: np.ndarray, d: int, l1: float) -> np.ndarray:
+    """Per row of ``mat``: is the polynomial zero at a primitive d-th root?
+    ``l1`` is the largest l1 norm of a row."""
     primes = tuple(p for p, _e in graphs.prime_factorization(d))
     red = _cyclotomic_reduction(primes)
     # Folding and reducing keep every value within a row's l1 norm times max|red|.
-    if np.abs(mat).sum(axis=1, dtype=float).max(initial=0.0) * np.abs(red).max() >= 2.0**62:
+    if l1 * np.abs(red).max() >= 2.0**62:
         raise InvalidParameterError("cyclotomic reduction would overflow 64-bit integers")
     folded = mat.reshape(len(mat), -1, d).sum(axis=1)  # w^d = 1 at a d-th root
     # With r = prod(primes) and s = d/r, Phi_d(w) = Phi_r(w^s) and
@@ -286,7 +287,8 @@ def cyclotomic_zero_table(polys: np.ndarray, denominator: int,
     n = int(denominator)
     mat = np.atleast_2d(np.asarray(polys, dtype=np.int64))
     orders = [n // math.gcd(n, z) for z in (range(1, n + 1) if zs is None else zs)]
-    zero = {d: _zero_at_order(mat, d) for d in set(orders)}
+    l1 = np.abs(mat).sum(axis=1, dtype=float).max(initial=0.0)
+    zero = {d: _zero_at_order(mat, d, l1) for d in set(orders)}
     result = np.empty((len(mat), len(orders)), dtype=bool)
     for i, d in enumerate(orders):
         result[:, i] = zero[d]
@@ -574,7 +576,7 @@ def local_caging_check(m: gauge.Ccam, vertex: int) -> bool:
         raise InvalidParameterError(f"vertex {vertex} out of range")
     vec = np.zeros(m.dimension, dtype=complex)
     vec[vertex] = 1.0
-    image = m.apply(m.apply(vec))
+    *_, image = m.powers(vec, 2)
     image[vertex] -= m.graph.degrees()[vertex]
     return float(np.linalg.norm(image)) < LOCAL_CAGING_TOL
 

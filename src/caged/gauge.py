@@ -107,8 +107,8 @@ class Ccam:
     a per-sequence cache; the phases are read-only too, and they and the
     flux must be finite.  ``entries`` views the matrix as (u, v, theta)
     tuples.  ``with_phases`` rephases a matrix on the same graph and checks
-    only the new phases.  ``apply`` multiplies by the matrix without forming
-    it.
+    only the new phases.  ``powers`` and ``apply`` multiply by the matrix
+    without forming it.
     """
 
     graph: graphs.Graph
@@ -162,22 +162,37 @@ class Ccam:
 
     @cached_property
     def _weights(self) -> np.ndarray:
-        """<head|H|tail> along ``graph.slots``: exp(i*phase) on a forward slot,
-        its conjugate on a backward one, 0 on an isolated vertex's self-slot."""
-        _tails, edges, backward, _starts = self.graph.slots
-        w = np.append(np.exp(1j * self.phases), 0.0)[edges]
-        return np.where(backward, w.conj(), w)
+        """<head|H|tail> along ``graph.slots``: exp(phase * rot), which is
+        exp(i*phase) on a forward slot and exp(-i*phase), its conjugate, on a
+        backward one; 0 on an isolated vertex's self-slot."""
+        _tails, edges, rot, _starts = self.graph.slots
+        n = self.graph.num_edges
+        if len(edges) == 2 * n:  # every vertex has an edge
+            return np.exp(self.phases[edges] * rot)
+        w = np.exp(np.append(self.phases, 0.0)[edges] * rot)
+        w[edges == n] = 0.0
+        return w
 
-    def apply(self, x) -> np.ndarray:
-        """H x in complex128 for a vector (n,) or a column block (n, c): one
-        gather along ``graph.slots`` and one segmented sum over every vertex's
-        run, an isolated vertex summing its zero-weight self-slot."""
+    def powers(self, x, count: int):
+        """Yield H x, H^2 x, ..., H^count x in complex128 for a vector (n,) or
+        a column block (n, c).  Each product is one gather along
+        ``graph.slots`` and one segmented sum over every vertex's run, an
+        isolated vertex summing its zero-weight self-slot; the layout and the
+        weights are read once per walk."""
         x = np.asarray(x)
         if not self.dimension:
-            return np.zeros(x.shape, dtype=complex)
-        tails, _edges, _backward, starts = self.graph.slots
-        w = self._weights
-        return np.add.reduceat(x[tails] * (w if x.ndim == 1 else w[:, None]), starts, axis=0)
+            for _ in range(count):
+                yield np.zeros(x.shape, dtype=complex)
+            return
+        tails, _edges, _rot, starts = self.graph.slots
+        w = self._weights if x.ndim == 1 else self._weights[:, None]
+        for _ in range(count):
+            x = np.add.reduceat(x[tails] * w, starts, axis=0)
+            yield x
+
+    def apply(self, x) -> np.ndarray:
+        """H x, the first of ``powers``."""
+        return next(self.powers(x, 1))
 
 
 def require_dense(dimension: int):
@@ -313,10 +328,16 @@ def all_plaquette_fluxes(m: Ccam) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class FlatSet:
-    """The angles 2*pi*z/M for z = 1..M, where M is the product of the sequence."""
+    """The angles 2*pi*z/M for z = 1..M, where M is the product of the
+    sequence.  Only ``values`` lists them, when first read; the membership
+    tests and ``midpoints`` need only M."""
 
     denominator: int
-    values: tuple[float, ...]
+
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        m = self.denominator
+        return tuple(TWO_PI * z / m for z in range(1, m + 1))
 
     def index(self, angle: float) -> int | None:
         """The z in 1..M with angle = 2*pi*z/M (mod 2*pi) within
@@ -341,7 +362,7 @@ def flat_values(x: Sequence[int]) -> FlatSet:
     m = 1
     for v in xs:
         m *= v
-    return FlatSet(denominator=m, values=tuple(TWO_PI * z / m for z in range(1, m + 1)))
+    return FlatSet(denominator=m)
 
 
 # ---------------------------------------------------------------------------

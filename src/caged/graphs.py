@@ -221,7 +221,7 @@ class Graph:
         """Graph distance from ``source``, level by level along ``slots``;
         ``num_vertices`` if unreachable.  An array of sources gives one row
         of distances per source."""
-        tails, _edges, _backward, starts = self.slots
+        tails, _edges, _rot, starts = self.slots
         n = self.num_vertices
         source = np.asarray(source)
         dist = np.full(source.shape + (n,), n, dtype=np.int64)
@@ -247,10 +247,11 @@ class Graph:
     def slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The flux-free layout of a product with H: ``adjacency`` with one
         self-slot for each isolated vertex, so every vertex has a nonempty run.
-        Arrays (tails, edges, backward, starts): each directed slot's tail,
-        its edge, or the sentinel ``num_edges`` (weight 0) on a self-slot,
-        whether it runs from the higher label to the lower, and where each
-        vertex's run starts."""
+        Arrays (tails, edges, rot, starts): each directed slot's tail, its
+        edge, or the sentinel ``num_edges`` (weight 0) on a self-slot, the
+        factor that turns its edge's phase into the exponent of its weight,
+        -1j where it runs from the higher label to the lower and 1j
+        elsewhere, and where each vertex's run starts."""
         offsets, tails, edges = self.adjacency
         degree = np.diff(offsets)
         lonely = np.flatnonzero(degree == 0)
@@ -258,7 +259,7 @@ class Graph:
         edges = np.insert(edges, offsets[lonely], self.num_edges)
         runs = np.maximum(degree, 1)
         heads = np.repeat(np.arange(self.num_vertices), runs)
-        return tails, edges, heads >= tails, np.cumsum(runs) - runs
+        return tails, edges, np.where(heads >= tails, -1j, 1j), np.cumsum(runs) - runs
 
     @cached_property
     def colouring(self) -> np.ndarray:

@@ -1,7 +1,10 @@
-"""The benchmark runs one short flat-bands round end to end and checks every
-answer, which guards the program names it reads: ``Ccam.dimension``,
-``entries``, ``first_vertex``, ``last_vertex``, ``m.graph.plaquettes``,
-``patch.plaquette_signs`` and ``graphs.lotus_hubs(m.graph)``."""
+"""The benchmark runs one short round of a workload end to end and checks
+every answer.  The flat-bands round guards the program names it reads:
+``Ccam.dimension``, ``entries``, ``first_vertex``, ``last_vertex``,
+``m.graph.plaquettes``, ``patch.plaquette_signs`` and
+``graphs.lotus_hubs(m.graph)``.  The caging round checks every midpoint's
+float crossing amplitudes against dense products, and the certificates and
+CLI verdicts against the flat-value rule."""
 
 import json
 import subprocess
@@ -11,11 +14,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_flat_bands_round_is_correct():
+def assert_round_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "flat-bands",
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout.splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0, summary
+
+
+def test_flat_bands_round_is_correct():
+    assert_round_is_correct("flat-bands")
+
+
+def test_caging_round_is_correct():
+    assert_round_is_correct("caging")

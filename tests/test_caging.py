@@ -90,6 +90,29 @@ class TestCrossingAmplitudes:
             caging.crossing_amplitudes(m, 4, **ends)
 
 
+def former_walk(m, m_max):
+    """Crossing amplitudes as first computed: one ``Ccam.apply`` per power."""
+    vec = np.zeros(m.dimension, dtype=complex)
+    vec[m.first_vertex] = 1.0
+    out = np.zeros(m_max, dtype=complex)
+    for k in range(m_max):
+        vec = m.apply(vec)
+        out[k] = vec[m.last_vertex]
+    return out
+
+
+MIDPOINT_TREES = [xs for n in range(2, 41) for xs in graphs.ordered_factorizations(n)[1]] + [
+    (2, 3, 2, 2, 2, 2), (2,) * 8]
+
+
+def test_amplitudes_equal_the_former_walk_at_every_midpoint():
+    for xs in MIDPOINT_TREES:
+        for phi in gauge.flat_values(xs).midpoints():
+            m = gauge.canonical_ccam(xs, phi)
+            assert np.array_equal(caging.crossing_amplitudes(m, 4 * len(xs)),
+                                  former_walk(m, 4 * len(xs))), (xs, phi)
+
+
 class TestExactCrossing:
     def test_polynomials_match_float_evaluation(self):
         base = TWO_PI / 6

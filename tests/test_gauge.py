@@ -274,6 +274,11 @@ class TestFlatValues:
         fv = gauge.flat_values((2, 3, 2))
         assert fv.index(0.0) == fv.index(TWO_PI) == fv.index(1e-12) == 12
 
+    def test_index_does_not_list_the_values(self):
+        fv = gauge.flat_values((10**6, 10**6))
+        assert fv.index(TWO_PI * 7 / 10**12) == 7 and fv.contains(TWO_PI)
+        assert fv.denominator == 10**12 and "values" not in vars(fv)
+
     def test_midpoints_not_members(self):
         fv = gauge.flat_values((2, 2))
         assert all(not fv.contains(mid) for mid in fv.midpoints())
@@ -361,13 +366,27 @@ class TestApply:
 
     def test_layout_has_one_run_per_vertex(self):
         g = APPLY_CASES["consecutive-isolated"].graph
-        tails, edges, backward, starts = g.slots
+        tails, edges, rot, starts = g.slots
         runs = np.diff(np.append(starts, len(tails)))
         assert runs.tolist() == [1, 2, 1, 1, 1, 2, 1, 1]
         lonely = starts[[2, 3, 4, 6]]
         assert tails[lonely].tolist() == [2, 3, 4, 6]
-        assert (edges[lonely] == g.num_edges).all() and backward[lonely].all()
+        assert (edges[lonely] == g.num_edges).all() and (rot[lonely] == -1j).all()
         assert not (edges[np.setdiff1d(np.arange(len(tails)), lonely)] == g.num_edges).any()
+        heads = np.repeat(np.arange(g.num_vertices), runs)
+        assert np.array_equal(rot, np.where(heads >= tails, -1j, 1j))
+
+    @pytest.mark.parametrize("m", APPLY_CASES.values(), ids=APPLY_CASES.keys())
+    def test_powers_repeat_apply(self, m):
+        rng = np.random.default_rng(5)
+        for shape in ((m.dimension,), (m.dimension, 3)):
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            walk = list(m.powers(x, 4))
+            assert len(walk) == 4
+            for power in walk:
+                x = m.apply(x)
+                assert power.shape == shape and np.array_equal(power, x)
+        assert list(m.powers(x, 0)) == []
 
     def test_layout_shared_across_fluxes(self, monkeypatch):
         calls, layout = [], graphs.Graph.slots.func
@@ -381,6 +400,39 @@ class TestApply:
         assert not np.array_equal(a.apply(x), b.apply(x))
         assert a.graph is b.graph and a.graph.slots is b.graph.slots
         assert calls == [a.graph]
+
+
+def former_weights(m):
+    """The slot weights as first built: exp(i*phase) per edge over a zero
+    sentinel, gathered along ``graph.slots`` and conjugated on the slots
+    that run from the higher label to the lower."""
+    tails, edges, _rot, starts = m.graph.slots
+    heads = np.repeat(np.arange(m.dimension), np.diff(np.append(starts, len(tails))))
+    w = np.append(np.exp(1j * m.phases), 0.0)[edges]
+    return np.where(heads >= tails, w.conj(), w)
+
+
+LOTUS = APPLY_CASES["lotus"]
+WEIGHT_CASES = {
+    **APPLY_CASES,
+    "canonical-zero-flux": gauge.canonical_ccam((3, 3), 0.0),  # -0.0 on the lower branches
+    "canonical-negative": gauge.canonical_ccam((4, 2), -1.3),
+    "canonical-deep": gauge.canonical_ccam((2,) * 6, TWO_PI * 1.5 / 64),
+    "chain-negative": gauge.chain_ccam((3,), 2, -0.7),
+    "lotus-negative": gauge.lotus_ccam(LOTUS.graph, -0.9),
+    "lotus-zero-flux": gauge.lotus_ccam(LOTUS.graph, 0.0),
+    "lotus-signed-zeros": LOTUS.with_phases(np.resize([-0.0, 0.0, -1.3], LOTUS.graph.num_edges), 0.0),
+}
+
+
+class TestWeights:
+    """``Ccam._weights`` is exp(phase * rot) along the slots, 0 on self-slots."""
+
+    @pytest.mark.parametrize("m", WEIGHT_CASES.values(), ids=WEIGHT_CASES.keys())
+    def test_equal_to_conjugated_exponentials(self, m):
+        w = m._weights
+        assert w.dtype == complex and w.shape == m.graph.slots[0].shape
+        assert np.array_equal(w, former_weights(m))
 
 
 class TestDerivedCcams:
