@@ -12,8 +12,10 @@ root-to-root chain, and the rhombus tilings have only 4-cycle faces), and a
 model refuses a cell that cannot be 2-coloured by ``graphs.two_colouring``.
 With the sublattices A and B, H(k) = [[0, T(k)], [T(k)^H, 0]], so its
 spectrum is +-sigma(T(k)) plus ||B| - |A|| exact zeros, and a sweep needs
-only the singular values of T(k).  The colouring, and each edge's slot in
-T(k) from ``graphs.sublattice_slots``, are those the dense oracle uses too.
+only the singular values of T(k).  The colouring routine, and each edge's
+slot in T(k) from ``graphs.sublattice_slots``, are those the dense oracle
+uses too, except on a grown tree, whose colouring is read from its
+breadth-first layers.
 
 The momentum enters T(k) only through the rows touched by an edge with a
 nonzero winding (or the columns, if fewer; a transpose keeps the singular

@@ -41,14 +41,21 @@ PHASE_EXPONENT_TOL = 1e-8
 # exchange symmetry checks.
 LOCAL_CAGING_TOL = 1e-10
 EXCHANGE_SYMMETRY_TOL = 1e-10
+# Most powers of H one crossing run takes, refused before it allocates: one
+# complex amplitude per power (1.6 MB at the limit), and one product with H
+# each.
+POWER_COUNT_LIMIT = 100_000
 
 
 def _endpoints(m: gauge.Ccam, m_max: int, source: int | None,
                target: int | None) -> tuple[int, int]:
     """The source and target of a crossing run, by default the marked roots;
-    refuses a negative power count and an unmarked or out-of-range vertex."""
+    refuses a negative power count or one above ``POWER_COUNT_LIMIT``, and an
+    unmarked or out-of-range vertex."""
     if m_max < 0:
         raise InvalidParameterError(f"power count must be non-negative, got {m_max}")
+    if m_max > POWER_COUNT_LIMIT:
+        raise ResourceLimitError(f"power count {m_max} exceeds the limit {POWER_COUNT_LIMIT}")
     src = m.first_vertex if source is None else source
     tgt = m.last_vertex if target is None else target
     if src is None or tgt is None:

@@ -22,9 +22,6 @@ from . import bloch, caging, gauge, graphs, spectral
 from .errors import InvalidParameterError, ResourceLimitError, UnsupportedHypothesisError
 
 _PI_LITERAL = re.compile(r"^(-?)(\d+)?pi(?:/(\d+))?$")
-# Most factorizations `caged factorize --list` prints: each is a tuple held
-# in memory until the listing ends.  Every m <= 1100 has at most 2,496.
-FACTORIZE_LIST_LIMIT = 100_000
 
 
 def parse_phi(text: str) -> float:
@@ -210,9 +207,9 @@ def cmd_cls(args) -> int:
 
 def cmd_factorize(args) -> int:
     count = graphs.ordered_factorization_count(args.m)
-    if args.list and count > FACTORIZE_LIST_LIMIT:
+    if args.list and count > graphs.LISTING_LIMIT:
         raise ResourceLimitError(f"{count} factorizations exceed the listing limit "
-                                 f"{FACTORIZE_LIST_LIMIT}; drop --list for the count")
+                                 f"{graphs.LISTING_LIMIT}; drop --list for the count")
     factorizations = graphs.ordered_factorizations(args.m)[1] if args.list else ()
     sys.stdout.write(f"{count}\n")
     for f in factorizations:

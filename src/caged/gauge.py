@@ -330,14 +330,22 @@ def all_plaquette_fluxes(m: Ccam) -> tuple[float, ...]:
 class FlatSet:
     """The angles 2*pi*z/M for z = 1..M, where M is the product of the
     sequence.  Only ``values`` lists them, when first read; the membership
-    tests and ``midpoints`` need only M."""
+    tests need only M.  ``values`` and ``midpoints`` refuse M above
+    ``graphs.LISTING_LIMIT`` before they build the list."""
 
     denominator: int
 
     @cached_property
     def values(self) -> tuple[float, ...]:
-        m = self.denominator
+        m = self._listed("flat values")
         return tuple(TWO_PI * z / m for z in range(1, m + 1))
+
+    def _listed(self, what: str) -> int:
+        """M, refused above the listing limit."""
+        if self.denominator > graphs.LISTING_LIMIT:
+            raise ResourceLimitError(f"{self.denominator} {what} exceed the listing limit "
+                                     f"{graphs.LISTING_LIMIT}")
+        return self.denominator
 
     def index(self, angle: float) -> int | None:
         """The z in 1..M with angle = 2*pi*z/M (mod 2*pi) within
@@ -353,8 +361,9 @@ class FlatSet:
 
     def midpoints(self) -> tuple[float, ...]:
         """Angles halfway between consecutive members."""
-        step = TWO_PI / self.denominator
-        return tuple((z + 0.5) * step for z in range(self.denominator))
+        m = self._listed("midpoints")
+        step = TWO_PI / m
+        return tuple((z + 0.5) * step for z in range(m))
 
 
 def flat_values(x: Sequence[int]) -> FlatSet:

@@ -15,7 +15,7 @@ construction order, so identical inputs always produce identical graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -30,6 +30,10 @@ Edge = tuple[int, int]
 GROWTH_CACHE_SIZE = 512
 # Most vertices of a graph: a vertex pair is keyed u * n + v in int64.
 MAX_VERTICES = math.isqrt(2**63 - 1)
+# Most entries a listing holds in memory: the factorizations that
+# `caged factorize --list` prints (every m <= 1100 has at most 2,496), and the
+# flat values and their midpoints.
+LISTING_LIMIT = 100_000
 
 
 def check_growth_sequence(x: Sequence[int], *, allow_trailing_one: bool = False) -> tuple[int, ...]:
@@ -48,6 +52,13 @@ def check_growth_sequence(x: Sequence[int], *, allow_trailing_one: bool = False)
     return xs
 
 
+def check_vertex_count(n: int) -> int:
+    """``n``, refused unless 0 <= n <= ``MAX_VERTICES``."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise InvalidParameterError(f"{n} vertices; at most {MAX_VERTICES} are supported")
+    return n
+
+
 def read_only(values, dtype) -> np.ndarray:
     """A read-only array of ``values``; a writeable input is copied first."""
     arr = np.asarray(values, dtype=dtype)
@@ -57,15 +68,23 @@ def read_only(values, dtype) -> np.ndarray:
     return arr
 
 
+def face_successors(vertices: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The vertex after each of ``vertices`` around its closed loop, the
+    loops being ``vertices`` cut into nonempty runs of ``lengths``: one step
+    along the run, and from a loop's last vertex back to its first."""
+    ends = np.cumsum(lengths)
+    nxt = np.arange(1, len(vertices) + 1)
+    nxt[ends - 1] = ends - lengths
+    return vertices[nxt]
+
+
 def face_steps(vertices: np.ndarray, lengths: np.ndarray):
     """Every step u -> v around closed vertex loops, given as ``vertices`` cut
     into runs of ``lengths``: arrays (face, position, u, v), in face order and
     along each face."""
     face = np.repeat(np.arange(len(lengths)), lengths)
-    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    pos = np.arange(len(vertices)) - start
-    nxt = np.where(pos == lengths[face] - 1, start, np.arange(len(vertices)) + 1)
-    return face, pos, vertices, vertices[nxt]
+    pos = np.arange(len(vertices)) - (np.cumsum(lengths) - lengths)[face]
+    return face, pos, vertices, face_successors(vertices, lengths)
 
 
 def two_colouring(n: int, rows, cols) -> np.ndarray:
@@ -122,8 +141,9 @@ def sublattice_slots(side: np.ndarray, rows, cols):
 class Graph:
     """An undirected graph as read-only arrays, with face and root annotations.
 
-    Edge k joins ``rows[k] < cols[k]``, unique and sorted by (row, col).  The
-    faces bound internal faces: ``face_vertices`` cut into runs of
+    Edge k joins ``rows[k] < cols[k]``, unique and sorted by (row, col), and
+    ``keys[k]`` is its key ``rows[k] * num_vertices + cols[k]``.  The faces
+    bound internal faces: ``face_vertices`` cut into runs of
     ``face_lengths``, each cyclic step an edge.  ``roles`` classifies the
     vertices of lotus patches, ``cell_bounds`` marks the shared roots of a
     chain, and ``plaquette_signs`` gives each lotus face's flux sign relative
@@ -133,8 +153,11 @@ class Graph:
     vertices and the first edge, in the order given, that is out of range or
     repeats an earlier edge, then sorts the edges, and refuses a root outside
     ``0..num_vertices-1``, a face of fewer than 3 vertices or a face step
-    that is not an edge.  Sorted read-only inputs, such as the cached growth
-    arrays, are kept without a copy.
+    that is not an edge.  The keys are computed once, for the edges before
+    the first one out of range; edges whose keys strictly increase, such as
+    the cached growth arrays, are unique and sorted, so only other input is
+    sorted and scanned for repeats.  Sorted read-only inputs are kept without
+    a copy.
     """
 
     num_vertices: int
@@ -147,27 +170,36 @@ class Graph:
     roles: tuple[str, ...] | None = None
     cell_bounds: tuple[int, ...] | None = None
     plaquette_signs: tuple[int, ...] | None = None
+    keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.num_vertices
-        if not 0 <= n <= MAX_VERTICES:
-            raise InvalidParameterError(f"{n} vertices; at most {MAX_VERTICES} are supported")
+        n = check_vertex_count(self.num_vertices)
         rows, cols = np.asarray(self.rows, dtype=np.int64), np.asarray(self.cols, dtype=np.int64)
         if rows.ndim != 1 or cols.shape != rows.shape:
             raise InvalidParameterError(f"edge arrays differ in shape: {rows.shape}, {cols.shape}")
         bad = np.flatnonzero((rows < 0) | (rows >= cols) | (cols >= n))
-        # Stably sorted by (row, col), every edge but the first of each run repeats one.
-        order = np.lexsort((cols, rows))
-        same = (rows[order[1:]] == rows[order[:-1]]) & (cols[order[1:]] == cols[order[:-1]])
-        first = min(bad[:1].tolist() + order[1:][same].tolist(), default=None)
-        if first is not None:
-            a, b = int(rows[first]), int(cols[first])
-            if bad.size and bad[0] == first:
-                raise InvalidParameterError(f"bad edge ({a}, {b}) for {n} vertices")
-            raise InvalidParameterError(f"duplicate edge ({a}, {b})")
-        if (order[1:] < order[:-1]).any():
-            rows, cols = rows[order], cols[order]
-        for name, value in (("rows", rows), ("cols", cols), ("face_vertices", self.face_vertices),
+        # Only a repeat before the first bad edge can come first, and what it
+        # repeats lies before it too: those edges are in range, so their keys
+        # are distinct unless the edges are.
+        valid = bad[0] if bad.size else len(rows)
+        keys = rows[:valid] * n + cols[:valid]
+        if not (keys[1:] > keys[:-1]).all():
+            # Stably sorted, every edge but the first of each run repeats one.
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            repeats = order[1:][keys[1:] == keys[:-1]]
+            if repeats.size:
+                first = repeats.min()
+                raise InvalidParameterError(f"duplicate edge ({rows[first]}, {cols[first]})")
+            if not bad.size:
+                rows, cols = rows[order], cols[order]
+                rows.flags.writeable = cols.flags.writeable = False
+        if bad.size:
+            a, b = rows[bad[0]], cols[bad[0]]
+            raise InvalidParameterError(f"bad edge ({a}, {b}) for {n} vertices")
+        keys.flags.writeable = False
+        for name, value in (("rows", rows), ("cols", cols), ("keys", keys),
+                            ("face_vertices", self.face_vertices),
                             ("face_lengths", self.face_lengths)):
             object.__setattr__(self, name, read_only(value, np.int64))
         vertices, lengths = self.face_vertices, self.face_lengths
@@ -182,7 +214,8 @@ class Graph:
         for root in (self.first_vertex, self.last_vertex):
             if root is not None and not 0 <= root < n:
                 raise InvalidParameterError(f"root {root} out of range for {n} vertices")
-        self.edge_slots(*face_steps(vertices, lengths)[2:])  # refuses a face step off the edges
+        # refuses a face step that is not an edge
+        self.edge_slots(vertices, face_successors(vertices, lengths))
 
     @property
     def num_edges(self) -> int:
@@ -204,8 +237,8 @@ class Graph:
         """Index of the edge {u, v} for each pair of vertices; raises for a non-edge."""
         us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
         lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-        n = self.num_vertices
-        keys, want = self.rows * n + self.cols, lo * n + hi
+        n, keys = self.num_vertices, self.keys
+        want = lo * n + hi
         slot = np.searchsorted(keys, want)
         hit = (lo >= 0) & (lo < hi) & (hi < n) & (slot < len(keys))
         hit[hit] = keys[slot[hit]] == want[hit]
@@ -264,8 +297,19 @@ class Graph:
     @cached_property
     def colouring(self) -> np.ndarray:
         """``two_colouring`` of the graph, read-only: the sublattice of each
-        vertex, True on B; refuses a graph with an odd cycle."""
+        vertex, True on B; refuses a graph with an odd cycle.  ``grow_tree``
+        gives its tree the parity of each breadth-first layer instead."""
         return read_only(two_colouring(self.num_vertices, self.rows, self.cols), bool)
+
+    @cached_property
+    def block_layout(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """Where each edge enters the |A| x |B| block <A|H|B> of the
+        ``colouring``, laid out row by row: (|B|, each edge's flat slot
+        u * |B| + v from ``sublattice_slots``, and its flip), read-only."""
+        side = self.colouring
+        nb = int(side.sum())
+        u, v, flip = sublattice_slots(side, self.rows, self.cols)
+        return nb, read_only(u * nb + v, np.int64), read_only(flip, bool)
 
     def incidences(self, vertices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays (j, w, e): w is across edge e from vertices[j], by j then w."""
@@ -377,6 +421,7 @@ def growth(x: tuple[int, ...]) -> Growth:
     the number of entries >= 2.
     """
     xs = check_growth_sequence(x, allow_trailing_one=True)
+    check_vertex_count(tree_vertex_count(xs))  # before a level is grown
     cut = max((i for i, v in enumerate(xs[:-1], start=1) if v >= 2), default=0)
     g = growth(xs[:cut]) if cut else _VERTEX
     for lev in range(cut + 1, len(xs) + 1):
@@ -395,11 +440,22 @@ def shrub(p: int) -> Graph:
 
 def grow_tree(x: Sequence[int], *, _allow_trailing_one: bool = False) -> Graph:
     """The glued tree grown by ``x``, breadth-first relabeled from the first
-    root; it shares the cached growth arrays."""
+    root; it shares the cached growth arrays.
+
+    Its ``colouring`` is the parity of each vertex's distance from the first
+    root, read from the breadth-first layers (``counts``), once every edge is
+    seen to join two layers of opposite parity.
+    """
     g = growth(check_growth_sequence(x, allow_trailing_one=_allow_trailing_one))
     n = len(g.perm)
-    return Graph(n, g.rows, g.cols, g.face_vertices, g.face_lengths, first_vertex=0,
+    tree = Graph(n, g.rows, g.cols, g.face_vertices, g.face_lengths, first_vertex=0,
                  last_vertex=n - 1)
+    side = np.repeat(np.arange(len(g.counts)) % 2 == 1, g.counts)
+    if (side[g.rows] == side[g.cols]).any():
+        raise InvalidParameterError("the graph is not bipartite: it has an odd cycle")
+    side.flags.writeable = False
+    vars(tree)["colouring"] = side  # the cached property, filled once proven
+    return tree
 
 
 def tree_vertex_count(x: Sequence[int]) -> int:
@@ -466,8 +522,9 @@ def chain_graph(x: Sequence[int], cells: int) -> Graph:
     xs = check_growth_sequence(x)
     if cells < 1:
         raise InvalidParameterError(f"cells must be >= 1, got {cells}")
+    stride = tree_vertex_count(xs) - 1
+    check_vertex_count(cells * stride + 1)  # before a cell is laid out
     g = growth(xs)
-    stride = len(g.perm) - 1
     offsets = stride * np.arange(cells)[:, None]
     return Graph(cells * stride + 1, (g.rows + offsets).ravel(), (g.cols + offsets).ravel(),
                  (g.face_vertices + offsets).ravel(), np.tile(g.face_lengths, cells),

@@ -1,5 +1,8 @@
 """The benchmark runs one short round of a workload end to end and checks
-every answer.  The flat-bands round guards the program names it reads:
+every answer.  The spectra round checks every theorem and dense-oracle
+spectrum of the family, at flux 0 and 2*pi/x_1, against dense solves, and
+the CLI staircases and factorization counts against ``bench/reference.py``.
+The flat-bands round guards the program names it reads:
 ``Ccam.dimension``, ``entries``, ``first_vertex``, ``last_vertex``,
 ``m.graph.plaquettes``, ``patch.plaquette_signs`` and
 ``graphs.lotus_hubs(m.graph)``.  The caging round checks every midpoint's
@@ -22,6 +25,10 @@ def assert_round_is_correct(workload):
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout.splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0, summary
+
+
+def test_spectra_round_is_correct():
+    assert_round_is_correct("spectra")
 
 
 def test_flat_bands_round_is_correct():

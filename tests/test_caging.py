@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import tracemalloc
 import warnings
 import weakref
 
@@ -82,6 +83,20 @@ class TestCrossingAmplitudes:
             caging.crossing_amplitudes(bare, 4)
         amps = caging.crossing_amplitudes(bare, 4, source=0, target=3)
         assert np.max(np.abs(amps)) < 1e-12
+
+    @pytest.mark.parametrize("run", [caging.crossing_amplitudes,
+                                     lambda m, k: caging.crossing_amplitude_polynomials(m, k, 8)])
+    def test_power_count_limit(self, run):
+        m = gauge.canonical_ccam((2,), math.pi)
+        limit = caging.POWER_COUNT_LIMIT
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"power count {limit + 1} exceeds"):
+                run(m, limit + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # refused before the amplitudes are allocated
 
     @pytest.mark.parametrize("ends", [{"source": -1}, {"target": 9}, {"source": 4}])
     def test_vertex_out_of_range_refused(self, ends):

@@ -243,6 +243,12 @@ class TestClsCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ")
 
+    def test_kmax_above_the_power_count_limit(self, capsys):
+        code, out, err = run(capsys, "caging", "--x", "2", "--phi", "pi",
+                             "--kmax", "1000000000")
+        assert (code, out) == (1, "")
+        assert err == "error: power count 1000000000 exceeds the limit 100000\n"
+
     def test_negative_kmax_is_bad_input(self, capsys):
         code, out, err = run(capsys, "caging", "--x", "2", "--phi", "pi", "--kmax", "-2")
         assert code == 1 and out == ""
@@ -332,6 +338,18 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "factorize", "--m", "297648", "--list")
         lines = out.splitlines()
         assert code == 0 and lines[0] == "95328" and len(lines) == 95329
+
+    def test_oversized_tree_refused(self, capsys):
+        # 10^12 vertices: refused as bad input before anything is grown.
+        code, out, err = run(capsys, "grow", "--x", "1000000,1000000")
+        n = 10**12 + 2 * 10**6 + 2
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {n} vertices; at most")
+
+    def test_flat_values_listing_limit(self, capsys):
+        code, out, err = run(capsys, "flat-values", "--x", "1000000,1000000")
+        assert (code, out) == (1, "")
+        assert err == "error: 1000000000000 flat values exceed the listing limit 100000\n"
 
     def test_flat_values(self, capsys):
         code, out, _ = run(capsys, "flat-values", "--x", "2")

@@ -279,6 +279,18 @@ class TestFlatValues:
         assert fv.index(TWO_PI * 7 / 10**12) == 7 and fv.contains(TWO_PI)
         assert fv.denominator == 10**12 and "values" not in vars(fv)
 
+    def test_listings_refused_above_the_limit(self):
+        fv = gauge.flat_values((10**6, 10**6))
+        for read, what in ((lambda: fv.values, "flat values"), (fv.midpoints, "midpoints")):
+            with pytest.raises(ResourceLimitError,
+                               match=f"^{10**12} {what} exceed the listing limit 100000$"):
+                read()
+        assert "values" not in vars(fv)
+        at_limit = gauge.FlatSet(graphs.LISTING_LIMIT)
+        assert len(at_limit.values) == len(at_limit.midpoints()) == graphs.LISTING_LIMIT
+        with pytest.raises(ResourceLimitError):
+            gauge.FlatSet(graphs.LISTING_LIMIT + 1).midpoints()
+
     def test_midpoints_not_members(self):
         fv = gauge.flat_values((2, 2))
         assert all(not fv.contains(mid) for mid in fv.midpoints())

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -204,6 +205,23 @@ class TestGrowTree:
         assert t.rows is g.rows and t.cols is g.cols
         assert t.face_vertices is g.face_vertices and t.face_lengths is g.face_lengths
 
+    def test_oversized_tree_refused_before_growing(self, monkeypatch):
+        # 10^12 + 2 * 10^6 + 2 vertices: refused before a level is grown.
+        def grow_level(*args):
+            raise AssertionError("a level was grown")
+
+        monkeypatch.setattr(graphs, "_grow_level", grow_level)
+        n = graphs.tree_vertex_count((10**6, 10**6))
+        with pytest.raises(InvalidParameterError, match=f"^{n} vertices; at most"):
+            graphs.grow_tree((10**6, 10**6))
+        with pytest.raises(InvalidParameterError, match="vertices; at most"):
+            graphs.growth((3,) * 40)
+
+    def test_colouring_is_the_layer_parity(self):
+        t = graphs.grow_tree((2, 3, 2))
+        assert not t.colouring.flags.writeable
+        assert (t.colouring == (t.distances(0) % 2 == 1)).all()
+
     def test_invalid_sequences(self):
         with pytest.raises(InvalidParameterError):
             graphs.grow_tree(())
@@ -253,6 +271,34 @@ class TestGraphEdgeCheck:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_edge_loop(self, num_vertices, edges):
         assert edge_error(num_vertices, edges) == reference_edge_error(num_vertices, edges)
+
+    @pytest.mark.parametrize("edges, message", [
+        (((0, 1), (0, 1), (1, 2)), "duplicate edge (0, 1)"),
+        (((0, 1), (1, 2), (1, 2), (2, 9)), "duplicate edge (1, 2)"),
+        (((0, 1), (2, 9), (2, 3), (2, 3)), "bad edge (2, 9) for 4 vertices"),
+    ])
+    def test_sorted_input_with_a_repeat(self, edges, message):
+        assert edge_error(4, edges) == message == reference_edge_error(4, edges)
+
+    @pytest.mark.parametrize("faces, lengths, step", [
+        ([0, 1, 2], [3], "(1, 2)"),
+        ([0, 1, 3, 2], [4], "(2, 0)"),  # the step that closes the face
+        ([0, 1, 3, 1, 3, 2], [3, 3], "(2, 1)"),  # the second face's closing step
+    ])
+    def test_face_step_off_the_edges_on_sorted_input(self, faces, lengths, step):
+        with pytest.raises(InvalidParameterError, match=re.escape(f"{step} is not an edge")):
+            graphs.Graph(num_vertices=4, rows=[0, 0, 1, 2], cols=[1, 3, 3, 3],
+                         face_vertices=faces, face_lengths=lengths)
+
+    def test_faces_on_a_graph_with_no_edges(self):
+        with pytest.raises(InvalidParameterError, match=re.escape("(0, 1) is not an edge")):
+            graphs.Graph(num_vertices=3, rows=[], cols=[], face_vertices=[0, 1, 2],
+                         face_lengths=[3])
+
+    def test_keys_follow_the_sorted_edges(self):
+        g = graphs.Graph(num_vertices=5, rows=[2, 0, 1, 0], cols=[3, 4, 3, 1])
+        assert g.keys.tolist() == (g.rows * 5 + g.cols).tolist() == [1, 4, 8, 13]
+        assert not g.keys.flags.writeable
 
     def test_edges_sorted_and_read_only(self):
         g = graphs.Graph(num_vertices=4, rows=[2, 0, 1, 0], cols=[3, 2, 3, 1])
@@ -412,6 +458,15 @@ class TestChainGraph:
         c = graphs.chain_graph((2,), 3)
         cells = [graphs.chain_cell_of_vertex(c, v) for v in range(c.num_vertices)]
         assert cells == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+    def test_oversized_chain_refused_before_growing(self, monkeypatch):
+        def growth(xs):
+            raise AssertionError("a tree was grown")
+
+        monkeypatch.setattr(graphs, "growth", growth)
+        cells = graphs.MAX_VERTICES // 3 + 1  # three more vertices per shrub cell
+        with pytest.raises(InvalidParameterError, match=f"^{3 * cells + 1} vertices; at most"):
+            graphs.chain_graph((2,), cells)
 
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):

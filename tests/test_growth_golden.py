@@ -61,3 +61,15 @@ def test_matches_recording(xs):
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps({key(xs): growth_digests(xs) for xs in SEQUENCES},
                                       indent=1, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("xs", SEQUENCES, ids=key)
+def test_layer_colouring_and_block_layout(xs):
+    """The colouring read from the breadth-first layers is ``two_colouring``
+    of the edges, and the cached block layout is ``sublattice_slots`` of it."""
+    t = graphs.grow_tree(xs, _allow_trailing_one=True)
+    side = graphs.two_colouring(t.num_vertices, t.rows, t.cols)
+    assert (t.colouring == side).all()
+    nb, slots, flip = t.block_layout
+    u, v, want_flip = graphs.sublattice_slots(side, t.rows, t.cols)
+    assert nb == side.sum() and (slots == u * nb + v).all() and (flip == want_flip).all()
