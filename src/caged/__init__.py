@@ -14,14 +14,11 @@ from .graphs import (
 from .gauge import (
     Ccam,
     FlatSet,
-    PhaseVector,
     canonical_ccam,
-    canonical_phase_vector,
     chain_ccam,
     dense_matrix,
     flat_values,
     lotus_ccam,
-    phase_pairing,
 )
 from .spectral import (
     Spectrum,

@@ -72,9 +72,11 @@ def crossing_amplitudes(m: gauge.Ccam, m_max: int, *, source: int | None = None,
 
     The products run in complex128, so an amplitude whose exact value is zero
     reads at most about k * ||H||_2^k * eps (the forward error of k products):
-    these values are for display, and ``is_caged`` decides.  Defaults to the
-    marked first/last roots; matrices read from external files may need the
-    vertices given explicitly.
+    these values are for display, and ``is_caged`` decides.  Refuses, after
+    the walk, when an amplitude overflowed complex128; a finite amplitude is
+    a sum of finite terms, so it is still correct to rounding.  Defaults to
+    the marked first/last roots; matrices read from external files may need
+    the vertices given explicitly.
     """
     src, tgt = _endpoints(m, m_max, source, target)
     vec = np.zeros(m.dimension, dtype=complex)
@@ -82,6 +84,10 @@ def crossing_amplitudes(m: gauge.Ccam, m_max: int, *, source: int | None = None,
     out = np.zeros(m_max, dtype=complex)
     for k, power in enumerate(m.powers(vec, m_max)):
         out[k] = power[tgt]
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise ResourceLimitError(f"amplitude {finite.argmin() + 1} overflows complex128; "
+                                 "reduce the power count")
     return out
 
 
@@ -108,11 +114,18 @@ def is_caged(x: Sequence[int], z: int) -> bool:
     """Whether the glued tree of ``x`` is uncrossable at flux 2*pi*z/M.
 
     The level-wise rule: caged iff some level i has z*P_{i-1}/M non-integral
-    while z*P_i/M is an integer, where P_i = x_1...x_i, P_0 = 1 and M = P_d
-    (there the level's phase pairing, a factor of the root-to-root corner,
-    vanishes).  This reduces to z != 0 (mod M): z*P_d/M = z is an integer, so
-    if z/M is not, the first level where z*P_i/M is an integer qualifies; if
-    z/M is, every z*P_i/M is an integer and no level qualifies.
+    while z*P_i/M is an integer, where P_i = x_1...x_i, P_0 = 1 and M = P_d.
+    This reduces to z != 0 (mod M): z*P_d/M = z is an integer, so if z/M is
+    not, the first level where z*P_i/M is an integer qualifies; if z/M is,
+    every z*P_i/M is an integer and no level qualifies.
+
+    Proof of the rule: the Schur complement of level i onto its fresh roots
+    multiplies the last-to-first corner by the level pairing p_i =
+    sum_b exp(2i theta_b) (``gauge.level_pairings``), so every root-to-root
+    amplitude A_k carries the factor prod_i p_i, and the first, A_{2d},
+    equals it (tested).  p_i is a geometric sum of x_i terms with ratio
+    exp(-i phi P_{i-1}), which vanishes exactly when that ratio is a
+    nontrivial x_i-th root of unity: at phi = 2*pi*z/M, the level rule.
     """
     xs = graphs.check_growth_sequence(x)
     return z % math.prod(xs) != 0
@@ -129,10 +142,8 @@ def phase_exponents(m: gauge.Ccam, denominator: int) -> np.ndarray:
         raise InvalidParameterError(f"phase {float(ts[huge[0]])} is not a multiple of "
                                     f"2*pi/{denominator}: too large to scale")
     out = np.round(ts * denominator / (2.0 * math.pi)) % denominator
-    # Distance of each residual angle from the nearest whole turn, as
-    # |gauge.reduce_angle(...)| computes it.
-    r = np.abs(np.fmod(ts - 2.0 * math.pi * out / denominator, 2.0 * math.pi))
-    bad = np.flatnonzero(~(np.minimum(r, 2.0 * math.pi - r) <= PHASE_EXPONENT_TOL))
+    residual = gauge.reduce_angle(ts - 2.0 * math.pi * out / denominator)
+    bad = np.flatnonzero(~(np.abs(residual) <= PHASE_EXPONENT_TOL))
     if bad.size:
         raise InvalidParameterError(
             f"phase {float(ts[bad[0]])} is not a multiple of 2*pi/{denominator}")
@@ -335,11 +346,10 @@ def resolvent_recurrence(x: Sequence[int], flux: float, lam: complex) -> list[Re
     xs = graphs.check_growth_sequence(x)
     delta, phi_c, chi = -lam, 1.0 + 0.0j, 1.0 + 0.0j
     out: list[RecurrenceState] = []
-    for i, xi in enumerate(xs, start=1):
-        # In the normalized variables the per-level sign of the corner
-        # cofactor cancels against the normalizer; the dense adjugate oracle
-        # confirms a plain product (and the sign is squared away in delta).
-        pairing = gauge.phase_pairing(gauge.canonical_phase_vector(xs, i, flux))
+    # In the normalized variables the per-level sign of the corner cofactor
+    # cancels against the normalizer; the dense adjugate oracle confirms a
+    # plain product (and the sign is squared away in delta).
+    for i, (xi, pairing) in enumerate(zip(xs, gauge.level_pairings(xs, flux).tolist()), start=1):
         phi_next = -lam * delta - xi * phi_c
         chi_next = pairing * chi
         delta_next = (phi_next * phi_next - chi_next * chi_next) / delta
@@ -379,7 +389,7 @@ def exchange_symmetry_check(m: gauge.Ccam) -> tuple[bool, float]:
     """
     n = m.dimension
     w = np.exp(1j * m.phases)
-    keys = m.rows * n + m.cols
+    keys = m.graph.keys
     mirror = (n - 1 - m.cols) * n + (n - 1 - m.rows)
     slots = np.union1d(keys, mirror)
     h = np.zeros(len(slots), dtype=complex)

@@ -168,7 +168,8 @@ def cmd_caging(args) -> int:
     phi = parse_phi(args.phi)
     m = gauge.canonical_ccam(xs, phi)
     kmax = args.kmax if args.kmax else 4 * len(xs)
-    amps = caging.crossing_amplitudes(m, kmax)  # display only
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused
+        amps = caging.crossing_amplitudes(m, kmax)  # display only
     rows = [[k + 1, float(abs(a))] for k, a in enumerate(amps)]
     _write(args.out, _rows_to_output(["k", "amplitude"], rows, args.format))
     z = gauge.flat_values(xs).index(phi)
@@ -225,7 +226,7 @@ def cmd_verify(args) -> int:
     failures = []
 
     fluxes = gauge.all_plaquette_fluxes(m)
-    flux_err = max(abs(gauge.reduce_angle(f - phi)) for f in fluxes) if fluxes else 0.0
+    flux_err = float(np.abs(gauge.reduce_angle(np.subtract(fluxes, phi))).max(initial=0.0))
     print(f"plaquette flux uniformity: max deviation {flux_err:.3e}")
     if flux_err > 1e-10:
         failures.append("flux")

@@ -10,7 +10,6 @@ every face of a glued tree, each edge's phase a fixed factor times the flux.
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -39,54 +38,6 @@ def dense_limit() -> int:
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise InvalidParameterError(f"{DENSE_LIMIT_ENV}={raw!r} is not a positive integer")
     return int(raw)
-
-
-# ---------------------------------------------------------------------------
-# Canonical phase vectors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhaseVector:
-    """Unit-modulus weights attached to one growth level at a given flux."""
-
-    entries: tuple[complex, ...]
-    level: int
-    flux: float
-
-
-def branch_angle(x: Sequence[int], j: int, branch: int, phi: float) -> float:
-    """Phase angle of the ``branch``-th entry (1-based) at level j.
-
-    The x_j entries step uniformly from +omega_j down to -omega_j, where
-    omega_j = (phi/4) * (x_j - 1) * prod_{l<j} x_l; a level with x_j = 1
-    carries the single angle 0 (the omega -> 0 limit).
-    """
-    xj = x[j - 1]
-    if xj == 1:
-        return 0.0
-    omega = 0.25 * phi * (xj - 1) * math.prod(x[: j - 1])
-    return (1.0 - 2.0 * (branch - 1) / (xj - 1)) * omega
-
-
-def canonical_phase_vector(x: Sequence[int], j: int, phi: float) -> PhaseVector:
-    xs = graphs.check_growth_sequence(x, allow_trailing_one=True)
-    if not (1 <= j <= len(xs)):
-        raise InvalidParameterError(f"level {j} out of range for sequence of length {len(xs)}")
-    entries = tuple(
-        cmath.exp(1j * branch_angle(xs, j, b, phi)) for b in range(1, xs[j - 1] + 1)
-    )
-    return PhaseVector(entries=entries, level=j, flux=phi)
-
-
-def phase_pairing(v: PhaseVector) -> complex:
-    """The unconjugated self-pairing sum_j entries[j]^2.
-
-    Vanishes exactly when the squared entries are the full set of nontrivial
-    rotations of some root of unity; for the canonical vectors this happens
-    when exp(i * phi * prod_{l<j} x_l) is a nontrivial x_j-th root of unity.
-    """
-    return sum(e * e for e in v.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +165,26 @@ def dense_matrix(m: Ccam) -> np.ndarray:
     return out
 
 
+def _branch_factors(xs: tuple[int, ...], level: np.ndarray, branch: np.ndarray):
+    """The canonical phase rule: the angle of branch b (1-based) at level j is
+    f * (phi/4) * a * p, with f = 1 - 2(b-1)/(x_j-1), a = x_j - 1 and p =
+    x_1...x_{j-1}, so the x_j angles step uniformly from +omega_j down to
+    -omega_j, omega_j = (phi/4) * a * p; a level with x_j = 1 carries the
+    single angle 0.  Returns (f, a, p) for arrays of (level, branch) pairs;
+    p is a float product, which does not wrap on deep sequences."""
+    x = np.array(xs)[level - 1]
+    f = 1.0 - 2.0 * (branch - 1) / np.maximum(x - 1, 1)
+    return f, x - 1.0, np.cumprod((1.0,) + xs[:-1])[level - 1]
+
+
 @lru_cache(maxsize=graphs.GROWTH_CACHE_SIZE)
 def _canonical_template(xs: tuple[int, ...]):
     """The flux-free part of ``canonical_ccam``: the tree at zero flux, and
-    per edge the factors of its phase f * (phi/4) * a * p, where a =
-    x_j - 1, p = x_1...x_{j-1} and f = 1 - 2(b-1)/(x_j-1) for branch b, the
-    phase running from the lower label: out of the fresh first root and into
-    the fresh last root.  Multiplied in that order they reproduce
-    ``branch_angle`` bit for bit."""
+    per edge the ``_branch_factors`` of its level and branch, the phase
+    running from the lower label: out of the fresh first root and into the
+    fresh last root."""
     g = graphs.growth(xs)
-    x = np.array(xs)[g.level - 1]
-    f = 1.0 - 2.0 * (g.branch - 1) / np.maximum(x - 1, 1)
-    p = np.cumprod(np.array((1,) + xs[:-1]))[g.level - 1]
-    factors = (f, x - 1.0, p * 1.0)
+    factors = _branch_factors(xs, g.level, g.branch)
     for arr in factors:
         arr.flags.writeable = False  # shared by every Ccam of this sequence
     zero = Ccam(graphs.grow_tree(xs, _allow_trailing_one=True), np.zeros(len(g.rows)))
@@ -246,6 +204,21 @@ def canonical_ccam(x: Sequence[int], phi: float, *, _allow_trailing_one: bool = 
         raise InvalidParameterError(f"flux {phi} is not finite or overflows the phases")
     zero, f, a, p = _canonical_template(xs)
     return zero.with_phases(f * (0.25 * phi * a * p), phi)
+
+
+def level_pairings(x: Sequence[int], phi: float) -> np.ndarray:
+    """The phase pairing p_j = sum_b exp(2i theta_b) of each level j = 1..d,
+    theta_b the canonical angles of ``_branch_factors``.  Its terms are a
+    common phase times the powers 0..x_j-1 of r = exp(-i phi x_1...x_{j-1}),
+    so it vanishes exactly when r is a nontrivial x_j-th root of unity.
+    Refuses a flux for which some |2 theta_b| <= phi * M / 2 is not finite."""
+    xs = graphs.check_growth_sequence(x)
+    if not math.isfinite(0.5 * phi * math.prod(xs)):
+        raise InvalidParameterError(f"flux {phi} is not finite or overflows the phases")
+    starts = np.cumsum((0,) + xs[:-1])
+    level = np.repeat(np.arange(1, len(xs) + 1), xs)
+    f, a, p = _branch_factors(xs, level, np.arange(1, len(level) + 1) - starts[level - 1])
+    return np.add.reduceat(np.exp(2j * (f * (0.25 * phi * a * p))), starts)
 
 
 def chain_ccam(x: Sequence[int], cells: int, phi: float) -> Ccam:
@@ -287,14 +260,12 @@ def lotus_ccam(patch: graphs.Graph, phi: float) -> Ccam:
     return ccam_with_plaquette_fluxes(patch, np.multiply(patch.plaquette_signs, phi), flux=phi)
 
 
-def reduce_angle(angle: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    r = math.fmod(angle, TWO_PI)
-    if r > math.pi:
-        r -= TWO_PI
-    elif r <= -math.pi:
-        r += TWO_PI
-    return r
+def reduce_angle(angle):
+    """Reduce an angle, or each of an array of angles, to (-pi, pi]; a float
+    reduces to a float."""
+    r = np.fmod(angle, TWO_PI)
+    r = np.where(r > math.pi, r - TWO_PI, np.where(r <= -math.pi, r + TWO_PI, r))
+    return r if np.ndim(angle) else float(r)
 
 
 def _face_fluxes(m: Ccam, vertices: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -311,8 +282,7 @@ def _face_fluxes(m: Ccam, vertices: np.ndarray, lengths: np.ndarray) -> np.ndarr
     total = np.zeros(len(lengths))
     for column in steps.T:
         total += column
-    r = np.fmod(total, TWO_PI)
-    return np.where(r > math.pi, r - TWO_PI, np.where(r <= -math.pi, r + TWO_PI, r))
+    return reduce_angle(total)
 
 
 def all_plaquette_fluxes(m: Ccam) -> tuple[float, ...]:
@@ -367,11 +337,7 @@ class FlatSet:
 
 
 def flat_values(x: Sequence[int]) -> FlatSet:
-    xs = graphs.check_growth_sequence(x)
-    m = 1
-    for v in xs:
-        m *= v
-    return FlatSet(denominator=m)
+    return FlatSet(denominator=math.prod(graphs.check_growth_sequence(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceLimitError
 
 Edge = tuple[int, int]
 
@@ -30,6 +30,9 @@ Edge = tuple[int, int]
 GROWTH_CACHE_SIZE = 512
 # Most vertices of a graph: a vertex pair is keyed u * n + v in int64.
 MAX_VERTICES = math.isqrt(2**63 - 1)
+# Most bytes the growth of a tree or chain may hold (``check_growth_bytes``):
+# (6,)*8, with 4,031,076 edges, may take 0.52 GB.
+GROWTH_LIMIT_BYTES = 2**30
 # Most entries a listing holds in memory: the factorizations that
 # `caged factorize --list` prints (every m <= 1100 has at most 2,496), and the
 # flat values and their midpoints.
@@ -57,6 +60,26 @@ def check_vertex_count(n: int) -> int:
     if not 0 <= n <= MAX_VERTICES:
         raise InvalidParameterError(f"{n} vertices; at most {MAX_VERTICES} are supported")
     return n
+
+
+def check_growth_bytes(xs: tuple[int, ...], cells: int = 1):
+    """Refuse, before anything is grown, a tree of ``xs`` (or a chain of
+    ``cells`` of them) whose edge arrays would pass ``GROWTH_LIMIT_BYTES``.
+
+    Level i joins x_i copies of the tree so far to two fresh roots by two
+    edges each, so the tree has E_1 = 2 x_1 and E_i = x_i (E_{i-1} + 2)
+    edges, and a chain ``cells`` times as many.  ``_grow_level`` holds at most
+    128 bytes per edge of the level it grows: the four int64 edge arrays and
+    the copies it gathers them from (64), two face-vertex ids and their
+    copies (32), and at most one vertex id, its copy and its breadth-first
+    label (24); tracemalloc reads a peak of 105-108.
+    """
+    edges = 0
+    for v in xs:
+        edges = v * (edges + 2)
+    if 128 * cells * edges > GROWTH_LIMIT_BYTES:
+        raise ResourceLimitError(f"{cells * edges} edges need {128 * cells * edges} bytes, "
+                                 f"past the growth limit of {GROWTH_LIMIT_BYTES}")
 
 
 def read_only(values, dtype) -> np.ndarray:
@@ -422,6 +445,7 @@ def growth(x: tuple[int, ...]) -> Growth:
     """
     xs = check_growth_sequence(x, allow_trailing_one=True)
     check_vertex_count(tree_vertex_count(xs))  # before a level is grown
+    check_growth_bytes(xs)
     cut = max((i for i, v in enumerate(xs[:-1], start=1) if v >= 2), default=0)
     g = growth(xs[:cut]) if cut else _VERTEX
     for lev in range(cut + 1, len(xs) + 1):
@@ -524,6 +548,7 @@ def chain_graph(x: Sequence[int], cells: int) -> Graph:
         raise InvalidParameterError(f"cells must be >= 1, got {cells}")
     stride = tree_vertex_count(xs) - 1
     check_vertex_count(cells * stride + 1)  # before a cell is laid out
+    check_growth_bytes(xs, cells)
     g = growth(xs)
     offsets = stride * np.arange(cells)[:, None]
     return Graph(cells * stride + 1, (g.rows + offsets).ravel(), (g.cols + offsets).ravel(),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from caged import bloch, cli, gauge, graphs
 from caged.errors import InvalidParameterError, ResourceLimitError
+from test_gauge import branch_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,7 +30,7 @@ def reference_chain_matrix(xs, k, phi):
     for j in range(xd):
         base = 1 + j * sub_dim
         out[base:base + sub_dim, base:base + sub_dim] = y_sub
-        w = cmath.exp(1j * gauge.branch_angle(xs, d, j + 1, phi))
+        w = cmath.exp(1j * branch_angle(xs, d, j + 1, phi))
         out[0, base + f_idx] += w
         out[0, base + l_idx] += wrap * w.conjugate()
     out[1:, 0] = np.conj(out[0, 1:])

@@ -104,6 +104,27 @@ class TestCrossingAmplitudes:
         with pytest.raises(InvalidParameterError, match="out of range"):
             caging.crossing_amplitudes(m, 4, **ends)
 
+    def test_overflow_refused(self):
+        # The (2,) walk at pi passes the complex128 range at power 2050.
+        m = gauge.canonical_ccam((2,), math.pi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ResourceLimitError, match="amplitude 2050 overflows"):
+                caging.crossing_amplitudes(m, 3000)
+            assert np.isfinite(caging.crossing_amplitudes(m, 2049)).all()
+
+    def test_first_crossing_is_the_pairing_product(self):
+        """Every root-to-root walk has at least 2d steps, so A_k = 0 exactly
+        below 2d, and A_{2d} is the product of the level pairings, within
+        1e-13 of the M shortest walks."""
+        for p in range(2, 65):
+            for xs in graphs.ordered_factorizations(p)[1]:
+                d = len(xs)
+                for phi in (0.0, 0.7, TWO_PI / p, -1.3, math.pi / 7):
+                    amps = caging.crossing_amplitudes(gauge.canonical_ccam(xs, phi), 2 * d)
+                    assert not amps[:-1].any(), (xs, phi)
+                    want = np.prod(gauge.level_pairings(xs, phi))
+                    assert abs(amps[-1] - want) <= 1e-13 * p, (xs, phi)
+
 
 def former_walk(m, m_max):
     """Crossing amplitudes as first computed: one ``Ccam.apply`` per power."""
@@ -368,6 +389,12 @@ class TestResolventRecurrence:
     def test_real_shift_rejected(self):
         with pytest.raises(InvalidParameterError):
             caging.resolvent_recurrence((2,), 0.4, 1.5 + 0j)
+
+    def test_deep_sequence_chi_is_the_pairing_product(self):
+        # Products of (2,)*70 pass int64; the pairings take them as floats.
+        states = caging.resolvent_recurrence((2,) * 70, 0.7, 0.3 + 0.9j)
+        assert len(states) == 70
+        assert states[-1].chi == np.prod(gauge.level_pairings((2,) * 70, 0.7))
 
 
 class TestExchangeSymmetry:

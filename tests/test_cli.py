@@ -175,6 +175,15 @@ class TestCagingCommand:
         assert code == 2 and out.startswith("k,amplitude\n")
         assert err == "dispersion assertion failed: the tree is uncrossable\n"
 
+    def test_float_overflow_exits_1(self, capsys):
+        code, out, err = run(capsys, "caging", "--x", "2", "--phi", "pi", "--kmax", "3000")
+        assert (code, out) == (1, "")
+        assert err == "error: amplitude 2050 overflows complex128; reduce the power count\n"
+        code, out, err = run(capsys, "caging", "--x", "2", "--phi", "pi", "--kmax", "2000")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 2001)
+        assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:])
+
     def test_verify_reports_a_failed_check(self, capsys, monkeypatch):
         monkeypatch.setattr(caging, "exchange_symmetry_check", lambda m: (False, 1.0))
         code, out, _ = run(capsys, "verify", "--x", "2,3", "--phi", "pi/6")
@@ -345,6 +354,12 @@ class TestOtherCommands:
         n = 10**12 + 2 * 10**6 + 2
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {n} vertices; at most")
+
+    def test_tree_past_the_growth_bytes_refused(self, capsys):
+        # 3e9 + 2 vertices pass the vertex limit; 6e9 edges do not fit.
+        code, out, err = run(capsys, "grow", "--x", "3000000000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 6000000000 edges need")
 
     def test_flat_values_listing_limit(self, capsys):
         code, out, err = run(capsys, "flat-values", "--x", "1000000,1000000")

@@ -46,11 +46,30 @@ def edge_arrays(entries):
     return np.array(rows), np.array(cols), np.array(phases)
 
 
+def branch_angle(x, j, branch, phi):
+    """The canonical angle of the ``branch``-th entry (1-based) at level j,
+    one entry at a time: the x_j angles step uniformly from +omega_j down to
+    -omega_j, omega_j = (phi/4) * (x_j - 1) * prod_{l<j} x_l, and a level
+    with x_j = 1 carries the single angle 0."""
+    xj = x[j - 1]
+    if xj == 1:
+        return 0.0
+    omega = 0.25 * phi * (xj - 1) * math.prod(x[: j - 1])
+    return (1.0 - 2.0 * (branch - 1) / (xj - 1)) * omega
+
+
+def reference_pairing(xs, j, phi):
+    """sum_b exp(2i theta_b) over the branches of level j, entry by entry,
+    each part summed exactly rounded."""
+    terms = [cmath.exp(2j * branch_angle(xs, j, b, phi)) for b in range(1, xs[j - 1] + 1)]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
 def reference_canonical_entries(xs, phi):
     """The per-edge builder that the cached template replaces."""
     g = graphs.growth(xs)
     edges = zip(*(arr.tolist() for arr in (g.rows, g.cols, g.level, g.branch)))
-    return sorted((u, v, gauge.branch_angle(xs, lev, br, phi)) for (u, v, lev, br) in edges)
+    return sorted((u, v, branch_angle(xs, lev, br, phi)) for (u, v, lev, br) in edges)
 
 
 def reference_fluxes(m):
@@ -67,35 +86,19 @@ def reference_fluxes(m):
 
 class TestPhaseVectors:
     def test_two_branch_at_pi(self):
-        v = gauge.canonical_phase_vector((2,), 1, math.pi)
-        assert v.entries == pytest.approx((cmath.exp(1j * math.pi / 4),
-                                           cmath.exp(-1j * math.pi / 4)))
-        assert abs(gauge.phase_pairing(v)) < 1e-12
+        assert abs(gauge.level_pairings((2,), math.pi)[0]) < 1e-12
 
     def test_pairing_at_zero_flux_counts_branches(self):
-        v = gauge.canonical_phase_vector((2,), 1, 0.0)
-        assert gauge.phase_pairing(v) == pytest.approx(2.0)
+        assert gauge.level_pairings((2, 3, 4), 0.0).tolist() == [2.0, 3.0, 4.0]
 
     def test_three_branch_vanishing(self):
-        v = gauge.canonical_phase_vector((3,), 1, TWO_PI / 3)
-        assert abs(gauge.phase_pairing(v)) < 1e-12
+        assert abs(gauge.level_pairings((3,), TWO_PI / 3)[0]) < 1e-12
 
     def test_four_branch_vanishing(self):
-        v = gauge.canonical_phase_vector((4,), 1, math.pi / 2)
-        assert abs(gauge.phase_pairing(v)) < 1e-12
+        assert abs(gauge.level_pairings((4,), math.pi / 2)[0]) < 1e-12
 
     def test_unit_branch_is_one(self):
-        v = gauge.canonical_phase_vector((1, 2), 1, 1.234)
-        assert v.entries == (1 + 0j,)
-
-    def test_entries_unit_modulus(self):
-        v = gauge.canonical_phase_vector((2, 3, 2), 2, 0.77)
-        assert all(abs(abs(e) - 1.0) < 1e-12 for e in v.entries)
-        assert len(v.entries) == 3
-
-    def test_level_out_of_range(self):
-        with pytest.raises(InvalidParameterError):
-            gauge.canonical_phase_vector((2, 2), 3, 0.1)
+        assert gauge.level_pairings((1, 2), 1.234)[0] == 1.0
 
     @pytest.mark.parametrize("xs", [(2,), (3,), (2, 2), (2, 3), (3, 2), (2, 2, 2)])
     def test_pairing_vanishing_iff(self, xs):
@@ -104,16 +107,32 @@ class TestPhaseVectors:
         for i in range(1, len(xs) + 1):
             prod = math.prod(xs[:i])
             for z in range(1, prod + 1):
-                phi = TWO_PI * z / prod
-                pairing = gauge.phase_pairing(gauge.canonical_phase_vector(xs, i, phi))
+                pairing = gauge.level_pairings(xs, TWO_PI * z / prod)[i - 1]
                 if z % xs[i - 1] == 0:
                     assert abs(pairing) > 1e-6, (xs, i, z)
                 else:
                     assert abs(pairing) < 1e-10, (xs, i, z)
             for z in range(prod):
-                phi = TWO_PI * (z + 0.5) / prod
-                pairing = gauge.phase_pairing(gauge.canonical_phase_vector(xs, i, phi))
-                assert abs(pairing) > 1e-6
+                assert abs(gauge.level_pairings(xs, TWO_PI * (z + 0.5) / prod)[i - 1]) > 1e-6
+
+    @pytest.mark.parametrize("phi", [math.inf, math.nan, 1e308])
+    def test_flux_past_the_doubled_angles_refused(self, phi):
+        with pytest.raises(InvalidParameterError, match="not finite or overflows"):
+            gauge.level_pairings((2, 3), phi)
+
+    def test_pairings_match_the_per_entry_sum(self):
+        """Every level's pairing equals the entry-by-entry sum of the squared
+        canonical weights, over the family at every flat value, midpoint and
+        two generic fluxes.  A sum of x_j unit terms rounds by a few eps per
+        term, so each level is held to 4 eps * x_j."""
+        for p in range(2, 65):
+            for xs in graphs.ordered_factorizations(p)[1]:
+                fv = gauge.flat_values(xs)
+                tol = 4 * np.finfo(float).eps * np.array(xs)
+                for phi in fv.values + fv.midpoints() + (0.7, -1.3):
+                    got = gauge.level_pairings(xs, phi)
+                    want = [reference_pairing(xs, j, phi) for j in range(1, len(xs) + 1)]
+                    assert (np.abs(got - want) <= tol).all(), (xs, phi)
 
 
 class TestCanonicalCcam:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caged import gauge, graphs
-from caged.errors import InvalidParameterError
+from caged.errors import InvalidParameterError, ResourceLimitError
 
 growth_sequences = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
     lambda xs: tuple(xs[:-1]) + (max(xs[-1], 2),))
@@ -216,6 +216,18 @@ class TestGrowTree:
             graphs.grow_tree((10**6, 10**6))
         with pytest.raises(InvalidParameterError, match="vertices; at most"):
             graphs.growth((3,) * 40)
+
+    def test_tree_past_the_byte_limit_refused_before_growing(self, monkeypatch):
+        def grow_level(*args):
+            raise AssertionError("a level was grown")
+
+        monkeypatch.setattr(graphs, "_grow_level", grow_level)
+        assert graphs.tree_vertex_count((3 * 10**9,)) <= graphs.MAX_VERTICES
+        with pytest.raises(ResourceLimitError, match="^6000000000 edges need"):
+            graphs.growth((3 * 10**9,))
+        # the largest trees the limit must admit
+        graphs.check_growth_bytes((6,) * 8)  # 4,031,076 edges
+        graphs.check_growth_bytes((2,) * 16)
 
     def test_colouring_is_the_layer_parity(self):
         t = graphs.grow_tree((2, 3, 2))
@@ -466,6 +478,15 @@ class TestChainGraph:
         monkeypatch.setattr(graphs, "growth", growth)
         cells = graphs.MAX_VERTICES // 3 + 1  # three more vertices per shrub cell
         with pytest.raises(InvalidParameterError, match=f"^{3 * cells + 1} vertices; at most"):
+            graphs.chain_graph((2,), cells)
+
+    def test_chain_past_the_byte_limit_refused_before_growing(self, monkeypatch):
+        def growth(xs):
+            raise AssertionError("a tree was grown")
+
+        monkeypatch.setattr(graphs, "growth", growth)
+        cells = graphs.GROWTH_LIMIT_BYTES // (128 * 4) + 1  # a (2,) cell has four edges
+        with pytest.raises(ResourceLimitError, match=f"^{4 * cells} edges need"):
             graphs.chain_graph((2,), cells)
 
     def test_invalid(self):
