@@ -101,9 +101,9 @@ def crossing_amplitudes(m: gauge.Ccam, m_max: int, *, source: int | None = None,
 # any fixed zero threshold on deep trees, so float amplitudes are for display.
 # ---------------------------------------------------------------------------
 
-# Largest int64 state (|V| * N values) of a polynomial run: (2,)*9 needs 25 MB.
-# A run holds about three such states: the doubled-row buffer (two), the next
-# power (one) and one chunk of gathered rows (at most a quarter).
+# Largest int64 state (|V| * N/g values) of a polynomial run: (2,)*10 at N = 4M
+# holds 24 MiB.  A run holds about three such states: the doubled-row buffer
+# (two), the next power (one) and one chunk of gathered rows (a quarter).
 POLY_STATE_LIMIT_BYTES = 64 * 2**20
 # A chunk of gathered rows may take this many bytes even when that is more
 # than a quarter state, so a small run gathers each power in one chunk.
@@ -133,9 +133,10 @@ def is_caged(x: Sequence[int], z: int) -> bool:
 
 def phase_exponents(m: gauge.Ccam, denominator: int) -> np.ndarray:
     """Each edge phase as an integer multiple of 2*pi/denominator, within
-    ``PHASE_EXPONENT_TOL``."""
-    if denominator < 1:
-        raise InvalidParameterError("denominator must be positive")
+    ``PHASE_EXPONENT_TOL``; past 2^53 a float phase fixes no exponent."""
+    if not 1 <= denominator <= 2**53:
+        raise InvalidParameterError(f"denominator must be positive and at most 2^53, "
+                                    f"got {denominator}")
     ts = m.phases
     huge = np.flatnonzero(np.abs(ts) > np.finfo(float).max / denominator)
     if huge.size:  # refused before ts * denominator overflows
@@ -158,11 +159,16 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
     The sparse product is run over Z[w]/(w^N - 1): multiplying by an edge
     phase rotates the coefficient array.  Rescaling the flux by an integer z
     turns A_k(zeta_N) into A_k(zeta_N^z), so one run covers every multiple of
-    the base flux at once.  Refuses when the state would exceed
-    ``POLY_STATE_LIMIT_BYTES``.
+    the base flux at once.  Rows are held in a potential gauge: with chi from
+    ``graphs.hang_forest`` mod N and g = gcd(N, every residual c_e - chi_u +
+    chi_v), a walk s -> v has exponent chi_v - chi_s mod g, so row v is
+    w^(chi_v - chi_s) B_v(w^g).  The run keeps B_v's N/g coefficients, and
+    each output coefficient is the same int64 sum as over all N columns.
+    Refuses, before it allocates, when the |V| x N/g state or the m_max x N
+    output would exceed ``POLY_STATE_LIMIT_BYTES``.
 
     Each row's state is stored twice over, side by side, so the row rotated
-    by c is the contiguous length-N window at column N - c.  A table lists,
+    by c is the contiguous length-N/g window at column N/g - c.  A table lists,
     for every vertex, the source row and window of each incoming edge, padded
     with an all-zero row; one power is then a gather and a sum per chunk of
     rows, in the same exact int64 additions as an edge-by-edge update.
@@ -186,16 +192,22 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
     src, tgt = _endpoints(m, m_max, source, target)
     dim = m.dimension
     n = int(denominator)
-    if dim * n * 8 > POLY_STATE_LIMIT_BYTES:
-        raise ResourceLimitError(f"polynomial state {dim} x {n} int64 exceeds "
-                                 f"{POLY_STATE_LIMIT_BYTES >> 20} MiB")
     exps = phase_exponents(m, n)
-    # Edge (u, v, c) adds state[v] rotated by c into row u, and state[u]
-    # rotated by -c into row v.
+    # Edge (u, v), u < v, adds row v rotated by its residual / g into row u,
+    # and row u rotated back into row v; a hang edge's residual is zero.
+    rows, cols = m.graph.rows, m.graph.cols
+    _root, chi = graphs.hang_forest(dim, rows, cols, -exps % n, n)
+    residual = (exps + chi[cols] - chi[rows]) % n
+    g = int(np.gcd.reduce(residual, initial=n))
+    n_g = n // g
+    if max(dim * n_g, m_max * n) * 8 > POLY_STATE_LIMIT_BYTES:
+        raise ResourceLimitError(f"polynomial state {dim} x {n_g} or output {m_max} x {n} "
+                                 f"int64 exceeds {POLY_STATE_LIMIT_BYTES >> 20} MiB")
+    steps = residual // g
     offsets, tails, edges = m.graph.adjacency
     degree = np.diff(offsets)
     heads = np.repeat(np.arange(dim), degree)
-    windows = np.where(heads < tails, -exps[edges], exps[edges]) % n
+    windows = np.where(heads < tails, -steps[edges], steps[edges]) % n_g
     slot = np.arange(len(heads)) - offsets[heads]
     width = max(int(degree.max(initial=0)), 1)
     table = np.full((dim, width), dim, dtype=np.intp)  # row dim stays zero
@@ -207,13 +219,14 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
     to_target = m.graph.distances(tgt)
     budget = np.where(to_target < dim, m_max - to_target, -1)
 
-    buf = np.zeros((dim + 1, 2 * n), dtype=np.int64)
-    buf[src, [0, n]] = 1
-    win = np.lib.stride_tricks.sliding_window_view(buf, n, axis=1)
-    halves = buf.reshape(dim + 1, 2, n)
-    state = np.empty((dim, n), dtype=np.int64)
-    step = max(1, dim // (4 * width), POLY_CHUNK_MIN_BYTES // (width * n * 8))
+    buf = np.zeros((dim + 1, 2 * n_g), dtype=np.int64)
+    buf[src, [0, n_g]] = 1
+    win = np.lib.stride_tricks.sliding_window_view(buf, n_g, axis=1)
+    halves = buf.reshape(dim + 1, 2, n_g)
+    state = np.empty((dim, n_g), dtype=np.int64)
+    step = max(1, dim // (4 * width), POLY_CHUNK_MIN_BYTES // (width * n_g * 8))
     out = np.zeros((m_max, n), dtype=np.int64)
+    places = (chi[tgt] - chi[src] + g * np.arange(n_g)) % n
     in_cone = np.zeros(dim, dtype=bool)
     in_cone[src] = True
     live = np.array([src])
@@ -234,7 +247,7 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
         halves[stale[~in_cone[stale]]] = 0
         halves[live] = cone[:, None, :]
         if in_cone[tgt]:
-            out[k - 1] = cone[np.searchsorted(live, tgt)]
+            out[k - 1, places] = cone[np.searchsorted(live, tgt)]
     return out
 
 
@@ -301,9 +314,13 @@ def cyclotomic_zero_table(polys: np.ndarray, denominator: int,
     True iff row k evaluates to exactly zero at the zs[i]-th power of the
     primitive root.  zeta_N^z is a primitive d-th root, d = N/gcd(N, z), with
     minimal polynomial Phi_d: the test is divisibility by Phi_d in integers.
+    Refuses a denominator below 1 and rows that are not N coefficients wide.
     """
     n = int(denominator)
     mat = np.atleast_2d(np.asarray(polys, dtype=np.int64))
+    if n < 1 or mat.shape[1] != n:
+        raise InvalidParameterError("need a positive denominator N and N coefficients "
+                                    f"per row, got {n} and {mat.shape[1]}")
     orders = [n // math.gcd(n, z) for z in (range(1, n + 1) if zs is None else zs)]
     l1 = np.abs(mat).sum(axis=1, dtype=float).max(initial=0.0)
     zero = {d: _zero_at_order(mat, d, l1) for d in set(orders)}

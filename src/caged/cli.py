@@ -167,7 +167,7 @@ def cmd_caging(args) -> int:
     xs = parse_sequence(args.x)
     phi = parse_phi(args.phi)
     m = gauge.canonical_ccam(xs, phi)
-    kmax = args.kmax if args.kmax else 4 * len(xs)
+    kmax = 4 * len(xs) if args.kmax is None else args.kmax
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused
         amps = caging.crossing_amplitudes(m, kmax)  # display only
     rows = [[k + 1, float(abs(a))] for k, a in enumerate(amps)]
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("caging", help="root-to-root crossing amplitudes")
     common(p)
-    p.add_argument("--kmax", type=int, default=0)
+    p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--assert-caged", action="store_true")
     p.add_argument("--assert-uncaged", action="store_true")
     p.set_defaults(func=cmd_caging)

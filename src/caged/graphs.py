@@ -110,38 +110,50 @@ def face_steps(vertices: np.ndarray, lengths: np.ndarray):
     return face, pos, vertices, face_successors(vertices, lengths)
 
 
+def hang_forest(n: int, lo, hi, offset, modulus: int):
+    """Each of ``n`` vertices hung from its lowest neighbour below it, along
+    int64 edges lo[k] < hi[k] with ``offset[k]`` in 0..modulus-1: arrays
+    (root, potential), each vertex's root (a vertex with no lower neighbour
+    is its own) and the sum mod ``modulus`` of the hang edges' offsets from
+    the root down to it, read by pointer doubling.  Among parallel edges to
+    the lowest neighbour, any one may be the hang edge."""
+    best = np.full(n, n)
+    np.minimum.at(best, hi, lo)
+    up = np.minimum(best, np.arange(n))
+    hang = np.flatnonzero(lo == best[hi])
+    pot = np.zeros(n, dtype=np.int64)
+    pot[hi[hang]] = offset[hang]
+    while (up[up] != up).any():
+        pot = (pot + pot[up]) % modulus
+        up = up[up]
+    return up, pot
+
+
 def two_colouring(n: int, rows, cols) -> np.ndarray:
     """The side of each of ``n`` vertices in the 2-colouring of the graph
     with edges (rows[k], cols[k]), as booleans: False on the lowest vertex of
     each component.  Refuses a graph with an odd cycle (or a loop).
 
-    Each vertex hangs from its lowest neighbour below it, which makes a
-    forest, and pointer doubling reads every vertex's root and the parity of
-    its depth.  An edge between two trees becomes an edge between their
-    roots, carrying the parity its ends must differ by, and the same step
-    joins those roots, until every edge lies within one tree and is checked.
-    A breadth-first labelling, as every builder here makes, leaves one tree
-    per component after the first step.
+    ``hang_forest`` mod 2, with each edge's offset the parity its ends
+    differ by, gives every vertex's root and side relative to it.  An edge
+    between two trees becomes an edge between their roots, carrying the
+    parity its ends must differ by, and the same step joins those roots,
+    until every edge lies within one tree and is checked.  A breadth-first
+    labelling, as every builder here makes, leaves one tree per component
+    after the first step.
     """
     u, v = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    odd = np.ones(lo.shape, dtype=bool)  # whether the two ends differ
-    side, root = np.zeros(n, dtype=bool), np.arange(n)
+    odd = np.ones(lo.shape, dtype=np.int64)  # the parity the two ends differ by
+    side, root = np.zeros(n, dtype=np.int64), np.arange(n)
     while True:
         inside = lo == hi
         if (odd & inside).any():
             raise InvalidParameterError("the graph is not bipartite: it has an odd cycle")
         lo, hi, odd = lo[~inside], hi[~inside], odd[~inside]
         if not lo.size:
-            return side
-        # Each vertex's lowest lower neighbour and the parity to it, as 2*lo + odd.
-        best = np.full(n, 2 * n)
-        np.minimum.at(best, hi, 2 * lo + odd)
-        up = np.where(best < 2 * n, best // 2, np.arange(n))
-        flip = best % 2 == 1
-        while (up[up] != up).any():
-            flip ^= flip[up]
-            up = up[up]
+            return side == 1
+        up, flip = hang_forest(n, lo, hi, odd, 2)
         side ^= flip[root]
         root = up[root]
         odd ^= flip[lo] ^ flip[hi]

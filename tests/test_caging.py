@@ -42,6 +42,15 @@ def reference_polynomials(m, m_max, n, source, target):
     return out
 
 
+def permuted(m, perm):
+    """``m`` with each vertex u relabelled perm[u], built through
+    ``Ccam.from_entries``; an edge whose ends swap order takes the opposite
+    phase."""
+    entries = [(int(perm[u]), int(perm[v]), t) if perm[u] < perm[v]
+               else (int(perm[v]), int(perm[u]), -t) for (u, v, t) in m.entries]
+    return gauge.Ccam.from_entries(m.dimension, entries, flux=m.flux)
+
+
 def dense_exchange_check(m, tol=1e-10):
     """The dense comparison of H with J H J that the edge-array check replaces."""
     h = gauge.dense_matrix(m)
@@ -188,8 +197,11 @@ class TestExactCrossing:
             assert math.prod(p**e for p, e in got) == n
 
     def test_kernel_matches_reference_on_random_trees(self):
+        # Each tree also runs with its ids permuted, which leaves several
+        # trees per component in the gauge's forest.
         rng = random.Random(7)
         family = [xs for p in range(2, 13) for xs in graphs.ordered_factorizations(p)[1]]
+        several = 0
         for xs in rng.sample(family, 12):
             m_prod = math.prod(xs)
             for n in (4 * m_prod, 8 * m_prod, 12 * m_prod):
@@ -199,6 +211,15 @@ class TestExactCrossing:
                 got = caging.crossing_amplitude_polynomials(m, kmax, n)
                 want = reference_polynomials(m, kmax, n, m.first_vertex, m.last_vertex)
                 assert got.dtype == np.int64 and np.array_equal(got, want), (xs, n, z)
+                perm = np.random.default_rng(z).permutation(m.dimension)
+                pm = permuted(m, perm)
+                roots = graphs.hang_forest(pm.dimension, pm.graph.rows, pm.graph.cols,
+                                           np.zeros(pm.graph.num_edges), 2)[0]
+                several += len(np.unique(roots)) > 1
+                got = caging.crossing_amplitude_polynomials(
+                    pm, kmax, n, source=perm[m.first_vertex], target=perm[m.last_vertex])
+                assert np.array_equal(got, want), (xs, n, z)
+        assert several > 18
 
     @pytest.mark.parametrize("dim, edges, source, target", [
         (5, [(0, 1, 1), (1, 2, 3), (2, 3, 0), (3, 4, 5), (0, 4, 2)], 0, 2),  # odd cycle
@@ -206,6 +227,9 @@ class TestExactCrossing:
         (4, [(0, 1, 4), (1, 2, 1), (2, 0, 7)], 0, 3),  # isolated target
         (4, [(0, 1, 4), (1, 2, 1), (2, 0, 7)], 3, 3),  # isolated source
         (3, [], 0, 0),  # no edges
+        (4, [(2, 0, 1), (2, 1, 7), (0, 3, 7), (1, 3, 1)], 2, 3),  # rhombus, two forest roots
+        (6, [(0, 1, 1), (1, 2, 3), (3, 4, 2), (4, 5, 5), (3, 5, 7)], 0, 4),  # two components
+        (4, [(0, 1, 0), (0, 2, 0), (1, 3, 0), (2, 3, 0)], 0, 3),  # zero flux: g = N
     ])
     def test_kernel_matches_reference_off_trees(self, dim, edges, source, target):
         m = gauge.parse_ccam(ccam_text(8, dim, edges))
@@ -290,6 +314,11 @@ class TestExactCrossing:
             assert (table[:, z - 1] == (values < 1e-9)).all()
             assert values[~table[:, z - 1]].min(initial=1.0) > 1e-3
 
+    @pytest.mark.parametrize("width, n", [(8, 0), (8, -8), (8, 12), (8, 4)])
+    def test_zero_table_refuses_a_non_element(self, width, n):
+        with pytest.raises(InvalidParameterError):
+            caging.cyclotomic_zero_table(np.zeros((2, width), dtype=np.int64), n, [1])
+
     def test_reduction_overflow_refused(self):
         with pytest.raises(InvalidParameterError):
             caging.cyclotomic_zero_table(np.full((1, 8), 2**60, dtype=np.int64), 8)
@@ -301,9 +330,31 @@ class TestExactCrossing:
             caging.crossing_amplitude_polynomials(m, 48, 4 * 4096)
 
     def test_polynomial_state_limit_boundary(self):
+        # At N = 4M every face winds 4 units, so the gauge's step is g = 4 and
+        # a run holds |V| * M values.
         def state_bytes(xs):
-            return graphs.tree_vertex_count(xs) * 4 * math.prod(xs) * 8
-        assert state_bytes((2,) * 9) <= caging.POLY_STATE_LIMIT_BYTES < state_bytes((2,) * 10)
+            return graphs.tree_vertex_count(xs) * math.prod(xs) * 8
+        assert state_bytes((2,) * 10) <= caging.POLY_STATE_LIMIT_BYTES < state_bytes((2,) * 11)
+        m = gauge.canonical_ccam((2,) * 11, TWO_PI / 2048)
+        with pytest.raises(ResourceLimitError, match="state 6142 x 2048"):
+            caging.crossing_amplitude_polynomials(m, 44, 4 * 2048)
+
+    def test_ten_levels_certified(self):
+        # (2,)*10 holds 24 MiB in the gauge, where a full-width run would need 96 MiB.
+        xs = (2,) * 10
+        m = gauge.canonical_ccam(xs, TWO_PI / 1024)
+        polys = caging.crossing_amplitude_polynomials(m, 40, 4096)
+        certified = caging.cyclotomic_zero_table(polys, 4096, range(1, 1025)).all(axis=0)
+        assert certified.tolist() == [caging.is_caged(xs, z) for z in range(1, 1025)]
+
+    def test_polynomial_output_limit(self):
+        # At zero flux g = N and each row is one coefficient wide, but the
+        # output keeps N columns: refused before it is allocated.
+        m = gauge.canonical_ccam((2,), 0.0)
+        with pytest.raises(ResourceLimitError, match="output 4 x 1099511627776"):
+            caging.crossing_amplitude_polynomials(m, 4, 2**40)
+        with pytest.raises(InvalidParameterError, match="at most 2\\^53"):
+            caging.crossing_amplitude_polynomials(m, 0, 2**64)
 
 
 class TestIsCaged:

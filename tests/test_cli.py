@@ -263,6 +263,12 @@ class TestClsCommand:
         assert code == 1 and out == ""
         assert err == "error: power count must be non-negative, got -2\n"
 
+    @pytest.mark.parametrize("fmt, want", [("csv", "k,amplitude\n"), ("json", "[]\n")])
+    def test_kmax_zero_prints_no_rows(self, fmt, want, capsys):
+        code, out, err = run(capsys, "caging", "--x", "2", "--phi", "pi", "--kmax", "0",
+                             "--format", fmt)
+        assert (code, out, err) == (0, want, "")
+
 
 class TestClsBeyondTheDenseLimit:
     def test_two_hundred_cells_within_budget(self, capsys):

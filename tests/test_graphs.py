@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caged import gauge, graphs
+from caged import caging, gauge, graphs
 from caged.errors import InvalidParameterError, ResourceLimitError
 
 growth_sequences = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
@@ -399,6 +399,51 @@ class TestTwoColouring:
         assert (side[g.rows] != side[g.cols]).all() and not side[0]
         # A glued tree keeps its level parity along the root-to-root chain.
         assert side[g.last_vertex] == (g.distances(0)[g.last_vertex] % 2 == 1)
+
+
+def check_hang_forest(n, lo, hi, offset, modulus):
+    """``hang_forest`` against its definition, edge by edge: roots are fixed
+    points with potential 0, and every other vertex has its lowest lower
+    neighbour's root and potential plus the offset of the edge between them.
+    Returns the roots."""
+    root, pot = graphs.hang_forest(n, lo, hi, offset, modulus)
+    assert (root[root] == root).all() and not pot[root].any()
+    assert ((0 <= pot) & (pot < modulus)).all()
+    below = {}
+    for a, b, c in zip(lo.tolist(), hi.tolist(), np.asarray(offset).tolist()):
+        below[b] = min(below.get(b, (a, c)), (a, c))
+    for v in range(n):
+        if v not in below:
+            assert root[v] == v
+            continue
+        parent, c = below[v]
+        assert root[v] == root[parent] and pot[v] == (pot[parent] + c) % modulus
+    return root
+
+
+class TestHangForest:
+    @pytest.mark.parametrize("modulus", [2, 3, 8, 1024])
+    def test_roots_and_hang_offsets_on_random_labellings(self, modulus):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            n = int(rng.integers(0, 13))
+            pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
+            chosen = rng.permutation(len(pairs))[:int(rng.integers(0, n + 3))]
+            ends = rng.permutation(n)[pairs[chosen]].reshape(-1, 2)
+            lo, hi = ends.min(axis=1), ends.max(axis=1)
+            offset = rng.integers(0, modulus, size=lo.size)
+            check_hang_forest(n, lo, hi, offset, modulus)
+
+    def test_one_tree_per_grown_tree(self):
+        # Breadth-first ids hang every vertex of a glued tree from the first
+        # root, with the canonical gauge's exponents as offsets.
+        for m_prod in range(2, 25):
+            for xs in graphs.ordered_factorizations(m_prod)[1]:
+                n = 4 * m_prod
+                m = gauge.canonical_ccam(xs, 2 * math.pi / m_prod)
+                offset = -caging.phase_exponents(m, n) % n
+                root = check_hang_forest(m.dimension, m.graph.rows, m.graph.cols, offset, n)
+                assert not root.any(), xs
 
 
 class TestReplaceEdges:
