@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gauge, graphs, spectral
+from . import gauge, graphs
 from .errors import InvalidParameterError, ResourceLimitError
 
 DEFAULT_KRYLOV_CAP = 512
@@ -34,9 +34,6 @@ CLS_RESIDUAL_TOL = 1e-8
 SUPPORT_EPS = 1e-8
 # Dense eigenvalues split by at most this gap merge into one cluster.
 EIGEN_CLUSTER_TOL = 1e-6
-# An edge phase within this angle of a multiple of 2*pi/denominator is that
-# multiple.
-PHASE_EXPONENT_TOL = 1e-8
 # Float residual norms below these read as zero in the local caging and the
 # exchange symmetry checks.
 LOCAL_CAGING_TOL = 1e-10
@@ -132,23 +129,13 @@ def is_caged(x: Sequence[int], z: int) -> bool:
 
 
 def phase_exponents(m: gauge.Ccam, denominator: int) -> np.ndarray:
-    """Each edge phase as an integer multiple of 2*pi/denominator, within
-    ``PHASE_EXPONENT_TOL``; past 2^53 a float phase fixes no exponent."""
-    if not 1 <= denominator <= 2**53:
-        raise InvalidParameterError(f"denominator must be positive and at most 2^53, "
-                                    f"got {denominator}")
-    ts = m.phases
-    huge = np.flatnonzero(np.abs(ts) > np.finfo(float).max / denominator)
-    if huge.size:  # refused before ts * denominator overflows
-        raise InvalidParameterError(f"phase {float(ts[huge[0]])} is not a multiple of "
-                                    f"2*pi/{denominator}: too large to scale")
-    out = np.round(ts * denominator / (2.0 * math.pi)) % denominator
-    residual = gauge.reduce_angle(ts - 2.0 * math.pi * out / denominator)
-    bad = np.flatnonzero(~(np.abs(residual) <= PHASE_EXPONENT_TOL))
-    if bad.size:
-        raise InvalidParameterError(
-            f"phase {float(ts[bad[0]])} is not a multiple of 2*pi/{denominator}")
-    return out.astype(np.int64)
+    """Each edge phase as an integer multiple of 2*pi/denominator, by
+    ``gauge.angle_multiples``; refuses a phase that is none."""
+    out = gauge.angle_multiples(m.phases, denominator)
+    if (out < 0).any():  # argmin finds the first -1
+        raise InvalidParameterError(f"phase {float(m.phases[out.argmin()])} is not a multiple "
+                                    f"of 2*pi/{denominator}")
+    return out
 
 
 def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, *,
@@ -518,14 +505,14 @@ def _window(m: gauge.Ccam, seeds: np.ndarray, radius: int):
                                        m.phases[e[own]], m.flux)
 
 
-def _project(window: gauge.Ccam, spectral, local: np.ndarray, cap: int, radius: int,
+def _project(window: gauge.Ccam, data, local: np.ndarray, cap: int, radius: int,
              inner: np.ndarray | None, keep: bool):
-    """One window's pass for the seeds at ``local``: per seed, the record
-    fields after the seed, largest leak and (with ``keep``) states as [value,
-    column, residual, radius].  H from ``window.apply`` gives each cluster's
-    residuals and leak onto the ring; a seed whose states leak or reach past
-    ``radius`` records support radius ``radius + 1``."""
-    values, evecs, cuts = spectral
+    """One window's pass over its ``dense_spectral_data`` for the seeds at
+    ``local``: per seed, the record fields after the seed, largest leak and
+    (with ``keep``) states as [value, column, residual, radius].  H from
+    ``window.apply`` gives each cluster's residuals and leak onto the ring; a
+    seed whose states leak or reach past ``radius`` records radius + 1."""
+    values, evecs, cuts = data
     weight = np.add.reduceat(np.abs(evecs[local]) ** 2, cuts[:-1], axis=1)
     reach = np.sqrt(weight).T > KRYLOV_NOVELTY_TOL
     dims = reach.sum(axis=0)

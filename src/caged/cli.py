@@ -102,17 +102,13 @@ def cmd_lotus(args) -> int:
 
 
 def _theorem_assembly(xs: tuple[int, ...], phi: float):
-    """The theorem's assembly at ``phi`` as (label, builder), or None.
-
-    The theorem covers flux 0 and 2*pi/x1; an angle a whole number of turns
-    away is gauge-equivalent and gets the same assembly.
-    """
+    """The theorem's assembly at ``phi`` as (label, builder), or None.  The
+    theorem covers flux 0 and 2*pi/x1, the multiples z = 0 and 1 of 2*pi/x1
+    (``gauge.angle_multiples``), and every gauge-equivalent angle."""
     xs = graphs.check_growth_sequence(xs)
-    if abs(gauge.reduce_angle(phi)) < 1e-12:
-        return "fluxless", spectral.spectrum_fluxless
-    if abs(gauge.reduce_angle(phi - 2.0 * math.pi / xs[0])) < 1e-12:
-        return "flux 2pi/x1", spectral.spectrum_flux_af
-    return None
+    z = int(gauge.angle_multiples(phi, xs[0]))
+    return {0: ("fluxless", spectral.spectrum_fluxless),
+            1: ("flux 2pi/x1", spectral.spectrum_flux_af)}.get(z)
 
 
 def cmd_spectrum(args) -> int:
@@ -166,13 +162,13 @@ def cmd_dos(args) -> int:
 def cmd_caging(args) -> int:
     xs = parse_sequence(args.x)
     phi = parse_phi(args.phi)
+    z = gauge.flat_values(xs).index(phi)
     m = gauge.canonical_ccam(xs, phi)
     kmax = 4 * len(xs) if args.kmax is None else args.kmax
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused
         amps = caging.crossing_amplitudes(m, kmax)  # display only
     rows = [[k + 1, float(abs(a))] for k, a in enumerate(amps)]
     _write(args.out, _rows_to_output(["k", "amplitude"], rows, args.format))
-    z = gauge.flat_values(xs).index(phi)
     caged = z is not None and caging.is_caged(xs, z)
     if args.assert_caged and not caged:
         sys.stderr.write("confinement assertion failed: the tree is crossable\n")
@@ -222,6 +218,7 @@ def cmd_verify(args) -> int:
     """Cross-check the assembled spectra, fluxes, and symmetry for one tree."""
     xs = parse_sequence(args.x)
     phi = parse_phi(args.phi)
+    z = gauge.flat_values(xs).index(phi)
     m = gauge.canonical_ccam(xs, phi)
     failures = []
 
@@ -247,7 +244,6 @@ def cmd_verify(args) -> int:
     else:
         print("assembled spectrum: not applicable at this flux")
 
-    z = gauge.flat_values(xs).index(phi)
     if z is not None:
         verdict = "caged" if caging.is_caged(xs, z) else "crossable (a whole turn is zero flux)"
         print(f"caging at flat value z = {z} of M = {math.prod(xs)}: {verdict}")

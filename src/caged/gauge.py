@@ -25,8 +25,10 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_DENSE_LIMIT = 4096
 DENSE_LIMIT_ENV = "CAGED_DENSE_LIMIT"
-# An angle within this distance of 2*pi*z/M is the flat value z.
+# An angle within FLAT_VALUE_TOL of 2*pi*z/n is the multiple z of 2*pi/n;
+# from ANGLE_LIMIT on, neighbouring floats lie farther apart than that.
 FLAT_VALUE_TOL = 1e-9
+ANGLE_LIMIT = FLAT_VALUE_TOL * 2**52
 
 
 def dense_limit() -> int:
@@ -296,6 +298,23 @@ def all_plaquette_fluxes(m: Ccam) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
+def angle_multiples(angles, n: int) -> np.ndarray:
+    """Each angle's z in 0..n-1 with angle = 2*pi*z/n (mod 2*pi) within
+    ``FLAT_VALUE_TOL``, else -1.  Whole turns drop exactly (``fmod``), so z is
+    exact for every n in 1..2^53; refuses any other n and an angle that is
+    not finite or reaches ``ANGLE_LIMIT``."""
+    if not 1 <= n <= 2**53:
+        raise InvalidParameterError(f"denominator must be positive and at most 2^53, got {n}")
+    a = np.asarray(angles, dtype=float)
+    far = ~(np.abs(a) < ANGLE_LIMIT)
+    if far.any():
+        raise InvalidParameterError(f"phase {float(a[far][0])} is not a multiple of 2*pi/{n} that "
+                                    f"a float resolves: finite and below {ANGLE_LIMIT:.10g}")
+    r = np.fmod(a, TWO_PI)
+    q = np.round(r * n / TWO_PI)
+    return np.where(np.abs(r - q * TWO_PI / n) < FLAT_VALUE_TOL, q % n, -1).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class FlatSet:
     """The angles 2*pi*z/M for z = 1..M, where M is the product of the
@@ -318,13 +337,9 @@ class FlatSet:
         return self.denominator
 
     def index(self, angle: float) -> int | None:
-        """The z in 1..M with angle = 2*pi*z/M (mod 2*pi) within
-        ``FLAT_VALUE_TOL``, else None; refuses an angle that is not finite."""
-        if not math.isfinite(angle):
-            raise InvalidParameterError(f"flux {angle} is not a finite angle")
-        step = TWO_PI / self.denominator
-        z = round(angle / step)
-        return (z - 1) % self.denominator + 1 if abs(angle - z * step) < FLAT_VALUE_TOL else None
+        """The z in 1..M with angle = 2*pi*z/M by ``angle_multiples``, else None."""
+        z = int(angle_multiples(angle, self.denominator))
+        return None if z < 0 else z or self.denominator
 
     def contains(self, angle: float) -> bool:
         return self.index(angle) is not None

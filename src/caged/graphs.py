@@ -37,6 +37,10 @@ GROWTH_LIMIT_BYTES = 2**30
 # `caged factorize --list` prints (every m <= 1100 has at most 2,496), and the
 # flat values and their midpoints.
 LISTING_LIMIT = 100_000
+# Most vertices of a lotus patch, 15 times the largest recorded one (8,701).
+LOTUS_VERTEX_LIMIT = 2**17
+# Largest trial divisor of ``prime_factorization``: every m <= 10^12 factors.
+TRIAL_DIVISION_LIMIT = 10**6
 
 
 def check_growth_sequence(x: Sequence[int], *, allow_trailing_one: bool = False) -> tuple[int, ...]:
@@ -646,6 +650,8 @@ class _LotusBuilder:
         self.arcs: dict[int, list[int]] = {}  # corner vertex -> side ids in fan order
 
     def vertex(self, role: str) -> int:
+        if len(self.roles) >= LOTUS_VERTEX_LIMIT:
+            raise ResourceLimitError(f"lotus patch passes the vertex limit {LOTUS_VERTEX_LIMIT}")
         self.roles.append(role)
         return len(self.roles) - 1
 
@@ -783,9 +789,12 @@ def lotus_hubs(g: Graph) -> tuple[int, ...]:
 def prime_factorization(m: int) -> list[tuple[int, int]]:
     """The (prime, exponent) pairs of ``m`` >= 1, primes ascending, by trial
     division (2, then odd numbers) up to the square root of the cofactor
-    still unfactored; a large prime m still costs sqrt(m) / 2 steps."""
+    still unfactored.  Refuses a cofactor that would need a trial divisor
+    past ``TRIAL_DIVISION_LIMIT``."""
     out, p = [], 2
     while p * p <= m:
+        if p > TRIAL_DIVISION_LIMIT:
+            raise ResourceLimitError(f"cofactor {m} would trial-divide past {TRIAL_DIVISION_LIMIT}")
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -836,13 +845,20 @@ def ordered_factorizations(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def ordered_factorization_count(m: int) -> int:
-    """N(m) from the divisor recurrence over the divisors of ``m`` alone."""
+    """N(m) from the exponents e_i of ``m`` alone, Omega = sum_i e_i.  There
+    are W(i) = prod_i C(e_i + i - 1, e_i) ways into i parts >= 1, and
+    inclusion-exclusion over the parts equal to 1 gives N(m) = sum_{k<=Omega}
+    sum_{j<k} (-1)^j C(k, j) W(k - j) = sum_i B(i) W(i), where B(i) =
+    sum_{k=i..Omega} (-1)^(k-i) C(k, i) = (-1)^(Omega-i) C(Omega+1, i+1) +
+    2 B(i+1) by C(k, i) = C(k+1, i+1) - C(k, i+1).  N(1) = 1."""
     if m < 1:
         raise InvalidParameterError(f"m must be >= 1, got {m}")
-    divisors, counts = _divisors(m), {1: 1}
-    for d in divisors[1:]:
-        counts[d] = sum(counts[e] for e in divisors if e < d and d % e == 0)
-    return counts[m]
+    exps = [e for _p, e in prime_factorization(m)]
+    omega, total, b = sum(exps), 0, 0
+    for i in range(omega, 0, -1):
+        b = (-1) ** (omega - i) * math.comb(omega + 1, i + 1) + 2 * b
+        total += b * math.prod(math.comb(e + i - 1, e) for e in exps)
+    return total if exps else 1
 
 
 def ordered_factorization_counts(limit: int) -> list[int]:

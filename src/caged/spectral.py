@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gauge, graphs
-from .errors import InvalidParameterError, ResourceLimitError, UnsupportedHypothesisError
+from .errors import InvalidParameterError, UnsupportedHypothesisError
 
 DEGENERACY_TOL = 1e-8
 EPS = float(np.finfo(float).eps)
@@ -132,10 +132,7 @@ def prefix_eigenvalues(paths: Sequence[Sequence[float]],
         if not (0 <= p < len(paths) and 0 <= s <= len(paths[p]) + 1):
             raise InvalidParameterError(f"prefix ({p}, {s}) is not in a listed path")
         widths[p] = max(widths.get(p, 0), s)
-    widest, limit = max(widths.values(), default=0), gauge.dense_limit()
-    if widest > limit:
-        raise ResourceLimitError(f"prefix of {widest} rows exceeds dense limit {limit} "
-                                 f"(override with {gauge.DENSE_LIMIT_ENV})")
+    gauge.require_dense(max(widths.values(), default=0))
     dense = {}
     for p, w in widths.items():
         weights = paths[p][:max(w - 1, 0)]

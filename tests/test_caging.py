@@ -187,6 +187,9 @@ class TestExactCrossing:
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameterError, match="phase 1.7e[+]308 is not a multiple"):
                 caging.phase_exponents(huge, 8)
+        # Floats near 1e8 lie 1.5e-8 apart, farther than the flat-value tolerance.
+        with pytest.raises(InvalidParameterError, match="phase 100000000.0 is not a multiple"):
+            caging.phase_exponents(gauge.parse_ccam("ccam 2 0\ne 0 1 1e8\n"), 8)
 
     def test_prime_factors_match_sieve_loop(self):
         for n in range(1, 2000):

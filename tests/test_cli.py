@@ -60,6 +60,17 @@ class TestPhiParsing:
         [line] = err.splitlines()
         assert line.startswith("error: flux '") and line.endswith("' is not a finite angle")
 
+    @pytest.mark.parametrize("argv", [
+        ("caging", "--x", "2,3,2", "--phi", "1e300", "--assert-caged"),
+        ("verify", "--x", "2,3,2", "--phi", "1e17"),
+        ("spectrum", "--x", "2,3", "--phi", "1e8", "--method", "theorem"),
+    ])
+    def test_flux_a_float_cannot_resolve_exits_1(self, capsys, argv):
+        # Floats this large lie farther apart than the flat-value tolerance.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "that a float resolves" in err
+
 
 class TestSpectrumCommand:
     def test_theorem_matches_oracle(self, tmp_path, capsys):
@@ -106,6 +117,7 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("xs,phi,base", [
         ("2,3", "-pi", "pi"), ("2,3", "3pi", "pi"), ("3,2", "-4pi/3", "2pi/3"),
         ("2,3", "-2pi", "0"), ("3,2", "8pi/3", "2pi/3"),
+        ("2,3", repr(math.pi + 5e-10), "pi"), ("3,2", repr(-5e-10), "0"),
     ])
     def test_theorem_accepts_gauge_equivalent_angles(self, capsys, xs, phi, base):
         want = run(capsys, "spectrum", "--x", xs, "--phi", base, "--method", "theorem")
@@ -116,6 +128,14 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "--x", "0", "--phi", "1", "--method", "theorem")
         assert code == 1
         assert "must be >= 1" in err
+
+    def test_theorem_gate_with_x1_one(self, capsys):
+        # Every multiple of 2*pi/1 is flux 0, so the gate passes and the
+        # fluxless assembly refuses the entry 1; off it, the gate refuses.
+        code, _, err = run(capsys, "spectrum", "--x", "1,2", "--phi", "2pi", "--method", "theorem")
+        assert code == 1 and "every growth entry >= 2" in err
+        code, _, err = run(capsys, "spectrum", "--x", "1,2", "--phi", "1", "--method", "theorem")
+        assert code == 1 and "theorem path covers flux 0 and 2*pi/x1 only" in err
 
     def test_theorem_refuses_an_angle_off_both_points(self, capsys):
         code, _, err = run(capsys, "spectrum", "--x", "2,3", "--phi", "7pi/3",
@@ -332,6 +352,13 @@ class TestOtherCommands:
         assert (code, out) == (0, "8388608\n")
         assert time.perf_counter() - start < 1.0
 
+    def test_factorize_refuses_a_large_prime(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "factorize", "--m", str(2**61 - 1))
+        assert (code, out) == (1, "")
+        assert "would trial-divide past 1000000" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_factorize_listing(self, capsys):
         code, out, _ = run(capsys, "factorize", "--m", "4", "--list")
         assert code == 0
@@ -383,6 +410,12 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "lotus", "--kind", "first", "--sides", "6")
         assert code == 0
         assert out.startswith("graph 19")
+
+    def test_lotus_past_the_vertex_limit_is_refused(self, capsys):
+        code, out, err = run(capsys, "lotus", "--kind", "first", "--sides", "7",
+                             "--generations", "40")
+        assert (code, out) == (1, "")
+        assert "passes the vertex limit 131072" in err
 
     def test_lotus_ccam_emission(self, capsys):
         code, out, _ = run(capsys, "lotus", "--kind", "second", "--sides", "4",

@@ -289,6 +289,37 @@ class TestFlatValues:
         with pytest.raises(InvalidParameterError, match="finite"):
             gauge.flat_values((2, 3)).index(angle)
 
+    @pytest.mark.parametrize("angle", [
+        # 5e-9 off every flat value of (2, 3, 2), where floats lie 1.5e-8 apart
+        TWO_PI * (12 * 2**24 + 1) / 12 + 5e-9,
+        gauge.ANGLE_LIMIT, -gauge.ANGLE_LIMIT, 1e17, 1e300,
+    ])
+    def test_angle_a_float_cannot_resolve_refused(self, angle):
+        with pytest.raises(InvalidParameterError, match="that a float resolves"):
+            gauge.flat_values((2, 3, 2)).index(angle)
+
+    def test_resolved_just_below_the_angle_limit(self):
+        fv = gauge.flat_values((2, 3, 2))
+        z = int(0.999 * gauge.ANGLE_LIMIT / (TWO_PI / 12))
+        flat = TWO_PI * z / 12
+        assert 0.99 * gauge.ANGLE_LIMIT < flat < gauge.ANGLE_LIMIT
+        assert (fv.index(flat), fv.index(-flat)) == (z % 12, -z % 12)
+        assert fv.index(flat + 5e-9) is None and fv.index(flat - 5e-9) is None
+
+    def test_denominator_past_two_to_the_53_refused(self):
+        assert gauge.flat_values((2,) * 53).index(0.0) == 2**53
+        with pytest.raises(InvalidParameterError, match="at most 2\\^53"):
+            gauge.flat_values((2,) * 60).index(0.0)
+
+    def test_angle_multiples(self):
+        angles = [0.0, TWO_PI / 3, -TWO_PI / 3 + 5e-10, 1.0, 7 * TWO_PI - 1e-12, 4 * math.pi / 3]
+        assert gauge.angle_multiples(angles, 3).tolist() == [0, 1, 2, -1, 0, 2]
+        assert gauge.angle_multiples(angles, 1).tolist() == [0, -1, -1, -1, 0, -1]
+        assert gauge.angle_multiples(TWO_PI / 2**53 * 5, 2**53) == 5
+        for n in (0, -3, 2**53 + 1):
+            with pytest.raises(InvalidParameterError, match="denominator must be positive"):
+                gauge.angle_multiples(0.0, n)
+
     def test_full_turn_index(self):
         fv = gauge.flat_values((2, 3, 2))
         assert fv.index(0.0) == fv.index(TWO_PI) == fv.index(1e-12) == 12

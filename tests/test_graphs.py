@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 from collections import deque
 from fractions import Fraction
 
@@ -613,6 +614,14 @@ class TestLotus:
         with pytest.raises(InvalidParameterError, match=match):
             graphs.lotus_patch(spec)
 
+    def test_vertex_limit(self, monkeypatch):
+        spec = graphs.LotusSpec(kind="first", sides=7, generations=4)
+        monkeypatch.setattr(graphs, "LOTUS_VERTEX_LIMIT", 1394)
+        assert graphs.lotus_patch(spec).num_vertices == 1394
+        monkeypatch.setattr(graphs, "LOTUS_VERTEX_LIMIT", 1393)
+        with pytest.raises(ResourceLimitError, match="passes the vertex limit 1393"):
+            graphs.lotus_patch(spec)
+
     def test_hubs_need_roles(self):
         with pytest.raises(InvalidParameterError, match="lotus roles"):
             graphs.lotus_hubs(graphs.grow_tree((2, 2)))
@@ -719,6 +728,30 @@ class TestOrderedFactorizations:
     def test_count_of_a_large_power_of_two(self):
         # The ordered factorizations of 2^k are the compositions of k: 2^(k-1).
         assert graphs.ordered_factorization_count(2**48) == 2**47
+
+    def test_count_of_many_divisors_reads_only_the_exponents(self):
+        # 2^10 3^6 5^4 7^3 11^2 13 17 19 23 has 73,920 divisors; the same
+        # exponents on the primes in reverse give the same count.
+        start = time.perf_counter()
+        count = graphs.ordered_factorization_count(1870082229375360000)
+        assert time.perf_counter() - start < 0.1
+        swapped = 23**10 * 19**6 * 17**4 * 13**3 * 11**2 * 7 * 5 * 3 * 2
+        assert graphs.ordered_factorization_count(swapped) == count
+
+    def test_count_meets_the_divisor_recurrence(self):
+        # N(m) is the sum of N(d) over the proper divisors d (6,720 of them here).
+        m = 963761198400
+        divisors = graphs._divisors(m)
+        assert len(divisors) == 6720
+        assert graphs.ordered_factorization_count(m) == sum(
+            graphs.ordered_factorization_count(d) for d in divisors[:-1])
+
+    def test_trial_division_bound(self):
+        with pytest.raises(ResourceLimitError, match="would trial-divide past 1000000"):
+            graphs.prime_factorization(2**61 - 1)
+        # Every m <= 10^12 factors, the largest prime below it too.
+        assert graphs.prime_factorization(999999999989) == [(999999999989, 1)]
+        assert graphs.prime_factorization(10**12) == [(2, 12), (5, 12)]
 
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
