@@ -389,7 +389,8 @@ def exchange_symmetry_check(m: gauge.Ccam) -> tuple[bool, float]:
     their mirror image are laid out over the union of their (row, col) slots,
     an absent edge reading 0, and the norm is the largest |w - w'| over that
     union, so an edge on one side only contributes |w|.  This is the maximum
-    entry of |H - J H J|, bit for bit, without forming either matrix.
+    entry of |H - J H J|, bit for bit, without forming either matrix; it
+    passes below ``EXCHANGE_SYMMETRY_TOL`` or the phases' rounding, 4 eps max|phase|.
     """
     n = m.dimension
     w = np.exp(1j * m.phases)
@@ -401,7 +402,8 @@ def exchange_symmetry_check(m: gauge.Ccam) -> tuple[bool, float]:
     jhj = np.zeros(len(slots), dtype=complex)
     jhj[np.searchsorted(slots, mirror)] = w.conj()
     norm = float(np.max(np.abs(h - jhj))) if slots.size else 0.0
-    return norm < EXCHANGE_SYMMETRY_TOL, norm
+    rounding = 4 * np.finfo(float).eps * float(np.abs(m.phases).max(initial=0.0))
+    return norm < max(EXCHANGE_SYMMETRY_TOL, rounding), norm
 
 
 # ---------------------------------------------------------------------------

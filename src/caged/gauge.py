@@ -201,8 +201,9 @@ def canonical_ccam(x: Sequence[int], phi: float, *, _allow_trailing_one: bool = 
     """
     xs = graphs.check_growth_sequence(x, allow_trailing_one=_allow_trailing_one)
     # Each a * p is below the product M: a finite phi * M / 4 keeps every phase
-    # finite, and a flux that fails is refused before the factors meet it.
-    if not math.isfinite(0.25 * phi * math.prod(xs)):
+    # finite, and a flux that fails is refused before the factors meet it.  M
+    # is multiplied in floats, so one past the float range is refused too.
+    if not math.isfinite(0.25 * phi * math.prod(xs, start=1.0)):
         raise InvalidParameterError(f"flux {phi} is not finite or overflows the phases")
     zero, f, a, p = _canonical_template(xs)
     return zero.with_phases(f * (0.25 * phi * a * p), phi)
@@ -213,9 +214,10 @@ def level_pairings(x: Sequence[int], phi: float) -> np.ndarray:
     theta_b the canonical angles of ``_branch_factors``.  Its terms are a
     common phase times the powers 0..x_j-1 of r = exp(-i phi x_1...x_{j-1}),
     so it vanishes exactly when r is a nontrivial x_j-th root of unity.
-    Refuses a flux for which some |2 theta_b| <= phi * M / 2 is not finite."""
+    Refuses a flux for which some |2 theta_b| <= phi * M / 2 is not finite,
+    M multiplied in floats as in ``canonical_ccam``."""
     xs = graphs.check_growth_sequence(x)
-    if not math.isfinite(0.5 * phi * math.prod(xs)):
+    if not math.isfinite(0.5 * phi * math.prod(xs, start=1.0)):
         raise InvalidParameterError(f"flux {phi} is not finite or overflows the phases")
     starts = np.cumsum((0,) + xs[:-1])
     level = np.repeat(np.arange(1, len(xs) + 1), xs)

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gauge, graphs
-from .errors import InvalidParameterError, UnsupportedHypothesisError
+from .errors import InvalidParameterError, ResourceLimitError, UnsupportedHypothesisError
 
 DEGENERACY_TOL = 1e-8
 EPS = float(np.finfo(float).eps)
@@ -148,20 +148,27 @@ def prefix_eigenvalues(paths: Sequence[Sequence[float]],
 # ---------------------------------------------------------------------------
 
 
-def _require_all_at_least_two(xs: tuple[int, ...], what: str):
+def _assemble(xs: tuple[int, ...], paths: Sequence[Sequence[float]],
+              blocks: Sequence[tuple[int, int, int]], what: str) -> Spectrum:
+    """Cluster the eigenvalues of (path, prefix size, multiplicity) blocks,
+    checking first, before any eigensolve, that every growth entry is >= 2,
+    that each level's sum of count * eigenvalue stays a finite float (below
+    the vertex count times twice the largest weight, by Gershgorin), and
+    that the solves, sum s^3 over the prefix sizes s, cost at most one dense
+    solve at ``gauge.dense_limit()``."""
     if any(v < 2 for v in xs):
         raise UnsupportedHypothesisError(
             f"{what} requires every growth entry >= 2 (got {xs}); "
             "use the dense oracle instead")
-
-
-def _assemble(xs: tuple[int, ...], paths: Sequence[Sequence[float]],
-              blocks: Sequence[tuple[int, int, int]], what: str) -> Spectrum:
-    """Cluster the eigenvalues of (path, prefix size, multiplicity) blocks."""
+    radius = 2.0 * max((w for path in paths for w in path), default=0.0)
+    vertices = graphs.tree_vertex_count(xs)
+    if vertices.bit_length() + math.frexp(radius)[1] >= np.finfo(float).maxexp:
+        raise ResourceLimitError(f"{what}: its count * eigenvalue sums overflow a float")
+    gauge.require_dense(math.ceil(sum(s ** 3 for (_p, s, _m) in blocks) ** (1 / 3)))
     values = prefix_eigenvalues(paths, [(p, s) for (p, s, _m) in blocks])
     counts = [m for (_p, s, m) in blocks for _ in range(s)]  # exact Python ints
     spec = cluster_eigenvalues(values.tolist(), counts)
-    if spec.dimension != graphs.tree_vertex_count(xs):
+    if spec.dimension != vertices:
         raise AssertionError(f"{what} lost eigenvalues")
     return spec
 
@@ -174,13 +181,7 @@ def fluxless_multiplicities(x: Sequence[int]) -> list[tuple[int, int]]:
     """
     xs = graphs.check_growth_sequence(x)
     d = len(xs)
-    out = [(d, 1)]
-    for i in range(d - 1, -1, -1):
-        mult = xs[i] - 1
-        for v in xs[i + 1:]:
-            mult *= v
-        out.append((i, mult))
-    return out
+    return [(d, 1)] + [(i, (xs[i] - 1) * math.prod(xs[i + 1:])) for i in range(d - 1, -1, -1)]
 
 
 def spectrum_fluxless(x: Sequence[int]) -> Spectrum:
@@ -195,42 +196,30 @@ def spectrum_fluxless(x: Sequence[int]) -> Spectrum:
     ``prefix_eigenvalues`` call over both paths solves every block.
     """
     xs = graphs.check_growth_sequence(x)
-    _require_all_at_least_two(xs, "fluxless assembly")
     a = [math.sqrt(v) for v in xs]
     paths = ([math.sqrt(2 * xs[0])] + a[1:], a[1:])
-    blocks = []
-    for (i, mult) in fluxless_multiplicities(xs):
-        blocks += [(0, i + 1, mult), (1, i, mult)]
+    blocks = [(p, i + 1 - p, mult) for (i, mult) in fluxless_multiplicities(xs) for p in (0, 1)]
     return _assemble(xs, paths, blocks, "fluxless assembly")
 
 
 def flux_af_multiplicities(x: Sequence[int]) -> list[tuple[int, int]]:
     """(block index, multiplicity) pairs at flux 2*pi/x_1.
 
-    Everything except the zero block is doubled; with Q_i = prod_{j=2..i} x_j,
-    block d appears twice, block i-1 appears 2 * (x_i - 1) * Q_d / Q_i for
-    i = 2..d, and the 1x1 zero block appears (x_1 - 2) * Q_d times.
+    Everything except the zero block is doubled: block d appears twice,
+    block i-1 appears 2 * (x_i - 1) * prod_{j>i} x_j times for i = 2..d, and
+    the 1x1 zero block (x_1 - 2) * prod_{j>1} x_j times, if that is nonzero.
     """
     xs = graphs.check_growth_sequence(x)
     d = len(xs)
-    q = [1] * (d + 1)
-    for i in range(2, d + 1):
-        q[i] = q[i - 1] * xs[i - 1]
-    out = [(d, 2)]
-    for i in range(2, d + 1):
-        out.append((i - 1, 2 * (xs[i - 1] - 1) * (q[d] // q[i])))
-    zero_mult = (xs[0] - 2) * q[d]
-    if zero_mult:
-        out.append((0, zero_mult))
-    return out
+    out = [(d, 2)] + [(i - 1, 2 * (xs[i - 1] - 1) * math.prod(xs[i:])) for i in range(2, d + 1)]
+    zero_mult = (xs[0] - 2) * math.prod(xs[1:])
+    return out + [(0, zero_mult)] if zero_mult else out
 
 
 def spectrum_flux_af(x: Sequence[int]) -> Spectrum:
     """Spectrum of the canonically gauged tree at flux 2*pi/x_1: block i is
     the size-(i + 1) prefix of the path F = (a_1, ..., a_d), a_j = sqrt(x_j)."""
     xs = graphs.check_growth_sequence(x)
-    _require_all_at_least_two(xs, "flux assembly")
     paths = ([math.sqrt(v) for v in xs],)
     blocks = [(0, i + 1, mult) for (i, mult) in flux_af_multiplicities(xs)]
     return _assemble(xs, paths, blocks, "flux assembly")
-

@@ -451,11 +451,24 @@ class TestResolventRecurrence:
         assert states[-1].chi == np.prod(gauge.level_pairings((2,) * 70, 0.7))
 
 
+    def test_product_past_the_float_range_refused(self):
+        with pytest.raises(InvalidParameterError, match="not finite or overflows"):
+            caging.resolvent_recurrence((2,) * 2000, 1.0, 1j)
+
+
 class TestExchangeSymmetry:
     @pytest.mark.parametrize("xs,phi", [((2,), 0.3), ((2, 3), 1.1), ((2, 3, 2), 2.7)])
     def test_canonical_gauge_commutes(self, xs, phi):
         ok, norm = caging.exchange_symmetry_check(gauge.canonical_ccam(xs, phi))
         assert ok and norm < 1e-12
+
+    @pytest.mark.parametrize("xs", [(2, 3, 2), (6, 6), (2, 18)])
+    @pytest.mark.parametrize("phi", [4e6, -4.4e6, 513221.52821505535])
+    def test_canonical_gauge_commutes_within_its_rounding_at_large_flux(self, xs, phi):
+        m = gauge.canonical_ccam(xs, phi)
+        ok, norm = caging.exchange_symmetry_check(m)
+        assert ok and norm < 4 * np.finfo(float).eps * np.abs(m.phases).max()
+        assert not caging.exchange_symmetry_check(gauge_transform(m, 5, 0.77))[0]
 
     def test_generic_gauge_transform_breaks_it(self):
         m = gauge_transform(gauge.canonical_ccam((2, 3, 2), 1.234), 5, 0.77)

@@ -64,12 +64,41 @@ class TestPhiParsing:
         ("caging", "--x", "2,3,2", "--phi", "1e300", "--assert-caged"),
         ("verify", "--x", "2,3,2", "--phi", "1e17"),
         ("spectrum", "--x", "2,3", "--phi", "1e8", "--method", "theorem"),
+        ("spectrum", "--x", "2,3,2", "--phi", "1e300", "--method", "oracle"),
+        ("bands", "--x", "2", "--phi", "1e300", "--grid", "3"),
+        ("cls", "--x", "2", "--phi", "1e300", "--cells", "2", "--radius-bound", "4"),
+        ("lotus", "--kind", "first", "--sides", "6", "--phi", "1e300"),
     ])
     def test_flux_a_float_cannot_resolve_exits_1(self, capsys, argv):
         # Floats this large lie farther apart than the flat-value tolerance.
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert "that a float resolves" in err
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "that a float resolves" in line
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--x", "2,3,2", "--phi", "4.4e6", "--method", "oracle"),
+        ("bands", "--x", "2", "--phi", "4.4e6", "--grid", "3"),
+        ("cls", "--x", "2", "--phi", "4.4e6", "--cells", "2", "--radius-bound", "4"),
+        ("caging", "--x", "2,3,2", "--phi=-4.4e6"),
+    ])
+    def test_flux_below_the_angle_limit_answers(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--method", "oracle", "--phi", "0"),
+        ("spectrum", "--method", "theorem", "--phi", "0"),
+        ("bands", "--phi", "1", "--grid", "3"),
+        ("cls", "--phi", "1"),
+        ("dos", "--phi-grid", "2", "--k-grid", "2", "--bins", "2"),
+        ("grow",),
+    ])
+    def test_product_past_the_float_range_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--x", ",".join(["2"] * 1100))
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ")
 
 
 class TestSpectrumCommand:
@@ -467,6 +496,41 @@ class TestOtherCommands:
         code, _, err = run(capsys, "verify", "--x", "2,2,2,2,2,2,2,2", "--phi", "0")
         assert code == 1
         assert "exceeds dense limit 500" in err
+
+    def test_theorem_spectrum_past_one_dense_solve_refused_at_once(self, capsys, monkeypatch):
+        monkeypatch.delenv(gauge.DENSE_LIMIT_ENV, raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "spectrum", "--x", ",".join(["2"] * 1000), "--phi", "0",
+                             "--method", "theorem")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "exceeds dense limit 4096" in line
+
+    @pytest.mark.parametrize("xs, phi", [("2," * 1099 + "2", "0"), ("6," * 399 + "6", "2pi/6")],
+                             ids=["twos-1100", "sixes-400"])
+    def test_theorem_spectrum_past_the_float_range_refused(self, capsys, xs, phi):
+        code, out, err = run(capsys, "spectrum", "--x", xs, "--phi", phi, "--method", "theorem")
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "overflow a float" in line
+
+    def test_verify_flux_check_allows_the_phases_rounding(self, capsys):
+        for xs in ("2,3,2", "6,6"):
+            code, out, _ = run(capsys, "verify", "--x", xs, "--phi", "4e6")
+            assert code == 0 and out.strip().splitlines()[-1] == "OK", out
+            assert out.startswith("plaquette flux uniformity: max deviation ")
+
+    def test_verify_flux_check_catches_a_moved_phase(self, capsys, monkeypatch):
+        canonical = gauge.canonical_ccam
+
+        def moved(x, phi, **kwargs):
+            m = canonical(x, phi, **kwargs)
+            return m.with_phases(m.phases + np.eye(1, len(m.phases)).ravel() * 1e-12, phi)
+
+        monkeypatch.setattr(gauge, "canonical_ccam", moved)
+        code, out, _ = run(capsys, "verify", "--x", "2,3,2", "--phi", "0.7")
+        assert code == 2 and out.strip().splitlines()[-1] == "FAIL: flux"
 
     def test_theorem_spectrum_refuses_a_block_above_dense_limit(self, capsys, monkeypatch):
         monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "3")

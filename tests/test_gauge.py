@@ -120,6 +120,16 @@ class TestPhaseVectors:
         with pytest.raises(InvalidParameterError, match="not finite or overflows"):
             gauge.level_pairings((2, 3), phi)
 
+    @pytest.mark.parametrize("phi", [1.0, 0.0])
+    def test_product_past_the_float_range_refused(self, phi):
+        # 2^2000 does not convert to a float; the guard multiplies in floats.
+        with pytest.raises(InvalidParameterError, match="not finite or overflows"):
+            gauge.level_pairings((2,) * 2000, phi)
+
+    def test_product_within_the_float_range_answers(self):
+        # 2^1000 is a finite float, and phi * 2^1000 / 2 is about 5.
+        assert gauge.level_pairings((2,) * 1000, 1e-300).shape == (1000,)
+
     def test_pairings_match_the_per_entry_sum(self):
         """Every level's pairing equals the entry-by-entry sum of the squared
         canonical weights, over the family at every flat value, midpoint and
@@ -672,7 +682,9 @@ class TestWithPhases:
 
     @pytest.mark.parametrize("xs, phi", [((2, 3), math.inf), ((2, 3), -math.inf),
                                          ((2, 3), math.nan), ((2, 2, 2, 2), 1e308),
-                                         ((3, 3, 3), -1.7e308)])
+                                         ((3, 3, 3), -1.7e308),
+                                         # 2^2000 passes the float range even at flux 0
+                                         ((2,) * 2000, 1.0), ((2,) * 2000, 0.0)])
     def test_canonical_refusal_emits_no_warning(self, xs, phi):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

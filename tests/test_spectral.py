@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,6 +357,88 @@ class TestAssembledSpectra:
         spec = spectral.spectrum_fluxless((2,) * 8)
         frac = spec.multiplicity_at(0.0) / spec.dimension
         assert abs(frac - 1 / 3) < 0.01
+
+
+def fluxless_multiplicities_by_loops(xs):
+    """The nested-loop table the closed form replaced: block d once, block
+    i < d (x_{i+1} - 1) * prod_{j>i+1} x_j times."""
+    d = len(xs)
+    out = [(d, 1)]
+    for i in range(d - 1, -1, -1):
+        mult = xs[i] - 1
+        for v in xs[i + 1:]:
+            mult *= v
+        out.append((i, mult))
+    return out
+
+
+def flux_af_multiplicities_by_loops(xs):
+    """The running-product table the closed form replaced, with Q_i =
+    prod_{j=2..i} x_j: block d twice, block i-1 2 * (x_i - 1) * Q_d / Q_i
+    times, and the zero block (x_1 - 2) * Q_d times when that is nonzero."""
+    d = len(xs)
+    q = [1] * (d + 1)
+    for i in range(2, d + 1):
+        q[i] = q[i - 1] * xs[i - 1]
+    out = [(d, 2)]
+    for i in range(2, d + 1):
+        out.append((i - 1, 2 * (xs[i - 1] - 1) * (q[d] // q[i])))
+    zero_mult = (xs[0] - 2) * q[d]
+    if zero_mult:
+        out.append((0, zero_mult))
+    return out
+
+
+class TestClosedFormMultiplicities:
+    SEQUENCES = (family(64) + [(p,) * d for p in range(2, 7) for d in range(1, 16)]
+                 + [(3,) * 50, (2, 1, 3), (1, 2)])
+
+    def test_match_the_loops(self):
+        for xs in self.SEQUENCES:
+            for got, want in ((spectral.fluxless_multiplicities(xs),
+                               fluxless_multiplicities_by_loops(xs)),
+                              (spectral.flux_af_multiplicities(xs),
+                               flux_af_multiplicities_by_loops(xs))):
+                assert got == want, xs
+                assert all(type(m) is int for (_i, m) in got), xs
+
+
+class TestAssemblyRefusals:
+    """``_assemble`` refuses before any eigensolve: an entry below 2, level
+    sums that overflow a float, and solves past one dense solve at the limit."""
+
+    @pytest.fixture(autouse=True)
+    def no_eigensolve(self, monkeypatch):
+        monkeypatch.delenv(gauge.DENSE_LIMIT_ENV, raising=False)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("eigensolve before a refusal")
+
+        monkeypatch.setattr(spectral, "prefix_eigenvalues", refuse)
+
+    @pytest.mark.parametrize("assemble", [spectral.spectrum_fluxless, spectral.spectrum_flux_af])
+    def test_deep_binary_tree_refused_at_once(self, assemble):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="exceeds dense limit 4096"):
+            assemble((2,) * 1000)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("xs", [(2,) * 1100, (6,) * 400])
+    @pytest.mark.parametrize("assemble", [spectral.spectrum_fluxless, spectral.spectrum_flux_af])
+    def test_sums_past_the_float_range_refused(self, assemble, xs):
+        with pytest.raises(ResourceLimitError, match="eigenvalue sums overflow a float"):
+            assemble(xs)
+
+    @pytest.mark.parametrize("assemble", [spectral.spectrum_fluxless, spectral.spectrum_flux_af])
+    def test_unit_entry_refused_first(self, assemble):
+        with pytest.raises(UnsupportedHypothesisError, match="every growth entry >= 2"):
+            assemble((2,) * 1100 + (1, 2))
+
+
+@pytest.mark.parametrize("xs", [(3,) * 50, (2,) * 300])
+def test_deep_trees_within_the_limits_answer(xs):
+    for assemble in (spectral.spectrum_fluxless, spectral.spectrum_flux_af):
+        assert assemble(xs).dimension == graphs.tree_vertex_count(xs)
 
 
 def fluxless_block(xs, i):
