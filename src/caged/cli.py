@@ -242,7 +242,10 @@ def cmd_verify(args) -> int:
     assembly = _theorem_assembly(xs, phi) if all(v >= 2 for v in xs) else None
     if assembly is not None:
         label, build = assembly
-        oracle = spectral.ccam_spectrum(m).expand()
+        # The oracle runs at the flat value 2*pi*z/M itself, whose canonical
+        # phases stay small, not at phi, whose phases reach phi * M / 4.
+        exact = gauge.canonical_ccam(xs, 2 * math.pi * (z % math.prod(xs)) / math.prod(xs))
+        oracle = spectral.ccam_spectrum(exact).expand()
         err = float(np.max(np.abs(oracle - build(xs).expand())))
         print(f"assembled vs oracle spectrum ({label}): max deviation {err:.3e}")
         if err > 1e-8:

@@ -57,11 +57,10 @@ class Ccam:
     A graph plus one phase per edge: edge k of ``graph`` joins ``rows[k] <
     cols[k]`` with <rows[k]|H|cols[k]> = exp(i*phases[k]).  The graph holds
     the checked edges, faces and roots, and canonical trees share it through
-    a per-sequence cache; the phases are read-only too, and they and the
-    flux must be finite.  ``entries`` views the matrix as (u, v, theta)
-    tuples.  ``with_phases`` rephases a matrix on the same graph and checks
-    only the new phases.  ``powers`` and ``apply`` multiply by the matrix
-    without forming it.
+    a per-sequence cache; the phases are read-only, and they and the flux
+    must be finite.  ``entries`` views the matrix as (u, v, theta) tuples,
+    ``with_phases`` rephases it on the same graph, checking only the new
+    phases, and ``powers`` and ``apply`` multiply by it without forming it.
     """
 
     graph: graphs.Graph
@@ -152,9 +151,8 @@ def require_dense(dimension: int):
     """Refuse a dense solve of ``dimension`` rows above ``dense_limit()``."""
     limit = dense_limit()
     if dimension > limit:
-        raise ResourceLimitError(
-            f"dimension {dimension} exceeds dense limit {limit} "
-            f"(override with {DENSE_LIMIT_ENV})")
+        raise ResourceLimitError(f"dimension {dimension} exceeds dense limit {limit} "
+                                 f"(override with {DENSE_LIMIT_ENV})")
 
 
 def dense_matrix(m: Ccam) -> np.ndarray:
@@ -233,35 +231,46 @@ def chain_ccam(x: Sequence[int], cells: int, phi: float) -> Ccam:
     return Ccam(graphs.chain_graph(x, cells), np.tile(tree.phases, cells), phi)
 
 
-def ccam_with_plaquette_fluxes(g: graphs.Graph, fluxes: Sequence[float], *,
-                               flux: float = 0.0) -> Ccam:
-    """Solve for edge phases realizing the requested flux through each face.
-
-    On a planar graph the face fluxes are free parameters, so the linear
-    system always has a solution; the minimum-norm one is used and verified.
-    The system is a dense faces x edges matrix, so a graph with more edges
-    than ``dense_limit()`` is refused before it is built.
-    """
-    if len(fluxes) != len(g.face_lengths):
-        raise InvalidParameterError("one flux per plaquette is required")
-    require_dense(g.num_edges)
-    face, _pos, us, vs = graphs.face_steps(g.face_vertices, g.face_lengths)
-    shape = (len(g.face_lengths), g.num_edges)
-    cells = face * g.num_edges + g.edge_slots(us, vs)
-    incidence = np.bincount(cells, np.where(us < vs, 1.0, -1.0),
-                            minlength=shape[0] * shape[1]).reshape(shape)
+def ccam_with_plaquette_fluxes(g: graphs.Graph, fluxes: Sequence[float]) -> Ccam:
+    """Edge phases winding each flux around its face, peeled breadth first from
+    the boundary: each round reaches every unreached face through its first
+    step on an edge no other unreached face holds, or else roots the first
+    unreached face.  From the deepest round up each reaching edge closes its
+    face, other edges keeping 0, so each phase is a signed sum of fluxes.
+    Refuses fluxes the sums miss by over L * eps times their magnitudes."""
     want = np.asarray(fluxes, dtype=float)
-    theta, *_ = np.linalg.lstsq(incidence, want, rcond=None)
-    if len(fluxes) and np.max(np.abs(incidence @ theta - want)) > 1e-9:
+    if want.shape != g.face_lengths.shape or not np.isfinite(want).all():
+        raise InvalidParameterError("one flux per plaquette is required, each finite")
+    face, us, vs = graphs.face_steps(g.face_vertices, g.face_lengths)
+    edge, sign = g.edge_slots(us, vs), np.where(us < vs, 1.0, -1.0)
+    depth, via = np.full((2, len(want)), -1)  # each face's round and reaching step
+    while (depth < 0).any():
+        unreached = depth[face] < 0
+        free = unreached & (np.bincount(edge[unreached], minlength=g.num_edges)[edge] == 1)
+        faces, first = np.unique(face[free], return_index=True)
+        via[faces] = np.flatnonzero(free)[first]
+        depth[faces if len(faces) else face[unreached][:1]] = depth.max() + 1
+    theta = np.zeros(g.num_edges)  # a face's other edges are set in deeper rounds, or 0
+    for r in range(depth.max(initial=-1), -1, -1):
+        faces = np.flatnonzero((depth == r) & (via >= 0))
+        rest = want[faces] - np.bincount(face, sign * theta[edge])[faces]
+        theta[edge[via[faces]]] = sign[via[faces]] * rest
+    steps = sign * theta[edge]
+    slack = g.face_lengths * np.finfo(float).eps * (np.bincount(face, abs(steps)) + abs(want))
+    if (abs(np.bincount(face, steps) - want) > slack).any():
         raise InvalidParameterError("face flux prescription is inconsistent")
-    return Ccam(g, theta, flux)
+    return Ccam(g, theta)
 
 
 def lotus_ccam(patch: graphs.Graph, phi: float) -> Ccam:
-    """Phases for a lotus patch: each shrub face winds its recorded sign times phi."""
+    """Phases winding each lotus face's recorded sign times phi: the signs are
+    peeled once and scaled, so each phase is an exact integer multiple of phi."""
     if patch.plaquette_signs is None:
         raise InvalidParameterError("patch does not carry face orientation signs")
-    return ccam_with_plaquette_fluxes(patch, np.multiply(patch.plaquette_signs, phi), flux=phi)
+    unit = ccam_with_plaquette_fluxes(patch, patch.plaquette_signs).phases
+    if not math.isfinite(float(phi) * float(np.abs(unit).max(initial=0.0))):
+        raise InvalidParameterError(f"flux {phi} is not finite or overflows the phases")
+    return Ccam(patch, unit * phi, phi)
 
 
 def reduce_angle(angle):
@@ -273,20 +282,11 @@ def reduce_angle(angle):
 
 
 def _face_fluxes(m: Ccam, vertices: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Winding sum of phases around each closed vertex loop, the loops being
-    ``vertices`` cut into runs of ``lengths``, reduced to (-pi, pi].
-
-    Each face sums its steps left to right, as ``reduce_angle(sum)`` would;
-    the zero padding of shorter faces leaves their sums unchanged.
-    """
-    face, pos, us, vs = graphs.face_steps(vertices, lengths)
-    steps = np.zeros((len(lengths), int(pos.max(initial=-1)) + 1))
+    """Winding sum of phases around each closed loop of ``vertices`` cut into runs
+    of ``lengths``, reduced to (-pi, pi]: one bincount adds its steps in order."""
+    face, us, vs = graphs.face_steps(vertices, lengths)
     theta = m.phases[m.graph.edge_slots(us, vs)]
-    steps[face, pos] = np.where(us < vs, theta, -theta)
-    total = np.zeros(len(lengths))
-    for column in steps.T:
-        total += column
-    return reduce_angle(total)
+    return reduce_angle(np.bincount(face, np.where(us < vs, theta, -theta)))
 
 
 def all_plaquette_fluxes(m: Ccam) -> tuple[float, ...]:

@@ -107,11 +107,9 @@ def face_successors(vertices: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def face_steps(vertices: np.ndarray, lengths: np.ndarray):
     """Every step u -> v around closed vertex loops, given as ``vertices`` cut
-    into runs of ``lengths``: arrays (face, position, u, v), in face order and
-    along each face."""
-    face = np.repeat(np.arange(len(lengths)), lengths)
-    pos = np.arange(len(vertices)) - (np.cumsum(lengths) - lengths)[face]
-    return face, pos, vertices, face_successors(vertices, lengths)
+    into runs of ``lengths``: arrays (face, u, v), in face order and along
+    each face."""
+    return np.repeat(np.arange(len(lengths)), lengths), vertices, face_successors(vertices, lengths)
 
 
 def hang_forest(n: int, lo, hi, offset, modulus: int):
@@ -539,7 +537,7 @@ def replace_edges(
 
     keep = np.ones(g.num_edges, dtype=bool)
     keep[slots] = False
-    face, _pos, fu, fv = face_steps(g.face_vertices, g.face_lengths)
+    face, fu, fv = face_steps(g.face_vertices, g.face_lengths)
     kept_face = np.ones(len(g.face_lengths), dtype=bool)
     kept_face[face[~keep[g.edge_slots(fu, fv)]]] = False
     return Graph(g.num_vertices + int(sizes.sum()),

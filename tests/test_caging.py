@@ -853,3 +853,29 @@ class TestVerifyAllCls:
             "cap_exceeded"}
         assert set(payload["states"][0]) == {
             "seed", "krylov_dim", "eigenvalues", "support_radius", "residual"}
+
+
+def spliced_grid(horizontal_only):
+    """The 4 x 4 grid with a (2,) tree spliced into each of its 12 horizontal
+    edges, or into all 24 edges, every tree face phased at pi."""
+    horizontal = [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+    vertical = [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)]
+    squares = [[4 * r + c, 4 * r + c + 1, 4 * r + c + 5, 4 * r + c + 4]
+               for r in range(3) for c in range(3)]
+    rows, cols = zip(*(horizontal + vertical))
+    grid = graphs.Graph(16, rows, cols, sum(squares, []), [4] * 9)
+    marked = horizontal if horizontal_only else horizontal + vertical
+    g = graphs.replace_edges(grid, marked, {e: (2,) for e in marked})
+    return gauge.ccam_with_plaquette_fluxes(g, [math.pi] * len(g.face_lengths))
+
+
+class TestSplicedGrid:
+    """Glued trees spliced into a grid's edges confine at pi; the radii are
+    those the least-squares gauge gave, which a gauge change cannot move."""
+
+    @pytest.mark.parametrize("horizontal_only, size, radius", [(False, 112, 4), (True, 64, 7)])
+    def test_covers_within_the_radius(self, horizontal_only, size, radius):
+        m = spliced_grid(horizontal_only)
+        rep = caging.verify_all_cls(m, radius)
+        assert (m.dimension, rep.covered, rep.radius_ok) == (size, True, True)
+        assert max(r.support_radius for r in rep.records) == radius

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from caged import caging, cli, gauge, spectral
+from caged import caging, cli, gauge, graphs, spectral
 from caged.errors import InvalidParameterError
 
 
@@ -452,11 +452,25 @@ class TestOtherCommands:
         assert code == 0
         assert out.startswith("ccam 9 ")
 
-    def test_lotus_ccam_past_the_dense_limit_is_refused(self, capsys):
-        code, out, err = run(capsys, "lotus", "--kind", "first", "--sides", "12", "--p", "4",
-                             "--q", "3", "--generations", "3", "--phi", "pi")
-        assert code == 1
-        assert out == "" and "exceeds dense limit" in err
+    def test_lotus_ccam_past_the_dense_limit_answers(self, capsys):
+        self.check_lotus_ccam(capsys, graphs.LotusSpec("first", 12, 4, 3, 3), "pi", math.pi)
+
+    def test_lotus_ccam_at_a_large_flux_answers(self, capsys):
+        self.check_lotus_ccam(capsys, graphs.LotusSpec("first", 6), "1e6", 1e6)
+
+    @staticmethod
+    def check_lotus_ccam(capsys, spec, text, phi):
+        """``caged lotus --phi`` answers, and each face winds its sign times phi."""
+        code, out, err = run(capsys, "lotus", "--kind", spec.kind, "--sides", str(spec.sides),
+                             "--p", str(spec.shrub_p), "--q", str(spec.tiling_q),
+                             "--generations", str(spec.generations), "--phi", text)
+        assert (code, err) == (0, "")
+        m = gauge.parse_ccam(out)
+        assert m.flux == phi
+        fluxes = np.array(gauge.all_plaquette_fluxes(m))
+        want = np.multiply(graphs.lotus_patch(spec).plaquette_signs, phi)
+        # the faces' sums round by their length times eps times 35 phi at most
+        assert np.abs(gauge.reduce_angle(fluxes - want)).max() < 1e-12 * phi
 
     def test_dos_runs(self, tmp_path, capsys):
         out = tmp_path / "dos.csv"
@@ -469,6 +483,23 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "verify", "--x", "2,3", "--phi", "0")
         assert code == 0
         assert out.strip().splitlines()[-1] == "OK"
+
+    def test_verify_ok_at_a_full_turn(self, capsys):
+        # 2*pi*716000, the flat value z = M; its canonical phases reach phi * M / 4
+        code, out, _ = run(capsys, "verify", "--x", "20", "--phi", "4498760.679940584")
+        assert (code, out.strip().splitlines()[-1]) == (0, "OK")
+
+    @pytest.mark.parametrize("xs", [xs for m in range(2, 13)
+                                    for xs in graphs.ordered_factorizations(m)[1]],
+                             ids=lambda xs: ",".join(map(str, xs)))
+    def test_verify_ok_over_the_family(self, capsys, xs):
+        """Small fluxes, whole turns plus the theorem's fluxes, and a flux far
+        from any flat value all verify."""
+        turns = 2 * math.pi * 716000
+        for phi in (0.0, 2 * math.pi / xs[0], 2 * math.pi / math.prod(xs), 0.7,
+                    turns, turns + 2 * math.pi / xs[0], turns + 2 * math.pi / math.prod(xs), 4e6):
+            code, out, _ = run(capsys, "verify", "--x", ",".join(map(str, xs)), "--phi", repr(phi))
+            assert (code, out.strip().splitlines()[-1]) == (0, "OK"), phi
 
     def test_verify_flux_af(self, capsys):
         code, out, _ = run(capsys, "verify", "--x", "3,2", "--phi", "2pi/3")

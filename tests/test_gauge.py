@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caged import gauge, graphs
+from caged import caging, gauge, graphs
 from caged.errors import InvalidParameterError, ResourceLimitError
 
 TWO_PI = 2.0 * math.pi
@@ -507,6 +507,13 @@ class TestWeights:
         assert np.array_equal(w, former_weights(m))
 
 
+def winds_its_signs(m, phi):
+    """Whether every face of a lotus ccam winds its recorded sign times phi."""
+    fluxes = np.array(gauge.all_plaquette_fluxes(m))
+    want = gauge.reduce_angle(np.multiply(m.graph.plaquette_signs, phi))
+    return bool(np.all(np.abs(gauge.reduce_angle(fluxes - want)) < 1e-12))
+
+
 class TestDerivedCcams:
     def test_chain_fluxes(self):
         m = gauge.chain_ccam((2, 3), 3, 0.66)
@@ -536,30 +543,32 @@ class TestDerivedCcams:
         g = graphs.grow_tree((2, 2))
         with pytest.raises(InvalidParameterError, match="one flux per plaquette"):
             gauge.ccam_with_plaquette_fluxes(g, [0.1] * (len(g.plaquettes) + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (math.inf, math.nan):
+                with pytest.raises(InvalidParameterError, match="each finite"):
+                    gauge.ccam_with_plaquette_fluxes(g, [0.1] * (len(g.plaquettes) - 1) + [bad])
         # one triangle listed twice cannot carry two fluxes
         twice = graphs.Graph(3, [0, 0, 1], [1, 2, 2], [0, 1, 2, 0, 1, 2], [3, 3])
         with pytest.raises(InvalidParameterError, match="inconsistent"):
             gauge.ccam_with_plaquette_fluxes(twice, [0.1, 0.2])
+        # equal fluxes are consistent: the first face roots, the second closes it
+        m = gauge.ccam_with_plaquette_fluxes(twice, [0.1, 0.1])
+        assert gauge.all_plaquette_fluxes(m) == pytest.approx([0.1, 0.1], abs=1e-15)
 
-    def test_flux_solver_refuses_a_large_patch(self):
+    def test_flux_solver_phases_a_large_patch(self):
         start = time.perf_counter()
         spec = graphs.LotusSpec(kind="first", sides=12, shrub_p=4, tiling_q=3, generations=3)
         patch = graphs.lotus_patch(spec)
-        assert patch.num_vertices == 8701
-        with pytest.raises(ResourceLimitError, match="dense limit"):
-            gauge.lotus_ccam(patch, math.pi)
+        assert patch.num_vertices == 8701 and patch.num_edges > gauge.DEFAULT_DENSE_LIMIT
+        m = gauge.lotus_ccam(patch, math.pi)
         assert time.perf_counter() - start < 1.0
+        assert winds_its_signs(m, math.pi)
 
-    def test_flux_solver_limit_counts_edges(self, monkeypatch):
+    def test_flux_solver_ignores_the_dense_limit(self, monkeypatch):
         patch = graphs.lotus_patch(graphs.LotusSpec(kind="first", sides=6))
-        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, str(patch.num_edges))
-        gauge.lotus_ccam(patch, math.pi)
         monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, str(patch.num_edges - 1))
-        with pytest.raises(ResourceLimitError, match="dense limit"):
-            gauge.lotus_ccam(patch, math.pi)
-        # at the default, (first, 7, 3, 3, 3), larger than any patch the tests phase, passes
-        spec = graphs.LotusSpec(kind="first", sides=7, shrub_p=3, tiling_q=3, generations=3)
-        assert graphs.lotus_patch(spec).num_edges == 1701 < gauge.DEFAULT_DENSE_LIMIT
+        assert winds_its_signs(gauge.lotus_ccam(patch, math.pi), math.pi)
 
     def test_fluxes_need_faces(self):
         m = gauge.Ccam.from_entries(2, ((0, 1, 0.5),), flux=0.0)
@@ -576,6 +585,82 @@ class TestDerivedCcams:
             m = gauge.chain_ccam(xs, cells, phi)
             got = (m.rows, m.cols, m.phases)
             assert all(np.array_equal(g, w) for g, w in zip(got, edge_arrays(want)))
+
+
+def lstsq_gauge(g, fluxes):
+    """The minimum-norm phases that wind ``fluxes`` around the faces by a dense
+    faces x edges least-squares solve, an oracle for the peel."""
+    face, us, vs = graphs.face_steps(g.face_vertices, g.face_lengths)
+    incidence = np.zeros((len(g.face_lengths), g.num_edges))
+    np.add.at(incidence, (face, g.edge_slots(us, vs)), np.where(us < vs, 1.0, -1.0))
+    theta, *_ = np.linalg.lstsq(incidence, np.asarray(fluxes, dtype=float), rcond=None)
+    return gauge.Ccam(g, theta)
+
+
+def peel_cases():
+    """(graph, fluxes, vertices to check): lotus patches of both kinds at their
+    signs times three fluxes, at their hubs; grown trees at a common and at
+    random face fluxes, at every vertex."""
+    rng = np.random.default_rng(31)
+    for spec in (graphs.LotusSpec("first", 6, 2, 3, 2), graphs.LotusSpec("first", 7, 3, 3, 2),
+                 graphs.LotusSpec("second", 8, 2, 8, 2), graphs.LotusSpec("second", 4, 3, 4, 2)):
+        patch = graphs.lotus_patch(spec)
+        for phi in (math.pi, TWO_PI / 3, 0.9):
+            yield pytest.param(patch, np.multiply(patch.plaquette_signs, phi),
+                               graphs.lotus_hubs(patch), id=f"{spec.kind},{spec.sides},{phi:.3f}")
+    for xs in ((2, 3), (3, 2, 2), (2, 2, 2, 2)):
+        tree = graphs.grow_tree(xs)
+        for name, fluxes in (("pi", np.full(len(tree.face_lengths), math.pi)),
+                             ("random", rng.uniform(-math.pi, math.pi, len(tree.face_lengths)))):
+            yield pytest.param(tree, fluxes, range(tree.num_vertices), id=f"{xs}-{name}")
+
+
+class TestFacePeel:
+    """``ccam_with_plaquette_fluxes`` peels the faces; its phases differ from
+    the least-squares gauge by a gauge transformation only."""
+
+    @pytest.mark.parametrize("g, fluxes, vertices", peel_cases())
+    def test_equals_the_least_squares_gauge(self, g, fluxes, vertices):
+        peel, oracle = gauge.ccam_with_plaquette_fluxes(g, fluxes), lstsq_gauge(g, fluxes)
+        got = np.array(gauge.all_plaquette_fluxes(peel))
+        assert np.abs(gauge.reduce_angle(got - fluxes)).max() < 1e-12
+        assert np.abs(spectrum_of(peel) - spectrum_of(oracle)).max() < 1e-12
+        for v in vertices:
+            assert caging.local_caging_check(peel, v) == caging.local_caging_check(oracle, v)
+
+    @pytest.mark.parametrize("spec, n", [
+        (graphs.LotusSpec("first", 7, 3, 3, 1), 3), (graphs.LotusSpec("first", 7, 3, 3, 3), 3),
+        (graphs.LotusSpec("first", 6, 2, 3, 2), 2), (graphs.LotusSpec("second", 8, 2, 8, 2), 2),
+        (graphs.LotusSpec("second", 6, 3, 4, 2), 6)])
+    def test_lotus_phases_are_integer_multiples(self, spec, n):
+        patch = graphs.lotus_patch(spec)
+        unit = gauge.lotus_ccam(patch, 1.0).phases
+        assert np.array_equal(unit, np.round(unit))
+        m = gauge.lotus_ccam(patch, TWO_PI / n)
+        assert np.array_equal(m.phases, unit * (TWO_PI / n))
+        assert np.array_equal(caging.phase_exponents(m, n), unit.astype(np.int64) % n)
+
+    def test_largest_multiple_on_a_large_patch(self):
+        patch = graphs.lotus_patch(graphs.LotusSpec("first", 12, 4, 3, 3))
+        assert np.abs(gauge.lotus_ccam(patch, 1.0).phases).max() <= 35
+
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan, 1e308, -1e308])
+    def test_lotus_refuses_phases_past_the_float_range(self, phi):
+        patch = graphs.lotus_patch(graphs.LotusSpec("first", 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="overflows the phases"):
+                gauge.lotus_ccam(patch, phi)
+
+    def test_closed_surface_roots_one_face(self):
+        # a tetrahedron, each face oriented outward: the windings sum to 0
+        g = graphs.Graph(4, [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3],
+                         [0, 1, 2, 0, 3, 1, 0, 2, 3, 1, 3, 2], [3, 3, 3, 3])
+        fluxes = [0.3, 0.5, -1.1, -(0.3 + 0.5 - 1.1)]
+        m = gauge.ccam_with_plaquette_fluxes(g, fluxes)
+        assert gauge.all_plaquette_fluxes(m) == pytest.approx(fluxes, abs=1e-15)
+        with pytest.raises(InvalidParameterError, match="inconsistent"):
+            gauge.ccam_with_plaquette_fluxes(g, [0.1] * 4)
 
 
 class TestFluxPeriodicityBoundary:

@@ -1,19 +1,21 @@
 """Lotus patches against a recording: vertex ids, edges, faces, roles and face
-signs of a grid of specs, pinned by SHA-256 digests.
+signs of a grid of specs, and the ``lotus_ccam`` text at pi and at 0.9, pinned
+by SHA-256 digests.
 
-The recording in ``tests/data/lotus_golden.json`` holds graph data only (no
-``lotus_ccam``, whose least-squares phases may differ in the last bits from
-one BLAS build to another); rerun this module as a script
-(``PYTHONPATH=src python tests/test_lotus_golden.py``) to rewrite it.
+The peeled phases are integer multiples of the flux, each one rounded product,
+so the ccam text does not depend on the BLAS build.  Rerun this module as a
+script (``PYTHONPATH=src python tests/test_lotus_golden.py``) to rewrite the
+recording in ``tests/data/lotus_golden.json``.
 """
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from caged import graphs
+from caged import gauge, graphs
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "lotus_golden.json"
 
@@ -37,6 +39,8 @@ def patch_digests(spec):
         "graph": digest(graphs.format_graph(g)),
         "roles": digest(" ".join(g.roles)),
         "signs": digest(" ".join(map(str, g.plaquette_signs))),
+        **{f"ccam {name}": digest(gauge.format_ccam(gauge.lotus_ccam(g, phi)))
+           for name, phi in (("pi", math.pi), ("0.9", 0.9))},
     }
 
 
