@@ -325,8 +325,9 @@ class Graph:
         offsets, tails, edges = self.adjacency
         degree = np.diff(offsets)
         lonely = np.flatnonzero(degree == 0)
-        tails = np.insert(tails, offsets[lonely], lonely)
-        edges = np.insert(edges, offsets[lonely], self.num_edges)
+        if lonely.size:  # no grown tree, chain or lotus patch has one
+            tails = np.insert(tails, offsets[lonely], lonely)
+            edges = np.insert(edges, offsets[lonely], self.num_edges)
         runs = np.maximum(degree, 1)
         heads = np.repeat(np.arange(self.num_vertices), runs)
         return tails, edges, np.where(heads >= tails, -1j, 1j), np.cumsum(runs) - runs

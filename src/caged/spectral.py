@@ -12,16 +12,19 @@ leading principal submatrix (a prefix) of one of three paths, each given by
 its off-diagonal weights: the fluxless block i splits into the size-(i + 1)
 prefix of E = (sqrt(2) a_1, a_2, ..., a_d) and the size-i prefix of
 O = (a_2, ..., a_d), and the flux block i is the size-(i + 1) prefix of
-F = (a_1, ..., a_d).  ``prefix_eigenvalues`` solves each block with one
-LAPACK ``eigvalsh`` of at most d + 1 rows, so a depth-d tree's spectrum
-costs polynomial work in d even though the matrix itself has roughly x^d
-rows.
+F = (a_1, ..., a_d).  ``prefix_eigenvalues`` solves each distinct block
+with one LAPACK ``eigvalsh`` of at most d + 1 rows and keeps its values in a
+memo of ``PREFIX_CACHE_SIZE`` blocks, keyed by the weights LAPACK receives,
+so a depth-d tree's spectrum costs polynomial work in d even though the
+matrix itself has roughly x^d rows, and a family sweep solves each block
+once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +34,9 @@ from .errors import InvalidParameterError, ResourceLimitError, UnsupportedHypoth
 
 DEGENERACY_TOL = 1e-8
 EPS = float(np.finfo(float).eps)
+# Entries in the memo of prefix blocks: more than the 747 distinct blocks
+# that the theorem spectra of the product <= 64 family solve.
+PREFIX_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -54,8 +60,12 @@ class Spectrum:
 def cluster_eigenvalues(values: Sequence[float], counts: Sequence[int] | None = None) -> Spectrum:
     """Merge a weighted eigenvalue list into a Spectrum.
 
-    Values closer than ``DEGENERACY_TOL`` are one level; the level's value
-    is the weighted mean of its members.
+    In ascending order, a value joins the current level when it lies within
+    ``DEGENERACY_TOL`` of that level's running weighted mean, and otherwise
+    starts the next level; each level's value is the weighted mean of its
+    members.  Levels are not gap-closed: [0, 0.9e-8, 1.8e-8] gives two
+    levels although both gaps are 0.9e-8, and [0, 0.9e-8, 1.35e-8] gives
+    one level spanning 1.35e-8.
     """
     if counts is None:
         counts = [1] * len(values)
@@ -110,6 +120,16 @@ def ccam_spectrum(m: gauge.Ccam) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=PREFIX_CACHE_SIZE)
+def _block_eigenvalues(weights: bytes) -> np.ndarray:
+    """Ascending eigenvalues of the zero-diagonal path whose float64
+    off-diagonal weights are ``weights``, read-only: one ``eigvalsh``."""
+    w = np.frombuffer(weights)
+    values = np.linalg.eigvalsh(np.diag(w, 1) + np.diag(w, -1))
+    values.flags.writeable = False  # shared by every caller of this block
+    return values
+
+
 def prefix_eigenvalues(paths: Sequence[Sequence[float]],
                        prefixes: Sequence[tuple[int, int]]) -> np.ndarray:
     """Eigenvalues of leading principal submatrices of zero-diagonal paths.
@@ -117,15 +137,24 @@ def prefix_eigenvalues(paths: Sequence[Sequence[float]],
     Each path is the list of its off-diagonal weights, so a path of n
     weights has n + 1 rows.  ``prefixes`` lists (path index, size) pairs;
     the result concatenates the eigenvalues of each listed prefix,
-    ascending, in the listed order.  Each path is formed dense once, up to
-    its longest listed prefix, and each prefix is one ``eigvalsh`` of that
-    matrix's leading block.  A prefix longer than ``gauge.dense_limit()`` is
-    refused, as every dense matrix is.
+    ascending, in the listed order.  A prefix longer than
+    ``gauge.dense_limit()`` is refused, as every dense matrix is, before
+    any block is solved.
 
-    A weight within machine epsilon of the largest one formed is set to
-    zero first.  Beside a zero diagonal, LAPACK's relative split test misses
-    it, and once its square is subnormal the eigenvalues drift by far more
-    than eps; zeroing it moves each eigenvalue by at most the weight (Weyl).
+    A weight within machine epsilon of the largest one up to the path's
+    longest listed prefix is set to zero first (and -0.0 becomes 0.0).
+    Beside a zero diagonal, LAPACK's relative split test misses it, and
+    once its square is subnormal the eigenvalues drift by far more than
+    eps; zeroing it moves each eigenvalue by at most the weight (Weyl).
+
+    A size-s prefix is then one ``eigvalsh`` of its own s x s matrix,
+    remembered process-wide: the memo keys each block by the bytes of its
+    s - 1 weights after this zeroing, exactly what LAPACK receives, so a
+    repeated block returns the same bits without a solve, and the same
+    path listed with a longer prefix may zero more and give a different
+    key.  It holds the last ``PREFIX_CACHE_SIZE`` blocks used, read-only,
+    each about 16 * s bytes (key and values); at the default dense limit
+    of 4,096 rows that is about 64 MiB in all.
     """
     widths: dict[int, int] = {}
     for p, s in prefixes:
@@ -133,13 +162,12 @@ def prefix_eigenvalues(paths: Sequence[Sequence[float]],
             raise InvalidParameterError(f"prefix ({p}, {s}) is not in a listed path")
         widths[p] = max(widths.get(p, 0), s)
     gauge.require_dense(max(widths.values(), default=0))
-    dense = {}
+    zeroed = {}
     for p, w in widths.items():
         weights = paths[p][:max(w - 1, 0)]
         tiny = EPS * max(map(abs, weights), default=0.0)
-        weights = np.array([0.0 if abs(v) <= tiny else v for v in weights], dtype=float)
-        dense[p] = np.diag(weights, 1) + np.diag(weights, -1)
-    values = [np.linalg.eigvalsh(dense[p][:s, :s]) for p, s in prefixes]
+        zeroed[p] = np.array([0.0 if abs(v) <= tiny else v for v in weights], dtype=float)
+    values = [_block_eigenvalues(zeroed[p][:s - 1].tobytes()) for p, s in prefixes if s]
     return np.concatenate(values) if values else np.array([])
 
 

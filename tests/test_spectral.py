@@ -241,6 +241,109 @@ class TestPrefixEigenvalues:
         assert got == pytest.approx([-math.sqrt(2), 0.0, math.sqrt(2), -1.0, 1.0], abs=1e-14)
 
 
+def uncached_prefix_eigenvalues(paths, prefixes):
+    """The route without the memo: each path zeroed and formed dense once, up
+    to its longest listed prefix, and one ``eigvalsh`` of its leading block
+    per listed prefix."""
+    dense = {}
+    for p in {p for (p, _s) in prefixes}:
+        w = max(s for (q, s) in prefixes if q == p)
+        weights = list(paths[p][:max(w - 1, 0)])
+        tiny = spectral.EPS * max(map(abs, weights), default=0.0)
+        dense[p] = path_matrix([0.0 if abs(v) <= tiny else v for v in weights])
+    values = [np.linalg.eigvalsh(dense[p][:s, :s]) for (p, s) in prefixes]
+    return np.concatenate(values) if values else np.array([])
+
+
+class TestPrefixMemo:
+    """``prefix_eigenvalues`` solves each distinct block once and returns the
+    bits of one uncached ``eigvalsh`` per block, cold or warm."""
+
+    SEQUENCES = family(64) + [(p,) * d for p in range(2, 7) for d in (9, 11, 13, 15)]
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self, monkeypatch):
+        monkeypatch.delenv(gauge.DENSE_LIMIT_ENV, raising=False)
+        spectral._block_eigenvalues.cache_clear()
+        yield
+        spectral._block_eigenvalues.cache_clear()
+
+    @pytest.mark.parametrize("at_af", [False, True], ids=["fluxless", "flux_af"])
+    def test_cold_and_warm_match_uncached_bits(self, at_af, monkeypatch):
+        assemble = spectral.spectrum_flux_af if at_af else spectral.spectrum_fluxless
+        solve, calls = spectral.prefix_eigenvalues, []
+
+        def recorded(paths, prefixes):
+            got = solve(paths, prefixes)
+            calls.append((paths, prefixes, got))
+            return got
+
+        monkeypatch.setattr(spectral, "prefix_eigenvalues", recorded)
+        cold = [assemble(xs) for xs in self.SEQUENCES]
+        solved = spectral._block_eigenvalues.cache_info().misses
+        warm = [assemble(xs) for xs in self.SEQUENCES]
+        assert warm == cold
+        assert spectral._block_eigenvalues.cache_info().misses == solved  # nothing solved twice
+        distinct = {(tuple(paths[p][:s - 1]), s) for (paths, prefixes, _v) in calls
+                    for (p, s) in prefixes if s}
+        assert solved == len(distinct) <= spectral.PREFIX_CACHE_SIZE
+        for paths, prefixes, got in calls:
+            want = uncached_prefix_eigenvalues(paths, prefixes)
+            assert got.tobytes() == want.tobytes(), (paths, prefixes)
+
+    def test_key_is_the_zeroed_weights(self):
+        path = (1e-17, 1.0)
+        alone = spectral.prefix_eigenvalues([path], [(0, 2)])
+        longer = spectral.prefix_eigenvalues([path], [(0, 2), (0, 3)])
+        again = spectral.prefix_eigenvalues([path], [(0, 2)])
+        assert alone.tolist() == [-1e-17, 1e-17] == again.tolist()
+        assert longer[:2].tolist() == [0.0, 0.0]
+        for got, prefixes in ((alone, [(0, 2)]), (longer, [(0, 2), (0, 3)]), (again, [(0, 2)])):
+            assert got.tobytes() == uncached_prefix_eigenvalues([path], prefixes).tobytes()
+        # -0.0 is zeroed to 0.0, so it shares the key of 0.0
+        assert spectral.prefix_eigenvalues([(-0.0,)], [(0, 2)]).tobytes() == \
+            spectral.prefix_eigenvalues([(0.0,)], [(0, 2)]).tobytes()
+
+    def test_dense_limit_refuses_after_a_warm_call(self, monkeypatch):
+        path = (1.0,) * 3
+        path_eigenvalues(path)
+        spectral.spectrum_fluxless((2,) * 5)
+        monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "3")
+        with pytest.raises(ResourceLimitError, match="exceeds dense limit 3"):
+            path_eigenvalues(path)
+        with pytest.raises(ResourceLimitError, match="exceeds dense limit 3"):
+            spectral.spectrum_fluxless((2,) * 5)
+
+    def test_entry_bound_and_read_only_values(self):
+        assert spectral._block_eigenvalues.cache_info().maxsize == spectral.PREFIX_CACHE_SIZE
+        assert spectral.PREFIX_CACHE_SIZE >= 747  # the distinct blocks of the product <= 64 family
+        for k in range(spectral.PREFIX_CACHE_SIZE + 50):
+            spectral.prefix_eigenvalues([(1.0 + k / 1024, 0.5)], [(0, 3)])
+        info = spectral._block_eigenvalues.cache_info()
+        assert info.misses == spectral.PREFIX_CACHE_SIZE + 50
+        assert info.currsize == spectral.PREFIX_CACHE_SIZE
+        key = np.array([1.0, 0.5]).tobytes()
+        cached = spectral._block_eigenvalues(key)
+        assert not cached.flags.writeable and spectral._block_eigenvalues(key) is cached
+        got = spectral.prefix_eigenvalues([(1.0, 0.5)], [(0, 3)])
+        got[:] = 7.0  # a caller's result is its own copy
+        assert spectral.prefix_eigenvalues([(1.0, 0.5)], [(0, 3)]).tobytes() == cached.tobytes()
+
+
+class TestClusterEigenvalues:
+    """A value joins a level within ``DEGENERACY_TOL`` of the level's running
+    weighted mean, not of its nearest neighbour."""
+
+    def test_equal_gaps_split_at_the_running_mean(self):
+        spec = spectral.cluster_eigenvalues([0.0, 0.9e-8, 1.8e-8])
+        assert spec.eigenvalues == ((0.45e-8, 2), (1.8e-8, 1))
+
+    def test_one_level_may_span_more_than_the_tolerance(self):
+        spec = spectral.cluster_eigenvalues([0.0, 0.9e-8, 1.35e-8])
+        assert [m for (_v, m) in spec.eigenvalues] == [3]
+        assert spec.eigenvalues[0][0] == pytest.approx(0.75e-8, rel=1e-15)
+
+
 def continuant(weights, lam, n):
     """det(T_n - lam) of the size-n prefix of a zero-diagonal path, by the
     three-term recurrence gamma_i = -lam*gamma_{i-1} - w_{i-1}^2*gamma_{i-2},
