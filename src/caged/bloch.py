@@ -7,6 +7,15 @@ cell along each momentum direction; the Hermitian conjugate is added the
 same way, and repeated (row, col) pairs accumulate.  One broadcast and one
 scatter-add build the matrices of a whole momentum list at once.
 
+Nothing but the phases depends on the flux, so a model is checked, coloured
+and laid out once, at construction, into read-only arrays, and
+``BlochModel.with_default_flux`` shares them at another flux.  Each periodic
+builder keeps its cell as such a template, built once per growth sequence
+(``chain_bloch``) or once (``second_kind_44_bloch``), and returns it at the
+requested flux without array work: a sweep over fluxes pays for its SVDs
+alone.  Every flux a model reads must pass ``gauge.check_angle``: finite
+and below ``gauge.ANGLE_LIMIT``, the rule ``cli.parse_phi`` applies.
+
 Every cell is bipartite (the glued trees keep their level parity across the
 root-to-root chain, and the rhombus tilings have only 4-cycle faces), and a
 model refuses a cell that cannot be 2-coloured by ``graphs.two_colouring``.
@@ -40,8 +49,10 @@ pointwise in k.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -78,6 +89,14 @@ class _Block(NamedTuple):
         return out.reshape(-1, *self.shape)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as a read-only int64 array, refused unless integer-typed."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise InvalidParameterError(f"{what} must be integers, got dtype {arr.dtype}")
+    return graphs.read_only(arr, np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class BlochModel:
     """A momentum- and flux-parametric family of finite Hermitian matrices.
@@ -93,6 +112,14 @@ class BlochModel:
     conjugated; the edges are then split into the static rows of T(k) (or
     of its transpose) and the r coupled rows that every winding edge meets.
     ``stack(ks)[:, A][:, :, B]`` is T(k) itself.
+
+    Construction is the one check: it refuses, with
+    ``InvalidParameterError``, a band count below 1, edge arrays that are
+    not (E,) integer rows and cols in 0..bands-1, (E,) finite flux factors
+    and (E, D) integer windings with D >= 1, a cell with an odd cycle, and
+    a default flux that ``gauge.check_angle`` refuses.  Every array it
+    keeps is read-only, so ``with_default_flux`` shares them all, and every
+    flux a method reads passes ``gauge.check_angle``.
     """
 
     bands: int
@@ -106,14 +133,33 @@ class BlochModel:
     _blocks: tuple[_Block, _Block] = field(init=False, repr=False)
 
     def __post_init__(self):
-        side = graphs.two_colouring(self.bands, self.rows, self.cols)
+        if not (isinstance(self.bands, (int, np.integer)) and self.bands >= 1):
+            raise InvalidParameterError(f"a model needs a positive band count, got {self.bands!r}")
+        n = int(self.bands)
+        rows, cols = _integers(self.rows, "rows"), _integers(self.cols, "cols")
+        factors = graphs.read_only(self.flux_factors, float)
+        windings = _integers(self.windings, "windings")
+        if not (rows.ndim == 1 and rows.shape == cols.shape == factors.shape
+                and windings.ndim == 2 and len(windings) == len(rows) and windings.shape[1] >= 1):
+            raise InvalidParameterError(
+                f"rows {rows.shape}, cols {cols.shape}, flux_factors {factors.shape} and "
+                f"windings {windings.shape} must be (E,), (E,), (E,) and (E, D) with D >= 1")
+        if not (((0 <= rows) & (rows < n)).all() and ((0 <= cols) & (cols < n)).all()):
+            raise InvalidParameterError(f"edge ends must lie in 0..{n - 1}")
+        if not np.isfinite(factors).all():
+            raise InvalidParameterError("flux factors must be finite")
+        for name, value in (("bands", n), ("rows", rows), ("cols", cols), ("flux_factors", factors),
+                            ("windings", windings),
+                            ("default_flux", gauge.check_angle(self.default_flux))):
+            object.__setattr__(self, name, value)
+        side = graphs.two_colouring(n, rows, cols)
         a, b = np.flatnonzero(~side), np.flatnonzero(side)
         # An edge from B to A enters T(k) conjugated: ends swapped, phase negated.
-        u, v, flip = graphs.sublattice_slots(side, self.rows, self.cols)
+        u, v, flip = graphs.sublattice_slots(side, rows, cols)
         sign = np.where(flip, -1, 1)
-        factors, windings = sign * self.flux_factors, sign[:, None] * self.windings
+        signed, turns = sign * factors, sign[:, None] * windings
         shape = (len(a), len(b))
-        moving = windings.any(axis=1)
+        moving = turns.any(axis=1)
         coupled = np.bincount(u[moving], minlength=len(a)) > 0
         coupled_cols = np.bincount(v[moving], minlength=len(b)) > 0
         if coupled_cols.sum() < coupled.sum():  # T(k)^T has fewer coupled rows
@@ -121,17 +167,28 @@ class BlochModel:
         r, on = int(coupled.sum()), coupled[u]
         # Each row's index among the coupled rows, or among the static ones.
         slots = (np.where(coupled, np.cumsum(coupled), np.cumsum(~coupled)) - 1)[u] * shape[1] + v
-        object.__setattr__(self, "sublattices", (a, b))
         # The whole matrix: the conjugate half has its ends swapped and its
         # factors and windings negated.
-        n = self.bands
-        object.__setattr__(self, "_square", _Block(
-            np.concatenate([self.flux_factors, -self.flux_factors]),
-            np.concatenate([self.windings, -self.windings]),
-            np.concatenate([self.rows * n + self.cols, self.cols * n + self.rows]), (n, n)))
-        object.__setattr__(self, "_blocks", (
-            _Block(factors[~on], windings[~on], slots[~on], (shape[0] - r, shape[1])),
-            _Block(factors[on], windings[on], slots[on], (r, shape[1]))))
+        square = _Block(np.concatenate([factors, -factors]), np.concatenate([windings, -windings]),
+                        np.concatenate([rows * n + cols, cols * n + rows]), (n, n))
+        blocks = (_Block(signed[~on], turns[~on], slots[~on], (shape[0] - r, shape[1])),
+                  _Block(signed[on], turns[on], slots[on], (r, shape[1])))
+        for arr in (a, b, *square[:3], *blocks[0][:3], *blocks[1][:3]):
+            arr.flags.writeable = False  # shared by every model of this cell
+        object.__setattr__(self, "sublattices", (a, b))
+        object.__setattr__(self, "_square", square)
+        object.__setattr__(self, "_blocks", blocks)
+
+    def with_default_flux(self, phi: float) -> BlochModel:
+        """The same cell at default flux ``phi``, sharing every array: no
+        array is built or checked again."""
+        model = copy.copy(self)
+        object.__setattr__(model, "default_flux", gauge.check_angle(phi))
+        return model
+
+    def _flux(self, phi: float | None) -> float:
+        """``phi`` checked by ``gauge.check_angle``, or the default flux."""
+        return self.default_flux if phi is None else gauge.check_angle(phi)
 
     @property
     def dimensionality(self) -> int:
@@ -146,8 +203,7 @@ class BlochModel:
 
     def stack(self, momenta, phi: float | None = None) -> np.ndarray:
         """The matrices at each row of ``momenta`` (K, dimensionality), as (K, n, n)."""
-        phi = self.default_flux if phi is None else phi
-        return self._square.at(self._momenta(momenta), phi)
+        return self._square.at(self._momenta(momenta), self._flux(phi))
 
     def _static_clusters(self, phi: float):
         """The static rows' singular values, one per column of the swept
@@ -184,8 +240,7 @@ class BlochModel:
         over their couplings, gives the rest.  Of these values, one per
         column, the smallest beyond min(|A|, |B|) are zeros and are dropped.
         """
-        phi = self.default_flux if phi is None else phi
-        ks = self._momenta(momenta)
+        phi, ks = self._flux(phi), self._momenta(momenta)
         starts, sizes, values, v = self._static_clusters(phi)
         static, coupled = self._blocks
         (m_s, n_c), r = static.shape, coupled.shape[0]
@@ -214,20 +269,31 @@ class BlochModel:
         return self.stack(np.reshape(k, (1, -1)), phi)[0]
 
 
+@lru_cache(maxsize=graphs.GROWTH_CACHE_SIZE)
+def _chain_template(xs: tuple[int, ...]) -> BlochModel:
+    """The chain cell of a checked sequence at default flux 0, built once
+    per sequence and shared: no part of it depends on the flux."""
+    tree = gauge.canonical_ccam(xs, 1.0)
+    wrap = tree.cols == tree.last_vertex
+    return BlochModel(bands=tree.dimension - 1, rows=tree.rows,
+                      cols=np.where(wrap, tree.first_vertex, tree.cols),
+                      flux_factors=np.where(wrap, tree.phases + 0.5, tree.phases),
+                      windings=-wrap.astype(np.int64)[:, None], default_flux=0.0)
+
+
 def chain_bloch(x: Sequence[int], phi: float) -> BlochModel:
     """Bloch matrix family of the infinite root-to-root chain of glued trees.
 
     One unit cell holds the tree minus its last root, so the band count is
     the tree vertex count minus one.  The couplings into the last root wrap
     to the next cell's first root.  The last root has the highest
-    breadth-first id, so it is the column of every edge it lies on.
+    breadth-first id, so it is the column of every edge it lies on.  The
+    cell is built once per sequence (``_chain_template``, holding the last
+    ``graphs.GROWTH_CACHE_SIZE`` sequences used), after the sequence is
+    checked; each call returns it at default flux ``phi`` through
+    ``with_default_flux``, which builds no array.
     """
-    tree = gauge.canonical_ccam(x, 1.0)
-    wrap = tree.cols == tree.last_vertex
-    return BlochModel(bands=tree.dimension - 1, rows=tree.rows,
-                      cols=np.where(wrap, tree.first_vertex, tree.cols),
-                      flux_factors=np.where(wrap, tree.phases + 0.5, tree.phases),
-                      windings=-wrap.astype(np.int64)[:, None], default_flux=phi)
+    return _chain_template(graphs.check_growth_sequence(x)).with_default_flux(phi)
 
 
 def rhombic_bands(phi: float, k: float) -> tuple[float, float, float]:
@@ -249,6 +315,15 @@ _STAR_44_EDGES = np.array([
 ])
 
 
+@lru_cache(maxsize=1)
+def _star_44_template() -> BlochModel:
+    """The {4,4} cell at default flux 0, built once and shared."""
+    t = _STAR_44_EDGES
+    return BlochModel(bands=6, rows=t[:, 0].astype(np.int64), cols=t[:, 1].astype(np.int64),
+                      flux_factors=t[:, 2], windings=t[:, 3:].astype(np.int64),
+                      default_flux=0.0)
+
+
 def second_kind_44_bloch(phi: float) -> BlochModel:
     """Six-band model of the {4,4} star lattice of 2-shrubs.
 
@@ -256,12 +331,10 @@ def second_kind_44_bloch(phi: float) -> BlochModel:
     omega appears on two edges of every rhombic face, so each face winds
     2*arg(omega); omega = exp(i*phi/2) therefore threads the flux phi through
     every face, which the real-space patch check pins down: the bands all
-    flatten exactly at the 2-shrub caging point phi = pi.
+    flatten exactly at the 2-shrub caging point phi = pi.  Like
+    ``chain_bloch``, it returns one shared cell at default flux ``phi``.
     """
-    t = _STAR_44_EDGES
-    return BlochModel(bands=6, rows=t[:, 0].astype(np.int64), cols=t[:, 1].astype(np.int64),
-                      flux_factors=t[:, 2], windings=t[:, 3:].astype(np.int64),
-                      default_flux=phi)
+    return _star_44_template().with_default_flux(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +366,11 @@ def band_sweep(model: BlochModel, phi: float | None, grid: int) -> BandSweep:
     then one small SVD per momentum), give the row (-s_1, ..., -s_m, 0, ...,
     0, s_m, ..., s_1) with n - 2m zeros: ascending, and exactly symmetric
     about zero.  Refuses, before the grid is built, when the coupled rows,
-    small blocks and energies would exceed ``SWEEP_BLOCK_LIMIT_BYTES``.
+    small blocks and energies would exceed ``SWEEP_BLOCK_LIMIT_BYTES``, and
+    a flux that ``gauge.check_angle`` refuses.
     """
-    (r, n), points = model._blocks[1].shape, max(grid, 0) ** model.dimensionality
+    phi, (r, n) = model._flux(phi), model._blocks[1].shape
+    points = max(grid, 0) ** model.dimensionality
     held = points * (16 * (2 * r * n + (n + r) * n) + 8 * model.bands)
     if held > SWEEP_BLOCK_LIMIT_BYTES:
         raise ResourceLimitError(f"{points} momenta x {held // points} bytes of sweep arrays "
@@ -328,24 +403,26 @@ def dos_map(model: BlochModel, phi_grid: Sequence[float], k_grid: int,
     Bin edges are shared across fluxes (computed from the global energy
     range) so columns are comparable.  Every flux's energies are held until
     those edges are known, so it refuses, before the first sweep, when they
-    would exceed ``SWEEP_BLOCK_LIMIT_BYTES`` together.
+    would exceed ``SWEEP_BLOCK_LIMIT_BYTES`` together, and when
+    ``gauge.check_angle`` refuses a flux.
     """
     if len(phi_grid) == 0 or energy_bins < 1:
         raise InvalidParameterError("need at least one flux and one bin")
+    phis = [gauge.check_angle(phi) for phi in phi_grid]
     points = max(k_grid, 0) ** model.dimensionality
-    if len(phi_grid) * points * model.bands * 8 > SWEEP_BLOCK_LIMIT_BYTES:
-        raise ResourceLimitError(f"{len(phi_grid)} fluxes x {points} momenta x {model.bands} "
+    if len(phis) * points * model.bands * 8 > SWEEP_BLOCK_LIMIT_BYTES:
+        raise ResourceLimitError(f"{len(phis)} fluxes x {points} momenta x {model.bands} "
                                  f"bands of energies exceed "
                                  f"{SWEEP_BLOCK_LIMIT_BYTES / 2**20:g} MiB")
-    sweeps = [band_sweep(model, phi, k_grid) for phi in phi_grid]
+    sweeps = [band_sweep(model, phi, k_grid) for phi in phis]
     lo = min(float(s.energies.min()) for s in sweeps)
     hi = max(float(s.energies.max()) for s in sweeps)
     pad = 1e-9 * max(1.0, abs(hi - lo))
     edges = np.linspace(lo - pad, hi + pad, energy_bins + 1)
-    counts = np.empty((len(phi_grid), energy_bins), dtype=int)
+    counts = np.empty((len(phis), energy_bins), dtype=int)
     for i, s in enumerate(sweeps):
         counts[i], _ = np.histogram(s.energies.ravel(), bins=edges)
-    return DosMap(flux_values=tuple(float(p) for p in phi_grid), bin_edges=edges,
+    return DosMap(flux_values=tuple(phis), bin_edges=edges,
                   counts=counts)
 
 

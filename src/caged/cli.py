@@ -27,9 +27,10 @@ _PI_LITERAL = re.compile(r"^(-?)(\d+)?pi(?:/(\d+))?$")
 def parse_phi(text: str) -> float:
     """Parse a flux angle: plain decimal or exact 'pi', '2pi/3', '-pi/6' literals.
 
-    Refuses an angle that is not finite (nan, inf, or a literal past the
-    float range such as 1e400), and one from ``gauge.ANGLE_LIMIT`` on, where
-    neighbouring floats lie farther apart than the flat-value tolerance.
+    Refuses, by ``gauge.check_angle``, an angle that is not finite (nan,
+    inf, or a literal past the float range such as 1e400), and one from
+    ``gauge.ANGLE_LIMIT`` on, where neighbouring floats lie farther apart
+    than the flat-value tolerance.
     """
     s = text.strip().replace(" ", "")
     m = _PI_LITERAL.match(s)
@@ -45,12 +46,7 @@ def parse_phi(text: str) -> float:
             phi = float(s)
         except ValueError:
             raise InvalidParameterError(f"cannot parse flux {text!r}") from None
-    if not math.isfinite(phi):
-        raise InvalidParameterError(f"flux {text!r} is not a finite angle")
-    if not abs(phi) < gauge.ANGLE_LIMIT:
-        raise InvalidParameterError(f"flux {text!r} is not an angle that a float resolves: "
-                                    f"|phi| must be below {gauge.ANGLE_LIMIT:.10g}")
-    return phi
+    return gauge.check_angle(phi, text)
 
 
 def parse_sequence(text: str) -> tuple[int, ...]:

@@ -31,6 +31,21 @@ FLAT_VALUE_TOL = 1e-9
 ANGLE_LIMIT = FLAT_VALUE_TOL * 2**52
 
 
+def check_angle(phi, shown=None) -> float:
+    """``phi`` as a float, refused unless it is finite and below
+    ``ANGLE_LIMIT`` in magnitude, where neighbouring floats still lie closer
+    than ``FLAT_VALUE_TOL``.  A refusal quotes ``shown`` (the text it was read
+    from, say) if given, else ``phi``."""
+    angle = float(phi)
+    if not abs(angle) < ANGLE_LIMIT:
+        quoted = repr(phi if shown is None else shown)
+        if not math.isfinite(angle):
+            raise InvalidParameterError(f"flux {quoted} is not a finite angle")
+        raise InvalidParameterError(f"flux {quoted} is not an angle that a float resolves: "
+                                    f"|phi| must be below {ANGLE_LIMIT:.10g}")
+    return angle
+
+
 def dense_limit() -> int:
     """The largest dimension of a dense matrix: ``CAGED_DENSE_LIMIT`` if set,
     which must be a positive integer, else ``DEFAULT_DENSE_LIMIT``."""

@@ -499,7 +499,11 @@ def grow_tree(x: Sequence[int], *, _allow_trailing_one: bool = False) -> Graph:
 
 def tree_vertex_count(x: Sequence[int]) -> int:
     """Vertex count N_i = x_i * N_{i-1} + 2 with N_1 = x_1 + 2."""
-    xs = check_growth_sequence(x, allow_trailing_one=True)
+    return _tree_vertex_count(check_growth_sequence(x, allow_trailing_one=True))
+
+
+def _tree_vertex_count(xs: tuple[int, ...]) -> int:
+    """``tree_vertex_count`` of a checked sequence."""
     n = xs[0] + 2
     for v in xs[1:]:
         n = v * n + 2

@@ -156,12 +156,20 @@ def prefix_eigenvalues(paths: Sequence[Sequence[float]],
     each about 16 * s bytes (key and values); at the default dense limit
     of 4,096 rows that is about 64 MiB in all.
     """
-    widths: dict[int, int] = {}
     for p, s in prefixes:
         if not (0 <= p < len(paths) and 0 <= s <= len(paths[p]) + 1):
             raise InvalidParameterError(f"prefix ({p}, {s}) is not in a listed path")
+    gauge.require_dense(max((s for _p, s in prefixes), default=0))
+    return _solve_prefixes(paths, prefixes)
+
+
+def _solve_prefixes(paths: Sequence[Sequence[float]],
+                    prefixes: Sequence[tuple[int, int]]) -> np.ndarray:
+    """``prefix_eigenvalues`` of prefixes already checked against the paths
+    and the dense limit."""
+    widths: dict[int, int] = {}
+    for p, s in prefixes:
         widths[p] = max(widths.get(p, 0), s)
-    gauge.require_dense(max(widths.values(), default=0))
     zeroed = {}
     for p, w in widths.items():
         weights = paths[p][:max(w - 1, 0)]
@@ -178,22 +186,23 @@ def prefix_eigenvalues(paths: Sequence[Sequence[float]],
 
 def _assemble(xs: tuple[int, ...], paths: Sequence[Sequence[float]],
               blocks: Sequence[tuple[int, int, int]], what: str) -> Spectrum:
-    """Cluster the eigenvalues of (path, prefix size, multiplicity) blocks,
-    checking first, before any eigensolve, that every growth entry is >= 2,
-    that each level's sum of count * eigenvalue stays a finite float (below
-    the vertex count times twice the largest weight, by Gershgorin), and
-    that the solves, sum s^3 over the prefix sizes s, cost at most one dense
-    solve at ``gauge.dense_limit()``."""
+    """Cluster the eigenvalues of (path, prefix size, multiplicity) blocks
+    of the checked sequence ``xs``, checking first, before any eigensolve,
+    that every growth entry is >= 2, that each level's sum of count *
+    eigenvalue stays a finite float (below the vertex count times twice the
+    largest weight, by Gershgorin), and that the solves, sum s^3 over the
+    prefix sizes s, cost at most one dense solve at ``gauge.dense_limit()``,
+    which bounds every prefix size too."""
     if any(v < 2 for v in xs):
         raise UnsupportedHypothesisError(
             f"{what} requires every growth entry >= 2 (got {xs}); "
             "use the dense oracle instead")
     radius = 2.0 * max((w for path in paths for w in path), default=0.0)
-    vertices = graphs.tree_vertex_count(xs)
+    vertices = graphs._tree_vertex_count(xs)
     if vertices.bit_length() + math.frexp(radius)[1] >= np.finfo(float).maxexp:
         raise ResourceLimitError(f"{what}: its count * eigenvalue sums overflow a float")
     gauge.require_dense(math.ceil(sum(s ** 3 for (_p, s, _m) in blocks) ** (1 / 3)))
-    values = prefix_eigenvalues(paths, [(p, s) for (p, s, _m) in blocks])
+    values = _solve_prefixes(paths, [(p, s) for (p, s, _m) in blocks])
     counts = [m for (_p, s, m) in blocks for _ in range(s)]  # exact Python ints
     spec = cluster_eigenvalues(values.tolist(), counts)
     if spec.dimension != vertices:
@@ -207,7 +216,11 @@ def fluxless_multiplicities(x: Sequence[int]) -> list[tuple[int, int]]:
     Block d appears once; block i < d appears (x_{i+1} - 1) * prod_{j>i+1} x_j
     times.  The dimensions sum to the tree's vertex count.
     """
-    xs = graphs.check_growth_sequence(x)
+    return _fluxless_multiplicities(graphs.check_growth_sequence(x))
+
+
+def _fluxless_multiplicities(xs: tuple[int, ...]) -> list[tuple[int, int]]:
+    """``fluxless_multiplicities`` of a checked sequence."""
     d = len(xs)
     return [(d, 1)] + [(i, (xs[i] - 1) * math.prod(xs[i + 1:])) for i in range(d - 1, -1, -1)]
 
@@ -226,7 +239,7 @@ def spectrum_fluxless(x: Sequence[int]) -> Spectrum:
     xs = graphs.check_growth_sequence(x)
     a = [math.sqrt(v) for v in xs]
     paths = ([math.sqrt(2 * xs[0])] + a[1:], a[1:])
-    blocks = [(p, i + 1 - p, mult) for (i, mult) in fluxless_multiplicities(xs) for p in (0, 1)]
+    blocks = [(p, i + 1 - p, mult) for (i, mult) in _fluxless_multiplicities(xs) for p in (0, 1)]
     return _assemble(xs, paths, blocks, "fluxless assembly")
 
 
@@ -237,7 +250,11 @@ def flux_af_multiplicities(x: Sequence[int]) -> list[tuple[int, int]]:
     block i-1 appears 2 * (x_i - 1) * prod_{j>i} x_j times for i = 2..d, and
     the 1x1 zero block (x_1 - 2) * prod_{j>1} x_j times, if that is nonzero.
     """
-    xs = graphs.check_growth_sequence(x)
+    return _flux_af_multiplicities(graphs.check_growth_sequence(x))
+
+
+def _flux_af_multiplicities(xs: tuple[int, ...]) -> list[tuple[int, int]]:
+    """``flux_af_multiplicities`` of a checked sequence."""
     d = len(xs)
     out = [(d, 2)] + [(i - 1, 2 * (xs[i - 1] - 1) * math.prod(xs[i:])) for i in range(2, d + 1)]
     zero_mult = (xs[0] - 2) * math.prod(xs[1:])
@@ -249,5 +266,5 @@ def spectrum_flux_af(x: Sequence[int]) -> Spectrum:
     the size-(i + 1) prefix of the path F = (a_1, ..., a_d), a_j = sqrt(x_j)."""
     xs = graphs.check_growth_sequence(x)
     paths = ([math.sqrt(v) for v in xs],)
-    blocks = [(0, i + 1, mult) for (i, mult) in flux_af_multiplicities(xs)]
+    blocks = [(0, i + 1, mult) for (i, mult) in _flux_af_multiplicities(xs)]
     return _assemble(xs, paths, blocks, "flux assembly")

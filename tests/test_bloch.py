@@ -205,6 +205,185 @@ class TestBlochModelArrays:
         assert grid.tolist() == [[kx, ky] for kx in line for ky in line]
 
 
+def fresh_chain_model(xs, phi):
+    """The chain cell built anew at flux ``phi``, as every call built
+    it before cells were shared."""
+    tree = gauge.canonical_ccam(xs, 1.0)
+    wrap = tree.cols == tree.last_vertex
+    return bloch.BlochModel(bands=tree.dimension - 1, rows=tree.rows,
+                            cols=np.where(wrap, tree.first_vertex, tree.cols),
+                            flux_factors=np.where(wrap, tree.phases + 0.5, tree.phases),
+                            windings=-wrap.astype(np.int64)[:, None], default_flux=phi)
+
+
+def shared_arrays(model):
+    a, b = model.sublattices
+    square, (static, coupled) = model._square, model._blocks
+    return [model.rows, model.cols, model.flux_factors, model.windings, a, b,
+            *square[:3], *static[:3], *coupled[:3]]
+
+
+class TestTemplate:
+    """Each periodic builder keeps one read-only cell per sequence and hands
+    it out at the requested flux."""
+
+    @pytest.fixture
+    def cold(self):
+        bloch._chain_template.cache_clear()
+        yield
+        bloch._chain_template.cache_clear()
+
+    def test_every_chain_to_product_64_matches_a_fresh_model(self):
+        for m in range(2, 65):
+            for xs in graphs.ordered_factorizations(m)[1]:
+                want = fresh_chain_model(xs, 0.0)
+                for phi in (0.0, 0.7, TWO_PI / m, math.pi / m):
+                    got = bloch.chain_bloch(xs, phi)
+                    assert got.default_flux == phi
+                    a, b = bloch.band_sweep(got, None, 3), bloch.band_sweep(want, phi, 3)
+                    assert a.energies.tobytes() == b.energies.tobytes()
+                    assert a.total_bandwidth == b.total_bandwidth
+                    assert got.stack(a.momenta[:2]).tobytes() == want.stack(a.momenta[:2],
+                                                                            phi).tobytes()
+
+    def test_star_lattice_matches_a_fresh_model(self):
+        t = bloch._STAR_44_EDGES
+        for phi in (0.0, 0.7, math.pi):
+            want = bloch.BlochModel(6, t[:, 0].astype(np.int64), t[:, 1].astype(np.int64),
+                                    t[:, 2], t[:, 3:].astype(np.int64), phi)
+            got = bloch.second_kind_44_bloch(phi)
+            a, b = bloch.band_sweep(got, None, 6), bloch.band_sweep(want, None, 6)
+            assert a.energies.tobytes() == b.energies.tobytes()
+            assert got.stack(a.momenta).tobytes() == want.stack(a.momenta).tobytes()
+
+    def test_models_of_one_cell_keep_their_own_flux(self):
+        low, high = bloch.chain_bloch((2, 3, 2), 0.3), bloch.chain_bloch([2, 3, 2], 0.7)
+        assert (low.default_flux, high.default_flux) == (0.3, 0.7)
+        assert all(x is y for x, y in zip(shared_arrays(low), shared_arrays(high)))
+        assert low._blocks is high._blocks and low._square is high._square
+        for model, phi in ((low, 0.3), (high, 0.7)):
+            assert (bloch.band_sweep(model, None, 9).energies.tobytes()
+                    == bloch.band_sweep(fresh_chain_model((2, 3, 2), phi), None, 9)
+                    .energies.tobytes())
+        star = bloch.second_kind_44_bloch(0.7).with_default_flux(math.pi)
+        assert star.default_flux == math.pi and bloch.second_kind_44_bloch(0.7).default_flux == 0.7
+
+    @pytest.mark.parametrize("model", [
+        bloch.chain_bloch((2, 3, 2), 0.3), bloch.second_kind_44_bloch(0.3),
+        bloch.BlochModel(2, [0, 1], [1, 0], [0.0, 0.5], [[0], [-1]], 0.0)],
+        ids=["chain", "star", "built"])
+    def test_every_shared_array_refuses_writes(self, model):
+        arrays = shared_arrays(model)
+        assert len(arrays) == 15
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_inputs_are_copied_not_shared(self):
+        rows, factors = np.array([0, 1]), np.array([0.0, 0.5])
+        model = bloch.BlochModel(2, rows, np.array([1, 0]), factors, np.array([[0], [-1]]), 0.0)
+        before = model.matrix(0.3, 1.0)
+        rows[:], factors[:] = 1, 9.0
+        assert model.matrix(0.3, 1.0).tobytes() == before.tobytes()
+
+    def test_warm_call_builds_nothing(self, monkeypatch):
+        bloch.chain_bloch((2, 3, 2), 0.0)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the cell was built again")
+
+        for module, name in ((graphs, "two_colouring"), (graphs, "sublattice_slots"),
+                             (gauge, "canonical_ccam")):
+            monkeypatch.setattr(module, name, unexpected)
+        assert bloch.chain_bloch((2, 3, 2), 1.3).default_flux == 1.3
+
+    def test_cache_holds_the_growth_cache_size(self, cold):
+        info = bloch._chain_template.cache_info
+        assert info().maxsize == graphs.GROWTH_CACHE_SIZE
+        for k in range(2, graphs.GROWTH_CACHE_SIZE + 12):
+            bloch.chain_bloch((k,), 0.0)
+        assert info().currsize == graphs.GROWTH_CACHE_SIZE
+        assert info().misses == graphs.GROWTH_CACHE_SIZE + 10
+
+    @pytest.mark.parametrize("xs", [(), (0,), (2, 1), (2, -3)])
+    def test_invalid_sequence_refused_before_caching(self, cold, xs):
+        with pytest.raises(InvalidParameterError, match="growth"):
+            bloch.chain_bloch(xs, 0.0)
+        assert bloch._chain_template.cache_info().currsize == 0
+
+
+BAD_FLUXES = [math.nan, math.inf, -math.inf, 1e300, gauge.ANGLE_LIMIT, -gauge.ANGLE_LIMIT]
+
+
+class TestFluxRefusals:
+    """Every flux a model reads must be finite and below ``gauge.ANGLE_LIMIT``."""
+
+    @pytest.mark.parametrize("phi", BAD_FLUXES)
+    def test_band_sweep(self, phi):
+        with pytest.raises(InvalidParameterError, match="flux"):
+            bloch.band_sweep(bloch.chain_bloch((2,), 0.3), phi, 4)
+
+    @pytest.mark.parametrize("phi", BAD_FLUXES)
+    def test_builders(self, phi):
+        with pytest.raises(InvalidParameterError, match="flux"):
+            bloch.chain_bloch((2,), phi)
+        with pytest.raises(InvalidParameterError, match="flux"):
+            bloch.second_kind_44_bloch(phi)
+        with pytest.raises(InvalidParameterError, match="flux"):
+            bloch.chain_bloch((2,), 0.3).with_default_flux(phi)
+        with pytest.raises(InvalidParameterError, match="flux"):
+            cell_model(1, 1, [(0, 1, 0.5, 1)]).with_default_flux(phi)
+        with pytest.raises(InvalidParameterError, match="flux"):
+            bloch.BlochModel(2, [0], [1], [0.5], [[1]], phi)
+
+    @pytest.mark.parametrize("phi", BAD_FLUXES)
+    def test_model_methods(self, phi):
+        model, ks = bloch.chain_bloch((2,), 0.3), np.zeros((2, 1))
+        for read in (model.stack, model.singular_values):
+            with pytest.raises(InvalidParameterError, match="flux"):
+                read(ks, phi)
+        with pytest.raises(InvalidParameterError, match="flux"):
+            model.matrix(0.0, phi)
+
+    @pytest.mark.parametrize("phi", BAD_FLUXES)
+    def test_dos_map_before_the_first_sweep(self, monkeypatch, phi):
+        def no_sweep(*args):
+            raise AssertionError("band swept")
+
+        monkeypatch.setattr(bloch, "band_sweep", no_sweep)
+        with pytest.raises(InvalidParameterError, match="flux"):
+            bloch.dos_map(bloch.chain_bloch((2,), 0.0), [0.1, phi], 4, 3)
+
+    def test_largest_resolved_flux_answers(self):
+        phi = float(np.nextafter(gauge.ANGLE_LIMIT, 0.0))
+        assert bloch.band_sweep(bloch.chain_bloch((2,), phi), None, 4).total_bandwidth > 0.0
+
+
+class TestMalformedEdges:
+    """``BlochModel`` refuses malformed edge arrays at construction."""
+
+    @pytest.mark.parametrize("bands, rows, cols, factors, windings, message", [
+        (2, [0], [2], [0.0], [[1]], "edge ends"),
+        (2, [-1], [1], [0.0], [[1]], "edge ends"),
+        (3, [0, 0], [1, 2], [0.5], [[1], [0]], "must be"),
+        (2, [0], [1], [0.0], [1], "must be"),
+        (2, [0], [1], [0.0], np.zeros((1, 0), dtype=np.int64), "must be"),
+        (2, [0, 0], [1], [0.0, 0.0], [[0], [1]], "must be"),
+        (2, [0], [1], [math.nan], [[1]], "finite"),
+        (2, [0], [1], [math.inf], [[1]], "finite"),
+        (2, [0.0], [1], [0.0], [[1]], "integers"),
+        (2, [0], [1], [0.0], [[0.5]], "integers"),
+        (0, [], [], [], np.zeros((0, 1), dtype=np.int64), "band count"),
+        (2.0, [0], [1], [0.0], [[1]], "band count"),
+    ], ids=["col-past-bands", "negative-row", "short-factors", "flat-windings",
+            "no-direction", "short-cols", "nan-factor", "inf-factor", "float-rows",
+            "float-windings", "no-bands", "float-bands"])
+    def test_refused(self, bands, rows, cols, factors, windings, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            bloch.BlochModel(bands, np.array(rows), np.array(cols), np.array(factors, dtype=float),
+                             np.array(windings), 0.0)
+
+
 class TestSublattices:
     def cell(self, rows, cols):
         return bloch.BlochModel(bands=3, rows=np.array(rows), cols=np.array(cols),

@@ -53,6 +53,8 @@ class TestPhiParsing:
         ("verify", "--x", "2,3", "--phi", "inf"),
         ("verify", "--x", "2,3", "--phi=-1e400"),
         ("spectrum", "--x", "2,3", "--phi", "nan", "--method", "oracle"),
+        ("bands", "--x", "2", "--phi", "nan", "--grid", "4"),
+        ("bands", "--model", "lotus44", "--phi=-inf", "--grid", "4"),
     ])
     def test_non_finite_flux_exits_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -66,6 +68,7 @@ class TestPhiParsing:
         ("spectrum", "--x", "2,3", "--phi", "1e8", "--method", "theorem"),
         ("spectrum", "--x", "2,3,2", "--phi", "1e300", "--method", "oracle"),
         ("bands", "--x", "2", "--phi", "1e300", "--grid", "3"),
+        ("bands", "--model", "lotus44", "--phi", "4503599.7", "--grid", "3"),
         ("cls", "--x", "2", "--phi", "1e300", "--cells", "2", "--radius-bound", "4"),
         ("lotus", "--kind", "first", "--sides", "6", "--phi", "1e300"),
     ])

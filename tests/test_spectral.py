@@ -271,14 +271,16 @@ class TestPrefixMemo:
     @pytest.mark.parametrize("at_af", [False, True], ids=["fluxless", "flux_af"])
     def test_cold_and_warm_match_uncached_bits(self, at_af, monkeypatch):
         assemble = spectral.spectrum_flux_af if at_af else spectral.spectrum_fluxless
-        solve, calls = spectral.prefix_eigenvalues, []
+        # The assemblies solve their checked blocks through _solve_prefixes,
+        # the part of prefix_eigenvalues after its checks.
+        solve, calls = spectral._solve_prefixes, []
 
         def recorded(paths, prefixes):
             got = solve(paths, prefixes)
             calls.append((paths, prefixes, got))
             return got
 
-        monkeypatch.setattr(spectral, "prefix_eigenvalues", recorded)
+        monkeypatch.setattr(spectral, "_solve_prefixes", recorded)
         cold = [assemble(xs) for xs in self.SEQUENCES]
         solved = spectral._block_eigenvalues.cache_info().misses
         warm = [assemble(xs) for xs in self.SEQUENCES]
@@ -517,7 +519,8 @@ class TestAssemblyRefusals:
         def refuse(*_args, **_kwargs):
             raise AssertionError("eigensolve before a refusal")
 
-        monkeypatch.setattr(spectral, "prefix_eigenvalues", refuse)
+        # The assemblies solve through _solve_prefixes, as prefix_eigenvalues does.
+        monkeypatch.setattr(spectral, "_solve_prefixes", refuse)
 
     @pytest.mark.parametrize("assemble", [spectral.spectrum_fluxless, spectral.spectrum_flux_af])
     def test_deep_binary_tree_refused_at_once(self, assemble):
@@ -536,6 +539,43 @@ class TestAssemblyRefusals:
     def test_unit_entry_refused_first(self, assemble):
         with pytest.raises(UnsupportedHypothesisError, match="every growth entry >= 2"):
             assemble((2,) * 1100 + (1, 2))
+
+
+class TestCheckedOnce:
+    """A theorem spectrum checks its sequence once and reads the dense limit
+    once; the public helpers still check their own input."""
+
+    @pytest.mark.parametrize("assemble", [spectral.spectrum_fluxless, spectral.spectrum_flux_af])
+    def test_one_check_and_one_limit_read(self, assemble, monkeypatch):
+        checks, reads = [], []
+        check, limit = graphs.check_growth_sequence, gauge.dense_limit
+
+        def counted_check(*args, **kwargs):
+            checks.append(args)
+            return check(*args, **kwargs)
+
+        def counted_limit():
+            reads.append(None)
+            return limit()
+
+        monkeypatch.setattr(graphs, "check_growth_sequence", counted_check)
+        monkeypatch.setattr(gauge, "dense_limit", counted_limit)
+        assert assemble([2, 3, 2]).dimension == 30
+        assert (len(checks), len(reads)) == (1, 1)
+
+    @pytest.mark.parametrize("helper", [spectral.fluxless_multiplicities,
+                                        spectral.flux_af_multiplicities,
+                                        graphs.tree_vertex_count])
+    @pytest.mark.parametrize("xs", [(), (2, 0)])
+    def test_public_helpers_check(self, helper, xs):
+        with pytest.raises(InvalidParameterError, match="growth"):
+            helper(xs)
+
+    @pytest.mark.parametrize("helper", [spectral.fluxless_multiplicities,
+                                        spectral.flux_af_multiplicities])
+    def test_multiplicities_refuse_a_trailing_one(self, helper):
+        with pytest.raises(InvalidParameterError, match="last growth entry"):
+            helper((2, 1))
 
 
 @pytest.mark.parametrize("xs", [(3,) * 50, (2,) * 300])
