@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -64,8 +65,10 @@ TWO_PI = 2.0 * math.pi
 
 # Largest total, over a sweep's momenta, of the r coupled rows of T(k) (twice),
 # a small block of at most (n + r) x n values for n swept columns, and the
-# energies.  It also bounds the energies of every flux that ``dos_map`` holds
-# at once.  The README figures need at most 1,024 points, under 5 MiB.
+# energies.  It also bounds the energies of every flux that ``dos_map`` counts
+# at once; it holds their signed singular values as floats and as bin indices,
+# at most twice those bytes.  The README figures need at most 1,024 points,
+# under 5 MiB.
 SWEEP_BLOCK_LIMIT_BYTES = 256 * 2**20
 # Static singular values within this many ulps of the largest one, chained
 # along the sorted values, form one cluster of equal values.
@@ -349,13 +352,35 @@ class BandSweep:
     total_bandwidth: float
 
 
+def _count(value, what: str) -> int:
+    """``value`` as an int, refused unless it is one (``operator.index``)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}") from None
+
+
 def momentum_grid(dimensionality: int, grid: int) -> np.ndarray:
     """The points 2*pi*i/grid per direction, first direction outermost."""
+    grid = _count(grid, "grid")
     if grid < 2:
         raise InvalidParameterError("grid needs at least 2 points per direction")
     line = TWO_PI * np.arange(grid) / grid
     axes = np.meshgrid(*[line] * dimensionality, indexing="ij")
     return np.stack(axes, axis=-1).reshape(-1, dimensionality)
+
+
+def _sweep_grid(model: BlochModel, grid: int) -> np.ndarray:
+    """The ``momentum_grid`` of a sweep of ``model``, refused before it is
+    built when ``grid`` is not an integer, and when the coupled rows, small
+    blocks and energies of one sweep would exceed ``SWEEP_BLOCK_LIMIT_BYTES``."""
+    grid, (r, n) = _count(grid, "grid"), model._blocks[1].shape
+    points = max(grid, 0) ** model.dimensionality
+    held = points * (16 * (2 * r * n + (n + r) * n) + 8 * model.bands)
+    if held > SWEEP_BLOCK_LIMIT_BYTES:
+        raise ResourceLimitError(f"{points} momenta x {held // points} bytes of sweep arrays "
+                                 f"exceed {SWEEP_BLOCK_LIMIT_BYTES / 2**20:g} MiB")
+    return momentum_grid(model.dimensionality, grid)
 
 
 def band_sweep(model: BlochModel, phi: float | None, grid: int) -> BandSweep:
@@ -365,17 +390,13 @@ def band_sweep(model: BlochModel, phi: float | None, grid: int) -> BandSweep:
     |B|), from ``BlochModel.singular_values`` (one SVD of the static rows,
     then one small SVD per momentum), give the row (-s_1, ..., -s_m, 0, ...,
     0, s_m, ..., s_1) with n - 2m zeros: ascending, and exactly symmetric
-    about zero.  Refuses, before the grid is built, when the coupled rows,
-    small blocks and energies would exceed ``SWEEP_BLOCK_LIMIT_BYTES``, and
-    a flux that ``gauge.check_angle`` refuses.
+    about zero.  Refuses, before the grid is built, a flux that
+    ``gauge.check_angle`` refuses, a grid that is not an integer, and a
+    sweep whose coupled rows, small blocks and energies would exceed
+    ``SWEEP_BLOCK_LIMIT_BYTES``.
     """
-    phi, (r, n) = model._flux(phi), model._blocks[1].shape
-    points = max(grid, 0) ** model.dimensionality
-    held = points * (16 * (2 * r * n + (n + r) * n) + 8 * model.bands)
-    if held > SWEEP_BLOCK_LIMIT_BYTES:
-        raise ResourceLimitError(f"{points} momenta x {held // points} bytes of sweep arrays "
-                                 f"exceed {SWEEP_BLOCK_LIMIT_BYTES / 2**20:g} MiB")
-    pts = momentum_grid(model.dimensionality, grid)
+    phi = model._flux(phi)
+    pts = _sweep_grid(model, grid)
     sigma = model.singular_values(pts, phi)
     zeros = np.zeros((len(pts), model.bands - 2 * sigma.shape[1]))
     energies = np.hstack([-sigma, zeros, sigma[:, ::-1]])
@@ -398,15 +419,26 @@ class DosMap:
 
 def dos_map(model: BlochModel, phi_grid: Sequence[float], k_grid: int,
             energy_bins: int) -> DosMap:
-    """Histogram of eigenvalues per flux over a momentum grid.
+    """Histogram of the ``band_sweep`` energies per flux, in one pass over
+    singular values.
 
-    Bin edges are shared across fluxes (computed from the global energy
-    range) so columns are comparable.  Every flux's energies are held until
-    those edges are known, so it refuses, before the first sweep, when they
-    would exceed ``SWEEP_BLOCK_LIMIT_BYTES`` together, and when
-    ``gauge.check_angle`` refuses a flux.
+    The momentum grid is built once, and each flux takes only the singular
+    values s of T(k) (``BlochModel.singular_values``): its energies are -s,
+    +s and n - 2m exact zeros per momentum.  The bin edges are shared
+    across fluxes, so columns are comparable: they span the global energy
+    range +-(the largest s, or 0.0 if there is none), padded by 1e-9 of its
+    width.  One ``np.searchsorted(edges, ., side="right")`` bins
+    every flux's -s and +s, one ``np.bincount`` counts them, and the zero
+    modes are added to the bin that holds 0.0: the counts of
+    ``np.histogram`` over each sweep's energies, exactly.
+
+    Refuses, before the first solve and in this order: a grid or bin count
+    that is not an integer, no flux or no bin, a flux that
+    ``gauge.check_angle`` refuses, fluxes whose energies together exceed
+    ``SWEEP_BLOCK_LIMIT_BYTES``, and each refusal of one ``band_sweep``.
     """
-    if len(phi_grid) == 0 or energy_bins < 1:
+    k_grid, bins = _count(k_grid, "k_grid"), _count(energy_bins, "energy_bins")
+    if len(phi_grid) == 0 or bins < 1:
         raise InvalidParameterError("need at least one flux and one bin")
     phis = [gauge.check_angle(phi) for phi in phi_grid]
     points = max(k_grid, 0) ** model.dimensionality
@@ -414,16 +446,23 @@ def dos_map(model: BlochModel, phi_grid: Sequence[float], k_grid: int,
         raise ResourceLimitError(f"{len(phis)} fluxes x {points} momenta x {model.bands} "
                                  f"bands of energies exceed "
                                  f"{SWEEP_BLOCK_LIMIT_BYTES / 2**20:g} MiB")
-    sweeps = [band_sweep(model, phi, k_grid) for phi in phis]
-    lo = min(float(s.energies.min()) for s in sweeps)
-    hi = max(float(s.energies.max()) for s in sweeps)
-    pad = 1e-9 * max(1.0, abs(hi - lo))
-    edges = np.linspace(lo - pad, hi + pad, energy_bins + 1)
-    counts = np.empty((len(phis), energy_bins), dtype=int)
-    for i, s in enumerate(sweeps):
-        counts[i], _ = np.histogram(s.energies.ravel(), bins=edges)
-    return DosMap(flux_values=tuple(phis), bin_edges=edges,
-                  counts=counts)
+    pts = _sweep_grid(model, k_grid)
+    m = min(map(len, model.sublattices))
+    signed = np.empty((len(phis), 2, len(pts) * m))  # -s then +s, per flux
+    for i, phi in enumerate(phis):
+        sigma = model.singular_values(pts, phi).ravel()
+        signed[i, 0], signed[i, 1] = -sigma, sigma
+    hi = float(signed[:, 1].max(initial=0.0))
+    pad = 1e-9 * max(1.0, 2 * hi)
+    edges = np.linspace(-hi - pad, hi + pad, bins + 1)
+    # Every energy lies strictly inside the padded edges, so its bin is the
+    # index of the last edge at or below it.
+    index = np.searchsorted(edges, signed, side="right")
+    index += (bins * np.arange(len(phis)) - 1)[:, None, None]
+    counts = np.bincount(index.ravel(), minlength=len(phis) * bins).reshape(len(phis), bins)
+    if model.bands > 2 * m:
+        counts[:, np.searchsorted(edges, 0.0, side="right") - 1] += (model.bands - 2 * m) * len(pts)
+    return DosMap(flux_values=tuple(phis), bin_edges=edges, counts=counts)
 
 
 def charpoly_k_independence(x: Sequence[int], phi: float, lam_samples: Sequence[float],
@@ -431,12 +470,14 @@ def charpoly_k_independence(x: Sequence[int], phi: float, lam_samples: Sequence[
     """Worst-case momentum variation of det(F(k) - lam) over sample shifts.
 
     Zero (to roundoff) exactly when the bands carry no dispersion, which for
-    the chain happens at the flat flux values.
+    the chain happens at the flat flux values.  The momenta are the
+    ``momentum_grid`` of ``k_count`` points, which refuses a count that is
+    not an integer of at least 2: one momentum sees no dispersion.
     """
     if len(lam_samples) == 0:
         raise InvalidParameterError("need at least one sample shift")
+    ks = momentum_grid(1, k_count)
     model = chain_bloch(x, phi)
-    ks = TWO_PI * np.arange(k_count)[:, None] / k_count
     shifts = np.asarray(lam_samples, dtype=float)[:, None, None, None] * np.eye(model.bands)
     dets = np.linalg.det(model.stack(ks, phi) - shifts)  # (shift, k)
     return float(np.max(np.abs(dets[:, :, None] - dets[:, None, :]), initial=0.0))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -56,10 +57,6 @@ def parse_sequence(text: str) -> tuple[int, ...]:
         raise InvalidParameterError(f"cannot parse sequence {text!r}") from None
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write(path: str | None, payload: str):
     if path is None or path == "-":
         sys.stdout.write(payload)
@@ -69,13 +66,23 @@ def _write(path: str | None, payload: str):
 
 
 def _rows_to_output(header: list[str], rows: Iterable[Sequence], fmt: str) -> str:
+    """The table as JSON objects or as CSV lines.
+
+    Every caller builds uniform columns, so the CSV row template is read
+    from the first row: a float prints as ``%.17g`` (17 significant digits,
+    the same text as ``f"{v:.17g}"``) and any other cell as ``str``.  The
+    cells of all rows then fill one template per row with one ``%``.
+    """
     if fmt == "json":
         objs = [dict(zip(header, row)) for row in rows]
         return json.dumps(objs, indent=2) + "\n"
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return ",".join(header) + "\n"
+    cells = tuple(itertools.chain(first, itertools.chain.from_iterable(rows)))
+    template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+    return ",".join(header) + "\n" + template * (len(cells) // len(first)) % cells
 
 
 # ---------------------------------------------------------------------------

@@ -350,7 +350,7 @@ class TestFluxRefusals:
         def no_sweep(*args):
             raise AssertionError("band swept")
 
-        monkeypatch.setattr(bloch, "band_sweep", no_sweep)
+        monkeypatch.setattr(bloch.BlochModel, "singular_values", no_sweep)
         with pytest.raises(InvalidParameterError, match="flux"):
             bloch.dos_map(bloch.chain_bloch((2,), 0.0), [0.1, phi], 4, 3)
 
@@ -681,7 +681,7 @@ class TestDosMap:
         # each 64-point sweep of the rhombic chain stacks a 2 KiB block; eight
         # fluxes of three bands hold 12 KiB of energies
         monkeypatch.setattr(bloch, "SWEEP_BLOCK_LIMIT_BYTES", 4096)
-        monkeypatch.setattr(bloch, "band_sweep", no_sweep)
+        monkeypatch.setattr(bloch.BlochModel, "singular_values", no_sweep)
         with pytest.raises(ResourceLimitError):
             bloch.dos_map(bloch.chain_bloch((2,), 0.0), [0.1 * i for i in range(8)], 64, 11)
 
@@ -692,7 +692,102 @@ class TestDosMap:
         assert code == 1 and captured.out == "" and "MiB" in captured.err
 
 
+def histogram_dos(model, phis, k_grid, bins):
+    """The per-flux route ``dos_map`` replaces: one ``band_sweep`` per flux,
+    edges over the global energy range, one ``np.histogram`` per flux."""
+    sweeps = [bloch.band_sweep(model, phi, k_grid) for phi in phis]
+    lo = min(float(s.energies.min()) for s in sweeps)
+    hi = max(float(s.energies.max()) for s in sweeps)
+    pad = 1e-9 * max(1.0, abs(hi - lo))
+    edges = np.linspace(lo - pad, hi + pad, bins + 1)
+    return edges, np.array([np.histogram(s.energies.ravel(), bins=edges)[0] for s in sweeps])
+
+
+class TestDosMapOnePass:
+    """``dos_map`` bins singular values in one pass and adds the zero modes
+    analytically; its edges and counts are those of a per-flux histogram of
+    the ``band_sweep`` energies, bit for bit."""
+
+    @pytest.mark.parametrize("model, phis, k_grid, bins", [
+        # the README figure: caged dos --x 2 --phi-grid 96 --k-grid 256 --bins 201
+        (bloch.chain_bloch((2,), 0.0), [TWO_PI * i / 96 for i in range(96)], 256, 201),
+        (bloch.chain_bloch((2, 3), 0.0), [0.1 * i for i in range(13)], 33, 64),
+        (bloch.chain_bloch((2, 3, 2), 0.0), [math.pi / 6, 0.7, 0.0], 41, 101),
+        (bloch.second_kind_44_bloch(0.0), [0.0, 1.1, math.pi], 12, 77),
+        # two zero modes per momentum, on the middle edge of 256 bins
+        (bloch.chain_bloch((3,), 0.0), [0.3, 2.0, TWO_PI / 3], 16, 256),
+        # the largest energy in the one bin, and in the top bin, closed on the right
+        (bloch.chain_bloch((2,), 0.0), [0.0, math.pi], 16, 1),
+        (bloch.chain_bloch((2,), 0.0), [0.0, math.pi], 16, 2),
+    ], ids=["readme", "chain-23", "chain-232", "star44", "zero-modes", "one-bin", "two-bins"])
+    def test_matches_the_per_flux_histogram(self, model, phis, k_grid, bins):
+        dos = bloch.dos_map(model, phis, k_grid, bins)
+        edges, counts = histogram_dos(model, phis, k_grid, bins)
+        assert np.array_equal(dos.bin_edges, edges)
+        assert np.array_equal(dos.counts, counts)
+        assert dos.counts.sum() == len(phis) * k_grid ** model.dimensionality * model.bands
+
+    @pytest.mark.parametrize("bins", [64, 256])
+    def test_zero_modes_on_an_edge_fall_above_it(self, bins):
+        """With a power-of-two bin count the middle edge is exactly 0.0, and
+        ``np.histogram`` counts a value on an edge in the bin above it.  At
+        flux pi the rhombic bands are flat at -2, 0 and 2."""
+        model = bloch.chain_bloch((2,), 0.0)
+        dos = bloch.dos_map(model, [math.pi], 16, bins)
+        assert dos.bin_edges[bins // 2] == 0.0
+        assert dos.counts[0, bins // 2 - 1:bins // 2 + 1].tolist() == [0, 16]
+        assert np.array_equal(dos.counts, histogram_dos(model, [math.pi], 16, bins)[1])
+
+    def test_no_band_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("band_sweep called")
+
+        monkeypatch.setattr(bloch, "band_sweep", no_sweep)
+        assert bloch.dos_map(bloch.chain_bloch((2,), 0.0), [0.5], 8, 11).counts.sum() == 24
+
+
+class TestIntegerCounts:
+    """A grid or bin count that is not an integer is refused before any sweep."""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("band swept")
+
+        monkeypatch.setattr(bloch.BlochModel, "singular_values", no_sweep)
+
+    @pytest.mark.parametrize("grid", [2.5, 4.0, np.float64(4.0), "4", None])
+    def test_band_sweep_and_momentum_grid(self, no_solve, grid):
+        with pytest.raises(InvalidParameterError, match="grid must be an integer"):
+            bloch.band_sweep(bloch.chain_bloch((2,), 0.3), None, grid)
+        with pytest.raises(InvalidParameterError, match="grid must be an integer"):
+            bloch.momentum_grid(1, grid)
+
+    @pytest.mark.parametrize("k_grid, bins, what", [
+        (4, 2.5, "energy_bins"), (4.0, 3, "k_grid"), (2.5, 3, "k_grid"), (4, np.float64(3), "energy_bins")])
+    def test_dos_map(self, no_solve, k_grid, bins, what):
+        with pytest.raises(InvalidParameterError, match=f"{what} must be an integer"):
+            bloch.dos_map(bloch.chain_bloch((2,), 0.0), [0.1], k_grid, bins)
+
+    def test_numpy_integers_are_counts(self):
+        model = bloch.chain_bloch((2,), 0.3)
+        sweep = bloch.band_sweep(model, None, np.int64(5))
+        assert sweep.energies.tobytes() == bloch.band_sweep(model, None, 5).energies.tobytes()
+        dos = bloch.dos_map(model, [0.3], np.int32(5), np.int64(7))
+        assert np.array_equal(dos.counts, bloch.dos_map(model, [0.3], 5, 7).counts)
+
+
 class TestCharpolyIndependence:
+    @pytest.mark.parametrize("k_count, message", [
+        (1, "at least 2 points"), (0, "at least 2 points"), (-3, "at least 2 points"),
+        (2.5, "must be an integer"), (8.0, "must be an integer")])
+    def test_needs_two_momenta(self, k_count, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            bloch.charpoly_k_independence((2,), 1.0, [0.5, 1.5], k_count=k_count)
+
+    def test_two_momenta_see_the_dispersion(self):
+        assert bloch.charpoly_k_independence((2,), 1.0, [0.5, 1.5], k_count=2) > 1e-3
+
     def test_rhombus_flat(self):
         assert bloch.charpoly_k_independence((2,), math.pi, [0.5, 1.5, 3.0]) < 1e-10
 

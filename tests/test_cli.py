@@ -614,3 +614,53 @@ class TestDeterminism:
                 "theorem", "--out", str(path))
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+def per_cell_csv(header, rows):
+    """The per-cell CSV route that ``_rows_to_output`` replaces."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+FLOATS = [0.0, -0.0, 1.0, -2.5, math.pi, 1 / 3, 5e-324, -5e-324, 2.2250738585072014e-308,
+          1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf,
+          1e16, 123456789012345678.0, np.float64(0.1), np.float64(-0.0), np.float64(math.nan)]
+OTHERS = [0, 1, -7, 2**63, 3**80, -(2**64) - 1, np.int64(-9), np.int32(12), np.uint64(2**64 - 1),
+          np.float32(0.1), True, "pi/6"]
+
+
+class TestCsvTable:
+    """One template per row, filled with one ``%``, prints every cell as the
+    per-cell route did: ``f"{v:.17g}"`` for a float, ``str(v)`` otherwise."""
+
+    def test_float_column_beside_other_columns(self):
+        rows = [[f, o, -f] for f, o in zip(FLOATS, OTHERS * 2)]
+        want = per_cell_csv(["a", "b", "c"], rows)
+        assert cli._rows_to_output(["a", "b", "c"], rows, "csv") == want
+        assert cli._rows_to_output(["a", "b", "c"], iter(rows), "csv") == want
+
+    @pytest.mark.parametrize("column", [FLOATS, OTHERS], ids=["floats", "others"])
+    def test_single_column(self, column):
+        rows = [(v,) for v in column]
+        assert cli._rows_to_output(["v"], rows, "csv") == per_cell_csv(["v"], rows)
+
+    def test_empty_table(self):
+        assert cli._rows_to_output(["k", "amplitude"], [], "csv") == "k,amplitude\n"
+        assert cli._rows_to_output(["k", "amplitude"], iter([]), "csv") == "k,amplitude\n"
+        assert cli._rows_to_output(["k", "amplitude"], [], "json") == "[]\n"
+
+    def test_multiplicities_past_int64(self):
+        rows = [[1.5, 2**70], [-0.0, 10**30]]
+        assert (cli._rows_to_output(["eigenvalue", "multiplicity"], rows, "csv")
+                == "eigenvalue,multiplicity\n1.5,1180591620717411303424\n"
+                   "-0,1000000000000000000000000000000\n")
+
+    def test_dos_figure_rows(self, capsys):
+        """The DOS figure's rows (float, float, int) through the CLI."""
+        code, out, _ = run(capsys, "dos", "--x", "2", "--phi-grid", "8", "--k-grid", "16",
+                           "--bins", "21")
+        header, *lines = out.splitlines()
+        rows = [[float(a), float(b), int(c)] for a, b, c in (line.split(",") for line in lines)]
+        assert code == 0 and out == per_cell_csv(header.split(","), rows)
