@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import copy
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -352,17 +351,9 @@ class BandSweep:
     total_bandwidth: float
 
 
-def _count(value, what: str) -> int:
-    """``value`` as an int, refused unless it is one (``operator.index``)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParameterError(f"{what} must be an integer, got {value!r}") from None
-
-
 def momentum_grid(dimensionality: int, grid: int) -> np.ndarray:
     """The points 2*pi*i/grid per direction, first direction outermost."""
-    grid = _count(grid, "grid")
+    grid = graphs.check_integer(grid, "grid")
     if grid < 2:
         raise InvalidParameterError("grid needs at least 2 points per direction")
     line = TWO_PI * np.arange(grid) / grid
@@ -374,7 +365,7 @@ def _sweep_grid(model: BlochModel, grid: int) -> np.ndarray:
     """The ``momentum_grid`` of a sweep of ``model``, refused before it is
     built when ``grid`` is not an integer, and when the coupled rows, small
     blocks and energies of one sweep would exceed ``SWEEP_BLOCK_LIMIT_BYTES``."""
-    grid, (r, n) = _count(grid, "grid"), model._blocks[1].shape
+    grid, (r, n) = graphs.check_integer(grid, "grid"), model._blocks[1].shape
     points = max(grid, 0) ** model.dimensionality
     held = points * (16 * (2 * r * n + (n + r) * n) + 8 * model.bands)
     if held > SWEEP_BLOCK_LIMIT_BYTES:
@@ -437,7 +428,8 @@ def dos_map(model: BlochModel, phi_grid: Sequence[float], k_grid: int,
     ``gauge.check_angle`` refuses, fluxes whose energies together exceed
     ``SWEEP_BLOCK_LIMIT_BYTES``, and each refusal of one ``band_sweep``.
     """
-    k_grid, bins = _count(k_grid, "k_grid"), _count(energy_bins, "energy_bins")
+    k_grid = graphs.check_integer(k_grid, "k_grid")
+    bins = graphs.check_integer(energy_bins, "energy_bins")
     if len(phi_grid) == 0 or bins < 1:
         raise InvalidParameterError("need at least one flux and one bin")
     phis = [gauge.check_angle(phi) for phi in phi_grid]

@@ -3,9 +3,13 @@ localized states.
 
 A flux-carrying glued tree becomes impossible to cross when the flux is a
 nonzero multiple of 2*pi over the branching product: every same-length path
-from one root to the other picks up phases that sum to zero.  When a lattice
-region is fenced by uncrossable trees, the Krylov space of any seed is finite
-and spanned by the seed's projections onto the eigenspaces: compact states are
+from one root to the other picks up phases that sum to zero.  Float crossing
+amplitudes show it, by one dense product with the sublattice block per power
+on a small bipartite graph and a sparse ``Ccam.powers`` walk on any other,
+both within the forward error of their products; an exact decision needs the
+flat-value rule or the integer cyclotomic certificate.  When a lattice region
+is fenced by uncrossable trees, the Krylov space of any seed is finite and
+spanned by the seed's projections onto the eigenspaces: compact states are
 read from the columns of dense spectral projectors, of the whole matrix within
 the dense limit and beyond it of a window around the seeds that none leak from.
 """
@@ -42,45 +46,99 @@ EXCHANGE_SYMMETRY_TOL = 1e-10
 # complex amplitude per power (1.6 MB at the limit), and one product with H
 # each.
 POWER_COUNT_LIMIT = 100_000
+# Most entries of the sublattice block T that ``crossing_amplitudes`` walks
+# with dense products.  On a 2-core x86 box with one BLAS thread, one dense
+# product per power beat the sparse walk's three numpy calls by a third or
+# more in every run up to 8,904 entries, won or lost from run to run between
+# 14,740 and 17,520, and lost from 42,780 on (BENCH_block_walk.json).  Every
+# tree of product <= 40 fits, the largest ((2, 2, 2, 5), 112 vertices) with
+# 3,100 entries.
+WALK_BLOCK_ENTRIES = 4096
 
 
 def _endpoints(m: gauge.Ccam, m_max: int, source: int | None,
-               target: int | None) -> tuple[int, int]:
-    """The source and target of a crossing run, by default the marked roots;
-    refuses a negative power count or one above ``POWER_COUNT_LIMIT``, and an
-    unmarked or out-of-range vertex."""
+               target: int | None) -> tuple[int, int, int]:
+    """The power count, source and target of a crossing run, by default the
+    marked roots; refuses a count or vertex that is not an integer, a
+    negative power count or one above ``POWER_COUNT_LIMIT``, and an unmarked
+    or out-of-range vertex."""
+    m_max = graphs.check_integer(m_max, "power count")
     if m_max < 0:
         raise InvalidParameterError(f"power count must be non-negative, got {m_max}")
     if m_max > POWER_COUNT_LIMIT:
         raise ResourceLimitError(f"power count {m_max} exceeds the limit {POWER_COUNT_LIMIT}")
-    src = m.first_vertex if source is None else source
-    tgt = m.last_vertex if target is None else target
+    src = m.first_vertex if source is None else graphs.check_integer(source, "source")
+    tgt = m.last_vertex if target is None else graphs.check_integer(target, "target")
     if src is None or tgt is None:
         raise InvalidParameterError("source and target roots are not marked")
     if not (0 <= src < m.dimension and 0 <= tgt < m.dimension):
         raise InvalidParameterError(f"source {src} or target {tgt} out of range")
-    return src, tgt
+    return m_max, src, tgt
+
+
+def _walk_side(m: gauge.Ccam) -> np.ndarray | None:
+    """The ``colouring`` of a bipartite graph whose block T = <A|H|B> has at
+    most ``WALK_BLOCK_ENTRIES`` entries, else None.  A graph with more edges
+    than that is not coloured at all: each edge is an entry of T."""
+    if m.graph.num_edges > WALK_BLOCK_ENTRIES:
+        return None
+    try:
+        side = m.graph.colouring
+    except InvalidParameterError:  # an odd cycle
+        return None
+    nb = m.graph.block_layout[0]
+    return side if (m.dimension - nb) * nb <= WALK_BLOCK_ENTRIES else None
 
 
 def crossing_amplitudes(m: gauge.Ccam, m_max: int, *, source: int | None = None,
                         target: int | None = None) -> np.ndarray:
-    """<target| H^k |source> for k = 1..m_max, read off one walk of
-    ``Ccam.powers`` from the source.
+    """<target| H^k |source> for k = 1..m_max, by one product with H per
+    power, on one of two routes chosen by the graph alone.
 
-    The products run in complex128, so an amplitude whose exact value is zero
-    reads at most about k * ||H||_2^k * eps (the forward error of k products):
-    these values are for display, and ``is_caged`` decides.  Refuses, after
-    the walk, when an amplitude overflowed complex128; a finite amplitude is
-    a sum of finite terms, so it is still correct to rounding.  Defaults to
-    the marked first/last roots; matrices read from external files may need
-    the vertices given explicitly.
+    The block route takes a bipartite graph whose block T = <A|H|B>
+    (``gauge.sublattice_block``) has at most ``WALK_BLOCK_ENTRIES`` entries:
+    H = [[0, T], [T^H, 0]], so the walk starts from e_source on its own side
+    and applies T^H and T in turn, one dense matrix-vector product per power
+    in T's dtype (real at flux 0).  Powers that land on the other side than
+    the target are exactly 0 and are not read.  Every other graph, larger or
+    with an odd cycle, takes the sparse route: one walk of ``Ccam.powers``
+    from the source in complex128.  Each route's amplitudes equal those of
+    the other to rounding, not bit for bit.
+
+    On either route an amplitude whose exact value is zero reads at most
+    about k * ||H||_2^k * eps (the forward error of k products), and any
+    amplitude is within about k * W_k * eps of its exact value, W_k the
+    number of k-step walks between the two vertices: these values are for
+    display, and ``is_caged`` decides.  Refuses, after the walk, at the
+    first amplitude that is not finite; on the block route an overflow
+    anywhere on one side reaches every entry of the next power through the
+    zero entries of T (0 * inf is nan).  A finite amplitude is still
+    correct to rounding.  Defaults to the marked first/last roots; matrices
+    read from external files may need the vertices given explicitly.
     """
-    src, tgt = _endpoints(m, m_max, source, target)
-    vec = np.zeros(m.dimension, dtype=complex)
-    vec[src] = 1.0
+    m_max, src, tgt = _endpoints(m, m_max, source, target)
     out = np.zeros(m_max, dtype=complex)
-    for k, power in enumerate(m.powers(vec, m_max)):
-        out[k] = power[tgt]
+    side = _walk_side(m)
+    if side is None:
+        vec = np.zeros(m.dimension, dtype=complex)
+        vec[src] = 1.0
+        for k, power in enumerate(m.powers(vec, m_max)):
+            out[k] = power[tgt]
+    else:
+        t = gauge.sublattice_block(m)
+        on_b, tgt_b = bool(side[src]), bool(side[tgt])
+        # A vertex's place on its side is the count of that side's vertices before it.
+        vec = np.zeros(t.shape[on_b], dtype=t.dtype)
+        vec[np.count_nonzero(side[:src] == on_b)] = 1.0
+        at = int(np.count_nonzero(side[:tgt] == tgt_b))
+        # Power k + 1 multiplies by steps[k & 1], T^H from A and T from B,
+        # and lands on the target's side when k & 1 == read.
+        steps = (t.dot, t.conj().T.dot) if on_b else (t.conj().T.dot, t.dot)
+        read = int(on_b == tgt_b)
+        for k in range(m_max):
+            vec = steps[k & 1](vec)
+            if k & 1 == read:
+                out[k] = vec[at]
     finite = np.isfinite(out)
     if not finite.all():
         raise ResourceLimitError(f"amplitude {finite.argmin() + 1} overflows complex128; "
@@ -176,9 +234,9 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
     overflow guard sees the computed rows only, so a run is refused only when
     a row that can still reach the target passes 2^60.
     """
-    src, tgt = _endpoints(m, m_max, source, target)
+    m_max, src, tgt = _endpoints(m, m_max, source, target)
     dim = m.dimension
-    n = int(denominator)
+    n = graphs.check_integer(denominator, "denominator")
     exps = phase_exponents(m, n)
     # Edge (u, v), u < v, adds row v rotated by its residual / g into row u,
     # and row u rotated back into row v; a hang edge's residual is zero.
@@ -301,14 +359,16 @@ def cyclotomic_zero_table(polys: np.ndarray, denominator: int,
     True iff row k evaluates to exactly zero at the zs[i]-th power of the
     primitive root.  zeta_N^z is a primitive d-th root, d = N/gcd(N, z), with
     minimal polynomial Phi_d: the test is divisibility by Phi_d in integers.
-    Refuses a denominator below 1 and rows that are not N coefficients wide.
+    Refuses a denominator or z that is not an integer, a denominator below
+    1 and rows that are not N coefficients wide.
     """
-    n = int(denominator)
+    n = graphs.check_integer(denominator, "denominator")
+    zs = range(1, n + 1) if zs is None else [graphs.check_integer(z, "z") for z in zs]
     mat = np.atleast_2d(np.asarray(polys, dtype=np.int64))
     if n < 1 or mat.shape[1] != n:
         raise InvalidParameterError("need a positive denominator N and N coefficients "
                                     f"per row, got {n} and {mat.shape[1]}")
-    orders = [n // math.gcd(n, z) for z in (range(1, n + 1) if zs is None else zs)]
+    orders = [n // math.gcd(n, z) for z in zs]
     l1 = np.abs(mat).sum(axis=1, dtype=float).max(initial=0.0)
     zero = {d: _zero_at_order(mat, d, l1) for d in set(orders)}
     result = np.empty((len(mat), len(orders)), dtype=bool)
@@ -595,6 +655,7 @@ def local_caging_check(m: gauge.Ccam, vertex: int) -> bool:
     True exactly when every two-step return interferes away; the hallmark of
     a caged hub.  Trivially true for isolated vertices.
     """
+    vertex = graphs.check_integer(vertex, "vertex")
     if not (0 <= vertex < m.dimension):
         raise InvalidParameterError(f"vertex {vertex} out of range")
     vec = np.zeros(m.dimension, dtype=complex)

@@ -180,6 +180,22 @@ def dense_matrix(m: Ccam) -> np.ndarray:
     return out
 
 
+def sublattice_block(m: Ccam) -> np.ndarray:
+    """The |A| x |B| block T = <A|H|B> of a bipartite Ccam, H = [[0, T],
+    [T^H, 0]] over the graph's ``colouring``; refuses a graph with an odd
+    cycle.  Edge k enters T as exp(i*phases[k]) when its row lies in A,
+    conjugated when it lies in B, at the slot the graph's cached
+    ``block_layout`` gives it, so every flux on one graph shares the layout.
+    T is real when no entry has a nonzero imaginary part (as at flux 0,
+    where every phase is +-0.0).  The caller bounds its size."""
+    nb, slots, flip = m.graph.block_layout
+    w = np.exp(1j * m.phases)
+    w = w if w.imag.any() else w.real
+    t = np.zeros((m.dimension - nb) * nb, dtype=w.dtype)
+    t[slots] = np.where(flip, w.conj(), w)
+    return t.reshape(m.dimension - nb, nb)
+
+
 def _branch_factors(xs: tuple[int, ...], level: np.ndarray, branch: np.ndarray):
     """The canonical phase rule: the angle of branch b (1-based) at level j is
     f * (phi/4) * a * p, with f = 1 - 2(b-1)/(x_j-1), a = x_j - 1 and p =

@@ -15,6 +15,7 @@ construction order, so identical inputs always produce identical graphs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -57,6 +58,14 @@ def check_growth_sequence(x: Sequence[int], *, allow_trailing_one: bool = False)
     if not allow_trailing_one and xs[-1] < 2:
         raise InvalidParameterError(f"last growth entry must be > 1, got {xs}")
     return xs
+
+
+def check_integer(value, what: str) -> int:
+    """``value`` as an int, refused unless it is one (``operator.index``)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_vertex_count(n: int) -> int:

@@ -96,21 +96,13 @@ def ccam_spectrum(m: gauge.Ccam) -> Spectrum:
 
     Refuses a matrix of more than ``gauge.dense_limit()`` rows, and a graph
     with an odd cycle (every glued tree, chain and rhombic tiling is
-    bipartite).  Edge k enters T = <A|H|B> as exp(i*phases[k]) when its row
-    lies in A, conjugated when it lies in B, at the slot the graph's cached
-    ``block_layout`` gives it, so every flux on one graph shares the layout.
-    One ``svd(T, compute_uv=False)`` gives the min(|A|, |B|) singular values
-    s, in real arithmetic when no entry has a nonzero imaginary part (as at
-    flux 0, where every phase is +-0.0); the spectrum is -s,
+    bipartite).  One ``svd(T, compute_uv=False)`` of the block T = <A|H|B>
+    from ``gauge.sublattice_block`` gives the min(|A|, |B|) singular values
+    s, in real arithmetic when T is real (as at flux 0); the spectrum is -s,
     n - 2*min(|A|, |B|) exact zeros and s.
     """
     gauge.require_dense(m.dimension)
-    nb, slots, flip = m.graph.block_layout
-    w = np.exp(1j * m.phases)
-    w = w if w.imag.any() else w.real
-    t = np.zeros((m.dimension - nb) * nb, dtype=w.dtype)
-    t[slots] = np.where(flip, w.conj(), w)
-    s = np.linalg.svd(t.reshape(m.dimension - nb, nb), compute_uv=False)
+    s = np.linalg.svd(gauge.sublattice_block(m), compute_uv=False)
     zeros = np.zeros(m.dimension - 2 * s.size)
     return cluster_eigenvalues(np.concatenate([-s, zeros, s]).tolist())
 

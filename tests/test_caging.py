@@ -135,27 +135,142 @@ class TestCrossingAmplitudes:
                     assert abs(amps[-1] - want) <= 1e-13 * p, (xs, phi)
 
 
-def former_walk(m, m_max):
+def former_walk(m, m_max, source=None, target=None):
     """Crossing amplitudes as first computed: one ``Ccam.apply`` per power."""
     vec = np.zeros(m.dimension, dtype=complex)
-    vec[m.first_vertex] = 1.0
+    vec[m.first_vertex if source is None else source] = 1.0
     out = np.zeros(m_max, dtype=complex)
     for k in range(m_max):
         vec = m.apply(vec)
-        out[k] = vec[m.last_vertex]
+        out[k] = vec[m.last_vertex if target is None else target]
     return out
 
 
-MIDPOINT_TREES = [xs for n in range(2, 41) for xs in graphs.ordered_factorizations(n)[1]] + [
-    (2, 3, 2, 2, 2, 2), (2,) * 8]
+def walk_counts(m, m_max, source=None, target=None):
+    """W_k, the number of k-step walks between the two vertices (the
+    roots by default), k = 1..m_max: the former walk at zero phases."""
+    return former_walk(m.with_phases(np.zeros_like(m.phases), 0.0), m_max, source, target).real
+
+
+def walk_with_route(m, m_max, **ends):
+    """``crossing_amplitudes`` and its route: "sparse" when it walked
+    ``Ccam.powers``, else "block"."""
+    calls = []
+    powers = gauge.Ccam.powers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gauge.Ccam, "powers", lambda *a: calls.append(1) or powers(*a))
+        amps = caging.crossing_amplitudes(m, m_max, **ends)
+    return amps, "sparse" if calls else "block"
+
+
+def forward_error(m, m_max, **ends):
+    """2 k W_k eps: twice the forward error of k products on either route,
+    so what the two routes may differ by."""
+    k = np.arange(1, m_max + 1)
+    return 2 * k * walk_counts(m, m_max, **ends) * np.finfo(float).eps
+
+
+# Every tree of product <= 40 takes the block route; the two deep trees,
+# of 254 and 766 vertices, take the sparse one.
+BLOCK_TREES = [xs for n in range(2, 41) for xs in graphs.ordered_factorizations(n)[1]]
+SPARSE_TREES = [(2, 3, 2, 2, 2, 2), (2,) * 8]
 
 
 def test_amplitudes_equal_the_former_walk_at_every_midpoint():
-    for xs in MIDPOINT_TREES:
-        for phi in gauge.flat_values(xs).midpoints():
+    """Bit for bit on the sparse route, which still walks ``Ccam.powers``;
+    within 2 k W_k eps on the block route, whose dense products round
+    differently (real at flux 0), at every midpoint and at two other fluxes."""
+    for xs in BLOCK_TREES + SPARSE_TREES:
+        kmax = 4 * len(xs)
+        bound = forward_error(gauge.canonical_ccam(xs, 0.0), kmax)
+        for phi in gauge.flat_values(xs).midpoints() + (0.7, -1.3):
             m = gauge.canonical_ccam(xs, phi)
-            assert np.array_equal(caging.crossing_amplitudes(m, 4 * len(xs)),
-                                  former_walk(m, 4 * len(xs))), (xs, phi)
+            amps, route = walk_with_route(m, kmax)
+            assert route == ("sparse" if xs in SPARSE_TREES else "block"), xs
+            want = former_walk(m, kmax)
+            if route == "sparse":
+                assert np.array_equal(amps, want), (xs, phi)
+            else:
+                assert np.all(np.abs(amps - want) <= bound), (xs, phi)
+
+
+def path_ccam(n, extra=0, seed=0):
+    """A path on ``n`` vertices with random phases, and ``extra`` isolated
+    vertices after it; its ends are the roots."""
+    rng = np.random.default_rng(seed)
+    g = graphs.Graph(n + extra, np.arange(n - 1), np.arange(1, n), first_vertex=0,
+                     last_vertex=n - 1)
+    return gauge.Ccam(g, rng.uniform(-math.pi, math.pi, n - 1))
+
+
+class TestWalkRoutes:
+    def test_endpoints_on_opposite_sublattices(self):
+        m = gauge.canonical_ccam((2, 3, 2), 0.7)
+        amps, route = walk_with_route(m, 15, source=0, target=1)
+        assert route == "block"
+        assert not amps[1::2].any()  # even powers end on the source's side
+        assert abs(amps[0]) == pytest.approx(1.0)
+        want = former_walk(m, 15, 0, 1)
+        assert np.all(np.abs(amps - want) <= forward_error(m, 15, source=0, target=1))
+
+    def test_source_equal_to_target(self):
+        m = gauge.canonical_ccam((2, 3, 2), 0.0)
+        amps, route = walk_with_route(m, 12, source=5, target=5)
+        assert route == "block"
+        # At flux 0 the walk is real and exact: the closed walk counts.
+        assert np.array_equal(amps, walk_counts(m, 12, 5, 5))
+        assert amps[1] == m.graph.degrees()[5]
+        m = m.with_phases(gauge.canonical_ccam((2, 3, 2), -1.3).phases, -1.3)
+        amps = caging.crossing_amplitudes(m, 12, source=5, target=5)
+        assert not amps[0::2].any()
+        assert np.all(np.abs(amps - former_walk(m, 12, 5, 5))
+                      <= forward_error(m, 12, source=5, target=5))
+
+    @pytest.mark.parametrize("ends", [(4, 4), (4, 0), (0, 4), (0, 2)])
+    def test_isolated_vertex(self, ends):
+        square = gauge.Ccam.from_entries(5, [(0, 1, 0.3), (1, 2, -0.4), (2, 3, 1.1), (0, 3, 0.2)])
+        amps, route = walk_with_route(square, 6, source=ends[0], target=ends[1])
+        assert route == "block"
+        want = former_walk(square, 6, *ends)
+        assert np.all(np.abs(amps - want) <= forward_error(square, 6, source=ends[0],
+                                                           target=ends[1]))
+        if 4 in ends:
+            assert not amps.any()
+
+    def test_lone_vertex(self):
+        m = gauge.Ccam.from_entries(1, (), flux=0.0)
+        amps, route = walk_with_route(m, 3, source=0, target=0)
+        assert route == "block" and amps.shape == (3,) and not amps.any()
+
+    def test_odd_cycle_takes_the_sparse_route(self):
+        triangle = gauge.Ccam.from_entries(3, [(0, 1, 0.3), (1, 2, -0.4), (0, 2, 1.1)])
+        amps, route = walk_with_route(triangle, 9, source=0, target=2)
+        assert route == "sparse"
+        assert np.array_equal(amps, former_walk(triangle, 9, 0, 2))
+        assert amps[0] == pytest.approx(np.exp(-1.1j))  # <2|H|0>, the conjugate of edge (0, 2)
+
+    def test_each_side_of_the_block_limit(self):
+        # A path on 128 vertices: 64 x 64 = 4,096 entries in T; one more
+        # (isolated) vertex joins A and makes 65 x 64.
+        assert caging.WALK_BLOCK_ENTRIES == 64 * 64
+        for extra, expected in ((0, "block"), (1, "sparse")):
+            m = path_ccam(128, extra)
+            amps, route = walk_with_route(m, 130)
+            assert route == expected
+            want = former_walk(m, 130)
+            if route == "sparse":
+                assert np.array_equal(amps, want)
+            else:
+                assert np.all(np.abs(amps - want) <= forward_error(m, 130))
+            assert not amps[:126].any() and abs(amps[126]) == pytest.approx(1.0)
+
+    def test_routes_in_the_caging_family(self):
+        """The largest tree of product <= 40 fits the block; a larger one
+        and the deep CLI trees do not."""
+        for xs, expected in (((2, 2, 2, 5), "block"), ((2, 2, 2, 2, 3), "sparse"),
+                             ((2, 3, 2, 2, 2, 2), "sparse")):
+            m = gauge.canonical_ccam(xs, 0.3)
+            assert walk_with_route(m, 4 * len(xs))[1] == expected, xs
 
 
 class TestExactCrossing:
@@ -782,6 +897,46 @@ class TestClsRefusals:
             caging.crossing_amplitude_polynomials(m, -1, 8)
         assert caging.crossing_amplitudes(m, 0).shape == (0,)
         assert caging.crossing_amplitude_polynomials(m, 0, 8).shape == (0, 8)
+
+
+class TestIntegerRefusals:
+    """Counts, vertices and denominators must be integers: a float is
+    refused, not truncated or left to fail as an index."""
+
+    def test_crossing_vertex(self):
+        m = gauge.canonical_ccam((2,), 1.0)
+        with pytest.raises(InvalidParameterError, match="source must be an integer, got 1.5"):
+            caging.crossing_amplitudes(m, 4, source=1.5, target=3)
+        with pytest.raises(InvalidParameterError, match="target must be an integer"):
+            caging.crossing_amplitudes(m, 4, source=0, target=3.0)
+
+    def test_crossing_power_count(self):
+        m = gauge.canonical_ccam((2,), 1.0)
+        with pytest.raises(InvalidParameterError, match="power count must be an integer"):
+            caging.crossing_amplitudes(m, 2.5)
+        with pytest.raises(InvalidParameterError, match="power count must be an integer"):
+            caging.crossing_amplitude_polynomials(m, 2.0, 8)
+        assert caging.crossing_amplitudes(m, np.int64(4)).shape == (4,)
+
+    def test_local_caging_vertex(self):
+        m = gauge.canonical_ccam((2,), math.pi)
+        with pytest.raises(InvalidParameterError, match="vertex must be an integer"):
+            caging.local_caging_check(m, 1.5)
+        assert caging.local_caging_check(m, np.int64(1))
+
+    def test_zero_table_denominator_and_zs(self):
+        polys = caging.crossing_amplitude_polynomials(gauge.canonical_ccam((2,), math.pi), 8, 8)
+        with pytest.raises(InvalidParameterError, match="denominator must be an integer"):
+            caging.cyclotomic_zero_table(polys, 8.5, [1])
+        with pytest.raises(InvalidParameterError, match="z must be an integer, got 1.0"):
+            caging.cyclotomic_zero_table(polys, 8, [1.0])
+        assert caging.cyclotomic_zero_table(polys, np.int64(8), np.array([1])).all()
+
+    def test_polynomial_denominator(self):
+        m = gauge.canonical_ccam((2,), math.pi)
+        with pytest.raises(InvalidParameterError, match="denominator must be an integer, got 8.0"):
+            caging.crossing_amplitude_polynomials(m, 4, 8.0)
+        assert caging.crossing_amplitude_polynomials(m, 4, np.int64(8)).shape == (4, 8)
 
 
 class TestLocalCaging:

@@ -134,6 +134,29 @@ class TestDenseOracle:
         assert np.max(np.abs(flat - want)) < 1e-13
         assert turned.dimension == graphs.tree_vertex_count((2, 3))
 
+    def test_shared_block_keeps_the_former_bits(self):
+        """``gauge.sublattice_block`` is the scatter ``ccam_spectrum`` built
+        inline before it was shared: the same block, dtype and spectrum bits
+        over every sequence of product <= 64 at flux 0 and 2*pi/x_1."""
+        def former_spectrum(m):
+            nb, slots, flip = m.graph.block_layout
+            w = np.exp(1j * m.phases)
+            w = w if w.imag.any() else w.real
+            t = np.zeros((m.dimension - nb) * nb, dtype=w.dtype)
+            t[slots] = np.where(flip, w.conj(), w)
+            t = t.reshape(m.dimension - nb, nb)
+            s = np.linalg.svd(t, compute_uv=False)
+            zeros = np.zeros(m.dimension - 2 * s.size)
+            return t, spectral.cluster_eigenvalues(np.concatenate([-s, zeros, s]).tolist())
+
+        for xs in family(64):
+            for phi in (0.0, 2 * math.pi / xs[0]):
+                m = gauge.canonical_ccam(xs, phi)
+                block, spectrum = former_spectrum(m)
+                got = gauge.sublattice_block(m)
+                assert got.dtype == block.dtype and np.array_equal(got, block), (xs, phi)
+                assert spectral.ccam_spectrum(m).eigenvalues == spectrum.eigenvalues, (xs, phi)
+
     def test_chiral_zeros_over_family(self):
         for xs in family(64):
             for phi in (0.0, 2 * math.pi / xs[0]):
