@@ -7,14 +7,14 @@ cell along each momentum direction; the Hermitian conjugate is added the
 same way, and repeated (row, col) pairs accumulate.  One broadcast and one
 scatter-add build the matrices of a whole momentum list at once.
 
-Nothing but the phases depends on the flux, so a model is checked, coloured
-and laid out once, at construction, into read-only arrays, and
-``BlochModel.with_default_flux`` shares them at another flux.  Each periodic
-builder keeps its cell as such a template, built once per growth sequence
-(``chain_bloch``) or once (``second_kind_44_bloch``), and returns it at the
-requested flux without array work: a sweep over fluxes pays for its SVDs
-alone.  Every flux a model reads must pass ``gauge.check_angle``: finite
-and below ``gauge.ANGLE_LIMIT``, the rule ``cli.parse_phi`` applies.
+Nothing but the phases depends on the flux, so a model is the flux-free
+cell: checked, coloured and laid out once, at construction, into read-only
+arrays, and every solve (``stack``, ``matrix``, ``singular_values``,
+``band_sweep``, ``dos_map``) takes its flux, which must pass
+``gauge.check_angle``: finite and below ``gauge.ANGLE_LIMIT``, the rule
+``cli.parse_phi`` applies.  Each periodic builder keeps its cell, built once
+per growth sequence (``chain_bloch``) or once (``second_kind_44_bloch``), and
+returns that cell itself: a sweep over fluxes pays for its SVDs alone.
 
 Every cell is bipartite (the glued trees keep their level parity across the
 root-to-root chain, and the rhombus tilings have only 4-cycle faces), and a
@@ -49,7 +49,6 @@ pointwise in k.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -91,17 +90,10 @@ class _Block(NamedTuple):
         return out.reshape(-1, *self.shape)
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """``values`` as a read-only int64 array, refused unless integer-typed."""
-    arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise InvalidParameterError(f"{what} must be integers, got dtype {arr.dtype}")
-    return graphs.read_only(arr, np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class BlochModel:
-    """A momentum- and flux-parametric family of finite Hermitian matrices.
+    """A momentum- and flux-parametric family of finite Hermitian matrices,
+    held as its flux-free cell.
 
     Edge e contributes exp(i*(flux_factors[e]*phi + windings[e].k)) at
     (rows[e], cols[e]) and its conjugate at (cols[e], rows[e]); ``windings``
@@ -113,15 +105,15 @@ class BlochModel:
     factors negated where it runs from B to A, so enters the block
     conjugated; the edges are then split into the static rows of T(k) (or
     of its transpose) and the r coupled rows that every winding edge meets.
-    ``stack(ks)[:, A][:, :, B]`` is T(k) itself.
+    ``stack(ks, phi)[:, A][:, :, B]`` is T(k) itself.
 
     Construction is the one check: it refuses, with
     ``InvalidParameterError``, a band count below 1, edge arrays that are
-    not (E,) integer rows and cols in 0..bands-1, (E,) finite flux factors
-    and (E, D) integer windings with D >= 1, a cell with an odd cycle, and
-    a default flux that ``gauge.check_angle`` refuses.  Every array it
-    keeps is read-only, so ``with_default_flux`` shares them all, and every
-    flux a method reads passes ``gauge.check_angle``.
+    not (E,) integer rows and cols in 0..bands-1 (``graphs.check_integers``),
+    (E,) finite flux factors and (E, D) integer windings with D >= 1, and a
+    cell with an odd cycle.  Every array it keeps is read-only, so one model
+    serves every flux, and each method refuses a flux that
+    ``gauge.check_angle`` refuses.
     """
 
     bands: int
@@ -129,7 +121,6 @@ class BlochModel:
     cols: np.ndarray
     flux_factors: np.ndarray
     windings: np.ndarray
-    default_flux: float
     sublattices: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     _square: _Block = field(init=False, repr=False)
     _blocks: tuple[_Block, _Block] = field(init=False, repr=False)
@@ -138,9 +129,9 @@ class BlochModel:
         if not (isinstance(self.bands, (int, np.integer)) and self.bands >= 1):
             raise InvalidParameterError(f"a model needs a positive band count, got {self.bands!r}")
         n = int(self.bands)
-        rows, cols = _integers(self.rows, "rows"), _integers(self.cols, "cols")
+        rows, cols, windings = (graphs.check_integers(getattr(self, name), name)
+                                for name in ("rows", "cols", "windings"))
         factors = graphs.read_only(self.flux_factors, float)
-        windings = _integers(self.windings, "windings")
         if not (rows.ndim == 1 and rows.shape == cols.shape == factors.shape
                 and windings.ndim == 2 and len(windings) == len(rows) and windings.shape[1] >= 1):
             raise InvalidParameterError(
@@ -151,8 +142,7 @@ class BlochModel:
         if not np.isfinite(factors).all():
             raise InvalidParameterError("flux factors must be finite")
         for name, value in (("bands", n), ("rows", rows), ("cols", cols), ("flux_factors", factors),
-                            ("windings", windings),
-                            ("default_flux", gauge.check_angle(self.default_flux))):
+                            ("windings", windings)):
             object.__setattr__(self, name, value)
         side = graphs.two_colouring(n, rows, cols)
         a, b = np.flatnonzero(~side), np.flatnonzero(side)
@@ -176,21 +166,10 @@ class BlochModel:
         blocks = (_Block(signed[~on], turns[~on], slots[~on], (shape[0] - r, shape[1])),
                   _Block(signed[on], turns[on], slots[on], (r, shape[1])))
         for arr in (a, b, *square[:3], *blocks[0][:3], *blocks[1][:3]):
-            arr.flags.writeable = False  # shared by every model of this cell
+            arr.flags.writeable = False  # shared by every solve of this cell
         object.__setattr__(self, "sublattices", (a, b))
         object.__setattr__(self, "_square", square)
         object.__setattr__(self, "_blocks", blocks)
-
-    def with_default_flux(self, phi: float) -> BlochModel:
-        """The same cell at default flux ``phi``, sharing every array: no
-        array is built or checked again."""
-        model = copy.copy(self)
-        object.__setattr__(model, "default_flux", gauge.check_angle(phi))
-        return model
-
-    def _flux(self, phi: float | None) -> float:
-        """``phi`` checked by ``gauge.check_angle``, or the default flux."""
-        return self.default_flux if phi is None else gauge.check_angle(phi)
 
     @property
     def dimensionality(self) -> int:
@@ -203,9 +182,10 @@ class BlochModel:
                 f"{self.dimensionality} momentum component(s) required, got shape {ks.shape}")
         return ks
 
-    def stack(self, momenta, phi: float | None = None) -> np.ndarray:
-        """The matrices at each row of ``momenta`` (K, dimensionality), as (K, n, n)."""
-        return self._square.at(self._momenta(momenta), self._flux(phi))
+    def stack(self, momenta, phi: float) -> np.ndarray:
+        """The matrices at each row of ``momenta`` (K, dimensionality) and
+        flux ``phi``, as (K, n, n)."""
+        return self._square.at(self._momenta(momenta), gauge.check_angle(phi))
 
     def _static_clusters(self, phi: float):
         """The static rows' singular values, one per column of the swept
@@ -230,9 +210,9 @@ class BlochModel:
         values = np.add.reduceat(sigma, starts) / sizes if n_c else sigma
         return starts, sizes, values, v
 
-    def singular_values(self, momenta, phi: float | None = None) -> np.ndarray:
-        """The singular values of T(k) at each row of ``momenta``, descending,
-        as (K, min(|A|, |B|)).
+    def singular_values(self, momenta, phi: float) -> np.ndarray:
+        """The singular values of T(k) at each row of ``momenta`` and flux
+        ``phi``, descending, as (K, min(|A|, |B|)).
 
         With the ``_static_clusters`` (s_c, V_c) of the flux, the coupling
         X_c(k) = T_r(k) V_c of each cluster's g columns is reduced to its R
@@ -242,7 +222,7 @@ class BlochModel:
         over their couplings, gives the rest.  Of these values, one per
         column, the smallest beyond min(|A|, |B|) are zeros and are dropped.
         """
-        phi, ks = self._flux(phi), self._momenta(momenta)
+        phi, ks = gauge.check_angle(phi), self._momenta(momenta)
         starts, sizes, values, v = self._static_clusters(phi)
         static, coupled = self._blocks
         (m_s, n_c), r = static.shape, coupled.shape[0]
@@ -267,20 +247,20 @@ class BlochModel:
         out = np.concatenate([np.broadcast_to(exact, (len(ks), exact.size)), free], axis=1)
         return np.sort(out, axis=1)[:, ::-1][:, :min(n_c, m_s + r)]
 
-    def matrix(self, k, phi: float | None = None) -> np.ndarray:
+    def matrix(self, k, phi: float) -> np.ndarray:
         return self.stack(np.reshape(k, (1, -1)), phi)[0]
 
 
 @lru_cache(maxsize=graphs.GROWTH_CACHE_SIZE)
 def _chain_template(xs: tuple[int, ...]) -> BlochModel:
-    """The chain cell of a checked sequence at default flux 0, built once
-    per sequence and shared: no part of it depends on the flux."""
+    """The chain cell of a checked sequence, built once per sequence and
+    shared: no part of it depends on the flux."""
     tree = gauge.canonical_ccam(xs, 1.0)
     wrap = tree.cols == tree.last_vertex
     return BlochModel(bands=tree.dimension - 1, rows=tree.rows,
                       cols=np.where(wrap, tree.first_vertex, tree.cols),
                       flux_factors=np.where(wrap, tree.phases + 0.5, tree.phases),
-                      windings=-wrap.astype(np.int64)[:, None], default_flux=0.0)
+                      windings=-wrap.astype(np.int64)[:, None])
 
 
 def chain_bloch(x: Sequence[int], phi: float) -> BlochModel:
@@ -292,10 +272,17 @@ def chain_bloch(x: Sequence[int], phi: float) -> BlochModel:
     breadth-first id, so it is the column of every edge it lies on.  The
     cell is built once per sequence (``_chain_template``, holding the last
     ``graphs.GROWTH_CACHE_SIZE`` sequences used), after the sequence is
-    checked; each call returns it at default flux ``phi`` through
-    ``with_default_flux``, which builds no array.
+    checked, and each call returns that cell itself.
+
+    ``phi`` is only checked (``gauge.check_angle``): the cell is flux-free,
+    and each solve takes its own flux.  It stays in the signature because
+    the benchmark's workloads (``bench/workloads.py``, kept fixed so that
+    their timings stay comparable) call the builder with one; a change to
+    the benchmark can drop it.
     """
-    return _chain_template(graphs.check_growth_sequence(x)).with_default_flux(phi)
+    xs = graphs.check_growth_sequence(x)
+    gauge.check_angle(phi)
+    return _chain_template(xs)
 
 
 def rhombic_bands(phi: float, k: float) -> tuple[float, float, float]:
@@ -319,11 +306,10 @@ _STAR_44_EDGES = np.array([
 
 @lru_cache(maxsize=1)
 def _star_44_template() -> BlochModel:
-    """The {4,4} cell at default flux 0, built once and shared."""
+    """The {4,4} cell, built once and shared."""
     t = _STAR_44_EDGES
     return BlochModel(bands=6, rows=t[:, 0].astype(np.int64), cols=t[:, 1].astype(np.int64),
-                      flux_factors=t[:, 2], windings=t[:, 3:].astype(np.int64),
-                      default_flux=0.0)
+                      flux_factors=t[:, 2], windings=t[:, 3:].astype(np.int64))
 
 
 def second_kind_44_bloch(phi: float) -> BlochModel:
@@ -334,9 +320,11 @@ def second_kind_44_bloch(phi: float) -> BlochModel:
     2*arg(omega); omega = exp(i*phi/2) therefore threads the flux phi through
     every face, which the real-space patch check pins down: the bands all
     flatten exactly at the 2-shrub caging point phi = pi.  Like
-    ``chain_bloch``, it returns one shared cell at default flux ``phi``.
+    ``chain_bloch``, it returns one shared flux-free cell, and only checks
+    ``phi``, which stays for the benchmark's calls alone.
     """
-    return _star_44_template().with_default_flux(phi)
+    gauge.check_angle(phi)
+    return _star_44_template()
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +340,11 @@ class BandSweep:
 
 
 def momentum_grid(dimensionality: int, grid: int) -> np.ndarray:
-    """The points 2*pi*i/grid per direction, first direction outermost."""
+    """The points 2*pi*i/grid per direction, first direction outermost;
+    refuses fewer than one direction or two points per direction."""
+    dimensionality = graphs.check_integer(dimensionality, "dimensionality")
+    if dimensionality < 1:
+        raise InvalidParameterError("a momentum grid needs at least one direction")
     grid = graphs.check_integer(grid, "grid")
     if grid < 2:
         raise InvalidParameterError("grid needs at least 2 points per direction")
@@ -374,7 +366,7 @@ def _sweep_grid(model: BlochModel, grid: int) -> np.ndarray:
     return momentum_grid(model.dimensionality, grid)
 
 
-def band_sweep(model: BlochModel, phi: float | None, grid: int) -> BandSweep:
+def band_sweep(model: BlochModel, phi: float, grid: int) -> BandSweep:
     """Energies on a uniform momentum grid over [0, 2*pi) per direction.
 
     The singular values s_1 >= ... >= s_m of each block T(k), m = min(|A|,
@@ -386,7 +378,7 @@ def band_sweep(model: BlochModel, phi: float | None, grid: int) -> BandSweep:
     sweep whose coupled rows, small blocks and energies would exceed
     ``SWEEP_BLOCK_LIMIT_BYTES``.
     """
-    phi = model._flux(phi)
+    phi = gauge.check_angle(phi)
     pts = _sweep_grid(model, grid)
     sigma = model.singular_values(pts, phi)
     zeros = np.zeros((len(pts), model.bands - 2 * sigma.shape[1]))

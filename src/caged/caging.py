@@ -181,9 +181,10 @@ def is_caged(x: Sequence[int], z: int) -> bool:
     equals it (tested).  p_i is a geometric sum of x_i terms with ratio
     exp(-i phi P_{i-1}), which vanishes exactly when that ratio is a
     nontrivial x_i-th root of unity: at phi = 2*pi*z/M, the level rule.
+    Refuses a ``z`` that is not an integer.
     """
     xs = graphs.check_growth_sequence(x)
-    return z % math.prod(xs) != 0
+    return graphs.check_integer(z, "z") % math.prod(xs) != 0
 
 
 def phase_exponents(m: gauge.Ccam, denominator: int) -> np.ndarray:
@@ -297,8 +298,10 @@ def crossing_amplitude_polynomials(m: gauge.Ccam, m_max: int, denominator: int, 
 
 
 def evaluate_cyclotomic(coeffs: np.ndarray, z: int, denominator: int) -> np.ndarray:
-    """Float value of integer polynomials at the z-th power of the root."""
-    n = int(denominator)
+    """Float value of integer polynomials at the z-th power of the root;
+    refuses a denominator or z that is not an integer."""
+    n = graphs.check_integer(denominator, "denominator")
+    z = graphs.check_integer(z, "z")
     root = np.exp(2j * math.pi * (np.arange(n) * z % n) / n)
     return np.asarray(coeffs, dtype=float) @ root
 
@@ -424,8 +427,12 @@ def resolvent_recurrence(x: Sequence[int], flux: float, lam: complex) -> list[Re
 
 def recurrence_normalizer(x: Sequence[int], flux: float, lam: complex, i: int) -> complex:
     """The factor nu_i = prod_{j=0..i-1} C(Y_j; lam)^-(x_{j+1}-1) relating the
-    normalized recurrence values to raw determinants and adjugate corners."""
+    normalized recurrence values to raw determinants and adjugate corners.
+    Refuses a level ``i`` that is not an integer in 0..d."""
     xs = graphs.check_growth_sequence(x)
+    i = graphs.check_integer(i, "level")
+    if not 0 <= i <= len(xs):
+        raise InvalidParameterError(f"level {i} is not in 0..{len(xs)}")
     nu = 1.0 + 0.0j
     for j in range(i):
         if j == 0:
@@ -510,8 +517,10 @@ def krylov_cls(m: gauge.Ccam, seed: int, *, cap: int = DEFAULT_KRYLOV_CAP) -> Kr
     until no state leaks out; ``ResourceLimitError`` is raised when no ball
     within the limit closes.  A Krylov space over ``cap`` is reported
     (``closed=False``, dimension ``cap``, no states), not raised: it is
-    expected away from flat fluxes.
+    expected away from flat fluxes.  Refuses a seed or cap that is not an
+    integer.
     """
+    seed, cap = graphs.check_integer(seed, "seed"), graphs.check_integer(cap, "cap")
     if not (0 <= seed < m.dimension):
         raise InvalidParameterError(f"seed {seed} out of range")
     if cap < 1:
@@ -721,11 +730,15 @@ def verify_all_cls(m: gauge.Ccam, radius_bound: int, *, seeds: Sequence[int] | N
     support radius within ``radius_bound``, on either route: such a seed's
     states sum to it, sum_c P_c e_s = e_s, so the states span the space when
     every vertex is such a seed.  Seeds over ``cap`` are reported: the
-    matrix is not caging at this flux, or the cap is too small.
+    matrix is not caging at this flux, or the cap is too small.  Refuses a
+    radius bound, cap or seed that is not an integer.
     """
+    radius_bound = graphs.check_integer(radius_bound, "radius bound")
+    cap = graphs.check_integer(cap, "cap")
     if cap < 1 or radius_bound < 0:
         raise InvalidParameterError(f"cap {cap} must be >= 1 and radius bound {radius_bound} >= 0")
-    seed_list = list(range(m.dimension)) if seeds is None else list(seeds)
+    seed_list = (list(range(m.dimension)) if seeds is None
+                 else [graphs.check_integer(s, "seed") for s in seeds])
     if any(not 0 <= s < m.dimension for s in seed_list):
         raise InvalidParameterError(f"seeds must lie in 0..{m.dimension - 1}")
     records, _, _ = _cover(m, seed_list, radius_bound, cap)

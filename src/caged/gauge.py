@@ -34,9 +34,13 @@ ANGLE_LIMIT = FLAT_VALUE_TOL * 2**52
 def check_angle(phi, shown=None) -> float:
     """``phi`` as a float, refused unless it is finite and below
     ``ANGLE_LIMIT`` in magnitude, where neighbouring floats still lie closer
-    than ``FLAT_VALUE_TOL``.  A refusal quotes ``shown`` (the text it was read
-    from, say) if given, else ``phi``."""
-    angle = float(phi)
+    than ``FLAT_VALUE_TOL``; a value that ``float`` does not convert, such
+    as None, is refused too.  A refusal quotes ``shown`` (the text it was
+    read from, say) if given, else ``phi``."""
+    try:
+        angle = float(phi)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"flux {phi!r} is not a number") from None
     if not abs(angle) < ANGLE_LIMIT:
         quoted = repr(phi if shown is None else shown)
         if not math.isfinite(angle):
@@ -227,6 +231,7 @@ def canonical_ccam(x: Sequence[int], phi: float, *, _allow_trailing_one: bool = 
 
     Couplings out of each fresh first root and into each fresh last root carry
     the canonical level phases, which winds exactly ``phi`` around every face.
+    A flux that the phases hold must still pass ``check_angle``.
     """
     xs = graphs.check_growth_sequence(x, allow_trailing_one=_allow_trailing_one)
     # Each a * p is below the product M: a finite phi * M / 4 keeps every phase
@@ -234,6 +239,7 @@ def canonical_ccam(x: Sequence[int], phi: float, *, _allow_trailing_one: bool = 
     # is multiplied in floats, so one past the float range is refused too.
     if not math.isfinite(0.25 * phi * math.prod(xs, start=1.0)):
         raise InvalidParameterError(f"flux {phi} is not finite or overflows the phases")
+    phi = check_angle(phi)
     zero, f, a, p = _canonical_template(xs)
     return zero.with_phases(f * (0.25 * phi * a * p), phi)
 
@@ -244,10 +250,12 @@ def level_pairings(x: Sequence[int], phi: float) -> np.ndarray:
     common phase times the powers 0..x_j-1 of r = exp(-i phi x_1...x_{j-1}),
     so it vanishes exactly when r is a nontrivial x_j-th root of unity.
     Refuses a flux for which some |2 theta_b| <= phi * M / 2 is not finite,
-    M multiplied in floats as in ``canonical_ccam``."""
+    M multiplied in floats as in ``canonical_ccam``, and then one that
+    ``check_angle`` refuses."""
     xs = graphs.check_growth_sequence(x)
     if not math.isfinite(0.5 * phi * math.prod(xs, start=1.0)):
         raise InvalidParameterError(f"flux {phi} is not finite or overflows the phases")
+    phi = check_angle(phi)
     starts = np.cumsum((0,) + xs[:-1])
     level = np.repeat(np.arange(1, len(xs) + 1), xs)
     f, a, p = _branch_factors(xs, level, np.arange(1, len(level) + 1) - starts[level - 1])
@@ -257,7 +265,8 @@ def level_pairings(x: Sequence[int], phi: float) -> np.ndarray:
 def chain_ccam(x: Sequence[int], cells: int, phi: float) -> Ccam:
     """A root-to-root chain of ``cells`` canonically gauged glued trees: cell
     c carries the tree's phases on the tree's edges shifted by c times (tree
-    size - 1), which is the chain graph's edge order."""
+    size - 1), which is the chain graph's edge order.  The flux is refused
+    as ``canonical_ccam`` refuses it."""
     tree = canonical_ccam(x, phi)
     return Ccam(graphs.chain_graph(x, cells), np.tile(tree.phases, cells), phi)
 
@@ -295,12 +304,15 @@ def ccam_with_plaquette_fluxes(g: graphs.Graph, fluxes: Sequence[float]) -> Ccam
 
 def lotus_ccam(patch: graphs.Graph, phi: float) -> Ccam:
     """Phases winding each lotus face's recorded sign times phi: the signs are
-    peeled once and scaled, so each phase is an exact integer multiple of phi."""
+    peeled once and scaled, so each phase is an exact integer multiple of phi.
+    Refuses a flux whose phases are not finite, then one that ``check_angle``
+    refuses."""
     if patch.plaquette_signs is None:
         raise InvalidParameterError("patch does not carry face orientation signs")
     unit = ccam_with_plaquette_fluxes(patch, patch.plaquette_signs).phases
     if not math.isfinite(float(phi) * float(np.abs(unit).max(initial=0.0))):
         raise InvalidParameterError(f"flux {phi} is not finite or overflows the phases")
+    phi = check_angle(phi)
     return Ccam(patch, unit * phi, phi)
 
 
@@ -352,10 +364,17 @@ def angle_multiples(angles, n: int) -> np.ndarray:
 class FlatSet:
     """The angles 2*pi*z/M for z = 1..M, where M is the product of the
     sequence.  Only ``values`` lists them, when first read; the membership
-    tests need only M.  ``values`` and ``midpoints`` refuse M above
+    tests need only M.  Construction refuses an M that is not an integer
+    >= 1, and ``values`` and ``midpoints`` refuse M above
     ``graphs.LISTING_LIMIT`` before they build the list."""
 
     denominator: int
+
+    def __post_init__(self):
+        m = graphs.check_integer(self.denominator, "denominator")
+        if m < 1:
+            raise InvalidParameterError(f"denominator must be >= 1, got {m}")
+        object.__setattr__(self, "denominator", m)
 
     @cached_property
     def values(self) -> tuple[float, ...]:

@@ -47,10 +47,11 @@ TRIAL_DIVISION_LIMIT = 10**6
 def check_growth_sequence(x: Sequence[int], *, allow_trailing_one: bool = False) -> tuple[int, ...]:
     """Validate and normalize a growth sequence.
 
-    Entries must be integers >= 1 and, unless ``allow_trailing_one`` (used for
-    internal sub-builds), the last entry must be >= 2.
+    Entries must be integers (``check_integer``) >= 1 and, unless
+    ``allow_trailing_one`` (used for internal sub-builds), the last entry
+    must be >= 2.
     """
-    xs = tuple(int(v) for v in x)
+    xs = tuple(check_integer(v, "growth sequence entry") for v in x)
     if len(xs) == 0:
         raise InvalidParameterError("growth sequence must be nonempty")
     if any(v < 1 for v in xs):
@@ -66,6 +67,15 @@ def check_integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidParameterError(f"{what} must be an integer, got {value!r}") from None
+
+
+def check_integers(values, what: str) -> np.ndarray:
+    """``values`` as a read-only int64 array, refused unless integer-typed;
+    an empty array passes whatever its dtype."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise InvalidParameterError(f"{what} must be integers, got dtype {arr.dtype}")
+    return read_only(arr, np.int64)
 
 
 def check_vertex_count(n: int) -> int:
@@ -195,9 +205,11 @@ class Graph:
     chain, and ``plaquette_signs`` gives each lotus face's flux sign relative
     to the common flux angle.
 
-    Construction is the one check: it refuses more than ``MAX_VERTICES``
-    vertices and the first edge, in the order given, that is out of range or
-    repeats an earlier edge, then sorts the edges, and refuses a root outside
+    Construction is the one check: it refuses a vertex count or root that is
+    not an integer (``check_integer``) and edge or face arrays that are not
+    integer-typed (``check_integers``), more than ``MAX_VERTICES`` vertices
+    and the first edge, in the order given, that is out of range or repeats
+    an earlier edge, then sorts the edges, and refuses a root outside
     ``0..num_vertices-1``, a face of fewer than 3 vertices or a face step
     that is not an edge.  The keys are computed once, for the edges before
     the first one out of range; edges whose keys strictly increase, such as
@@ -219,8 +231,10 @@ class Graph:
     keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = check_vertex_count(self.num_vertices)
-        rows, cols = np.asarray(self.rows, dtype=np.int64), np.asarray(self.cols, dtype=np.int64)
+        n = check_vertex_count(check_integer(self.num_vertices, "num_vertices"))
+        rows, cols, face_vertices, face_lengths = (
+            check_integers(getattr(self, name), name)
+            for name in ("rows", "cols", "face_vertices", "face_lengths"))
         if rows.ndim != 1 or cols.shape != rows.shape:
             raise InvalidParameterError(f"edge arrays differ in shape: {rows.shape}, {cols.shape}")
         bad = np.flatnonzero((rows < 0) | (rows >= cols) | (cols >= n))
@@ -244,11 +258,10 @@ class Graph:
             a, b = rows[bad[0]], cols[bad[0]]
             raise InvalidParameterError(f"bad edge ({a}, {b}) for {n} vertices")
         keys.flags.writeable = False
-        for name, value in (("rows", rows), ("cols", cols), ("keys", keys),
-                            ("face_vertices", self.face_vertices),
-                            ("face_lengths", self.face_lengths)):
-            object.__setattr__(self, name, read_only(value, np.int64))
-        vertices, lengths = self.face_vertices, self.face_lengths
+        for name, value in (("num_vertices", n), ("rows", rows), ("cols", cols), ("keys", keys),
+                            ("face_vertices", face_vertices), ("face_lengths", face_lengths)):
+            object.__setattr__(self, name, value)
+        vertices, lengths = face_vertices, face_lengths
         if (vertices.ndim != 1 or lengths.ndim != 1 or (lengths < 0).any()
                 or lengths.sum() != vertices.size):
             raise InvalidParameterError(
@@ -257,9 +270,13 @@ class Graph:
         if short.size:
             raise InvalidParameterError(
                 f"face {short[0]} has {lengths[short[0]]} vertices; a face needs at least 3")
-        for root in (self.first_vertex, self.last_vertex):
-            if root is not None and not 0 <= root < n:
-                raise InvalidParameterError(f"root {root} out of range for {n} vertices")
+        for name in ("first_vertex", "last_vertex"):
+            root = getattr(self, name)
+            if root is not None:
+                root = check_integer(root, name)
+                if not 0 <= root < n:
+                    raise InvalidParameterError(f"root {root} out of range for {n} vertices")
+                object.__setattr__(self, name, root)
         # refuses a face step that is not an edge
         self.edge_slots(vertices, face_successors(vertices, lengths))
 
@@ -481,6 +498,7 @@ def growth(x: tuple[int, ...]) -> Growth:
 
 def shrub(p: int) -> Graph:
     """The p-shrub K_{2,p}: two degree-p roots joined through p middle vertices."""
+    p = check_integer(p, "shrub parameter")
     if p < 1:
         raise InvalidParameterError(f"shrub parameter must be >= 1, got {p}")
     return grow_tree((p,), _allow_trailing_one=True)
@@ -572,6 +590,7 @@ def chain_graph(x: Sequence[int], cells: int) -> Graph:
     edges follow the previous cell's and the tiling stays sorted.
     """
     xs = check_growth_sequence(x)
+    cells = check_integer(cells, "cells")
     if cells < 1:
         raise InvalidParameterError(f"cells must be >= 1, got {cells}")
     stride = tree_vertex_count(xs) - 1
@@ -605,7 +624,9 @@ class LotusSpec:
     ``kind``: "first" tiles {sides, 3} with polygons split into 2*sides
     shrub rhombi around a hub skeleton; "second" tiles {sides, tiling_q}
     (both even) with a star of shrubs from the polygon center to its corners.
-    ``generations`` counts tile rings (1 = a single tile).
+    ``generations`` counts tile rings (1 = a single tile).  Construction
+    checks the parameters: each count must be an integer (``check_integer``)
+    in the range its kind allows.
     """
 
     kind: str
@@ -614,7 +635,9 @@ class LotusSpec:
     tiling_q: int = 3
     generations: int = 1
 
-    def validate(self):
+    def __post_init__(self):
+        for name in ("sides", "shrub_p", "tiling_q", "generations"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.kind not in ("first", "second"):
             raise InvalidParameterError(f"unknown lotus kind {self.kind!r}")
         if self.shrub_p < 2:
@@ -653,7 +676,6 @@ class _LotusBuilder:
     """
 
     def __init__(self, spec: LotusSpec):
-        spec.validate()
         self.spec = spec
         self.roles: list[str] = []
         self.faces: list[int] = []  # flat rhombi, four vertices each; their steps are the edges
@@ -838,8 +860,9 @@ def ordered_factorizations(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     The empty product is the unique factorization of 1.  Equivalently the
     count is the number of growth sequences (entries >= 2) whose product is
     ``m``, which also satisfies N(1) = 1, N(m) = sum over proper divisors d
-    of N(d).
+    of N(d).  Refuses an ``m`` that is not an integer >= 1.
     """
+    m = check_integer(m, "m")
     if m < 1:
         raise InvalidParameterError(f"m must be >= 1, got {m}")
     # Each value's list is built once, first factor ascending, from the lists
@@ -862,7 +885,9 @@ def ordered_factorization_count(m: int) -> int:
     inclusion-exclusion over the parts equal to 1 gives N(m) = sum_{k<=Omega}
     sum_{j<k} (-1)^j C(k, j) W(k - j) = sum_i B(i) W(i), where B(i) =
     sum_{k=i..Omega} (-1)^(k-i) C(k, i) = (-1)^(Omega-i) C(Omega+1, i+1) +
-    2 B(i+1) by C(k, i) = C(k+1, i+1) - C(k, i+1).  N(1) = 1."""
+    2 B(i+1) by C(k, i) = C(k+1, i+1) - C(k, i+1).  N(1) = 1.  Refuses an
+    ``m`` that is not an integer >= 1."""
+    m = check_integer(m, "m")
     if m < 1:
         raise InvalidParameterError(f"m must be >= 1, got {m}")
     exps = [e for _p, e in prime_factorization(m)]
@@ -874,7 +899,9 @@ def ordered_factorization_count(m: int) -> int:
 
 
 def ordered_factorization_counts(limit: int) -> list[int]:
-    """Count table n -> N(n) for 1 <= n <= limit: each N(d) adds to its multiples."""
+    """Count table n -> N(n) for 1 <= n <= limit: each N(d) adds to its
+    multiples.  Refuses a ``limit`` that is not an integer >= 1."""
+    limit = check_integer(limit, "limit")
     if limit < 1:
         raise InvalidParameterError("limit must be >= 1")
     counts = [0, 1] + [0] * (limit - 1)

@@ -131,7 +131,8 @@ def prefix_eigenvalues(paths: Sequence[Sequence[float]],
     the result concatenates the eigenvalues of each listed prefix,
     ascending, in the listed order.  A prefix longer than
     ``gauge.dense_limit()`` is refused, as every dense matrix is, before
-    any block is solved.
+    any block is solved, as are a path index or size that is not an
+    integer.
 
     A weight within machine epsilon of the largest one up to the path's
     longest listed prefix is set to zero first (and -0.0 becomes 0.0).
@@ -148,6 +149,8 @@ def prefix_eigenvalues(paths: Sequence[Sequence[float]],
     each about 16 * s bytes (key and values); at the default dense limit
     of 4,096 rows that is about 64 MiB in all.
     """
+    prefixes = [(graphs.check_integer(p, "path index"), graphs.check_integer(s, "prefix size"))
+                for p, s in prefixes]
     for p, s in prefixes:
         if not (0 <= p < len(paths) and 0 <= s <= len(paths[p]) + 1):
             raise InvalidParameterError(f"prefix ({p}, {s}) is not in a listed path")

@@ -175,7 +175,7 @@ class TestBlochModelArrays:
     def test_repeated_pairs_accumulate(self):
         model = bloch.BlochModel(bands=2, rows=np.array([0, 1]), cols=np.array([1, 0]),
                                  flux_factors=np.array([0.0, 0.5]),
-                                 windings=np.array([[0], [-1]]), default_flux=0.0)
+                                 windings=np.array([[0], [-1]]))
         h = model.matrix(0.3, 1.0)
         assert h[0, 1] == pytest.approx(1.0 + cmath.exp(-1j * (0.5 - 0.3)))
         assert h[1, 0] == pytest.approx(h[0, 1].conjugate())
@@ -183,9 +183,9 @@ class TestBlochModelArrays:
 
     def test_wrong_momentum_length_refused(self):
         with pytest.raises(InvalidParameterError):
-            bloch.second_kind_44_bloch(0.7).matrix(0.5)
+            bloch.second_kind_44_bloch(0.7).matrix(0.5, 0.7)
         with pytest.raises(InvalidParameterError):
-            bloch.chain_bloch((2,), 0.7).matrix((0.1, 0.2))
+            bloch.chain_bloch((2,), 0.7).matrix((0.1, 0.2), 0.7)
 
     def test_stack_matches_single_momenta(self):
         model = bloch.chain_bloch((2, 3), 0.9)
@@ -199,21 +199,31 @@ class TestBlochModelArrays:
         with pytest.raises(InvalidParameterError, match="at least 2 points"):
             bloch.momentum_grid(1, grid)
 
+    @pytest.mark.parametrize("dimensionality", [0, -1])
+    def test_grid_needs_a_direction(self, dimensionality):
+        with pytest.raises(InvalidParameterError, match="at least one direction"):
+            bloch.momentum_grid(dimensionality, 4)
+
+    def test_grid_direction_count_is_an_integer(self):
+        with pytest.raises(InvalidParameterError, match="dimensionality must be an integer"):
+            bloch.momentum_grid(1.0, 4)
+        assert bloch.momentum_grid(np.int64(1), 4).shape == (4, 1)
+
     def test_grid_orders_first_direction_outermost(self):
         grid = bloch.momentum_grid(2, 3)
         line = [TWO_PI * i / 3 for i in range(3)]
         assert grid.tolist() == [[kx, ky] for kx in line for ky in line]
 
 
-def fresh_chain_model(xs, phi):
-    """The chain cell built anew at flux ``phi``, as every call built
-    it before cells were shared."""
+def fresh_chain_model(xs):
+    """The chain cell built anew, as every call built it before cells were
+    shared."""
     tree = gauge.canonical_ccam(xs, 1.0)
     wrap = tree.cols == tree.last_vertex
     return bloch.BlochModel(bands=tree.dimension - 1, rows=tree.rows,
                             cols=np.where(wrap, tree.first_vertex, tree.cols),
                             flux_factors=np.where(wrap, tree.phases + 0.5, tree.phases),
-                            windings=-wrap.astype(np.int64)[:, None], default_flux=phi)
+                            windings=-wrap.astype(np.int64)[:, None])
 
 
 def shared_arrays(model):
@@ -224,8 +234,8 @@ def shared_arrays(model):
 
 
 class TestTemplate:
-    """Each periodic builder keeps one read-only cell per sequence and hands
-    it out at the requested flux."""
+    """Each periodic builder keeps one read-only, flux-free cell per sequence
+    and returns that cell itself; every solve takes its flux."""
 
     @pytest.fixture
     def cold(self):
@@ -236,41 +246,32 @@ class TestTemplate:
     def test_every_chain_to_product_64_matches_a_fresh_model(self):
         for m in range(2, 65):
             for xs in graphs.ordered_factorizations(m)[1]:
-                want = fresh_chain_model(xs, 0.0)
+                want = fresh_chain_model(xs)
                 for phi in (0.0, 0.7, TWO_PI / m, math.pi / m):
                     got = bloch.chain_bloch(xs, phi)
-                    assert got.default_flux == phi
-                    a, b = bloch.band_sweep(got, None, 3), bloch.band_sweep(want, phi, 3)
+                    a, b = bloch.band_sweep(got, phi, 3), bloch.band_sweep(want, phi, 3)
                     assert a.energies.tobytes() == b.energies.tobytes()
                     assert a.total_bandwidth == b.total_bandwidth
-                    assert got.stack(a.momenta[:2]).tobytes() == want.stack(a.momenta[:2],
-                                                                            phi).tobytes()
+                    assert got.stack(a.momenta[:2], phi).tobytes() == want.stack(a.momenta[:2],
+                                                                                 phi).tobytes()
 
     def test_star_lattice_matches_a_fresh_model(self):
         t = bloch._STAR_44_EDGES
+        want = bloch.BlochModel(6, t[:, 0].astype(np.int64), t[:, 1].astype(np.int64),
+                                t[:, 2], t[:, 3:].astype(np.int64))
         for phi in (0.0, 0.7, math.pi):
-            want = bloch.BlochModel(6, t[:, 0].astype(np.int64), t[:, 1].astype(np.int64),
-                                    t[:, 2], t[:, 3:].astype(np.int64), phi)
             got = bloch.second_kind_44_bloch(phi)
-            a, b = bloch.band_sweep(got, None, 6), bloch.band_sweep(want, None, 6)
+            a, b = bloch.band_sweep(got, phi, 6), bloch.band_sweep(want, phi, 6)
             assert a.energies.tobytes() == b.energies.tobytes()
-            assert got.stack(a.momenta).tobytes() == want.stack(a.momenta).tobytes()
+            assert got.stack(a.momenta, phi).tobytes() == want.stack(a.momenta, phi).tobytes()
 
-    def test_models_of_one_cell_keep_their_own_flux(self):
-        low, high = bloch.chain_bloch((2, 3, 2), 0.3), bloch.chain_bloch([2, 3, 2], 0.7)
-        assert (low.default_flux, high.default_flux) == (0.3, 0.7)
-        assert all(x is y for x, y in zip(shared_arrays(low), shared_arrays(high)))
-        assert low._blocks is high._blocks and low._square is high._square
-        for model, phi in ((low, 0.3), (high, 0.7)):
-            assert (bloch.band_sweep(model, None, 9).energies.tobytes()
-                    == bloch.band_sweep(fresh_chain_model((2, 3, 2), phi), None, 9)
-                    .energies.tobytes())
-        star = bloch.second_kind_44_bloch(0.7).with_default_flux(math.pi)
-        assert star.default_flux == math.pi and bloch.second_kind_44_bloch(0.7).default_flux == 0.7
+    def test_builders_return_their_cached_cell(self):
+        assert bloch.chain_bloch((2, 3, 2), 0.3) is bloch.chain_bloch([2, 3, 2], 0.7)
+        assert bloch.second_kind_44_bloch(0.3) is bloch.second_kind_44_bloch(math.pi)
 
     @pytest.mark.parametrize("model", [
         bloch.chain_bloch((2, 3, 2), 0.3), bloch.second_kind_44_bloch(0.3),
-        bloch.BlochModel(2, [0, 1], [1, 0], [0.0, 0.5], [[0], [-1]], 0.0)],
+        bloch.BlochModel(2, [0, 1], [1, 0], [0.0, 0.5], [[0], [-1]])],
         ids=["chain", "star", "built"])
     def test_every_shared_array_refuses_writes(self, model):
         arrays = shared_arrays(model)
@@ -281,21 +282,21 @@ class TestTemplate:
 
     def test_inputs_are_copied_not_shared(self):
         rows, factors = np.array([0, 1]), np.array([0.0, 0.5])
-        model = bloch.BlochModel(2, rows, np.array([1, 0]), factors, np.array([[0], [-1]]), 0.0)
+        model = bloch.BlochModel(2, rows, np.array([1, 0]), factors, np.array([[0], [-1]]))
         before = model.matrix(0.3, 1.0)
         rows[:], factors[:] = 1, 9.0
         assert model.matrix(0.3, 1.0).tobytes() == before.tobytes()
 
     def test_warm_call_builds_nothing(self, monkeypatch):
-        bloch.chain_bloch((2, 3, 2), 0.0)
+        cold = bloch.chain_bloch((2, 3, 2), 0.0)
 
         def unexpected(*args, **kwargs):
             raise AssertionError("the cell was built again")
 
         for module, name in ((graphs, "two_colouring"), (graphs, "sublattice_slots"),
-                             (gauge, "canonical_ccam")):
+                             (gauge, "canonical_ccam"), (bloch, "BlochModel")):
             monkeypatch.setattr(module, name, unexpected)
-        assert bloch.chain_bloch((2, 3, 2), 1.3).default_flux == 1.3
+        assert bloch.chain_bloch((2, 3, 2), 1.3) is cold
 
     def test_cache_holds_the_growth_cache_size(self, cold):
         info = bloch._chain_template.cache_info
@@ -329,12 +330,6 @@ class TestFluxRefusals:
             bloch.chain_bloch((2,), phi)
         with pytest.raises(InvalidParameterError, match="flux"):
             bloch.second_kind_44_bloch(phi)
-        with pytest.raises(InvalidParameterError, match="flux"):
-            bloch.chain_bloch((2,), 0.3).with_default_flux(phi)
-        with pytest.raises(InvalidParameterError, match="flux"):
-            cell_model(1, 1, [(0, 1, 0.5, 1)]).with_default_flux(phi)
-        with pytest.raises(InvalidParameterError, match="flux"):
-            bloch.BlochModel(2, [0], [1], [0.5], [[1]], phi)
 
     @pytest.mark.parametrize("phi", BAD_FLUXES)
     def test_model_methods(self, phi):
@@ -354,9 +349,23 @@ class TestFluxRefusals:
         with pytest.raises(InvalidParameterError, match="flux"):
             bloch.dos_map(bloch.chain_bloch((2,), 0.0), [0.1, phi], 4, 3)
 
+    def test_no_default_flux(self):
+        """Every solve takes its flux: ``None`` is refused, and leaving the
+        flux out is a call error."""
+        model, ks = bloch.chain_bloch((2,), 0.3), np.zeros((2, 1))
+        for solve in (lambda: model.stack(ks, None), lambda: model.singular_values(ks, None),
+                      lambda: model.matrix(0.0, None), lambda: bloch.band_sweep(model, None, 4),
+                      lambda: bloch.chain_bloch((2,), None),
+                      lambda: bloch.second_kind_44_bloch(None)):
+            with pytest.raises(InvalidParameterError, match="flux None is not a number"):
+                solve()
+        for solve in (model.stack, model.singular_values, model.matrix):
+            with pytest.raises(TypeError):
+                solve(ks)
+
     def test_largest_resolved_flux_answers(self):
         phi = float(np.nextafter(gauge.ANGLE_LIMIT, 0.0))
-        assert bloch.band_sweep(bloch.chain_bloch((2,), phi), None, 4).total_bandwidth > 0.0
+        assert bloch.band_sweep(bloch.chain_bloch((2,), phi), phi, 4).total_bandwidth > 0.0
 
 
 class TestMalformedEdges:
@@ -381,15 +390,14 @@ class TestMalformedEdges:
     def test_refused(self, bands, rows, cols, factors, windings, message):
         with pytest.raises(InvalidParameterError, match=message):
             bloch.BlochModel(bands, np.array(rows), np.array(cols), np.array(factors, dtype=float),
-                             np.array(windings), 0.0)
+                             np.array(windings))
 
 
 class TestSublattices:
     def cell(self, rows, cols):
         return bloch.BlochModel(bands=3, rows=np.array(rows), cols=np.array(cols),
                                 flux_factors=np.zeros(len(rows)),
-                                windings=np.zeros((len(rows), 1), dtype=np.int64),
-                                default_flux=0.0)
+                                windings=np.zeros((len(rows), 1), dtype=np.int64))
 
     def test_self_loop_refused(self):
         with pytest.raises(InvalidParameterError):
@@ -465,7 +473,7 @@ def cell_model(a, b, edges, dims=1):
     t = np.array(edges, dtype=float)
     return bloch.BlochModel(bands=a + b, rows=t[:, 0].astype(np.int64),
                             cols=t[:, 1].astype(np.int64), flux_factors=t[:, 2],
-                            windings=t[:, 3:3 + dims].astype(np.int64), default_flux=0.0)
+                            windings=t[:, 3:3 + dims].astype(np.int64))
 
 
 class TestStaticSplit:
@@ -759,7 +767,7 @@ class TestIntegerCounts:
     @pytest.mark.parametrize("grid", [2.5, 4.0, np.float64(4.0), "4", None])
     def test_band_sweep_and_momentum_grid(self, no_solve, grid):
         with pytest.raises(InvalidParameterError, match="grid must be an integer"):
-            bloch.band_sweep(bloch.chain_bloch((2,), 0.3), None, grid)
+            bloch.band_sweep(bloch.chain_bloch((2,), 0.3), 0.3, grid)
         with pytest.raises(InvalidParameterError, match="grid must be an integer"):
             bloch.momentum_grid(1, grid)
 
@@ -771,8 +779,8 @@ class TestIntegerCounts:
 
     def test_numpy_integers_are_counts(self):
         model = bloch.chain_bloch((2,), 0.3)
-        sweep = bloch.band_sweep(model, None, np.int64(5))
-        assert sweep.energies.tobytes() == bloch.band_sweep(model, None, 5).energies.tobytes()
+        sweep = bloch.band_sweep(model, 0.3, np.int64(5))
+        assert sweep.energies.tobytes() == bloch.band_sweep(model, 0.3, 5).energies.tobytes()
         dos = bloch.dos_map(model, [0.3], np.int32(5), np.int64(7))
         assert np.array_equal(dos.counts, bloch.dos_map(model, [0.3], 5, 7).counts)
 

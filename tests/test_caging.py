@@ -938,6 +938,56 @@ class TestIntegerRefusals:
             caging.crossing_amplitude_polynomials(m, 4, 8.0)
         assert caging.crossing_amplitude_polynomials(m, 4, np.int64(8)).shape == (4, 8)
 
+    def test_krylov_seed(self):
+        m = gauge.chain_ccam((2,), 3, math.pi)
+        with pytest.raises(InvalidParameterError, match="seed must be an integer, got 1.5"):
+            caging.krylov_cls(m, 1.5)
+        assert caging.krylov_cls(m, np.int64(1)).seed == 1
+
+    def test_krylov_cap(self):
+        m = gauge.chain_ccam((2,), 3, math.pi)
+        with pytest.raises(InvalidParameterError, match="cap must be an integer, got 1.5"):
+            caging.krylov_cls(m, 1, cap=1.5)
+
+    def test_cover_seeds(self):
+        m = gauge.chain_ccam((2,), 3, math.pi)
+        with pytest.raises(InvalidParameterError, match="seed must be an integer, got 1.5"):
+            caging.verify_all_cls(m, 4, seeds=[1.5, 2])
+        report = caging.verify_all_cls(m, 4, seeds=np.array([1, 2]))
+        assert [r.seed for r in report.records] == [1, 2]
+
+    def test_cover_radius_bound(self):
+        m = gauge.chain_ccam((2,), 3, math.pi)
+        with pytest.raises(InvalidParameterError, match="radius bound must be an integer, got 2.5"):
+            caging.verify_all_cls(m, 2.5)
+
+    def test_evaluate_cyclotomic_denominator(self):
+        polys = caging.crossing_amplitude_polynomials(gauge.canonical_ccam((2,), math.pi), 8, 8)
+        with pytest.raises(InvalidParameterError, match="denominator must be an integer, got 8.5"):
+            caging.evaluate_cyclotomic(polys, 1, 8.5)
+
+    def test_evaluate_cyclotomic_z(self):
+        polys = caging.crossing_amplitude_polynomials(gauge.canonical_ccam((2,), math.pi), 8, 8)
+        with pytest.raises(InvalidParameterError, match="z must be an integer, got 1.0"):
+            caging.evaluate_cyclotomic(polys, 1.0, 8)
+        assert np.array_equal(caging.evaluate_cyclotomic(polys, np.int64(1), np.int64(8)),
+                              caging.evaluate_cyclotomic(polys, 1, 8))
+
+    def test_is_caged_z(self):
+        with pytest.raises(InvalidParameterError, match="z must be an integer, got 1.5"):
+            caging.is_caged((2,), 1.5)
+        assert caging.is_caged((2,), np.int64(1))
+
+    @pytest.mark.parametrize("level", [5, -1])
+    def test_recurrence_normalizer_level(self, level):
+        with pytest.raises(InvalidParameterError, match=f"level {level} is not in 0..1"):
+            caging.recurrence_normalizer((2,), 1.0, 1j, level)
+
+    def test_recurrence_normalizer_level_integer(self):
+        with pytest.raises(InvalidParameterError, match="level must be an integer"):
+            caging.recurrence_normalizer((2,), 1.0, 1j, 1.0)
+        assert caging.recurrence_normalizer((2,), 1.0, 1j, 1) == 1.0 / -1j
+
 
 class TestLocalCaging:
     def test_heptagon_hubs_caged_at_two_pi_over_three(self):

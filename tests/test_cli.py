@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from caged import caging, cli, gauge, graphs, spectral
-from caged.errors import InvalidParameterError
+from caged.errors import InvalidParameterError, UnsupportedHypothesisError
 
 
 def run(capsys, *argv):
@@ -521,6 +521,26 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "verify", "--x", "2,2,2,2,2,2,2,2", "--phi", "2pi/256")
         assert code == 0
         assert out.strip().splitlines()[-1] == "OK"
+
+    @pytest.mark.parametrize("xs", ["2,1,2", "1,2"])
+    def test_verify_without_the_assembly_hypothesis(self, capsys, xs):
+        code, out, _ = run(capsys, "verify", "--x", xs, "--phi", "0")
+        assert code == 0
+        assert "assembled spectrum: not applicable at this flux" in out.splitlines()
+        assert out.strip().splitlines()[-1] == "OK"
+
+    def test_verify_asks_the_assembly_for_its_hypothesis(self, capsys, monkeypatch):
+        def unsupported(xs):
+            raise UnsupportedHypothesisError(f"no assembly for {xs}")
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("dense spectrum computed")
+
+        monkeypatch.setattr(spectral, "spectrum_fluxless", unsupported)
+        monkeypatch.setattr(spectral, "ccam_spectrum", refuse)
+        code, out, _ = run(capsys, "verify", "--x", "2,3,2", "--phi", "0")
+        assert code == 0
+        assert "assembled spectrum: not applicable at this flux" in out.splitlines()
 
     def test_verify_refuses_above_dense_limit_only_for_a_spectrum(self, capsys, monkeypatch):
         monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "500")

@@ -356,6 +356,48 @@ class TestFlatValues:
         assert all(not fv.contains(mid) for mid in fv.midpoints())
         assert all(fv.index(mid) is None for mid in fv.midpoints())
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_denominator_below_one_refused(self, m):
+        with pytest.raises(InvalidParameterError, match=f"denominator must be >= 1, got {m}"):
+            gauge.FlatSet(m)
+
+    def test_denominator_not_an_integer_refused(self):
+        with pytest.raises(InvalidParameterError, match="denominator must be an integer, got 2.5"):
+            gauge.FlatSet(2.5)
+        fv = gauge.FlatSet(np.int64(4))
+        assert type(fv.denominator) is int and fv == gauge.flat_values((2, 2))
+
+
+BUILDERS_AT = {
+    "canonical": lambda phi: gauge.canonical_ccam((2, 3, 2), phi),
+    "chain": lambda phi: gauge.chain_ccam((2, 3), 2, phi),
+    "lotus": lambda phi: gauge.lotus_ccam(graphs.lotus_patch(graphs.LotusSpec("first", 6)), phi),
+    "pairings": lambda phi: gauge.level_pairings((2, 3, 2), phi),
+    "recurrence": lambda phi: caging.resolvent_recurrence((2, 3, 2), phi, 0.5 + 1j),
+}
+
+
+class TestBuilderFluxRule:
+    """The phased-matrix builders refuse the fluxes that ``check_angle``
+    refuses, once the phases are seen to hold them."""
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS_AT))
+    @pytest.mark.parametrize("phi", [gauge.ANGLE_LIMIT, -gauge.ANGLE_LIMIT, 1e7])
+    def test_refused_at_the_angle_limit(self, name, phi):
+        with pytest.raises(InvalidParameterError, match="not an angle that a float resolves"):
+            BUILDERS_AT[name](phi)
+
+    @pytest.mark.parametrize("phi", [None, "pi", object()])
+    def test_not_a_number_refused(self, phi):
+        with pytest.raises(InvalidParameterError, match="is not a number"):
+            gauge.check_angle(phi)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS_AT))
+    def test_answers_just_below_it(self, name):
+        phi = float(np.nextafter(gauge.ANGLE_LIMIT, 0.0))
+        assert BUILDERS_AT[name](phi) is not None
+        assert BUILDERS_AT[name](-phi) is not None
+
 
 class TestDenseMatrix:
     def test_shrub_row_sums(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caged import caging, gauge, graphs
+from caged import caging, gauge, graphs, spectral
 from caged.errors import InvalidParameterError, ResourceLimitError
 
 growth_sequences = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
@@ -606,13 +606,14 @@ class TestLotus:
             graphs.lotus_patch(graphs.LotusSpec(kind="second", sides=4, tiling_q=3))
 
     @pytest.mark.parametrize("spec, match", [
-        (graphs.LotusSpec(kind="third", sides=6), "unknown lotus kind"),
-        (graphs.LotusSpec(kind="first", sides=6, shrub_p=1), "p >= 2"),
-        (graphs.LotusSpec(kind="second", sides=4, tiling_q=4, generations=0), "generations"),
+        (dict(kind="third", sides=6), "unknown lotus kind"),
+        (dict(kind="first", sides=6, shrub_p=1), "p >= 2"),
+        (dict(kind="second", sides=4, tiling_q=4, generations=0), "generations"),
     ])
     def test_refused_specs(self, spec, match):
+        """A spec is checked when it is built, before any patch."""
         with pytest.raises(InvalidParameterError, match=match):
-            graphs.lotus_patch(spec)
+            graphs.LotusSpec(**spec)
 
     def test_vertex_limit(self, monkeypatch):
         spec = graphs.LotusSpec(kind="first", sides=7, generations=4)
@@ -844,3 +845,94 @@ class TestGraphFile:
     def test_degenerate_face_refused(self, face):
         with pytest.raises(InvalidParameterError, match="at least 3"):
             graphs.parse_graph(f"graph 2\ne 0 1\n{face}\n")
+
+
+class TestIntegerInputs:
+    """Sequence entries, counts, vertex ids and edge and face arrays must be
+    integers: a float is refused, not truncated or left to a raw error."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: gauge.canonical_ccam((2.7, 3), 1.0),
+        lambda: graphs.grow_tree((2.5,)),
+        lambda: graphs.tree_vertex_count((2.5,)),
+        lambda: graphs.check_growth_sequence((2, 3.0)),
+    ], ids=["canonical", "grow", "vertex-count", "float-valued"])
+    def test_sequence_entries(self, build):
+        with pytest.raises(InvalidParameterError, match="growth sequence entry must be an integer"):
+            build()
+
+    def test_spectrum_sequence_entries(self):
+        with pytest.raises(InvalidParameterError, match="growth sequence entry must be an integer"):
+            spectral.spectrum_fluxless((2.5,))
+
+    def test_numpy_sequence_entries(self):
+        assert graphs.check_growth_sequence(np.array([2, 3])) == (2, 3)
+        assert all(type(v) is int for v in graphs.check_growth_sequence(np.array([2, 3])))
+
+    def test_shrub_parameter(self):
+        with pytest.raises(InvalidParameterError, match="shrub parameter must be an integer"):
+            graphs.shrub(2.5)
+        assert graphs.shrub(np.int64(3)).num_vertices == 5
+
+    def test_edge_arrays(self):
+        with pytest.raises(InvalidParameterError, match="rows must be integers, got dtype float64"):
+            graphs.Graph(3, [0.5, 1.7], [1.2, 2.9])
+        with pytest.raises(InvalidParameterError, match="cols must be integers"):
+            graphs.Graph(3, [0, 1], [1.0, 2.0])
+
+    def test_face_arrays(self):
+        rows, cols = [0, 0, 1], [1, 2, 2]
+        with pytest.raises(InvalidParameterError, match="face_vertices must be integers"):
+            graphs.Graph(3, rows, cols, [0.0, 1.0, 2.0], [3])
+        with pytest.raises(InvalidParameterError, match="face_lengths must be integers"):
+            graphs.Graph(3, rows, cols, [0, 1, 2], [3.0])
+
+    def test_empty_arrays_pass(self):
+        g = graphs.Graph(2, np.array([]), [], face_vertices=np.zeros(0), face_lengths=[])
+        assert g.num_edges == 0 and g.rows.dtype == np.int64
+        assert graphs.Graph(2, np.array([0]), np.array([1], dtype=np.uint8)).edges == ((0, 1),)
+
+    def test_vertex_count(self):
+        with pytest.raises(InvalidParameterError, match="num_vertices must be an integer, got 3.5"):
+            graphs.Graph(3.5, [0], [1])
+        g = graphs.Graph(np.int64(3), [0], [1])
+        assert type(g.num_vertices) is int and g.num_vertices == 3
+
+    @pytest.mark.parametrize("root", ["first_vertex", "last_vertex"])
+    def test_roots(self, root):
+        with pytest.raises(InvalidParameterError, match=f"{root} must be an integer, got 1.5"):
+            graphs.Graph(3, [0, 1], [1, 2], **{root: 1.5})
+        g = graphs.Graph(3, [0, 1], [1, 2], **{root: np.int64(1)})
+        assert type(getattr(g, root)) is int
+
+    def test_factorization_count_argument(self):
+        with pytest.raises(InvalidParameterError, match="m must be an integer, got 2.5"):
+            graphs.ordered_factorization_count(2.5)
+        assert graphs.ordered_factorization_count(np.int64(12)) == 8
+
+    def test_factorization_listing_argument(self):
+        with pytest.raises(InvalidParameterError, match="m must be an integer, got 2.5"):
+            graphs.ordered_factorizations(2.5)
+        assert graphs.ordered_factorizations(np.int64(4)) == (2, ((2, 2), (4,)))
+
+    def test_factorization_table_limit(self):
+        with pytest.raises(InvalidParameterError, match="limit must be an integer, got 2.5"):
+            graphs.ordered_factorization_counts(2.5)
+
+    def test_chain_cells(self):
+        with pytest.raises(InvalidParameterError, match="cells must be an integer, got 2.5"):
+            graphs.chain_graph((2,), 2.5)
+        assert graphs.chain_graph((2,), np.int64(2)).num_vertices == 7
+
+    @pytest.mark.parametrize("field", ["sides", "shrub_p", "tiling_q", "generations"])
+    def test_lotus_spec(self, field):
+        values = {"sides": 6, "shrub_p": 2, "tiling_q": 3, "generations": 1}
+        values[field] += 0.5
+        with pytest.raises(InvalidParameterError, match=f"{field} must be an integer"):
+            graphs.LotusSpec("first", **values)
+
+    def test_lotus_spec_numpy_counts(self):
+        spec = graphs.LotusSpec("first", np.int64(6), generations=np.int64(1))
+        assert spec == graphs.LotusSpec("first", 6)
+        assert graphs.lotus_patch(spec).num_vertices == graphs.lotus_patch(
+            graphs.LotusSpec("first", 6)).num_vertices

@@ -170,8 +170,7 @@ class TestDenseOracle:
             spectral.ccam_spectrum(triangle)
         with pytest.raises(InvalidParameterError, match="not bipartite: it has an odd cycle"):
             bloch.BlochModel(bands=3, rows=np.array([0, 0, 1]), cols=np.array([1, 2, 2]),
-                             flux_factors=np.zeros(3), windings=np.zeros((3, 1), dtype=np.int64),
-                             default_flux=0.0)
+                             flux_factors=np.zeros(3), windings=np.zeros((3, 1), dtype=np.int64))
 
     def test_refuses_above_dense_limit(self, monkeypatch):
         monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "3")
@@ -249,10 +248,15 @@ class TestPrefixEigenvalues:
         assert got == pytest.approx([-1.0, 1.0, -1.0, 1.0, 0.0], abs=1e-14)
         assert spectral.prefix_eigenvalues([w], []).size == 0
 
-    @pytest.mark.parametrize("prefix", [(1, 1), (-1, 1), (0, 4), (0, -1)])
+    @pytest.mark.parametrize("prefix", [(1, 1), (-1, 1), (0, 4), (0, -1),
+                                        (0, 2.5), (0, 2.0), (0.0, 1)])
     def test_prefix_outside_paths_rejected(self, prefix):
         with pytest.raises(InvalidParameterError):
             spectral.prefix_eigenvalues([(1.0, 1.0)], [prefix])
+
+    def test_numpy_integer_prefixes(self):
+        got = spectral.prefix_eigenvalues([(1.0, 0.25)], [(np.int64(0), np.int64(2))])
+        assert got == pytest.approx([-1.0, 1.0], abs=1e-14)
 
     def test_prefix_above_dense_limit_refused(self, monkeypatch):
         monkeypatch.setenv(gauge.DENSE_LIMIT_ENV, "3")
